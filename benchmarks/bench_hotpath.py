@@ -1,25 +1,22 @@
-"""Hot-path engine gate: decoded-trace speedup and bit-exactness.
+"""Hot-path engine gate: vector-engine speedup and bit-exactness.
 
-The decoded-trace engines exist only if they are (a) fast and (b)
-invisible in the results.  This benchmark holds both,
-machine-independently, by racing the live engine tiers against the
-frozen seed engine (:mod:`repro.frontend.seedref`) in the same process:
+The vector engine exists only if it is (a) fast and (b) invisible in
+the results.  This benchmark holds both, machine-independently, by
+racing it against the frozen seed engine (:mod:`repro.frontend.seedref`)
+in the same process:
 
 * every standard design's :class:`FrontendStats` must be byte-identical
-  between each tier and the seed engine (``to_dict()`` equality,
-  nothing fuzzy);
+  between the vector engine and the seed engine (``to_dict()``
+  equality, nothing fuzzy);
 * the columnar vector engine must beat the seed engine by
   ``MIN_SPEEDUP`` on its best standard design and by
   ``SWEEP_MIN_SPEEDUP`` across the whole sweep.
 
-The race attributes the shared one-time work -- trace decode plus the
-memoised TAGE direction replay -- to an explicit *prepare* step, timed
-and reported separately (``prepare_seconds``).  Every design and every
-engine tier reuses exactly that state, so per-design times compare
-engine loops, not cache warmth.  The remaining per-configuration memos
-(ICache replay, RAS replay, column extraction) are paid inside the
-*fast* tier, which runs before the vector tier; they are small and the
-bias is against the newer engine.
+The race attributes the shared one-time work -- trace decode, the
+memoised TAGE direction, ICache and RAS replays, and the numpy column
+extraction -- to an explicit *prepare* step, timed and reported
+separately (``prepare_seconds``).  Every design reuses exactly that
+state, so per-design times compare engine loops, not cache warmth.
 
 Speedup ceiling, for the record: the vector engine replays every
 resteer boundary (BTB allocation or misprediction) through the real
@@ -46,6 +43,7 @@ import time
 from pathlib import Path
 
 from repro.experiments.designs import standard_designs
+from repro.frontend.params import ICELAKE
 from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
 from repro.frontend.simulator import FrontendSimulator
 from repro.obs.metrics import get_registry
@@ -65,9 +63,11 @@ SWEEP_MIN_SPEEDUP = 3.0
 #: suite member works -- results must match on all of them regardless).
 GATE_APP = "server_oltp_00"
 
-#: Engine tiers raced against the seed referee, in run order (the fast
-#: tier goes first and absorbs the small per-config memo warmup).
-TIERS = ("fast", "vector")
+#: Engine tiers raced against the seed referee.
+TIERS = ("vector",)
+
+#: ``FrontendSimulator``'s default return-address-stack depth.
+RAS_DEPTH = 32
 
 _RESULTS_FILE = Path(__file__).with_name("BENCH_hotpath.json")
 
@@ -81,14 +81,20 @@ def _measure(run) -> tuple[float, object]:
 def prepare(trace) -> float:
     """Pay the shared one-time costs; returns the seconds spent.
 
-    Decode and the TAGE direction replay are memoised on the trace and
-    reused by every design and engine tier, so they are a *prepare*
+    Decode, the direction / ICache / RAS replays and the vector columns
+    are memoised on the trace and reused by every standard design (all
+    run the default core, predictor and RAS), so they are a *prepare*
     cost, not a per-design cost.  (The seed engine never touches them;
-    excluding them from its times would only flatter the new engines.)
+    excluding them from its times would only flatter the vector engine.)
     """
     start = time.perf_counter()
     decoded = trace.decoded()
-    decoded.direction_array("tage-default")
+    decoded.direction_outcomes("tage-default")
+    decoded.icache_misses(
+        ICELAKE.icache_kib, ICELAKE.icache_line_bytes, ICELAKE.icache_ways
+    )
+    decoded.ras_outcomes(True, RAS_DEPTH)
+    decoded.vector_columns()
     return time.perf_counter() - start
 
 
@@ -184,13 +190,12 @@ def run_gate(record: bool = False) -> dict:
     trace = get_trace(GATE_APP)
     report = race(trace)
     gauge = get_registry().gauge(
-        "bench_hotpath_speedup", "decoded-trace engine speedup over the seed engine"
+        "bench_hotpath_speedup", "vector engine speedup over the seed engine"
     )
     gauge.set(report["vector_sweep_speedup"], scale=report["scale"], tier="vector")
-    gauge.set(report["fast_sweep_speedup"], scale=report["scale"], tier="fast")
 
     assert not report["mismatches"], (
-        "decoded-trace engine diverged from the seed engine: "
+        "vector engine diverged from the seed engine: "
         f"{report['mismatches']}"
     )
     for tier in TIERS:
@@ -233,8 +238,8 @@ def test_hotpath_speedup_and_equivalence(benchmark):
 
     report = run_gate(record=False)
     print(
-        f"\nhot-path gate: vector {report['vector_sweep_speedup']:.2f}x / "
-        f"fast {report['fast_sweep_speedup']:.2f}x over seed sweep, peak "
+        f"\nhot-path gate: vector {report['vector_sweep_speedup']:.2f}x "
+        f"over seed sweep, peak "
         f"{report['peak_vector_speedup']:.2f}x on {report['peak_design']} "
         f"(budgets {SWEEP_MIN_SPEEDUP:.1f}x sweep, {MIN_SPEEDUP:.1f}x peak) "
         f"at scale={report['scale']}"

@@ -292,7 +292,7 @@ class TageLitePredictor(DirectionPredictor):
     def clone(self) -> "TageLitePredictor":
         """Independent copy of the full predictor state.
 
-        Used by the decoded-trace engine: the direction replay is shared
+        Used by the vector engine: the direction replay is shared
         across designs, so each simulator adopts a clone of the end
         state rather than the cached replay object itself.  Plain
         ``list`` copies keep this far cheaper than ``copy.deepcopy``.

@@ -43,8 +43,6 @@ class BaselineBTB(BranchTargetPredictor):
             (Section 5.6 runs with indirects served by ITTAGE instead).
     """
 
-    supports_fast_path = True
-
     def __init__(
         self,
         entries: int = 4096,
@@ -148,7 +146,7 @@ class BaselineBTB(BranchTargetPredictor):
             return
         self._allocate(index, tag, event.target)
 
-    # -- fast hooks (decoded-trace engine) -----------------------------------
+    # -- scalar hooks used by vector boundary replay -------------------------
 
     def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int]:
         """`lookup` on a precomputed hash; ``(target, hit, latency)``."""

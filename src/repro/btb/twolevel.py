@@ -73,14 +73,7 @@ class TwoLevelBTB(BranchTargetPredictor):
         self.level0.update(event)
         self.level1.update(event)
 
-    # -- fast hooks (decoded-trace engine) -----------------------------------
-
-    @property
-    def supports_fast_path(self) -> bool:
-        """Fast only when both levels implement the fast hooks."""
-        return getattr(self.level0, "supports_fast_path", False) and getattr(
-            self.level1, "supports_fast_path", False
-        )
+    # -- scalar hooks used by vector boundary replay -------------------------
 
     def observe_fast(
         self,

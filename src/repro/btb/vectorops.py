@@ -63,7 +63,7 @@ def vector_supported(btb) -> bool:
 
     Exact types only: a subclass may override update behaviour the
     kernels replicate (``GhrpBTB`` does), so anything unrecognised falls
-    back to the fast scalar engine.
+    back to the general engine.
     """
     if type(btb) is BaselineBTB or type(btb) is PDedeBTB:
         return True

@@ -70,11 +70,6 @@ class PDedeBTB(BranchTargetPredictor):
             :class:`~repro.core.config.PDedeConfig`.
     """
 
-    #: The flat-storage fast hooks (``observe_fast`` and friends) are
-    #: exact replications of lookup/update; the simulator's fast engine
-    #: keys off this.
-    supports_fast_path = True
-
     def __init__(self, config: PDedeConfig | None = None) -> None:
         super().__init__()
         self.config = config or PDedeConfig()
@@ -365,14 +360,14 @@ class PDedeBTB(BranchTargetPredictor):
         if self.config.mode is PDedeMode.MULTI_TARGET:
             self._chain_next_target(set_index, way, pc, target, use_delta)
 
-    # -- fast hooks (decoded-trace engine) -----------------------------------------
+    # -- scalar hooks used by vector boundary replay -------------------------------
 
     def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int]:
         """`lookup` on a precomputed hash; returns ``(target, hit, latency)``.
 
         Exact state evolution of :meth:`lookup` minus the BTBLookup
-        allocation; the simulator's fast engine (and
-        ``TwoLevelBTB.observe_fast``) is the only caller.
+        allocation; ``observe_fast`` and ``TwoLevelBTB.observe_fast``
+        are the only callers.
         """
         pending = self._pending_next_offset
         pending_tag = self._pending_next_tag
@@ -421,8 +416,8 @@ class PDedeBTB(BranchTargetPredictor):
     ) -> None:
         """`update` on precomputed hash and page bits (no event object).
 
-        The sanitizer hook is omitted: the fast engine only runs with the
-        sanitizer disarmed (the simulator gates on it).
+        The sanitizer hook is omitted: the vector engine only runs with
+        the sanitizer disarmed (the simulator gates on it).
         """
         self.stats.updates += 1
         if not taken:

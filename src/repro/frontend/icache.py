@@ -58,7 +58,7 @@ class ICache:
     def clone(self) -> "ICache":
         """Independent copy of the full cache state (fast list copies).
 
-        The decoded-trace engine replays the reference stream once per
+        The vector engine replays the reference stream once per
         geometry and hands each simulator a clone of the end state, so
         post-run inspection matches a live run without re-simulating.
         """

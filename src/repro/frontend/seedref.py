@@ -1,6 +1,6 @@
 """Frozen seed reference engine (the pre-optimization implementation).
 
-The hot-path engine (``FrontendSimulator`` fast path, flat-storage
+The hot-path engine (``FrontendSimulator`` vector engine, flat-storage
 ``PDedeBTB``/``BaselineBTB``) is an *optimization*, and its contract is
 bit-identical ``FrontendStats`` and BTB counters.  That contract needs a
 referee that cannot drift with the code under test, so this module keeps

@@ -1,7 +1,8 @@
 """Columnar frontend engine: chunked vector lookups + resteer-segment replay.
 
-Third engine tier of :class:`repro.frontend.simulator.FrontendSimulator`
-(``general`` -> ``fast`` -> ``vector``), bit-identical to both by
+:class:`repro.frontend.simulator.FrontendSimulator` picks this engine
+whenever the configuration allows it; the per-event ``general`` engine
+is the fallback and the reference.  The two are bit-identical by
 construction and by the equivalence suite.  Two phases:
 
 **Phase 1 -- BTB pass.**  The trace is consumed in adaptively-sized
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.branch.types import BranchKind
 from repro.btb.vectorops import NO_TARGET, make_vector_ops
 from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
@@ -48,20 +50,19 @@ CHUNK_MIN = 256
 CHUNK_START = 2048
 CHUNK_MAX = 16384
 
+_KIND_NAMES = [BranchKind(value).name for value in range(len(BranchKind))]
+
 
 def run_vector(sim, trace, warmup_fraction, measure_range=None):
     """Run one simulation on the vector engine; returns FrontendStats.
 
     ``sim`` is the :class:`FrontendSimulator` (the caller has already
-    checked ``_vector_path_applicable``); semantics mirror ``_run_fast``
-    exactly, including warm-crossing stats resets, shard measure ranges,
-    and end-of-trace structure adoption on full runs.
+    checked ``_vector_path_applicable``); semantics mirror the general
+    engine exactly, including warm-crossing stats resets and shard
+    measure ranges.  Full runs also adopt the replayed end-of-trace
+    structure state.
     """
-    from repro.frontend.simulator import (
-        _OVERLAPPED_MISS_CYCLES,
-        _REFILL_WINDOW,
-        _KIND_NAMES,
-    )
+    from repro.frontend.simulator import _OVERLAPPED_MISS_CYCLES, _REFILL_WINDOW
 
     params = sim.params
     btb = sim.btb
@@ -76,7 +77,7 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
     supply_col, demand_col = decoded.supply_demand_arrays(
         tick // params.fetch_width, tick // params.commit_width
     )
-    icache_col, icache_final = decoded.icache_miss_array(
+    icache_col, icache_final = decoded.icache_misses(
         params.icache_kib, params.icache_line_bytes, params.icache_ways
     )
     signature = sim._direction_signature()
@@ -84,7 +85,7 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
         dir_ok = np.ones(n_events, dtype=np.bool_)
         direction_final = None
     else:
-        dir_ok, direction_final = decoded.direction_array(signature)
+        dir_ok, direction_final = decoded.direction_outcomes(signature)
     ras_ok, ras_final = decoded.ras_outcomes(sim.returns_use_ras, sim.ras.depth)
 
     cols = decoded.vector_columns()
@@ -314,9 +315,9 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
             name = _KIND_NAMES[kind_value]
             misses_by_kind[name] = misses_by_kind.get(name, 0) + count
 
-    # Adopt replayed end-of-trace structure state on full runs, exactly
-    # like the fast engine (shard runs are one-shot and leave the
-    # structures untouched).
+    # Adopt replayed end-of-trace structure state on full runs so post-run
+    # inspection matches a live run (shard runs are one-shot and leave
+    # the structures untouched).
     if stop == n_events:
         sim.icache = icache_final.clone()
         if direction_final is not None:

@@ -1,31 +1,32 @@
-"""Precomputed per-event columns for the hot simulation loop.
+"""Precomputed per-event columns for the vector engine.
 
-``FrontendSimulator.run`` used to recompute, for every event of every
-design in a sweep, quantities that depend only on the trace: block
-geometry, the branch-PC avalanche hash, the ``same_page(pc, target)``
-bit, the per-event ICache miss count, and (when the default predictor is
-used) the conditional-direction outcome.  A :class:`DecodedTrace`
-computes each of these once per trace and caches them on the trace
-object (:meth:`repro.workloads.trace.Trace.decoded`), so an N-design
-sweep pays the trace-pure work once instead of N times.
+The columnar engine (:mod:`repro.frontend.vector`) needs, for every event
+of every design in a sweep, quantities that depend only on the trace:
+block geometry, the branch-PC avalanche hash, the ``same_page(pc,
+target)`` bit, the per-event ICache miss count, the RAS outcome, and
+(when the default predictor is used) the conditional-direction outcome.
+A :class:`DecodedTrace` computes each of these once per trace and caches
+them on the trace object (:meth:`repro.workloads.trace.Trace.decoded`),
+so an N-design sweep pays the trace-pure work once instead of N times.
 
 Two kinds of columns:
 
 * **vectorised** -- pure element-wise functions of the event columns
-  (block instructions/starts, hashes, page bits, kind property bytes),
-  computed with numpy and materialised as plain lists (CPython iterates
-  lists faster than ndarrays, and the hot loop wants native ints);
+  (block instructions, hashes, page bits, kind property bytes), computed
+  with numpy; the few that scalar boundary replay indexes per event
+  (hashes, page bits, indirect bits) are also kept as plain lists, since
+  the BTB hooks want native ints;
 * **replayed** -- sequential state machines that are nevertheless
   independent of the BTB under test: the ICache miss count per event
   (the *cost* of a miss depends on resteer proximity, but whether a line
-  misses depends only on the reference stream) and the TAGE direction
-  outcome per conditional (direction state never observes the BTB).
-  Replays reuse the real model classes, so the columns are correct by
-  construction, and keep the final state object so a simulator can adopt
-  it after a fast run.
+  misses depends only on the reference stream), the TAGE direction
+  outcome per conditional (direction state never observes the BTB), and
+  the RAS outcome per return.  Replays reuse the real model classes, so
+  the columns are correct by construction, and keep the final state
+  object so a simulator can adopt it after a full vector run.
 
 Everything here is derived, deterministic data; the equivalence suite
-(``tests/test_engine_equivalence.py``) checks the decoded engine against
+(``tests/test_engine_equivalence.py``) checks the vector engine against
 the frozen seed engine bit for bit.
 """
 
@@ -80,53 +81,39 @@ class DecodedTrace:
 
     __slots__ = (
         "n_events",
-        "block_instructions",
         "hashes",
         "same_page",
-        "is_call",
         "is_indirect",
         "_pcs",
         "_block_starts",
         "_takens",
         "_kinds",
         "_targets",
-        "_supply_demand",
         "_icache",
         "_direction",
         "_raw",
         "_vector",
         "_index_tag",
-        "_supply_demand_arrays",
-        "_icache_arrays",
-        "_direction_arrays",
+        "_supply_demand",
         "_ras",
     )
 
     def __init__(self) -> None:
         self.n_events = 0
-        self.block_instructions: list[int] = []
         self.hashes: list[int] = []
         self.same_page: list[bool] = []
-        self.is_call: list[bool] = []
         self.is_indirect: list[bool] = []
         self._pcs: list[int] = []
         self._block_starts: list[int] = []
         self._takens: list[bool] = []
         self._kinds: list[int] = []
         self._targets: list[int] = []
-        self._supply_demand: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        self._icache: dict[tuple[int, int, int], tuple[list[int], ICache]] = {}
-        self._direction: dict[str, tuple[list[bool], object]] = {}
-        # Vectorised-engine columns (numpy mirrors of the list columns),
-        # built lazily because only vector-capable runs need them.
+        self._icache: dict[tuple[int, int, int], tuple[np.ndarray, ICache]] = {}
+        self._direction: dict[str, tuple[np.ndarray, object]] = {}
         self._raw: tuple[np.ndarray, ...] | None = None
         self._vector: dict[str, np.ndarray] | None = None
         self._index_tag: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._supply_demand_arrays: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray]
-        ] = {}
-        self._icache_arrays: dict[tuple[int, int, int], np.ndarray] = {}
-        self._direction_arrays: dict[str, np.ndarray] = {}
+        self._supply_demand: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._ras: dict[tuple[bool, int], tuple[np.ndarray, ReturnAddressStack]] = {}
 
     @classmethod
@@ -135,8 +122,6 @@ class DecodedTrace:
         decoded = cls()
         decoded.n_events = len(trace)
         with np.errstate(over="ignore"):
-            wide_gaps = gaps.astype(np.int64)
-            decoded.block_instructions = (wide_gaps + 1).tolist()
             decoded._block_starts = (
                 pcs - gaps.astype(np.uint64) * np.uint64(_INSTR_BYTES)
             ).tolist()
@@ -144,7 +129,6 @@ class DecodedTrace:
             decoded.hashes = hash_arr.tolist()
             same_page_arr = (pcs >> _PAGE_SHIFT) == (targets >> _PAGE_SHIFT)
             decoded.same_page = same_page_arr.tolist()
-        decoded.is_call = _IS_CALL_BY_KIND[kinds].tolist()
         decoded.is_indirect = _IS_INDIRECT_BY_KIND[kinds].tolist()
         decoded._pcs = trace.pcs
         decoded._takens = trace.takens
@@ -209,35 +193,25 @@ class DecodedTrace:
     def supply_demand_arrays(
         self, fetch_tick: int, commit_tick: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`supply_demand_ticks` as int64 arrays (vector engine)."""
+        """Per-event supply/demand in integer ticks, as int64 arrays.
+
+        ``fetch_tick``/``commit_tick`` are the per-instruction tick
+        weights ``cycle_tick // fetch_width`` and
+        ``cycle_tick // commit_width`` (exact by construction of
+        :attr:`repro.frontend.params.CoreParams.cycle_tick`), so the
+        vectorised int64 multiply is exact -- bit-identical to the
+        per-event Python multiply and associative under sharded
+        summation.
+        """
         key = (fetch_tick, commit_tick)
-        cached = self._supply_demand_arrays.get(key)
+        cached = self._supply_demand.get(key)
         if cached is None:
             instructions = self.vector_columns()["instructions"]
             cached = (instructions * fetch_tick, instructions * commit_tick)
-            self._supply_demand_arrays[key] = cached
+            self._supply_demand[key] = cached
         return cached
 
-    def icache_miss_array(
-        self, size_kib: int, line_bytes: int, ways: int
-    ) -> tuple[np.ndarray, ICache]:
-        """:meth:`icache_misses` with the column as an int64 array."""
-        key = (size_kib, line_bytes, ways)
-        cached = self._icache_arrays.get(key)
-        misses, final = self.icache_misses(size_kib, line_bytes, ways)
-        if cached is None:
-            cached = np.array(misses, dtype=np.int64)
-            self._icache_arrays[key] = cached
-        return cached, final
-
-    def direction_array(self, signature: str) -> tuple[np.ndarray, object]:
-        """:meth:`direction_outcomes` with the column as a bool array."""
-        cached = self._direction_arrays.get(signature)
-        outcomes, final = self.direction_outcomes(signature)
-        if cached is None:
-            cached = np.array(outcomes, dtype=np.bool_)
-            self._direction_arrays[signature] = cached
-        return cached, final
+    # -- replayed / per-configuration columns -------------------------------
 
     def ras_outcomes(
         self, use_ras: bool, depth: int
@@ -277,42 +251,16 @@ class DecodedTrace:
             self._ras[key] = cached
         return cached
 
-    # -- replayed / per-configuration columns -------------------------------
-
-    def supply_demand_ticks(
-        self, fetch_tick: int, commit_tick: int
-    ) -> tuple[list[int], list[int]]:
-        """Per-event supply/demand in integer ticks.
-
-        ``fetch_tick``/``commit_tick`` are the per-instruction tick
-        weights ``cycle_tick // fetch_width`` and
-        ``cycle_tick // commit_width`` (exact by construction of
-        :attr:`repro.frontend.params.CoreParams.cycle_tick`), so the
-        vectorised int64 multiply is exact -- bit-identical to the
-        per-event Python multiply and associative under sharded
-        summation.
-        """
-        key = (fetch_tick, commit_tick)
-        cached = self._supply_demand.get(key)
-        if cached is None:
-            instructions = np.array(self.block_instructions, dtype=np.int64)
-            cached = (
-                (instructions * fetch_tick).tolist(),
-                (instructions * commit_tick).tolist(),
-            )
-            self._supply_demand[key] = cached
-        return cached
-
     def icache_misses(
         self, size_kib: int, line_bytes: int, ways: int
-    ) -> tuple[list[int], ICache]:
-        """Per-event L1-I miss counts plus the final cache state.
+    ) -> tuple[np.ndarray, ICache]:
+        """Per-event L1-I miss counts (int64) plus the final cache state.
 
         The reference stream -- one ``touch_range(block_start, pc)`` per
         event -- does not depend on the BTB under test (only the *charge*
         per miss does), so a single replay of the real :class:`ICache`
         serves every design.  The returned cache is the end-of-trace
-        state; a fast run deep-copies it into the simulator so post-run
+        state; a full vector run clones it into the simulator so post-run
         inspection matches a live run.
         """
         key = (size_kib, line_bytes, ways)
@@ -324,12 +272,12 @@ class DecodedTrace:
                 touch_range(start, pc)
                 for start, pc in zip(self._block_starts, self._pcs)
             ]
-            cached = (misses, icache)
+            cached = (np.array(misses, dtype=np.int64), icache)
             self._icache[key] = cached
         return cached
 
-    def direction_outcomes(self, signature: str) -> tuple[list[bool], object]:
-        """Per-event direction-correct bits plus the final predictor.
+    def direction_outcomes(self, signature: str) -> tuple[np.ndarray, object]:
+        """Per-event direction-correct bits (bool) plus the final predictor.
 
         Only resolvable predictor configurations are replayable:
         ``"tage-default"`` (the predictor ``FrontendSimulator`` builds
@@ -352,6 +300,6 @@ class DecodedTrace:
                     outcomes[index] = (
                         predict_and_update(self._pcs[index], taken) == taken
                     )
-            cached = (outcomes, predictor)
+            cached = (np.array(outcomes, dtype=np.bool_), predictor)
             self._direction[signature] = cached
         return cached

@@ -4,6 +4,7 @@ the same final state as an event-by-event live run."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.branch.address import hash_pc, same_page
@@ -31,7 +32,8 @@ def test_decoded_is_cached_on_the_trace(trace):
 
 def test_block_instructions_is_gap_plus_one(trace, decoded):
     assert decoded.n_events == len(trace)
-    assert decoded.block_instructions == [gap + 1 for gap in trace.gaps]
+    instructions = decoded.vector_columns()["instructions"]
+    assert instructions.tolist() == [gap + 1 for gap in trace.gaps]
 
 
 def test_hashes_match_scalar_hash_pc(trace, decoded):
@@ -49,17 +51,20 @@ def test_same_page_matches_scalar_helper(trace, decoded):
 
 def test_kind_property_columns(trace, decoded):
     kinds = [BranchKind(value) for value in trace.kinds]
-    assert decoded.is_call == [kind.is_call for kind in kinds]
+    assert decoded.vector_columns()["is_call"].tolist() == [
+        kind.is_call for kind in kinds
+    ]
     assert decoded.is_indirect == [kind.is_indirect for kind in kinds]
 
 
-def test_supply_demand_ticks_are_exact_multiples(decoded):
-    supply, demand = decoded.supply_demand_ticks(10, 16)
-    assert supply == [count * 10 for count in decoded.block_instructions]
-    assert demand == [count * 16 for count in decoded.block_instructions]
-    assert all(isinstance(value, int) for value in supply[:64])
-    assert decoded.supply_demand_ticks(10, 16) is decoded.supply_demand_ticks(10, 16)
-    assert decoded.supply_demand_ticks(5, 16)[0] != supply
+def test_supply_demand_arrays_are_exact_multiples(decoded):
+    supply, demand = decoded.supply_demand_arrays(10, 16)
+    counts = decoded.vector_columns()["instructions"].tolist()
+    assert supply.tolist() == [count * 10 for count in counts]
+    assert demand.tolist() == [count * 16 for count in counts]
+    assert supply.dtype == np.int64
+    assert decoded.supply_demand_arrays(10, 16) is decoded.supply_demand_arrays(10, 16)
+    assert decoded.supply_demand_arrays(5, 16)[0].tolist() != supply.tolist()
 
 
 def test_icache_misses_match_live_replay(trace, decoded):
@@ -69,7 +74,9 @@ def test_icache_misses_match_live_replay(trace, decoded):
     for pc, gap in zip(trace.pcs, trace.gaps):
         start = pc - gap * 4
         expected.append(live.touch_range(start, pc))
-    assert misses == expected
+    assert misses.tolist() == expected
+    assert misses.dtype == np.int64
+    assert decoded.icache_misses(32, 64, 8)[0] is misses
     assert final.accesses == live.accesses
     assert final.misses == live.misses
     assert final._lines == live._lines
@@ -90,7 +97,9 @@ def test_direction_outcomes_match_live_predictor(trace, decoded):
             predicted = live.predict(trace.pcs[index])
             live.update(trace.pcs[index], taken)
             expected[index] = predicted == taken
-    assert outcomes == expected
+    assert outcomes.tolist() == expected
+    assert outcomes.dtype == np.bool_
+    assert decoded.direction_outcomes("tage-default")[0] is outcomes
     assert final._history == live._history
     assert final._rng_state == live._rng_state
 

@@ -1,15 +1,19 @@
-"""The decoded-trace engine is an *optimisation*, not a model change:
-for every design it must reproduce the frozen seed engine's
-FrontendStats exactly (``to_dict()`` equality -- bit-identical floats,
-not approximate), and it must engage exactly when its gate says it can.
+"""The vector engine is an *optimisation*, not a model change: for
+every design it must reproduce the frozen seed engine's FrontendStats
+exactly (``to_dict()`` equality -- bit-identical floats, not
+approximate), and it must engage exactly when its gate says it can.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.btb.baseline import BaselineBTB
+from repro.btb.twolevel import TwoLevelBTB
 from repro.checks.sanitizer import Sanitizer, use_sanitizer
+from repro.core.pdede import PDedeBTB
 from repro.experiments.designs import (
+    Design,
     pdede_design,
     standard_designs,
     two_level_design,
@@ -44,7 +48,7 @@ def _run_both(design, trace, engine="auto"):
     return simulator, stats, seed_stats
 
 
-@pytest.mark.parametrize("engine", ["vector", "fast"])
+@pytest.mark.parametrize("engine", ["vector"])
 @pytest.mark.parametrize("key", sorted(_designs()))
 def test_decoded_engines_match_seed_exactly(key, engine):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
@@ -69,9 +73,22 @@ def test_ittage_falls_back_to_general_engine_and_still_matches():
     assert stats.to_dict() == seed_stats.to_dict()
 
 
+def test_twolevel_with_pdede_l0_falls_back_to_general_and_matches():
+    # The vector kernels cover only a Baseline L0; any other L0 runs on
+    # the general engine and must still match the seed referee.
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = Design(
+        key="twolevel-pdede-l0",
+        build_btb=lambda: TwoLevelBTB(PDedeBTB(), BaselineBTB(entries=8192)),
+    )
+    simulator, stats, seed_stats = _run_both(design, trace)
+    assert simulator.last_engine == "general"
+    assert stats.to_dict() == seed_stats.to_dict()
+
+
 def test_warmup_zero_matches_seed():
     # warmup_fraction=0 hits the seed's warm_limit==0 quirk: stats are
-    # never reset, so the fast loop must not reset them either.
+    # never reset, so the vector engine must not reset them either.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = standard_designs()["pdede-default"]
     btb, kwargs = design.build()
@@ -86,7 +103,7 @@ def test_warmup_zero_matches_seed():
 
 
 def test_second_run_uses_general_engine():
-    # A reused simulator carries state from the first run; the fast
+    # A reused simulator carries state from the first run; the vector
     # engine's replay assumptions only hold from a pristine start.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     btb, kwargs = standard_designs()["baseline"].build()
@@ -98,7 +115,7 @@ def test_second_run_uses_general_engine():
 
 
 def test_armed_sanitizer_forces_general_engine():
-    # The fast BTB hooks skip sanitizer_step (they are gated on the
+    # The scalar BTB hooks skip sanitizer_step (they are gated on the
     # sanitizer being off); an armed sanitizer must see the full loop.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     btb, kwargs = standard_designs()["pdede-default"].build()
@@ -109,21 +126,21 @@ def test_armed_sanitizer_forces_general_engine():
 
 
 def test_post_run_state_matches_live_objects():
-    # The fast engine adopts clones of the shared replay state; the
+    # The vector engine adopts clones of the shared replay state; the
     # post-run icache/direction must look exactly like a live run's.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = standard_designs()["pdede-default"]
     btb, kwargs = design.build()
-    fast = FrontendSimulator(btb, **kwargs)
-    fast.run(trace, warmup_fraction=0.3)
+    vector = FrontendSimulator(btb, **kwargs)
+    vector.run(trace, warmup_fraction=0.3)
     seed_btb, seed_kwargs = design.build()
     general = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)
     general.run(trace, warmup_fraction=0.3)
-    assert fast.icache.accesses == general.icache.accesses
-    assert fast.icache.misses == general.icache.misses
-    assert fast.icache._lines == general.icache._lines
-    assert fast.direction._history == general.direction._history
-    assert fast.direction._rng_state == general.direction._rng_state
+    assert vector.icache.accesses == general.icache.accesses
+    assert vector.icache.misses == general.icache.misses
+    assert vector.icache._lines == general.icache._lines
+    assert vector.direction._history == general.direction._history
+    assert vector.direction._rng_state == general.direction._rng_state
 
 
 def test_btb_metrics_match_between_engines():
@@ -194,16 +211,16 @@ def _fuzz_design(seed: int):
         designs["pdede-multi-entry"]
     )
     # with_ittage forces the general engine, so the sweep exercises the
-    # fast *and* the general path against the seed referee.
+    # vector *and* the general path against the seed referee.
     designs["pdede+ittage"] = with_ittage(designs["pdede-default"])
     key = rng.choice(sorted(designs))
     return key, designs[key]
 
 
-def _diff_fields(design, trace, engine="auto") -> dict:
-    """Field-by-field diff of one engine tier vs seed stats ({} if equal)."""
+def _diff_fields(design, trace) -> dict:
+    """Field-by-field diff of the auto engine vs seed stats ({} if equal)."""
     btb, kwargs = design.build()
-    live = FrontendSimulator(btb, engine=engine, **kwargs).run(
+    live = FrontendSimulator(btb, **kwargs).run(
         trace, warmup_fraction=_FUZZ_WARMUP
     )
     seed_btb, seed_kwargs = design.build()
@@ -218,7 +235,7 @@ def _diff_fields(design, trace, engine="auto") -> dict:
     }
 
 
-def _shrink_prefix(design, spec, failing_length: int, engine="auto") -> int:
+def _shrink_prefix(design, spec, failing_length: int) -> int:
     """Binary-search a short failing prefix of the workload.
 
     Divergence is not guaranteed monotone in the prefix length, so this
@@ -230,7 +247,7 @@ def _shrink_prefix(design, spec, failing_length: int, engine="auto") -> int:
         mid = (low + high) // 2
         prefix = generate_trace(spec)
         prefix.truncate(mid)
-        if _diff_fields(design, prefix, engine=engine):
+        if _diff_fields(design, prefix):
             high = mid
         else:
             low = mid + 1
@@ -239,28 +256,22 @@ def _shrink_prefix(design, spec, failing_length: int, engine="auto") -> int:
 
 @pytest.mark.parametrize("fuzz_seed", range(N_FUZZ_SWEEPS))
 def test_differential_fuzz_engines_agree(fuzz_seed):
-    # "auto" resolves to the best applicable tier (vector for most
-    # designs, general for ittage); the explicit "fast" pass keeps the
-    # middle tier under differential pressure even though auto now
-    # prefers the vector engine.
+    # "auto" resolves to vector for most designs and to general for
+    # ittage, so the sweep keeps both engines under differential pressure.
     spec = _fuzz_spec(fuzz_seed)
     design_key, design = _fuzz_design(fuzz_seed)
     trace = generate_trace(spec)
-    for engine in ("auto", "fast"):
-        try:
-            diff = _diff_fields(design, trace, engine=engine)
-        except ValueError:
-            continue  # tier not applicable to this design
-        if diff:
-            shrunk = _shrink_prefix(design, spec, len(trace), engine=engine)
-            raise AssertionError(
-                f"engines diverge on fuzz seed {fuzz_seed} "
-                f"(design {design_key!r}, engine {engine!r}, {len(trace)} "
-                f"events; shrunk to first {shrunk} events).\n"
-                f"Reproduce with: generate_trace({spec!r}).truncate({shrunk})\n"
-                "Differing fields (live vs seed): "
-                + ", ".join(f"{k}: {a!r} != {b!r}" for k, (a, b) in diff.items())
-            )
+    diff = _diff_fields(design, trace)
+    if diff:
+        shrunk = _shrink_prefix(design, spec, len(trace))
+        raise AssertionError(
+            f"engines diverge on fuzz seed {fuzz_seed} "
+            f"(design {design_key!r}, {len(trace)} "
+            f"events; shrunk to first {shrunk} events).\n"
+            f"Reproduce with: generate_trace({spec!r}).truncate({shrunk})\n"
+            "Differing fields (live vs seed): "
+            + ", ".join(f"{k}: {a!r} != {b!r}" for k, (a, b) in diff.items())
+        )
 
 
 def test_fuzz_sweep_is_deterministic():
@@ -276,11 +287,11 @@ def test_fuzz_sweep_is_deterministic():
 
 # -- literature families (general engine only) -------------------------------
 #
-# MicroBTB and ShadowBTB opt out of the decoded-trace tiers
-# (supports_fast_path = False, like GhrpBTB): victim-fill/promotion and
-# fetch-line exposure are invisible to the fast hooks.  Auto must route
-# them to the general engine, forced fast/vector must refuse, and the
-# general engine must still match the frozen seed referee exactly.
+# MicroBTB and ShadowBTB have no vector kernels (like GhrpBTB):
+# victim-fill/promotion and fetch-line exposure are invisible to the
+# scalar hooks.  Auto must route them to the general engine, forced
+# vector must refuse, and the general engine must still match the frozen
+# seed referee exactly.
 
 from repro.experiments.designs import micro_btb_design, shadow_design
 
@@ -302,7 +313,7 @@ def test_literature_families_fall_back_to_general_and_match_seed(key):
     assert stats.to_dict() == seed_stats.to_dict()
 
 
-@pytest.mark.parametrize("engine", ["vector", "fast"])
+@pytest.mark.parametrize("engine", ["vector"])
 @pytest.mark.parametrize("key", sorted(_literature_designs()))
 def test_literature_families_refuse_forced_fast_tiers(key, engine):
     trace = get_trace(TRACE_APP, TRACE_SCALE)

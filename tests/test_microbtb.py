@@ -3,6 +3,7 @@
 import pytest
 
 from repro.btb.microbtb import MicroBTB
+from repro.btb.vectorops import vector_supported
 
 from conftest import make_event, synthetic_branch_set
 
@@ -185,4 +186,4 @@ def test_bad_geometry_is_rejected(kwargs, match):
 
 
 def test_opts_out_of_fast_engines():
-    assert MicroBTB.supports_fast_path is False
+    assert not vector_supported(MicroBTB())

@@ -5,6 +5,7 @@ import pytest
 from repro.branch.types import BranchKind
 from repro.btb.baseline import BaselineBTB
 from repro.btb.shadow import ShadowBTB
+from repro.btb.vectorops import vector_supported
 
 from conftest import make_event
 
@@ -149,4 +150,4 @@ def test_bad_geometry_is_rejected(kwargs, match):
 
 
 def test_opts_out_of_fast_engines():
-    assert ShadowBTB.supports_fast_path is False
+    assert not vector_supported(_shadow())
