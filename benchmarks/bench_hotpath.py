@@ -10,7 +10,11 @@ in the same process:
   equality, nothing fuzzy);
 * the columnar vector engine must beat the seed engine by
   ``MIN_SPEEDUP`` on its best standard design and by
-  ``SWEEP_MIN_SPEEDUP`` across the whole sweep.
+  ``SWEEP_MIN_SPEEDUP`` across the whole sweep;
+* the bulk TAGE direction replay (``TageLitePredictor.replay``, the
+  largest part of prepare) must give the same predictions as the
+  per-event ``predict_and_update`` loop it replaced and beat it by
+  ``DIRECTION_MIN_SPEEDUP`` (``direction_replay_speedup``).
 
 The race attributes the shared one-time work -- trace decode, the
 memoised TAGE direction, ICache and RAS replays, and the numpy column
@@ -42,6 +46,8 @@ import sys
 import time
 from pathlib import Path
 
+from repro.branch.direction import TageLitePredictor
+from repro.branch.types import BranchKind
 from repro.experiments.designs import standard_designs
 from repro.frontend.params import ICELAKE
 from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
@@ -58,6 +64,11 @@ MIN_SPEEDUP = 4.0
 #: Required vector-engine speedup across the *whole* standard sweep
 #: (all designs, prepare excluded).  Measured ~4x at smoke scale.
 SWEEP_MIN_SPEEDUP = 3.0
+
+#: Required speed-up of the bulk TAGE direction replay over the
+#: per-event ``predict_and_update`` loop.  Measured 5-10x on the gate
+#: app at smoke and default scale, so 3.0 leaves honest CI headroom.
+DIRECTION_MIN_SPEEDUP = 3.0
 
 #: App the gate races on (hot-set and branch mix representative; any
 #: suite member works -- results must match on all of them regardless).
@@ -96,6 +107,27 @@ def prepare(trace) -> float:
     decoded.ras_outcomes(True, RAS_DEPTH)
     decoded.vector_columns()
     return time.perf_counter() - start
+
+
+def race_direction(trace) -> dict:
+    """Race the bulk TAGE replay against the per-event loop it replaced."""
+    pcs, kinds, takens = trace.columns()[:3]
+    conditional = kinds == int(BranchKind.COND_DIRECT)
+    cond_pcs, cond_takens = pcs[conditional], takens[conditional]
+    pc_list, taken_list = cond_pcs.tolist(), cond_takens.tolist()
+    predict_and_update = TageLitePredictor().predict_and_update
+    loop_seconds, expected = _measure(
+        lambda: [predict_and_update(pc, taken) for pc, taken in zip(pc_list, taken_list)]
+    )
+    replay_seconds, predictions = _measure(
+        lambda: TageLitePredictor().replay(cond_pcs, cond_takens)
+    )
+    return {
+        "direction_loop_seconds": round(loop_seconds, 4),
+        "direction_replay_seconds": round(replay_seconds, 4),
+        "direction_replay_speedup": round(loop_seconds / replay_seconds, 2),
+        "direction_replay_identical": predictions.tolist() == expected,
+    }
 
 
 def race(trace) -> dict:
@@ -164,6 +196,7 @@ def race(trace) -> dict:
         "engines": engines,
         "events_simulated": events * len(designs),
         "prepare_seconds": round(prepare_seconds, 4),
+        **race_direction(trace),
         "seed_events_per_sec": round(events * len(designs) / seed_seconds)
         if seed_seconds
         else 0,
@@ -213,6 +246,13 @@ def run_gate(record: bool = False) -> dict:
         f"({report['vector_events_per_sec']} vs "
         f"{report['seed_events_per_sec']} events/s)"
     )
+    assert report["direction_replay_identical"], (
+        "TAGE replay predictions diverged from the per-event loop"
+    )
+    assert report["direction_replay_speedup"] >= DIRECTION_MIN_SPEEDUP, (
+        f"TAGE replay speedup {report['direction_replay_speedup']:.2f}x is below "
+        f"the {DIRECTION_MIN_SPEEDUP:.1f}x budget"
+    )
 
     if record:
         history = []
@@ -224,6 +264,7 @@ def run_gate(record: bool = False) -> dict:
                 {
                     "min_speedup": MIN_SPEEDUP,
                     "sweep_min_speedup": SWEEP_MIN_SPEEDUP,
+                    "direction_min_speedup": DIRECTION_MIN_SPEEDUP,
                     "history": history,
                 },
                 indent=2,
@@ -241,8 +282,9 @@ def test_hotpath_speedup_and_equivalence(benchmark):
         f"\nhot-path gate: vector {report['vector_sweep_speedup']:.2f}x "
         f"over seed sweep, peak "
         f"{report['peak_vector_speedup']:.2f}x on {report['peak_design']} "
-        f"(budgets {SWEEP_MIN_SPEEDUP:.1f}x sweep, {MIN_SPEEDUP:.1f}x peak) "
-        f"at scale={report['scale']}"
+        f"(budgets {SWEEP_MIN_SPEEDUP:.1f}x sweep, {MIN_SPEEDUP:.1f}x peak), "
+        f"TAGE replay {report['direction_replay_speedup']:.2f}x "
+        f"(budget {DIRECTION_MIN_SPEEDUP:.1f}x) at scale={report['scale']}"
     )
     trace = get_trace(GATE_APP)
     design = standard_designs()["pdede-default"]
@@ -262,7 +304,9 @@ def main(argv: list[str]) -> int:
         f"hot-path gate PASSED: vector sweep "
         f"{report['vector_sweep_speedup']:.2f}x >= {SWEEP_MIN_SPEEDUP:.1f}x, "
         f"peak {report['peak_vector_speedup']:.2f}x >= {MIN_SPEEDUP:.1f}x, "
-        "stats bit-identical across engines"
+        f"TAGE replay {report['direction_replay_speedup']:.2f}x >= "
+        f"{DIRECTION_MIN_SPEEDUP:.1f}x, "
+        "stats bit-identical across engines, replay identical to the loop"
     )
     return 0
 

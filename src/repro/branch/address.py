@@ -12,10 +12,13 @@ a region spans ``2**16`` pages (256 MiB).  Addresses are 57 bits wide to
 match five-level paging (Section 2).
 
 All helpers are pure functions on ``int`` so they can be used both by the
-BTB models and by the workload generator.
+BTB models and by the workload generator; :func:`vmix64` is the one
+whole-column variant, for the trace-pure columns computed in numpy.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 #: Width of a virtual address with 5-level paging.
 ADDRESS_BITS = 57
@@ -118,6 +121,25 @@ def mix64(value: int) -> int:
     x ^= x >> 33
     x = (x * 0xC4CEB9FE1A85EC53) & _MASK64
     x ^= x >> 33
+    return x
+
+
+_MIX_SHIFT = np.uint64(33)
+_MIX_MUL1 = np.uint64(0xFF51AFD7ED558CCD)
+_MIX_MUL2 = np.uint64(0xC4CEB9FE1A85EC53)
+
+
+def vmix64(values: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of every element of a ``uint64`` column.
+
+    uint64 array arithmetic wraps modulo 2**64, which is exactly the
+    scalar version's ``& _MASK64`` after each multiply.
+    """
+    x = values ^ (values >> _MIX_SHIFT)
+    x = x * _MIX_MUL1
+    x = x ^ (x >> _MIX_SHIFT)
+    x = x * _MIX_MUL2
+    x = x ^ (x >> _MIX_SHIFT)
     return x
 
 

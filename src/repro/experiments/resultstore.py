@@ -48,6 +48,8 @@ Knobs (all flow through :class:`repro.serve.config.ServeConfig`):
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import itertools
 import json
 import os
@@ -55,7 +57,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 from urllib.parse import urlsplit
 
 from repro.frontend.stats import FrontendStats
@@ -211,12 +213,14 @@ class DiskStore(ResultStore):
     result published by one serve replica is a plain disk-cache hit for
     a batch ``repro experiment`` run on the same host, and vice versa.
 
-    Leases are lock files at ``<root>/leases/<key>.json`` created with
-    ``O_CREAT | O_EXCL`` (the filesystem's compare-and-set).  Takeover
-    of an expired lease renames the stale lock to a unique name first;
-    ``os.rename`` hands the stale file to exactly one taker, so two
-    replicas racing on the same orphan cannot both win the subsequent
-    exclusive create.
+    Leases are lock files at ``<root>/leases/<key>.json``.  A claim
+    writes its payload to a private temp file and publishes it with
+    ``os.link``, the filesystem's compare-and-set: ``EEXIST`` means
+    another claimant holds the name, and a reader never sees a lock
+    without its payload.  Everything that changes an *existing* lock --
+    expired takeover (re-read, unlink, link), renewal and release --
+    runs under an exclusive ``flock`` on ``<root>/leases/.takeover``, so
+    no claimant can remove or overwrite a lock it did not just read.
     """
 
     kind = "disk"
@@ -290,9 +294,39 @@ class DiskStore(ResultStore):
         except FileNotFoundError:
             return None
         except Exception:
-            # A torn lock write is treated as expired: it can only have
-            # come from a crashed claimant mid-publish.
+            # An unparsable lock is treated as expired.  Claims and
+            # renewals publish whole files, so only outside damage (a
+            # truncated disk, a hand edit) can produce one.
             return "", 0.0
+
+    @contextlib.contextmanager
+    def _lease_lock(self, path: Path) -> Iterator[None]:
+        """Exclusive cross-process, cross-thread lock over lock-file edits."""
+        try:
+            handle = os.open(path.parent / ".takeover", os.O_CREAT | os.O_RDWR, 0o644)
+        except OSError as error:
+            raise StoreError(f"disk lease lock failed: {error}") from error
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(handle)  # closing the descriptor drops the flock
+
+    def _publish_lease(self, path: Path, owner: str, ttl: float) -> bool:
+        """Create the lock file with its payload; False if it exists."""
+        payload = json.dumps({"owner": owner, "expires": self._now() + ttl})
+        tmp = path.parent / f"{path.name}.new-{os.getpid()}-{threading.get_ident()}"
+        try:
+            tmp.write_text(payload)
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                return False
+            finally:
+                tmp.unlink()
+        except OSError as error:
+            raise StoreError(f"disk lease create failed: {error}") from error
+        return True
 
     def acquire_lease(self, key: str, owner: str, ttl: float) -> bool:
         path = self._lease_path(key)
@@ -301,56 +335,48 @@ class DiskStore(ResultStore):
         except OSError as error:
             raise StoreError(f"disk lease mkdir failed: {error}") from error
         lease = self._read_lease(path)
-        if lease is not None:
-            held_owner, expires = lease
-            if expires > self._now():
-                return False
-            # Expired: rename the orphan aside.  Exactly one taker wins
-            # the rename; the loser sees FileNotFoundError and falls
-            # through to the exclusive create (which the winner's fresh
-            # lock then defeats).
-            stale = path.parent / f"{path.name}.stale-{os.getpid()}-{threading.get_ident()}"
-            try:
-                os.rename(path, stale)
-                stale.unlink()
-            except OSError:
-                pass
-        payload = json.dumps({"owner": owner, "expires": self._now() + ttl})
-        try:
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+        if lease is None:
+            return self._publish_lease(path, owner, ttl)
+        if lease[1] > self._now():
             return False
-        except OSError as error:
-            raise StoreError(f"disk lease create failed: {error}") from error
-        try:
-            os.write(handle, payload.encode())
-        finally:
-            os.close(handle)
-        return True
+        # Expired: take over under the lock.  The re-read sees any lease
+        # a competing taker published since our first read.
+        with self._lease_lock(path):
+            lease = self._read_lease(path)
+            if lease is not None:
+                if lease[1] > self._now():
+                    return False
+                with contextlib.suppress(FileNotFoundError):
+                    path.unlink()
+            return self._publish_lease(path, owner, ttl)
 
     def renew_lease(self, key: str, owner: str, ttl: float) -> bool:
         path = self._lease_path(key)
-        lease = self._read_lease(path)
-        if lease is None or lease[0] != owner or lease[1] <= self._now():
+        if self._read_lease(path) is None:
             return False
-        payload = json.dumps({"owner": owner, "expires": self._now() + ttl})
-        tmp = path.parent / f"{path.name}.renew-{os.getpid()}-{threading.get_ident()}"
-        try:
-            tmp.write_text(payload)
-            os.replace(tmp, path)
-        except OSError as error:
-            raise StoreError(f"disk lease renew failed: {error}") from error
+        with self._lease_lock(path):
+            lease = self._read_lease(path)
+            if lease is None or lease[0] != owner or lease[1] <= self._now():
+                return False
+            payload = json.dumps({"owner": owner, "expires": self._now() + ttl})
+            tmp = path.parent / f"{path.name}.renew-{os.getpid()}-{threading.get_ident()}"
+            try:
+                tmp.write_text(payload)
+                os.replace(tmp, path)
+            except OSError as error:
+                raise StoreError(f"disk lease renew failed: {error}") from error
         return True
 
     def release_lease(self, key: str, owner: str) -> None:
         path = self._lease_path(key)
-        lease = self._read_lease(path)
-        if lease is None or lease[0] != owner:
+        if self._read_lease(path) is None:
             return
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        with self._lease_lock(path):
+            lease = self._read_lease(path)
+            if lease is None or lease[0] != owner:
+                return
+            with contextlib.suppress(OSError):
+                path.unlink()
 
     def lease_owner(self, key: str) -> str | None:
         lease = self._read_lease(self._lease_path(key))

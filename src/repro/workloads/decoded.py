@@ -21,8 +21,9 @@ Two kinds of columns:
   (the *cost* of a miss depends on resteer proximity, but whether a line
   misses depends only on the reference stream), the TAGE direction
   outcome per conditional (direction state never observes the BTB), and
-  the RAS outcome per return.  Replays reuse the real model classes, so
-  the columns are correct by construction, and keep the final state
+  the RAS outcome per return.  Replays run on the real model classes
+  (the TAGE one through :meth:`TageLitePredictor.replay`, which takes
+  the trace-pure history keys from numpy) and keep the final state
   object so a simulator can adopt it after a full vector run.
 
 Everything here is derived, deterministic data; the equivalence suite
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.branch.address import vmix64
 from repro.branch.direction import TageLitePredictor
 from repro.branch.types import BranchKind
 from repro.btb.ras import ReturnAddressStack
@@ -52,23 +54,7 @@ _ALL_KINDS = [BranchKind(value) for value in range(len(BranchKind))]
 _IS_CALL_BY_KIND = np.array([kind.is_call for kind in _ALL_KINDS], dtype=np.bool_)
 _IS_INDIRECT_BY_KIND = np.array([kind.is_indirect for kind in _ALL_KINDS], dtype=np.bool_)
 
-#: mix64 constants (repro.branch.address) as uint64 scalars so the
-#: vectorised pipeline stays in wrap-around uint64 arithmetic.
-_MIX_SHIFT = np.uint64(33)
-_MIX_MUL1 = np.uint64(0xFF51AFD7ED558CCD)
-_MIX_MUL2 = np.uint64(0xC4CEB9FE1A85EC53)
 _PAGE_SHIFT = np.uint64(12)
-
-
-def _vector_hash_pc(pcs: np.ndarray) -> np.ndarray:
-    """``hash_pc`` (mix64 of pc >> 1) over a whole uint64 column."""
-    x = pcs >> np.uint64(1)
-    x = x ^ (x >> _MIX_SHIFT)
-    x = x * _MIX_MUL1
-    x = x ^ (x >> _MIX_SHIFT)
-    x = x * _MIX_MUL2
-    x = x ^ (x >> _MIX_SHIFT)
-    return x
 
 
 class DecodedTrace:
@@ -86,7 +72,6 @@ class DecodedTrace:
         "is_indirect",
         "_pcs",
         "_block_starts",
-        "_takens",
         "_kinds",
         "_targets",
         "_icache",
@@ -105,7 +90,6 @@ class DecodedTrace:
         self.is_indirect: list[bool] = []
         self._pcs: list[int] = []
         self._block_starts: list[int] = []
-        self._takens: list[bool] = []
         self._kinds: list[int] = []
         self._targets: list[int] = []
         self._icache: dict[tuple[int, int, int], tuple[np.ndarray, ICache]] = {}
@@ -125,13 +109,12 @@ class DecodedTrace:
             decoded._block_starts = (
                 pcs - gaps.astype(np.uint64) * np.uint64(_INSTR_BYTES)
             ).tolist()
-            hash_arr = _vector_hash_pc(pcs)
+            hash_arr = vmix64(pcs >> np.uint64(1))  # hash_pc of every event
             decoded.hashes = hash_arr.tolist()
             same_page_arr = (pcs >> _PAGE_SHIFT) == (targets >> _PAGE_SHIFT)
             decoded.same_page = same_page_arr.tolist()
         decoded.is_indirect = _IS_INDIRECT_BY_KIND[kinds].tolist()
         decoded._pcs = trace.pcs
-        decoded._takens = trace.takens
         decoded._kinds = trace.kinds
         decoded._targets = trace.targets
         decoded._raw = (pcs, kinds, takens, targets, gaps, hash_arr, same_page_arr)
@@ -290,16 +273,15 @@ class DecodedTrace:
         if cached is None:
             if signature != "tage-default":
                 raise ValueError(f"unknown direction signature {signature!r}")
+            if self._raw is None:
+                raise RuntimeError("DecodedTrace built without raw columns")
+            pcs, kinds, takens = self._raw[:3]
+            conditional = kinds == np.uint8(_KIND_COND)
+            cond_takens = takens[conditional]
             predictor = TageLitePredictor()
-            predict_and_update = predictor.predict_and_update
-            outcomes = [True] * self.n_events
-            cond = _KIND_COND
-            for index, kind_value in enumerate(self._kinds):
-                if kind_value == cond:
-                    taken = self._takens[index]
-                    outcomes[index] = (
-                        predict_and_update(self._pcs[index], taken) == taken
-                    )
-            cached = (np.array(outcomes, dtype=np.bool_), predictor)
+            predictions = predictor.replay(pcs[conditional], cond_takens)
+            outcomes = np.ones(self.n_events, dtype=np.bool_)
+            outcomes[conditional] = predictions == cond_takens
+            cached = (outcomes, predictor)
             self._direction[signature] = cached
         return cached

@@ -4,16 +4,24 @@ the same final state as an event-by-event live run."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.branch import direction
 from repro.branch.address import hash_pc, same_page
 from repro.branch.direction import TageLitePredictor
 from repro.branch.types import BranchKind
+from repro.experiments.designs import standard_designs
 from repro.frontend.icache import ICache
-from repro.workloads.suite import get_trace
+from repro.frontend.simulator import FrontendSimulator
+from repro.workloads.suite import build_suite, get_trace
 
 TRACE_APP = "server_oltp_00"
+
+#: The tiny suite holds one app per category.
+TINY_APPS = [spec.name for spec in build_suite("tiny")]
 
 
 @pytest.fixture(scope="module")
@@ -86,22 +94,126 @@ def test_icache_misses_match_live_replay(trace, decoded):
     assert final.accesses == live.accesses
 
 
+def _tage_state(predictor: TageLitePredictor) -> dict:
+    """Every field of a TAGE-lite predictor, for exact comparison."""
+    return {
+        "base": predictor._base._table,
+        "components": [
+            (c.tags, c.counters, c.useful, c.cached_mix, c.cached_version)
+            for c in predictor._components
+        ],
+        "history": predictor._history,
+        "version": predictor._history_version,
+        "rng": predictor._rng_state,
+    }
+
+
+def _live_loop(pcs, takens, predictor=None):
+    """The general engine's per-event ``predict`` then ``update``."""
+    predictor = predictor or TageLitePredictor()
+    predictions = []
+    for pc, taken in zip(pcs, takens):
+        predictions.append(predictor.predict(pc))
+        predictor.update(pc, taken)
+    return predictions, predictor
+
+
+def _conditionals(trace):
+    pcs, kinds, takens = trace.columns()[:3]
+    conditional = kinds == int(BranchKind.COND_DIRECT)
+    return pcs[conditional], takens[conditional]
+
+
+def _assert_replay_matches_live(pcs, takens, start=None):
+    """Replay and the live loop agree on predictions and final state,
+    from a fresh predictor or from clones of ``start``."""
+    replayed = start.clone() if start is not None else TageLitePredictor()
+    live = start.clone() if start is not None else None
+    predictions = replayed.replay(np.array(pcs, dtype=np.uint64),
+                                  np.array(takens, dtype=np.bool_))
+    expected, live = _live_loop(list(pcs), list(takens), live)
+    assert predictions.dtype == np.bool_
+    assert predictions.tolist() == expected
+    assert _tage_state(replayed) == _tage_state(live)
+
+
 def test_direction_outcomes_match_live_predictor(trace, decoded):
     outcomes, final = decoded.direction_outcomes("tage-default")
-    live = TageLitePredictor()
     cond = int(BranchKind.COND_DIRECT)
+    predictions, live = _live_loop(
+        [pc for pc, kind in zip(trace.pcs, trace.kinds) if kind == cond],
+        [taken for taken, kind in zip(trace.takens, trace.kinds) if kind == cond],
+    )
     expected = [True] * len(trace)
-    for index, kind in enumerate(trace.kinds):
-        if kind == cond:
-            taken = trace.takens[index]
-            predicted = live.predict(trace.pcs[index])
-            live.update(trace.pcs[index], taken)
-            expected[index] = predicted == taken
+    conditionals = (i for i, kind in enumerate(trace.kinds) if kind == cond)
+    for index, predicted in zip(conditionals, predictions):
+        expected[index] = predicted == trace.takens[index]
     assert outcomes.tolist() == expected
     assert outcomes.dtype == np.bool_
     assert decoded.direction_outcomes("tage-default")[0] is outcomes
-    assert final._history == live._history
-    assert final._rng_state == live._rng_state
+    assert _tage_state(final) == _tage_state(live)
+
+
+@pytest.mark.parametrize("app", TINY_APPS)
+def test_replay_matches_live_loop_on_every_category(app):
+    _assert_replay_matches_live(*(col.tolist() for col in _conditionals(get_trace(app, "tiny"))))
+
+
+def _synthetic(count: int, pattern: str, seed: int = 0):
+    """``count`` conditionals over a few dozen aliasing pcs."""
+    rng = random.Random(seed * 1000 + count)
+    pcs = [0x40_0000 + 4 * rng.randrange(40) for _ in range(count)]
+    if pattern == "taken":
+        takens = [True] * count
+    elif pattern == "not-taken":
+        takens = [False] * count
+    else:
+        takens = [rng.random() < 0.55 for _ in range(count)]
+    return pcs, takens
+
+
+@pytest.mark.parametrize("pattern", ["mixed", "taken", "not-taken"])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 193, 700])
+def test_replay_matches_live_loop_on_edge_streams(count, pattern):
+    _assert_replay_matches_live(*_synthetic(count, pattern))
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 128, 129, 1000])
+def test_replay_carries_history_across_chunk_edges(monkeypatch, count):
+    # 64-conditional chunks put many boundaries inside short streams,
+    # including chunks whose last conditional probed only the top table.
+    monkeypatch.setattr(direction, "REPLAY_CHUNK", 64)
+    _assert_replay_matches_live(*_synthetic(count, "mixed", seed=1))
+
+
+def test_replay_crosses_the_default_chunk_edge():
+    _assert_replay_matches_live(*_synthetic(direction.REPLAY_CHUNK + 1, "mixed", seed=2))
+
+
+def test_replay_continues_a_warm_predictor():
+    # History older than the replay (including bits past the 64th) and
+    # a version that is not zero must carry into it.
+    pcs, takens = _synthetic(900, "mixed", seed=3)
+    _, warm = _live_loop(pcs[:500], takens[:500])
+    _assert_replay_matches_live(pcs[500:], takens[500:], start=warm)
+
+
+def test_simulator_adopting_the_replay_continues_like_a_live_one(trace):
+    design = standard_designs()["pdede-default"]
+    btb, kwargs = design.build()
+    adopted = FrontendSimulator(btb, **kwargs)
+    first = adopted.run(trace, warmup_fraction=0.3)
+    assert adopted.last_engine == "vector"
+    btb, kwargs = design.build()
+    live = FrontendSimulator(btb, engine="general", **kwargs)
+    assert live.run(trace, warmup_fraction=0.3).to_dict() == first.to_dict()
+    assert _tage_state(adopted.direction) == _tage_state(live.direction)
+    # The second run falls back to the general engine on the adopted
+    # predictor and must stay bit-identical to the live one.
+    second = adopted.run(trace, warmup_fraction=0.3)
+    assert adopted.last_engine == "general"
+    assert second.to_dict() == live.run(trace, warmup_fraction=0.3).to_dict()
+    assert _tage_state(adopted.direction) == _tage_state(live.direction)
 
 
 def test_unknown_direction_signature_raises(decoded):

@@ -1,5 +1,7 @@
 """Unit tests for the direction predictors."""
 
+import random
+
 import pytest
 
 from repro.branch.direction import (
@@ -109,6 +111,32 @@ def test_tage_outperforms_bimodal_on_history_pattern():
         tage.update(pc, taken)
         bimodal.update(pc, taken)
     assert scores["tage"] > scores["bimodal"]
+
+
+def test_tage_update_reuses_only_a_matching_predict():
+    """``update`` skips its table walk only right after ``predict`` of the
+    same pc; any other call order must train exactly like the fused call."""
+    rng = random.Random(7)
+    split = TageLitePredictor(table_entries=64)
+    fused = TageLitePredictor(table_entries=64)
+    for _ in range(3000):
+        pc = 0x4000 + 4 * rng.randrange(48)
+        taken = rng.random() < 0.6
+        mode = rng.randrange(3)
+        if mode == 0:
+            assert split.predict(pc) == fused.predict_and_update(pc, taken)
+        else:
+            if mode == 1:
+                split.predict(pc ^ 0x40)
+            fused.predict_and_update(pc, taken)
+        split.update(pc, taken)
+    assert split._base._table == fused._base._table
+    for ours, theirs in zip(split._components, fused._components):
+        assert (ours.tags, ours.counters, ours.useful) == (
+            theirs.tags, theirs.counters, theirs.useful
+        )
+    assert split._history == fused._history
+    assert split._rng_state == fused._rng_state
 
 
 def test_storage_bits_positive():
