@@ -2,9 +2,12 @@
 
 Every figure/table of the paper is (app x design) simulations plus an
 aggregation.  Simulations are deterministic, so results are memoised per
-``(trace name, scale, design key, core-params, warmup)``: benchmark
-files for different figures share the underlying runs, and repeated
-pytest-benchmark rounds cost one simulation.
+``(trace, scale, design key, core-params, warmup)``, where the trace is
+a suite member's name or an inline workload spec's content digest:
+benchmark files for different figures share the underlying runs, and
+repeated pytest-benchmark rounds cost one simulation.  Below the memo
+sit the cross-process disk cache and the cluster-shared result store,
+all three keyed through :func:`result_store_key`.
 
 ``run_suite(..., workers=N)`` fans the per-application simulations out
 through the shard scheduler
@@ -31,11 +34,15 @@ from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
-from repro.workloads.suite import build_suite, current_scale, get_trace
+from repro.workloads.spec import WorkloadSpec
+from repro.workloads.suite import (
+    build_suite, current_scale, get_trace, spec_trace, suite_spec,
+)
+from repro.workloads.trace import Trace
 from repro.experiments import diskcache, resultstore, scheduler
 from repro.experiments.designs import Design
 
-#: (trace name, scale, design key, params, warmup) -> FrontendStats
+#: (trace name or spec digest, scale, design key, params, warmup) -> FrontendStats
 _RESULT_CACHE: dict[tuple, FrontendStats] = {}
 
 #: Memo-cache telemetry (exposed by cache_info / the metrics registry).
@@ -116,77 +123,109 @@ def engine_mix() -> dict[str, dict]:
     return out
 
 
+def _memo_key(
+    trace_name: str, scale: str, design_key: str, params: CoreParams,
+    warmup_fraction: float, spec: WorkloadSpec | None,
+) -> tuple:
+    """The memo key: an inline spec is identified by its content digest
+    (same-named specs never alias), a suite member by its name."""
+    identity = diskcache.spec_digest(spec) if spec is not None else trace_name
+    return (identity, scale, design_key, params, warmup_fraction)
+
+
+def _lookup_tiers(
+    memo_key: tuple, trace_name: str, design_key: str, params: CoreParams,
+    warmup_fraction: float, scale: str, spec: WorkloadSpec | None,
+) -> tuple[FrontendStats | None, str, str | None]:
+    """Walk memo -> disk -> shared store for one result.
+
+    Returns ``(stats, layer, content_key)`` with layer ``"memo"``,
+    ``"disk"``, ``"store"`` or ``"miss"``; a disk or store hit is
+    promoted into the memo.  ``content_key`` (:func:`result_store_key`)
+    is computed only below the memo, and only when a disk cache or
+    store is active.  A store failure is recorded and read as a miss.
+    """
+    with _CACHE_LOCK:
+        cached = _RESULT_CACHE.get(memo_key)
+    if cached is not None:
+        return cached, "memo", None
+    use_disk = diskcache.disk_cache_enabled()
+    store = resultstore.get_active_store()
+    if not use_disk and store is None:
+        return None, "miss", None
+    content_key = result_store_key(
+        trace_name, design_key, params, warmup_fraction, scale, spec
+    )
+    stats = diskcache.load_result(content_key) if use_disk else None
+    layer = "disk"
+    if stats is None and store is not None:
+        layer = "store"
+        try:
+            stats = store.get_result(content_key)
+        except resultstore.StoreError as error:
+            resultstore.degraded(
+                "get_result", error, app=trace_name, design=design_key
+            )
+    if stats is None:
+        return None, "miss", content_key
+    with _CACHE_LOCK:
+        _RESULT_CACHE[memo_key] = stats
+    return stats, layer, content_key
+
+
+#: ``harness_result_cache_total`` outcome of a run_design lookup, by layer.
+_RUN_OUTCOMES = {"memo": "hit", "disk": "disk-hit", "store": "store-hit", "miss": "miss"}
+
+
+def resolve_trace(
+    trace_name: str, scale: str, spec: WorkloadSpec | None = None
+) -> Trace:
+    """The trace of a job: the inline ``spec``'s, else the suite member's."""
+    return spec_trace(spec) if spec is not None else get_trace(trace_name, scale)
+
+
 def run_design(
     trace_name: str,
     design: Design,
     params: CoreParams = ICELAKE,
     warmup_fraction: float = 0.3,
     scale: str | None = None,
+    spec: WorkloadSpec | None = None,
 ) -> FrontendStats:
-    """Simulate one (app, design) pair, memoised."""
+    """Simulate one (app, design) pair, memoised.
+
+    ``spec`` names an inline workload (``trace_name`` is then its
+    name); without it ``trace_name`` is a suite member.
+    """
     global _CACHE_HITS, _CACHE_MISSES
     scale = scale or current_scale()
     registry = get_registry()
     use_cache = cache_enabled()
-    key = (trace_name, scale, design.key, params, warmup_fraction)
+    key = _memo_key(trace_name, scale, design.key, params, warmup_fraction, spec)
     if use_cache:
-        with _CACHE_LOCK:
-            cached = _RESULT_CACHE.get(key)
-            if cached is not None:
-                _CACHE_HITS += 1
-        if cached is not None:
-            registry.counter(
-                "harness_result_cache_total", "memo-cache lookups by outcome"
-            ).inc(outcome="hit")
-            return cached
+        stats, layer, content_key = _lookup_tiers(
+            key, trace_name, design.key, params, warmup_fraction, scale, spec
+        )
+    else:
+        stats, layer, content_key = None, "miss", None
     with _CACHE_LOCK:
-        _CACHE_MISSES += 1
-    # Below the memo: the cross-process disk cache.  A disk hit is still
-    # a memo miss for cache_info(), but costs no simulation -- the
-    # registry counter's "miss" outcome therefore counts *fresh runs*.
-    disk_key = None
-    if use_cache and diskcache.disk_cache_enabled():
-        disk_key = result_store_key(
-            trace_name, design.key, params, warmup_fraction, scale
-        )
-        stats = diskcache.load_result(disk_key)
-        if stats is not None:
-            with _CACHE_LOCK:
-                _RESULT_CACHE[key] = stats
-            registry.counter(
-                "harness_result_cache_total", "memo-cache lookups by outcome"
-            ).inc(outcome="disk-hit")
-            return stats
-    # Below the disk: the cluster-shared result store (when one is
-    # active) -- a hit here is a simulation some other replica (or an
-    # earlier batch run) already paid for.
-    store = resultstore.get_active_store() if use_cache else None
-    if store is not None:
-        store_key = disk_key or result_store_key(
-            trace_name, design.key, params, warmup_fraction, scale
-        )
-        try:
-            stats = store.get_result(store_key)
-        except resultstore.StoreError as error:
-            resultstore.degraded(
-                "get_result", error, app=trace_name, design=design.key
-            )
-            stats = None
-        if stats is not None:
-            with _CACHE_LOCK:
-                _RESULT_CACHE[key] = stats
-            registry.counter(
-                "harness_result_cache_total", "memo-cache lookups by outcome"
-            ).inc(outcome="store-hit")
-            return stats
+        if layer == "memo":
+            _CACHE_HITS += 1
+        else:
+            _CACHE_MISSES += 1
+    # A disk or store hit is still a memo miss for cache_info(), but
+    # costs no simulation -- the registry counter's "miss" outcome
+    # therefore counts *fresh runs*.
     registry.counter(
         "harness_result_cache_total", "memo-cache lookups by outcome"
-    ).inc(outcome="miss")
+    ).inc(outcome=_RUN_OUTCOMES[layer])
+    if stats is not None:
+        return stats
     tracer = get_tracer()
     started = time.perf_counter()
     with tracer.span("simulate", app=trace_name, design=design.key, scale=scale):
         with tracer.span("trace-gen", app=trace_name, scale=scale):
-            trace = get_trace(trace_name, scale)
+            trace = resolve_trace(trace_name, scale, spec)
         btb, simulator_kwargs = design.build()
         simulator = FrontendSimulator(btb, params=params, **simulator_kwargs)
         with tracer.span("warmup+measure", app=trace_name, design=design.key):
@@ -211,17 +250,12 @@ def run_design(
     if use_cache:
         with _CACHE_LOCK:
             _RESULT_CACHE[key] = stats
-        if disk_key is not None:
-            diskcache.store_result(disk_key, stats)
-        if store is not None:
+        if content_key is not None and diskcache.disk_cache_enabled():
+            diskcache.store_result(content_key, stats)
+        store = resultstore.get_active_store()
+        if content_key is not None and store is not None:
             try:
-                store.put_result(
-                    disk_key
-                    or result_store_key(
-                        trace_name, design.key, params, warmup_fraction, scale
-                    ),
-                    stats,
-                )
+                store.put_result(content_key, stats)
             except resultstore.StoreError as error:
                 resultstore.degraded(
                     "put_result", error, app=trace_name, design=design.key
@@ -235,6 +269,7 @@ def run_one(
     params: CoreParams = ICELAKE,
     warmup_fraction: float = 0.3,
     scale: str | None = None,
+    spec: WorkloadSpec | None = None,
 ) -> FrontendStats:
     """Simulate one (app, design) pair -- the single-request entry point.
 
@@ -247,6 +282,7 @@ def run_one(
         params=params,
         warmup_fraction=warmup_fraction,
         scale=scale,
+        spec=spec,
     )
 
 
@@ -256,6 +292,7 @@ def lookup_cached(
     params: CoreParams = ICELAKE,
     warmup_fraction: float = 0.3,
     scale: str | None = None,
+    spec: WorkloadSpec | None = None,
 ) -> tuple[FrontendStats | None, str]:
     """Peek the memo, disk and shared-store caches without simulating.
 
@@ -272,54 +309,15 @@ def lookup_cached(
     scale = scale or current_scale()
     if not cache_enabled():
         return None, "miss"
-    key = (trace_name, scale, design.key, params, warmup_fraction)
-    with _CACHE_LOCK:
-        cached = _RESULT_CACHE.get(key)
-    if cached is not None:
-        obs_events.emit(
-            "cache-lookup", layer="memo", app=trace_name,
-            design=design.key, hit=True,
-        )
-        return cached, "memo"
-    if diskcache.disk_cache_enabled():
-        disk_key = result_store_key(
-            trace_name, design.key, params, warmup_fraction, scale
-        )
-        stats = diskcache.load_result(disk_key)
-        if stats is not None:
-            with _CACHE_LOCK:
-                _RESULT_CACHE[key] = stats
-            obs_events.emit(
-                "cache-lookup", layer="disk", app=trace_name,
-                design=design.key, hit=True,
-            )
-            return stats, "disk"
-    store = resultstore.get_active_store()
-    if store is not None:
-        try:
-            stats = store.get_result(
-                result_store_key(
-                    trace_name, design.key, params, warmup_fraction, scale
-                )
-            )
-        except resultstore.StoreError as error:
-            resultstore.degraded(
-                "get_result", error, app=trace_name, design=design.key
-            )
-            stats = None
-        if stats is not None:
-            with _CACHE_LOCK:
-                _RESULT_CACHE[key] = stats
-            obs_events.emit(
-                "cache-lookup", layer="store", app=trace_name,
-                design=design.key, hit=True,
-            )
-            return stats, "store"
-    obs_events.emit(
-        "cache-lookup", layer="all", app=trace_name,
-        design=design.key, hit=False,
+    stats, layer, _ = _lookup_tiers(
+        _memo_key(trace_name, scale, design.key, params, warmup_fraction, spec),
+        trace_name, design.key, params, warmup_fraction, scale, spec,
     )
-    return None, "miss"
+    obs_events.emit(
+        "cache-lookup", layer="all" if stats is None else layer,
+        app=trace_name, design=design.key, hit=stats is not None,
+    )
+    return stats, layer
 
 
 def adopt_result(
@@ -329,37 +327,20 @@ def adopt_result(
     params: CoreParams = ICELAKE,
     warmup_fraction: float = 0.3,
     scale: str | None = None,
-    publish: bool = False,
+    spec: WorkloadSpec | None = None,
 ) -> None:
     """Install an externally-computed result in the memo cache.
 
-    The serving layer's scheduler bridge computes results through
-    :func:`repro.experiments.scheduler.run_grid` (which persists them to
-    the disk cache itself) and adopts them here so later ``run_design``
-    and :func:`lookup_cached` calls memo-hit.  With ``publish=True`` the
-    result is also pushed to the active shared store (idempotent:
-    values are content-addressed, so a re-publish writes identical
-    bytes), making the adoption visible to every replica.
+    The serving layer adopts results another replica published to the
+    shared store, so later ``run_design`` and :func:`lookup_cached`
+    calls memo-hit without leaving the process.
     """
     if not cache_enabled():
         return
     scale = scale or current_scale()
+    key = _memo_key(trace_name, scale, design.key, params, warmup_fraction, spec)
     with _CACHE_LOCK:
-        _RESULT_CACHE[(trace_name, scale, design.key, params, warmup_fraction)] = stats
-    if publish:
-        store = resultstore.get_active_store()
-        if store is not None:
-            try:
-                store.put_result(
-                    result_store_key(
-                        trace_name, design.key, params, warmup_fraction, scale
-                    ),
-                    stats,
-                )
-            except resultstore.StoreError as error:
-                resultstore.degraded(
-                    "put_result", error, app=trace_name, design=design.key
-                )
+        _RESULT_CACHE[key] = stats
 
 
 def result_store_key(
@@ -368,25 +349,19 @@ def result_store_key(
     params: CoreParams,
     warmup_fraction: float,
     scale: str,
+    spec: WorkloadSpec | None = None,
 ) -> str:
-    """The content hash a suite (app, design) result is shared under.
+    """The content hash an (app, design) result is shared under.
 
     One key function for all three result tiers -- disk cache, shared
     store, and the serving layer's single-flight leases -- so a value
-    published anywhere is a hit everywhere.
+    published anywhere is a hit everywhere.  ``spec`` is the inline
+    workload; without it the suite member named ``trace_name`` is used.
     """
     return diskcache.result_key(
         trace_name, scale, design_key, params, warmup_fraction,
-        spec=_find_spec(trace_name, scale),
+        spec=spec if spec is not None else suite_spec(trace_name, scale),
     )
-
-
-def _find_spec(trace_name: str, scale: str):
-    """The suite spec behind ``trace_name`` (None for ad-hoc traces)."""
-    for spec in build_suite(scale):
-        if spec.name == trace_name:
-            return spec
-    return None
 
 
 @dataclass

@@ -64,7 +64,7 @@ from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
-from repro.workloads.suite import build_suite, current_scale, get_trace
+from repro.workloads.suite import build_suite, current_scale, get_trace, suite_spec
 
 __all__ = [
     "SchedulerConfig",
@@ -727,13 +727,6 @@ def _execute_parallel(
 # -- the grid entry point ----------------------------------------------------
 
 
-def _find_spec(trace_name: str, scale: str):
-    for spec in build_suite(scale):
-        if spec.name == trace_name:
-            return spec
-    return None
-
-
 def build_shard_tasks(
     designs: list[Design],
     params_by_design: dict[str, CoreParams],
@@ -910,7 +903,7 @@ def run_grid(
         report.group_seconds[group_key] = seconds
         if diskcache.disk_cache_enabled():
             trace_name, design_key = group_key
-            spec = _find_spec(trace_name, scale)
+            spec = suite_spec(trace_name, scale)
             params = params_by_design.get(design_key, ICELAKE)
             diskcache.store_result(
                 diskcache.result_key(

@@ -2,9 +2,9 @@
 
 ``python -m repro serve`` boots an asyncio HTTP/JSON service (stdlib
 only) that validates simulation requests against the design registry,
-answers from the harness memo / disk cache when warm, and micro-batches
-cold requests that share a trace before bridging them to the shard
-scheduler on a worker thread.  ``python -m repro submit`` and
+answers from the harness memo / disk cache / shared store when warm,
+and micro-batches cold requests that share a trace so a worker thread
+decodes it once and simulates each design through the harness.  ``python -m repro submit`` and
 :mod:`repro.serve.client` are the matching blocking clients.
 
 See README "Serving the simulator" and DESIGN.md §10.
@@ -22,7 +22,6 @@ from repro.serve.service import (
     BatchOutcome,
     ServiceHandle,
     SimulationService,
-    clear_serve_caches,
     default_batch_runner,
     serve_in_thread,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SimulateResponse",
     "SimulationService",
     "canonical_json",
-    "clear_serve_caches",
     "config_from_env",
     "default_batch_runner",
     "parse_request",

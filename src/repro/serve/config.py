@@ -27,8 +27,8 @@ class ServeConfig:
         queue_limit: admission bound on queued-plus-running simulate
             requests; arrivals past it get a structured 429.
         workers: worker threads executing batches (each batch occupies
-            one thread; the scheduler bridge may fork below it when
-            ``REPRO_SCHED_WORKERS`` says so).
+            one thread and simulates in-process; ``REPRO_SCHED_*`` does
+            not apply to serve).
         drain_timeout: seconds a graceful shutdown waits for in-flight
             requests before giving up.
         retry_after: seconds advertised in the 429 ``Retry-After`` header.

@@ -26,15 +26,14 @@ Errors are ``{"ok": false, "error": {"code", "message"}}``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
+from repro.experiments import diskcache
 from repro.frontend.params import ICELAKE, CoreParams
 from repro.frontend.stats import FrontendStats
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.suite import SCALES, build_suite, current_scale
+from repro.workloads.suite import SCALES, current_scale, suite_spec
 
 __all__ = [
     "RequestError",
@@ -90,19 +89,14 @@ class SimJob:
     warmup_fraction: float
     #: Inline workload (None: ``trace_name`` is a suite member).
     spec: WorkloadSpec | None = None
-    #: Content digest of the inline spec ("" for suite jobs) -- part of
-    #: the identity so same-named ad-hoc specs can never alias.
+    #: ``diskcache.spec_digest`` of the inline spec ("" for suite jobs)
+    #: -- part of the identity so same-named ad-hoc specs never alias.
     spec_digest: str = ""
 
     @property
     def group_key(self) -> tuple[str, str]:
         """Jobs with one group key share a trace (and a micro-batch)."""
         return (self.spec_digest or self.trace_name, self.scale)
-
-
-@lru_cache(maxsize=None)
-def _suite_names(scale: str) -> frozenset[str]:
-    return frozenset(spec.name for spec in build_suite(scale))
 
 
 _SPEC_FIELDS = {field.name: field for field in dataclasses.fields(WorkloadSpec)}
@@ -212,7 +206,7 @@ def parse_request(
     if app is not None:
         if not isinstance(app, str):
             raise RequestError("bad-field", "app must be a string")
-        if app not in _suite_names(scale):
+        if suite_spec(app, scale) is None:
             raise RequestError(
                 "unknown-app", f"no workload named {app!r} at scale {scale!r}"
             )
@@ -224,9 +218,6 @@ def parse_request(
             warmup_fraction=warmup,
         )
     spec = _parse_spec(spec_raw, max_events)
-    digest = hashlib.sha256(
-        canonical_json(dataclasses.asdict(spec))
-    ).hexdigest()
     return SimJob(
         trace_name=spec.name,
         scale=scale,
@@ -234,5 +225,5 @@ def parse_request(
         params=params,
         warmup_fraction=warmup,
         spec=spec,
-        spec_digest=digest,
+        spec_digest=diskcache.spec_digest(spec),
     )

@@ -14,22 +14,22 @@ Request lifecycle (``POST /v1/simulate``):
    execute together: the decoded columns
    (:meth:`~repro.workloads.trace.Trace.decoded`) are computed once per
    batch, and identical jobs collapse to one simulation (single-flight).
-4. **execution** -- the batch runs on a worker thread: warm jobs answer
-   from the harness memo / disk cache (or the cluster-shared result
-   store, outcome ``"store"``); cold suite jobs run as one in-process
-   vectorised multi-design pass over the batch's shared decoded trace
-   (or bridge to the shard scheduler,
-   :func:`repro.experiments.scheduler.run_grid`, when
-   ``REPRO_SCHED_WORKERS``/``SHARDS`` configure sharded execution);
-   cold inline-spec jobs simulate directly.  With a shared store
-   configured (``--store`` / ``REPRO_SERVE_STORE``), every cold job
-   first runs the cross-node single-flight protocol
+4. **execution** -- the batch runs on a worker thread.  Every job,
+   suite member or inline spec alike, takes one path: it peeks the
+   harness tiers (:func:`repro.experiments.harness.lookup_cached`:
+   memo, disk cache, cluster-shared result store), and each miss
+   simulates through :func:`repro.experiments.harness.run_one` over the
+   batch's shared decoded trace (resolved and decoded once, and only
+   if some job misses).  With a shared store configured (``--store`` /
+   ``REPRO_SERVE_STORE``), every miss first runs the cross-node
+   single-flight protocol
    (:func:`repro.experiments.resultstore.fetch_or_compute`): exactly
    one replica cluster-wide claims the lease and simulates while the
    others await its published result; a store outage degrades to local
    compute (outcome ``"local"``, ``store_degraded`` event,
    ``serve_store_errors_total`` metric) -- never a wrong answer, never
-   a lost request.
+   a lost request.  The shard scheduler is for batch sweeps only;
+   ``REPRO_SCHED_*`` does not change how serve executes.
 5. **response** -- the body is the canonical JSON of
    ``FrontendStats.to_dict()`` (byte-identical to a direct
    :func:`repro.experiments.harness.run_one` caller's serialisation);
@@ -52,7 +52,7 @@ Request tracing: every ``/v1/simulate`` request gets a correlation id
 service's event log (:mod:`repro.obs.events`) -- ``admit`` →
 ``batch-join`` → ``batch-execute`` → ``cache`` → ``respond`` -- with
 the batch runner's thread bound to the batch's ids so harness /
-disk-cache / scheduler events join each member request's trace.  The
+disk-cache / result-store events join each member request's trace.  The
 recent ring is served on ``GET /debug/trace``; per-hop timing
 (batch-wait / executor-queue / simulate) rides back in ``X-Repro-*``
 headers.  ``trace_buffer=0`` disables all of it (null event log).
@@ -74,7 +74,6 @@ from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments import resultstore
-from repro.frontend.simulator import FrontendSimulator
 from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.events import EventLog, NullEventLog, bind_rids, new_request_id
@@ -93,7 +92,6 @@ __all__ = [
     "BatchOutcome",
     "ServiceHandle",
     "SimulationService",
-    "clear_serve_caches",
     "default_batch_runner",
     "serve_in_thread",
 ]
@@ -112,247 +110,14 @@ class BatchOutcome:
 
     Attributes:
         results: per unique job, ``(stats, outcome)`` with outcome one
-            of ``"memo"`` / ``"disk"`` / ``"fresh"``.
+            of ``"memo"`` / ``"disk"`` / ``"store"`` / ``"fresh"`` /
+            ``"local"``.
         decodes: fresh trace decodes this batch forced (0 when the
             trace's decode was already cached, or every job was warm).
     """
 
     results: dict[SimJob, tuple[FrontendStats, str]] = field(default_factory=dict)
     decodes: int = 0
-
-
-#: Serve-local caches for inline-spec (ad-hoc) jobs, which the harness
-#: memo (keyed by suite trace names) cannot hold.  Keyed by spec digest
-#: so same-named specs never alias.
-_ADHOC_TRACES: dict[str, Trace] = {}
-_ADHOC_MEMO: dict[tuple, FrontendStats] = {}
-_ADHOC_TRACE_CAP = 32
-
-
-def clear_serve_caches() -> None:
-    """Drop the ad-hoc trace/result caches (tests use this)."""
-    _ADHOC_TRACES.clear()
-    _ADHOC_MEMO.clear()
-
-
-def _adhoc_result_key(job: SimJob) -> str:
-    from repro.experiments import diskcache
-
-    return diskcache.result_key(
-        job.trace_name, job.scale, job.design_key, job.params,
-        job.warmup_fraction, spec=job.spec,
-    )
-
-
-def _lookup_adhoc(job: SimJob) -> tuple[FrontendStats | None, str]:
-    from repro.experiments import diskcache
-
-    key = (job.spec_digest, job.design_key, job.params, job.warmup_fraction)
-    stats = _ADHOC_MEMO.get(key)
-    if stats is not None:
-        return stats, "memo"
-    if diskcache.disk_cache_enabled():
-        stats = diskcache.load_result(_adhoc_result_key(job))
-        if stats is not None:
-            _ADHOC_MEMO[key] = stats
-            return stats, "disk"
-    store = resultstore.get_active_store()
-    if store is not None:
-        try:
-            stats = store.get_result(_adhoc_result_key(job))
-        except resultstore.StoreError as error:
-            resultstore.degraded(
-                "get_result", error, app=job.trace_name, design=job.design_key
-            )
-            stats = None
-        if stats is not None:
-            _ADHOC_MEMO[key] = stats
-            return stats, "store"
-    return None, "miss"
-
-
-def _resolve_trace(job: SimJob) -> Trace:
-    if job.spec is None:
-        from repro.workloads.suite import get_trace
-
-        return get_trace(job.trace_name, job.scale)
-    trace = _ADHOC_TRACES.get(job.spec_digest)
-    if trace is None:
-        from repro.experiments import diskcache
-        from repro.workloads.generator import generate_trace
-
-        trace = diskcache.load_trace(job.spec)
-        if trace is None:
-            trace = generate_trace(job.spec)
-            diskcache.store_trace(job.spec, trace)
-        while len(_ADHOC_TRACES) >= _ADHOC_TRACE_CAP:
-            _ADHOC_TRACES.pop(next(iter(_ADHOC_TRACES)))
-        _ADHOC_TRACES[job.spec_digest] = trace
-    return trace
-
-
-def _run_group_pass(
-    misses: list[SimJob],
-    registry: dict[str, Any],
-    results: dict[SimJob, tuple[FrontendStats, str]],
-) -> None:
-    """Cross-job batching: run the group's cold suite jobs in-process.
-
-    Every job of a batch shares a ``(trace, scale)`` group, so the
-    designs execute back to back over the *same* decoded trace: the
-    columnar extraction, ICache replay, RAS replay and TAGE direction
-    replay are all memoised on the :class:`DecodedTrace` and computed
-    once for the whole batch -- one vectorised multi-design pass.  Each
-    design still runs through :func:`repro.experiments.harness.run_one`,
-    so responses stay byte-identical to a direct caller's and results
-    land in the same memo/disk caches.
-    """
-    from repro.experiments import harness
-
-    for job in misses:
-        stats = harness.run_one(
-            job.trace_name, registry[job.design_key],
-            params=job.params, warmup_fraction=job.warmup_fraction,
-            scale=job.scale,
-        )
-        results[job] = (stats, "fresh")
-
-
-def _run_suite_misses(
-    misses: list[SimJob],
-    registry: dict[str, Any],
-    results: dict[SimJob, tuple[FrontendStats, str]],
-) -> None:
-    """Bridge cold suite jobs to the shard scheduler, one grid per
-    (warmup, params) group (``run_grid`` keys everything by design key,
-    so per-design parameter variants must not share a grid)."""
-    from repro.experiments import harness, scheduler
-    from repro.workloads.suite import build_suite
-
-    lead = misses[0]
-    spec = next(
-        (s for s in build_suite(lead.scale) if s.name == lead.trace_name), None
-    )
-    groups: dict[tuple[float, Any], dict[str, SimJob]] = {}
-    for job in misses:
-        groups.setdefault((job.warmup_fraction, job.params), {})[job.design_key] = job
-    for (warmup, params), by_design in groups.items():
-        designs = [registry[name] for name in by_design]
-        report = scheduler.run_grid(
-            designs,
-            params_by_design={design.key: params for design in designs},
-            warmup_fraction=warmup,
-            scale=lead.scale,
-            specs=[spec] if spec is not None else None,
-        )
-        for name, job in by_design.items():
-            design = registry[name]
-            stats = report.merged.get((job.trace_name, design.key))
-            if stats is not None:
-                harness.adopt_result(
-                    job.trace_name, design, stats,
-                    params=params, warmup_fraction=warmup, scale=job.scale,
-                )
-            else:
-                # A shard exhausted its retries: degrade to an inline
-                # run (memoised + disk-cached by the harness itself).
-                stats = harness.run_one(
-                    job.trace_name, design,
-                    params=params, warmup_fraction=warmup, scale=job.scale,
-                )
-            results[job] = (stats, "fresh")
-
-
-def _simulate_adhoc(job: SimJob, trace: Trace, registry: dict[str, Any]) -> FrontendStats:
-    from repro.experiments import diskcache
-
-    design = registry[job.design_key]
-    btb, simulator_kwargs = design.build()
-    simulator = FrontendSimulator(btb, params=job.params, **simulator_kwargs)
-    stats = simulator.run(trace, warmup_fraction=job.warmup_fraction)
-    _ADHOC_MEMO[(job.spec_digest, job.design_key, job.params, job.warmup_fraction)] = stats
-    diskcache.store_result(_adhoc_result_key(job), stats)
-    return stats
-
-
-def _run_store_misses(
-    store: "resultstore.ResultStore",
-    opts: dict,
-    misses: list[SimJob],
-    registry: dict[str, Any],
-    outcome: BatchOutcome,
-) -> None:
-    """Cluster-wide single-flight for a batch's cold jobs.
-
-    Each job's content-addressed key runs through
-    :func:`repro.experiments.resultstore.fetch_or_compute`: one replica
-    cluster-wide wins the lease CAS and simulates (outcome ``fresh``),
-    the rest await its publish (outcome ``store``); a backend failure
-    or an over-long wait degrades to local compute (outcome ``local``).
-    The trace is resolved and decoded lazily -- a batch fully answered
-    by other replicas' publishes never touches trace data at all.
-    """
-    from repro.experiments import harness
-
-    lead = misses[0]
-    state: dict[str, Trace] = {}
-
-    def ensure_trace() -> Trace:
-        trace = state.get("trace")
-        if trace is None:
-            trace = _resolve_trace(lead)
-            if not trace.is_decoded:
-                outcome.decodes = 1
-            trace.decoded()
-            state["trace"] = trace
-        return trace
-
-    for job in misses:
-        if job.spec is None:
-            # Key by the *resolved* design's key, not the request's
-            # registry name: aliases ("baseline" -> "baseline-4096")
-            # must share one store slot with harness/disk publishes.
-            key = harness.result_store_key(
-                job.trace_name, registry[job.design_key].key, job.params,
-                job.warmup_fraction, job.scale,
-            )
-
-            def compute(job: SimJob = job) -> FrontendStats:
-                ensure_trace()
-                return harness.run_one(
-                    job.trace_name, registry[job.design_key],
-                    params=job.params, warmup_fraction=job.warmup_fraction,
-                    scale=job.scale,
-                )
-
-        else:
-            key = _adhoc_result_key(job)
-
-            def compute(job: SimJob = job) -> FrontendStats:
-                return _simulate_adhoc(job, ensure_trace(), registry)
-
-        stats, kind = resultstore.fetch_or_compute(
-            store, key, compute,
-            ttl=opts.get("ttl", 30.0),
-            wait_timeout=opts.get("wait", 120.0),
-            poll_interval=opts.get("poll", 0.05),
-            context={"app": job.trace_name, "design": job.design_key},
-        )
-        if kind == "store":
-            # Another replica paid for the simulation: adopt the value
-            # into the local memo so the next lookup never leaves the
-            # process.
-            if job.spec is None:
-                harness.adopt_result(
-                    job.trace_name, registry[job.design_key], stats,
-                    params=job.params, warmup_fraction=job.warmup_fraction,
-                    scale=job.scale,
-                )
-            else:
-                _ADHOC_MEMO[
-                    (job.spec_digest, job.design_key, job.params, job.warmup_fraction)
-                ] = stats
-        outcome.results[job] = (stats, kind)
 
 
 def default_batch_runner(
@@ -362,10 +127,21 @@ def default_batch_runner(
 ) -> BatchOutcome:
     """Answer every unique job of one batch (all share a trace).
 
-    Warm jobs never touch the trace at all; the trace is resolved and
-    decoded (once) only when at least one job must actually simulate.
-    With a shared store active, cold jobs run the cross-node
-    single-flight protocol instead of simulating unconditionally.
+    Every job, suite member or inline spec, first peeks the harness
+    tiers (:func:`repro.experiments.harness.lookup_cached`).  Each miss
+    then simulates through :func:`repro.experiments.harness.run_one`,
+    so responses stay byte-identical to a direct caller's and results
+    land in the same memo and disk caches.  The trace is resolved and
+    decoded lazily, once per batch: warm jobs never touch it, and the
+    decoded columns are shared by every design the batch runs.
+
+    With a shared store active, each miss runs the cross-node
+    single-flight protocol
+    (:func:`repro.experiments.resultstore.fetch_or_compute`): one
+    replica cluster-wide wins the lease and simulates (outcome
+    ``fresh``), the rest await its publish (outcome ``store``, adopted
+    into the local memo); a backend failure degrades to local compute
+    (outcome ``local``).
     """
     from repro.experiments import harness
     from repro.experiments.designs import design_registry
@@ -374,44 +150,62 @@ def default_batch_runner(
     outcome = BatchOutcome()
     misses: list[SimJob] = []
     for job in jobs:
-        if job.spec is None:
-            stats, kind = harness.lookup_cached(
-                job.trace_name, registry[job.design_key],
-                params=job.params, warmup_fraction=job.warmup_fraction,
-                scale=job.scale,
-            )
-        else:
-            stats, kind = _lookup_adhoc(job)
+        stats, kind = harness.lookup_cached(
+            job.trace_name, registry[job.design_key],
+            params=job.params, warmup_fraction=job.warmup_fraction,
+            scale=job.scale, spec=job.spec,
+        )
         if stats is None:
             misses.append(job)
         else:
             outcome.results[job] = (stats, kind)
-    if not misses:
-        return outcome
     store = store if store is not None else resultstore.get_active_store()
-    if store is not None:
-        _run_store_misses(store, store_opts or {}, misses, registry, outcome)
-        return outcome
-    trace = _resolve_trace(misses[0])
-    if not trace.is_decoded:
-        outcome.decodes = 1
-    trace.decoded()
-    suite_misses = [job for job in misses if job.spec is None]
-    if suite_misses:
-        # Sharded execution (REPRO_SCHED_WORKERS/SHARDS) keeps the
-        # scheduler bridge -- fork isolation and retries are the point
-        # there.  Otherwise the group runs as one in-process vectorised
-        # multi-design pass over the decode paid just above.
-        from repro.experiments import scheduler
+    opts = store_opts or {}
+    decoded: list[Trace] = []
 
-        sched = scheduler.config_from_env()
-        if sched.workers > 1 or sched.shards > 1:
-            _run_suite_misses(suite_misses, registry, outcome.results)
-        else:
-            _run_group_pass(suite_misses, registry, outcome.results)
+    def compute(job: SimJob) -> FrontendStats:
+        if not decoded:
+            trace = harness.resolve_trace(job.trace_name, job.scale, job.spec)
+            if not trace.is_decoded:
+                outcome.decodes = 1
+            trace.decoded()
+            decoded.append(trace)
+        return harness.run_one(
+            job.trace_name, registry[job.design_key],
+            params=job.params, warmup_fraction=job.warmup_fraction,
+            scale=job.scale, spec=job.spec,
+        )
+
     for job in misses:
-        if job.spec is not None:
-            outcome.results[job] = (_simulate_adhoc(job, trace, registry), "fresh")
+        if store is None:
+            outcome.results[job] = (compute(job), "fresh")
+            continue
+        # Key by the *resolved* design's key, not the request's registry
+        # name: aliases ("baseline" -> "baseline-4096") must share one
+        # store slot with harness/disk publishes.
+        design = registry[job.design_key]
+        stats, kind = resultstore.fetch_or_compute(
+            store,
+            harness.result_store_key(
+                job.trace_name, design.key, job.params,
+                job.warmup_fraction, job.scale, job.spec,
+            ),
+            lambda job=job: compute(job),
+            ttl=opts.get("ttl", 30.0),
+            wait_timeout=opts.get("wait", 120.0),
+            poll_interval=opts.get("poll", 0.05),
+            context={"app": job.trace_name, "design": job.design_key},
+        )
+        if kind == "store":
+            # Another replica paid for the simulation: adopt the value
+            # into the local memo so the next lookup never leaves the
+            # process.
+            harness.adopt_result(
+                job.trace_name, design, stats,
+                params=job.params, warmup_fraction=job.warmup_fraction,
+                scale=job.scale, spec=job.spec,
+            )
+        outcome.results[job] = (stats, kind)
     return outcome
 
 
@@ -553,7 +347,7 @@ class SimulationService:
         try:
             # The service's event log becomes the process-wide active
             # one while serving, so emissions from the deep layers
-            # (harness, disk cache, scheduler) land in the same ring as
+            # (harness, disk cache, result store) land in the same ring as
             # the service's own hop events.
             with obs_events.use_event_log(self.events):
                 if _on_ready is not None:

@@ -197,11 +197,31 @@ def build_suite(scale: str | None = None) -> list[WorkloadSpec]:
 
 
 @lru_cache(maxsize=None)
+def _suite_index(scale: str) -> dict[str, WorkloadSpec]:
+    return {spec.name: spec for spec in build_suite(scale)}
+
+
+def suite_spec(name: str, scale: str) -> WorkloadSpec | None:
+    """The suite member ``name`` at ``scale`` (None if there is none)."""
+    return _suite_index(scale).get(name)
+
+
+@lru_cache(maxsize=None)
 def _cached_trace(name: str, scale: str) -> Trace:
-    for spec in build_suite(scale):
-        if spec.name == name:
-            return _generate_or_load(spec)
-    raise KeyError(f"no workload named {name!r} at scale {scale!r}")
+    spec = suite_spec(name, scale)
+    if spec is None:
+        raise KeyError(f"no workload named {name!r} at scale {scale!r}")
+    return _generate_or_load(spec)
+
+
+@lru_cache(maxsize=32)
+def spec_trace(spec: WorkloadSpec) -> Trace:
+    """Generate (and memoise) the trace for an inline workload spec.
+
+    The 32 most recently used inline traces stay resident; suite
+    members go through :func:`get_trace` instead.
+    """
+    return _generate_or_load(spec)
 
 
 def _generate_or_load(spec) -> Trace:

@@ -33,7 +33,6 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     ServiceError,
-    clear_serve_caches,
     serve_in_thread,
 )
 from repro.serve.protocol import stats_payload
@@ -51,12 +50,12 @@ def _cold_process_state():
     counters (several tests assert exact counter values)."""
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
     yield
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
 
 
@@ -132,10 +131,11 @@ def test_batch_shares_one_decode_across_cold_requests():
         handle.shutdown()
 
 
-def test_group_pass_and_scheduler_bridge_byte_identical(monkeypatch):
-    """Cold suite batches run as one in-process vectorised group pass by
-    default, and bridge to the shard scheduler under REPRO_SCHED_*; both
-    paths must serialise exactly what a direct harness caller would."""
+def test_serve_ignores_sched_env_byte_identical(monkeypatch):
+    """Cold suite batches always simulate in-process through the
+    harness: REPRO_SCHED_* configures batch sweeps, not serve, so the
+    bytes match a direct harness caller with or without it and the
+    shard scheduler never sees a task."""
     pairs = [(APP, design) for design in DESIGNS]
     expected = _expected_payloads(pairs)
 
@@ -154,11 +154,13 @@ def test_group_pass_and_scheduler_bridge_byte_identical(monkeypatch):
         finally:
             handle.shutdown()
 
-    group_bodies = _collect()
+    plain_bodies = _collect()
     monkeypatch.setenv("REPRO_SCHED_WORKERS", "2")
-    bridge_bodies = _collect()
-    for (app, design), group, bridge in zip(pairs, group_bodies, bridge_bodies):
-        assert group == bridge == expected[(app, design)], (app, design)
+    monkeypatch.setenv("REPRO_SCHED_SHARDS", "2")
+    sched_bodies = _collect()
+    for (app, design), plain, sched in zip(pairs, plain_bodies, sched_bodies):
+        assert plain == sched == expected[(app, design)], (app, design)
+    assert scheduler.session_counters() == {}
 
 
 # -- backpressure ------------------------------------------------------------
@@ -368,7 +370,7 @@ def test_warm_storm_zero_fresh_simulations(monkeypatch, tmp_path):
     # "Restart" the service: forget every in-process cache, keep disk.
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
 
     handle = serve_in_thread(_config(queue_limit=64))
@@ -433,6 +435,26 @@ def test_inline_spec_requests_are_served_and_cached():
             )
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad-field"
+    finally:
+        handle.shutdown()
+
+
+def test_inline_spec_obeys_result_cache_off(monkeypatch):
+    """REPRO_RESULT_CACHE=0 disables the memo for inline specs exactly
+    as for suite apps: a repeated request simulates again."""
+    from repro.workloads.spec import WorkloadSpec
+
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+    spec = WorkloadSpec(name="adhoc_nocache", category="Server", seed=7,
+                        n_events=2000)
+    handle = serve_in_thread(_config(max_events=10_000))
+    try:
+        client = ServeClient(port=handle.port)
+        first = client.simulate(design="baseline", spec=spec)
+        again = client.simulate(design="baseline", spec=spec)
+        assert first.outcome == again.outcome == "fresh"
+        assert again.body == first.body
+        assert handle.service.counters["fresh_jobs"] == 2
     finally:
         handle.shutdown()
 

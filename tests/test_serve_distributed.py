@@ -24,7 +24,7 @@ import pytest
 from repro.experiments import design_registry, harness, scheduler
 from repro.experiments.resultstore import FakeStore
 from repro.frontend.simulator import FrontendSimulator
-from repro.serve import ServeClient, ServeConfig, clear_serve_caches, serve_in_thread
+from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.serve.protocol import stats_payload
 from repro.workloads import suite
 
@@ -37,12 +37,12 @@ DESIGN = "baseline"
 def _cold_process_state():
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
     yield
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
 
 
@@ -207,7 +207,7 @@ def test_replica_restart_hits_the_store_not_the_simulator(monkeypatch):
     count = _count_simulations(monkeypatch)
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     second = serve_in_thread(_config(), store=store)
     try:
         again = ServeClient(port=second.port).simulate(design=DESIGN, app=APP)
@@ -217,3 +217,31 @@ def test_replica_restart_hits_the_store_not_the_simulator(monkeypatch):
         assert second.service.counters["trace_decodes"] == 0
     finally:
         second.shutdown()
+
+
+def test_inline_spec_across_replicas_fresh_then_store(monkeypatch):
+    """Inline specs take the same store path as suite apps: the first
+    replica simulates and publishes, the second answers from the store
+    with identical bytes and never simulates."""
+    from repro.workloads.spec import WorkloadSpec
+
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+    spec = WorkloadSpec(name="adhoc_cluster", category="Server", seed=41,
+                        n_events=2000)
+    count = _count_simulations(monkeypatch)
+    store = FakeStore(name="cluster")
+    replicas = [
+        serve_in_thread(_config(max_events=10_000), store=store),
+        serve_in_thread(_config(max_events=10_000), store=store),
+    ]
+    try:
+        first = ServeClient(port=replicas[0].port).simulate(design=DESIGN, spec=spec)
+        second = ServeClient(port=replicas[1].port).simulate(design=DESIGN, spec=spec)
+        assert (first.outcome, second.outcome) == ("fresh", "store")
+        assert second.body == first.body
+        assert count[0] == 1
+        assert store.describe()["results"] == 1
+        assert replicas[1].service.counters["trace_decodes"] == 0
+    finally:
+        for handle in replicas:
+            handle.shutdown()

@@ -21,7 +21,6 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
     ServiceError,
-    clear_serve_caches,
     serve_in_thread,
 )
 from repro.workloads import suite
@@ -38,12 +37,12 @@ HOP_SEQUENCE = ("admit", "batch-join", "batch-execute", "cache", "respond")
 def _cold_process_state():
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
     yield
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
 
 

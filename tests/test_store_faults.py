@@ -22,7 +22,7 @@ import pytest
 from repro.experiments import design_registry, harness, scheduler
 from repro.experiments.resultstore import FakeStore
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.serve import ServeClient, ServeConfig, clear_serve_caches, serve_in_thread
+from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.serve.protocol import stats_payload
 from repro.workloads import suite
 
@@ -35,12 +35,12 @@ DESIGNS = ["baseline", "pdede-default", "pdede-multi-entry", "dedup-only"]
 def _cold_process_state():
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
     yield
     harness.clear_cache()
     suite._cached_trace.cache_clear()
-    clear_serve_caches()
+    suite.spec_trace.cache_clear()
     scheduler.reset_session_counters()
 
 
@@ -160,14 +160,14 @@ def test_partition_then_heal_round_trips_through_degraded():
             # Heal without a restart: cold keys coordinate again...
             store.heal()
             harness.clear_cache()
-            clear_serve_caches()
+            suite.spec_trace.cache_clear()
             healed = client.simulate(design=DESIGNS[0], app=APP)
             assert healed.body == expected[DESIGNS[0]]
             assert healed.outcome == "fresh"
             assert store.describe()["results"] == 1
             # ...and a second cold pass is answered by the store.
             harness.clear_cache()
-            clear_serve_caches()
+            suite.spec_trace.cache_clear()
             served = client.simulate(design=DESIGNS[0], app=APP)
             assert served.body == expected[DESIGNS[0]]
             assert served.outcome == "store"
