@@ -73,7 +73,6 @@ _KNOB_LIST = (
     Knob("REPRO_DISK_CACHE", "runtime", "0 disables the persistent trace/result disk cache"),
     Knob("REPRO_DISK_CACHE_DIR", "runtime", "disk cache root directory override"),
     Knob("REPRO_SCHED_WORKERS", "runtime", "scheduler fork-worker count (0 = serial)"),
-    Knob("REPRO_SCHED_SHARDS", "runtime", "scheduler shards per simulation task"),
     Knob("REPRO_SCHED_TASK_TIMEOUT", "runtime", "per-task timeout seconds before kill+retry"),
     Knob("REPRO_SCHED_MAX_RETRIES", "runtime", "retry budget per task before degradation"),
     Knob("REPRO_SCHED_LOG", "runtime", "scheduler JSONL task-log path"),
@@ -121,10 +120,9 @@ METRIC_CATALOG = frozenset(
         "harness_simulation_seconds",
         "harness_engine_runs_total",
         "scheduler_tasks_total",
-        "scheduler_shard_seconds",
+        "scheduler_task_seconds",
         "scheduler_timeouts_total",
         "scheduler_retries_total",
-        "scheduler_steals_total",
     }
 )
 

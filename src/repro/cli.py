@@ -26,10 +26,10 @@ and ``experiment`` also take ``--sanitize`` (README "Static checks &
 sanitizer") to run with the microarchitectural invariant checker armed.
 
 ``experiment`` and ``report`` take the scheduler flags (README "Scaling
-out"): ``--workers N --shards K`` fan simulations out over the
-work-stealing shard scheduler, with ``--task-timeout``,
+out"): ``--workers N`` fans simulations out over the scheduler's fork
+pool, one task per (app, design), with ``--task-timeout``,
 ``--max-retries``, and ``--scheduler-log FILE.jsonl`` controlling the
-fault-tolerance machinery.  Sharded output is bit-identical to serial
+fault-tolerance machinery.  Parallel output is bit-identical to serial
 output; scheduler failures go to stderr and the report's appendix,
 never into result rows.
 """
@@ -234,7 +234,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     result = registry[args.id](scale=args.scale)
-    # stdout carries only the result rows -- sharded and serial runs stay
+    # stdout carries only the result rows -- parallel and serial runs stay
     # byte-identical; scheduler degradation is stderr-only here.
     print(result.render())
     for failure in scheduler.drain_failures():
@@ -544,13 +544,8 @@ def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scheduler")
     group.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="forked worker processes for the shard scheduler "
+        help="forked worker processes for the scheduler "
              "(default: REPRO_SCHED_WORKERS or serial)",
-    )
-    group.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="shards per (app, design) run; merged stats are "
-             "bit-identical to unsharded (default: REPRO_SCHED_SHARDS or 1)",
     )
     group.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -826,7 +821,6 @@ def _scheduling(args: argparse.Namespace):
     ``run_suite`` under this command fans out the same way."""
     flags = (
         getattr(args, "workers", None),
-        getattr(args, "shards", None),
         getattr(args, "task_timeout", None),
         getattr(args, "max_retries", None),
         getattr(args, "scheduler_log", None),
@@ -836,11 +830,10 @@ def _scheduling(args: argparse.Namespace):
         return
     from repro.experiments import scheduler
 
-    workers, shards, task_timeout, max_retries, log_path = flags
+    workers, task_timeout, max_retries, log_path = flags
     scheduler.configure(
         scheduler.resolve_config(
             workers=workers,
-            shards=shards,
             task_timeout=task_timeout,
             max_retries=max_retries,
             log_path=log_path,

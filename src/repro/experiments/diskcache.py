@@ -67,7 +67,6 @@ __all__ = [
     "load_trace",
     "reset_disk_telemetry",
     "result_key",
-    "shard_result_key",
     "spec_digest",
     "store_result",
     "store_trace",
@@ -194,39 +193,6 @@ def result_key(
             "design": design_key,
             "params": dataclasses.asdict(params),
             "warmup": warmup_fraction,
-            "spec": spec_digest(spec) if spec is not None else None,
-            "result_version": RESULT_VERSION,
-        }
-    )
-
-
-def shard_result_key(
-    trace_name: str,
-    scale: str,
-    design_key: str,
-    params: CoreParams,
-    warmup_fraction: float,
-    start: int,
-    stop: int,
-    n_events: int,
-    spec: WorkloadSpec | None = None,
-) -> str:
-    """Content hash for one measured shard ``[start, stop)`` of a run.
-
-    The scheduler stores every finished shard under this key, which is
-    what makes a killed sweep resumable: a re-run re-simulates only the
-    shards whose entries are missing.  ``n_events`` is part of the key
-    so a scale change (different trace length, same name) can never
-    alias a stale shard boundary.
-    """
-    return _digest(
-        {
-            "trace": trace_name,
-            "scale": scale,
-            "design": design_key,
-            "params": dataclasses.asdict(params),
-            "warmup": warmup_fraction,
-            "shard": [start, stop, n_events],
             "spec": spec_digest(spec) if spec is not None else None,
             "result_version": RESULT_VERSION,
         }

@@ -10,14 +10,13 @@ sit the cross-process disk cache and the cluster-shared result store,
 all three keyed through :func:`result_store_key`.
 
 ``run_suite(..., workers=N)`` fans the per-application simulations out
-through the shard scheduler
-(:mod:`repro.experiments.scheduler`) -- a work-stealing fork pool with
-per-task timeouts, bounded retries, and disk-cache resume -- useful at
-``REPRO_SCALE=full`` where a single design sweep is 102 simulations.
-A group whose shards exhaust their retries is recorded as a structured
-failure (``scheduler.drain_failures``) and falls back to an inline
-serial run here, so a flaky worker degrades a sweep instead of
-aborting it.
+through the scheduler (:mod:`repro.experiments.scheduler`) -- a fork
+pool fed from one queue, with per-task timeouts, bounded retries, and
+disk-cache resume -- useful at ``REPRO_SCALE=full`` where a single
+design sweep is 102 simulations.  A pair whose task exhausts its
+retries is recorded as a structured failure
+(``scheduler.drain_failures``) and falls back to an inline serial run
+here, so a flaky worker degrades a sweep instead of aborting it.
 """
 
 from __future__ import annotations
@@ -431,34 +430,23 @@ def run_suite(
     scale: str | None = None,
     baseline_params: CoreParams | None = None,
     workers: int | None = None,
-    shards: int | None = None,
     task_timeout: float | None = None,
     max_retries: int | None = None,
 ) -> SuiteResult:
     """Run ``design`` and ``baseline`` across the active suite.
 
     Args:
-        workers: fan the simulations out through the shard scheduler on
-            this many forked worker processes (default: the active
-            scheduler config, normally serial).
-        shards: split each trace's measured region into this many
-            scheduler tasks; per-shard stats are merged exactly, so the
-            result is bit-identical to an unsharded run.
+        workers: fan the simulations out through the scheduler on this
+            many forked worker processes (default: the active scheduler
+            config, normally serial).
         task_timeout: wall-seconds budget per scheduler task.
         max_retries: retry budget per scheduler task.
     """
     scale = scale or current_scale()
     config = scheduler.resolve_config(
-        workers=workers,
-        shards=shards,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
+        workers=workers, task_timeout=task_timeout, max_retries=max_retries
     )
-    use_scheduler = (
-        (config.workers > 1 or config.shards > 1)
-        and hasattr(os, "fork")
-        and cache_enabled()
-    )
+    use_scheduler = config.workers > 1 and hasattr(os, "fork") and cache_enabled()
     if use_scheduler:
         _prefill_cache_scheduled(
             [design, baseline],
@@ -492,16 +480,21 @@ def _prefill_cache_scheduled(
 ) -> None:
     """Populate the result cache for (suite x designs) via the scheduler.
 
-    Pairs already memoised are skipped.  Groups that come back merged
-    feed the memo (and, through the scheduler, the disk cache); groups
-    with a failed shard are simply *absent* -- the serial loop in
-    ``run_suite`` re-runs them inline, and the failure stays on record
-    for the report's appendix.
+    Pairs already memoised are skipped.  Results that come back feed
+    the memo (the scheduler has already stored them in the disk cache);
+    failed pairs are simply *absent* -- the serial loop in ``run_suite``
+    re-runs them inline, and the failure stays on record for the
+    report's appendix.  Fresh results carry their engine telemetry
+    (``stats.engine``) through the worker pipe and are recorded for
+    :func:`slowest_runs` and :func:`engine_mix` as :func:`run_design`
+    records them; disk hits are not.
     """
     skip = set()
     for design in designs:
         for spec in build_suite(scale):
-            key = (spec.name, scale, design.key, params[design.key], warmup_fraction)
+            key = _memo_key(
+                spec.name, scale, design.key, params[design.key], warmup_fraction, None
+            )
             with _CACHE_LOCK:
                 present = key in _RESULT_CACHE
             if present:
@@ -514,13 +507,17 @@ def _prefill_cache_scheduled(
         config=config,
         skip=skip,
     )
-    for (trace_name, design_key), stats in report.merged.items():
-        key = (trace_name, scale, design_key, params[design_key], warmup_fraction)
+    for pair, stats in report.results.items():
+        trace_name, design_key = pair
+        key = _memo_key(
+            trace_name, scale, design_key, params[design_key], warmup_fraction, None
+        )
+        engine = getattr(stats, "engine", None)
         with _CACHE_LOCK:
             _RESULT_CACHE[key] = stats
-            _RUN_SECONDS[(trace_name, design_key)] = report.group_seconds.get(
-                (trace_name, design_key), 0.0
-            )
+            if engine is not None:
+                _RUN_SECONDS[pair] = report.group_seconds[pair]
+                _RUN_ENGINES[pair] = (engine, float(stats.events_per_sec))
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

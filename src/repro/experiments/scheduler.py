@@ -1,23 +1,13 @@
-"""Work-stealing, shard-aware scheduler for experiment sweeps.
+"""Fault-tolerant scheduler for experiment sweeps.
 
-``run_suite`` used to fan simulations over a bare fork pool: no
-sharding (one task per (app, design), however long it runs), no
-timeouts, and no recovery -- one hung or crashed worker lost the whole
-sweep.  This module decomposes an experiment grid into
-``(trace shard x design x params)`` tasks and runs them on a
-process-per-worker pool with:
+An experiment grid runs as one task per ``(app, design)`` pair on a
+process-per-worker pool, so a hung or crashed worker degrades a sweep
+instead of losing it:
 
-* **sharding** -- each task replays the trace prefix ``[0, start)`` for
-  state warmup and measures ``[start, stop)``
-  (``FrontendSimulator.run(measure_range=...)``).  Per-shard
-  ``FrontendStats`` merge exactly (:meth:`FrontendStats.merge`, integer
-  ticks), so the merged result is bit-identical to an unsharded run.
-  Intra-trace sharding deliberately trades total CPU (the prefix replay)
-  for bounded per-task runtime -- which is what makes per-task timeouts
-  meaningful and crash/resume granular;
-* **work stealing** -- tasks are dealt round-robin into per-worker
-  ownership deques; an idle worker drains its own deque from the front
-  and steals from the *back* of the longest other deque;
+* **one shared queue** -- the parent hands an idle worker the first
+  queued task on a trace that worker has already decoded, else the
+  queue head, so no worker idles while work remains and each trace is
+  usually decoded in one process only;
 * **per-task timeouts** -- a worker past its deadline is terminated and
   respawned, the task requeued;
 * **bounded retries with exponential backoff** -- a failed attempt
@@ -27,17 +17,17 @@ process-per-worker pool with:
 * **graceful degradation** -- a task that exhausts its retries becomes a
   structured :class:`TaskFailure` in the report instead of aborting the
   sweep;
-* **crash-safe resume** -- every finished shard is stored in the disk
-  cache under :func:`repro.experiments.diskcache.shard_result_key`;
-  re-running a killed sweep loads finished shards and simulates only the
-  missing ones.  Fully-merged results are additionally stored under the
-  ordinary unsharded result key, so later unsharded runs disk-hit too.
+* **crash-safe resume** -- every finished task is stored in the disk
+  cache under :func:`repro.experiments.diskcache.result_key`, the same
+  key :func:`repro.experiments.harness.result_store_key` computes;
+  re-running a killed sweep loads finished pairs and simulates only the
+  missing ones, and later serial runs of those pairs disk-hit too.
 
 Observability: ``scheduler_tasks_total{outcome}``,
-``scheduler_retries_total``, ``scheduler_timeouts_total``,
-``scheduler_steals_total`` counters and a ``scheduler_shard_seconds``
-histogram in the metrics registry, plus an optional JSONL task log
-(``log_path`` / ``--scheduler-log``) that CI uploads as an artifact.
+``scheduler_retries_total``, ``scheduler_timeouts_total`` counters and a
+``scheduler_task_seconds`` histogram in the metrics registry, plus an
+optional JSONL task log (``log_path`` / ``--scheduler-log``) that CI
+uploads as an artifact.
 
 Failures accumulate in a module-level session list; the evaluation
 report drains them into its failure appendix
@@ -64,22 +54,20 @@ from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
-from repro.workloads.suite import build_suite, current_scale, get_trace, suite_spec
+from repro.workloads.suite import build_suite, current_scale, get_trace
 
 __all__ = [
     "SchedulerConfig",
-    "ShardTask",
+    "Task",
     "TaskFailure",
     "ScheduleReport",
     "config_from_env",
     "configure",
     "resolve_config",
     "drain_failures",
-    "peek_failures",
     "session_counters",
     "reset_session_counters",
-    "shard_bounds",
-    "build_shard_tasks",
+    "build_tasks",
     "run_grid",
 ]
 
@@ -94,7 +82,6 @@ class SchedulerConfig:
     Attributes:
         workers: forked worker processes (``<= 1`` or a fork-less
             platform runs tasks serially in-process).
-        shards: measured-region shards per (app, design) pair.
         task_timeout: wall-seconds budget per task; ``None`` disables.
             Only enforceable with forked workers (a serial run cannot
             interrupt itself).
@@ -105,7 +92,6 @@ class SchedulerConfig:
     """
 
     workers: int = 1
-    shards: int = 1
     task_timeout: float | None = None
     max_retries: int = 2
     backoff_base: float = 0.05
@@ -127,7 +113,6 @@ def config_from_env() -> SchedulerConfig:
     timeout = _float("REPRO_SCHED_TASK_TIMEOUT")
     return SchedulerConfig(
         workers=_int("REPRO_SCHED_WORKERS", 1),
-        shards=_int("REPRO_SCHED_SHARDS", 1),
         task_timeout=timeout,
         max_retries=_int("REPRO_SCHED_MAX_RETRIES", 2),
         log_path=os.environ.get("REPRO_SCHED_LOG") or None,
@@ -147,7 +132,6 @@ def configure(config: SchedulerConfig | None) -> None:
 
 def resolve_config(
     workers: int | None = None,
-    shards: int | None = None,
     task_timeout: float | None = None,
     max_retries: int | None = None,
     log_path: str | None = None,
@@ -157,8 +141,6 @@ def resolve_config(
     overrides: dict[str, Any] = {}
     if workers is not None:
         overrides["workers"] = workers
-    if shards is not None:
-        overrides["shards"] = shards
     if task_timeout is not None:
         overrides["task_timeout"] = task_timeout
     if max_retries is not None:
@@ -172,60 +154,26 @@ def resolve_config(
 
 
 @dataclass(frozen=True)
-class ShardTask:
-    """One unit of work: measure shard ``[start, stop)`` of one run."""
+class Task:
+    """One unit of work: simulate one (app, design) pair."""
 
     trace_name: str
     scale: str
     design_key: str
     params: CoreParams
     warmup_fraction: float
-    shard_index: int
-    n_shards: int
-    start: int
-    stop: int
-    n_events: int
-    #: Disk-cache key of this shard's result (None when uncacheable,
-    #: e.g. an ad-hoc trace with no suite spec).
+    #: Disk-cache key of this task's result (None when the disk cache
+    #: is off).
     disk_key: str | None = None
 
     @property
     def task_id(self) -> str:
-        return (
-            f"{self.trace_name}:{self.design_key}"
-            f":{self.shard_index + 1}/{self.n_shards}"
-        )
+        return f"{self.trace_name}:{self.design_key}"
 
     @property
-    def group(self) -> tuple[str, str]:
-        """Tasks of one (app, design) run merge into one result."""
+    def pair(self) -> tuple[str, str]:
+        """The (app, design key) the task's result is reported under."""
         return (self.trace_name, self.design_key)
-
-
-def shard_bounds(
-    n_events: int, warmup_fraction: float, n_shards: int
-) -> list[tuple[int, int]]:
-    """Partition the measured region ``[warm_limit, n_events)``.
-
-    The warmup prefix is never split -- every shard replays it (and its
-    predecessors' measured events) unmeasured, so state at each shard's
-    start is exactly the unsharded run's state.  Remainders go to the
-    leading shards; at most ``n_shards`` non-empty bounds are returned
-    (fewer when the measured region is shorter than the shard count).
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    warm_limit = int(n_events * warmup_fraction)
-    measured = n_events - warm_limit
-    bounds = []
-    start = warm_limit
-    for index in range(n_shards):
-        size = measured // n_shards + (1 if index < measured % n_shards else 0)
-        if size == 0 and index > 0:
-            break
-        bounds.append((start, start + size))
-        start += size
-    return bounds
 
 
 @dataclass(frozen=True)
@@ -235,35 +183,22 @@ class TaskFailure:
     task_id: str
     trace_name: str
     design_key: str
-    shard_index: int
-    n_shards: int
     kind: str  #: "exception" | "timeout" | "crash"
     message: str
     attempts: int
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task_id,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-        }
 
 
 @dataclass
 class ScheduleReport:
     """Everything a sweep produced, including what went wrong."""
 
-    #: (app, design) -> exactly-merged stats; groups with a failed shard
-    #: are absent (the caller decides whether to fall back or surface).
-    merged: dict[tuple[str, str], FrontendStats] = field(default_factory=dict)
-    #: (app, design, shard index) -> that shard's stats.
-    shard_results: dict[tuple[str, str, int], FrontendStats] = field(
-        default_factory=dict
-    )
+    #: (app, design) -> stats; failed pairs are absent (the caller
+    #: decides whether to fall back or surface).
+    results: dict[tuple[str, str], FrontendStats] = field(default_factory=dict)
     failures: list[TaskFailure] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
-    #: (app, design) -> summed worker wall-seconds across its shards.
+    #: (app, design) -> worker wall-seconds of its successful attempt
+    #: (0.0 for a pair resumed from the disk cache).
     group_seconds: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
@@ -307,11 +242,6 @@ def drain_failures() -> list[TaskFailure]:
     return failures
 
 
-def peek_failures() -> list[TaskFailure]:
-    with _SESSION_LOCK:
-        return list(_SESSION_FAILURES)
-
-
 # -- workers -----------------------------------------------------------------
 
 #: Designs visible to forked workers and the serial path, keyed by
@@ -320,8 +250,8 @@ def peek_failures() -> list[TaskFailure]:
 _TASK_DESIGNS: dict[str, Design] = {}
 
 
-def _default_runner(task: ShardTask, attempt: int) -> FrontendStats:
-    """Simulate one shard (or load it from the disk cache)."""
+def _default_runner(task: Task, attempt: int) -> FrontendStats:
+    """Simulate one (app, design) pair (or load it from the disk cache)."""
     del attempt  # the default runner does not vary; fault injectors do
     if task.disk_key is not None:
         cached = diskcache.load_result(task.disk_key)
@@ -331,11 +261,7 @@ def _default_runner(task: ShardTask, attempt: int) -> FrontendStats:
     design = _TASK_DESIGNS[task.design_key]
     btb, simulator_kwargs = design.build()
     simulator = FrontendSimulator(btb, params=task.params, **simulator_kwargs)
-    stats = simulator.run(
-        trace,
-        warmup_fraction=task.warmup_fraction,
-        measure_range=(task.start, task.stop),
-    )
+    stats = simulator.run(trace, warmup_fraction=task.warmup_fraction)
     if task.disk_key is not None:
         diskcache.store_result(task.disk_key, stats)
     return stats
@@ -369,15 +295,18 @@ def _worker_main(conn, runner) -> None:
 class _Worker:
     """Parent-side handle of one forked worker process."""
 
-    __slots__ = ("index", "process", "conn", "task", "attempt", "deadline")
+    __slots__ = ("index", "process", "conn", "task", "attempt", "deadline", "traces")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.process: Any = None
         self.conn: Any = None
-        self.task: ShardTask | None = None
+        self.task: Task | None = None
         self.attempt = 0
         self.deadline: float | None = None
+        #: Traces this process has been sent; their decoded columns and
+        #: replays are memoised in its memory.
+        self.traces: set[str] = set()
 
     def spawn(self, context, runner) -> None:
         parent_conn, child_conn = context.Pipe(duplex=True)
@@ -388,10 +317,12 @@ class _Worker:
         child_conn.close()
         self.process = process
         self.conn = parent_conn
+        self.traces = set()
 
-    def assign(self, task: ShardTask, attempt: int, timeout: float | None) -> None:
+    def assign(self, task: Task, attempt: int, timeout: float | None) -> None:
         self.task = task
         self.attempt = attempt
+        self.traces.add(task.trace_name)
         self.deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
@@ -427,22 +358,19 @@ class _Worker:
 
 
 class _Sweep:
-    """One sweep's mutable state: queues, retries, results, counters."""
+    """One sweep's mutable state: queue, retries, results, counters."""
 
-    def __init__(self, tasks: list[ShardTask], config: SchedulerConfig) -> None:
+    def __init__(self, tasks: list[Task], config: SchedulerConfig) -> None:
         self.config = config
         self.total = len(tasks)
-        n_queues = max(1, min(config.workers, self.total) or 1)
-        #: Per-worker ownership deques, dealt round-robin.
-        self.queues: list[deque[ShardTask]] = [deque() for _ in range(n_queues)]
-        for index, task in enumerate(tasks):
-            self.queues[index % n_queues].append(task)
+        #: (task, attempt) pairs in assignment order.
+        self.queue: deque[tuple[Task, int]] = deque((task, 1) for task in tasks)
         #: (eligible_at, seq, task, next_attempt) retry entries.
-        self.retry_heap: list[tuple[float, int, ShardTask, int]] = []
+        self.retry_heap: list[tuple[float, int, Task, int]] = []
         self._seq = itertools.count()
         self.attempts: dict[str, int] = {}
-        self.results: dict[tuple[str, str, int], FrontendStats] = {}
-        self.task_seconds: dict[str, float] = {}
+        self.results: dict[tuple[str, str], FrontendStats] = {}
+        self.seconds: dict[tuple[str, str], float] = {}
         self.failures: list[TaskFailure] = []
         self.counters = {
             "tasks": self.total,
@@ -452,7 +380,6 @@ class _Sweep:
             "retries": 0,
             "timeouts": 0,
             "crashes": 0,
-            "steals": 0,
             "failed": 0,
         }
         self._log_handle: IO[str] | None = None
@@ -476,12 +403,11 @@ class _Sweep:
         return self.counters["completed"] + self.counters["failed"] >= self.total
 
     def record_success(
-        self, task: ShardTask, stats: FrontendStats, seconds: float, worker: int,
+        self, task: Task, stats: FrontendStats, seconds: float, worker: int,
         outcome: str = "ok",
     ) -> None:
-        key = (task.trace_name, task.design_key, task.shard_index)
-        self.results[key] = stats
-        self.task_seconds[task.task_id] = seconds
+        self.results[task.pair] = stats
+        self.seconds[task.pair] = seconds
         self.counters["completed"] += 1
         if outcome == "disk-hit":
             self.counters["disk_hits"] += 1
@@ -492,7 +418,7 @@ class _Sweep:
             "scheduler_tasks_total", "scheduler task terminations by outcome"
         ).inc(outcome=outcome)
         registry.histogram(
-            "scheduler_shard_seconds", "wall seconds per shard task"
+            "scheduler_task_seconds", "wall seconds per scheduler task"
         ).observe(seconds, design=task.design_key, app=task.trace_name)
         self.log(
             {
@@ -506,7 +432,7 @@ class _Sweep:
         )
 
     def record_attempt_failure(
-        self, task: ShardTask, kind: str, message: str, worker: int
+        self, task: Task, kind: str, message: str, worker: int
     ) -> None:
         """A failed attempt: schedule a retry or record a final failure."""
         attempts = self.attempts.get(task.task_id, 0) + 1
@@ -552,8 +478,6 @@ class _Sweep:
             task_id=task.task_id,
             trace_name=task.trace_name,
             design_key=task.design_key,
-            shard_index=task.shard_index,
-            n_shards=task.n_shards,
             kind=kind,
             message=message,
             attempts=attempts,
@@ -575,23 +499,20 @@ class _Sweep:
 
     # -- task selection ------------------------------------------------------
 
-    def next_assignment(self, worker_index: int) -> tuple[ShardTask, int] | None:
-        """Own deque first, then steal, then an eligible retry."""
-        if not self.queues:
-            return None
-        own = self.queues[worker_index % len(self.queues)]
-        if own:
-            return own.popleft(), 1
-        victim = None
-        for queue in self.queues:
-            if queue and (victim is None or len(queue) > len(victim)):
-                victim = queue
-        if victim is not None:
-            self.counters["steals"] += 1
-            get_registry().counter(
-                "scheduler_steals_total", "tasks stolen from another worker's deque"
-            ).inc()
-            return victim.pop(), 1
+    def next_assignment(self, traces: set[str]) -> tuple[Task, int] | None:
+        """The first queued task on one of ``traces``, else the queue
+        head, else an eligible retry.
+
+        A worker memoises each trace's decode and replays, so keeping a
+        trace on the worker that already decoded it saves a second
+        decode in another process.
+        """
+        for index, (task, attempt) in enumerate(self.queue):
+            if task.trace_name in traces:
+                del self.queue[index]
+                return task, attempt
+        if self.queue:
+            return self.queue.popleft()
         if self.retry_heap and self.retry_heap[0][0] <= time.monotonic():
             _, _, task, attempt = heapq.heappop(self.retry_heap)
             return task, attempt
@@ -605,17 +526,12 @@ class _Sweep:
 
 
 def _execute_serial(
-    tasks: list[ShardTask], config: SchedulerConfig, runner
+    tasks: list[Task], config: SchedulerConfig, runner
 ) -> _Sweep:
     """In-process fallback (workers <= 1 or no fork): retries, no timeout."""
     sweep = _Sweep(tasks, config)
-    pending: deque[tuple[ShardTask, int]] = deque(
-        (task, 1) for queue in sweep.queues for task in queue
-    )
-    for queue in sweep.queues:
-        queue.clear()
-    while pending:
-        task, attempt = pending.popleft()
+    while sweep.queue:
+        task, attempt = sweep.queue.popleft()
         if attempt > 1:
             delay = min(
                 config.backoff_base * (2 ** (attempt - 2)), config.backoff_max
@@ -630,7 +546,7 @@ def _execute_serial(
             )
             if sweep.retry_heap:
                 _, _, retry_task, retry_attempt = heapq.heappop(sweep.retry_heap)
-                pending.append((retry_task, retry_attempt))
+                sweep.queue.append((retry_task, retry_attempt))
         else:
             sweep.record_success(
                 task, stats, time.perf_counter() - started, os.getpid()
@@ -639,7 +555,7 @@ def _execute_serial(
 
 
 def _execute_parallel(
-    tasks: list[ShardTask], config: SchedulerConfig, runner
+    tasks: list[Task], config: SchedulerConfig, runner
 ) -> _Sweep:
     """The fork-pool event loop: assign, wait, reap, retry, respawn."""
     import multiprocessing
@@ -655,7 +571,7 @@ def _execute_parallel(
         while not sweep.done():
             for worker in workers:
                 if worker.task is None:
-                    assignment = sweep.next_assignment(worker.index)
+                    assignment = sweep.next_assignment(worker.traces)
                     if assignment is not None:
                         task, attempt = assignment
                         worker.assign(task, attempt, config.task_timeout)
@@ -727,16 +643,15 @@ def _execute_parallel(
 # -- the grid entry point ----------------------------------------------------
 
 
-def build_shard_tasks(
+def build_tasks(
     designs: list[Design],
     params_by_design: dict[str, CoreParams],
     warmup_fraction: float,
     scale: str,
-    shards: int,
     specs=None,
     skip: set[tuple[str, str]] | None = None,
-) -> list[ShardTask]:
-    """The full (spec x design x shard) task list for a sweep."""
+) -> list[Task]:
+    """The full (spec x design) task list for a sweep."""
     specs = list(build_suite(scale) if specs is None else specs)
     skip = skip or set()
     use_disk = diskcache.disk_cache_enabled()
@@ -746,37 +661,22 @@ def build_shard_tasks(
         for spec in specs:
             if (spec.name, design.key) in skip:
                 continue
-            for shard_index, (start, stop) in enumerate(
-                shard_bounds(spec.n_events, warmup_fraction, shards)
-            ):
-                disk_key = None
-                if use_disk:
-                    disk_key = diskcache.shard_result_key(
-                        spec.name,
-                        scale,
-                        design.key,
-                        params,
-                        warmup_fraction,
-                        start,
-                        stop,
-                        spec.n_events,
-                        spec=spec,
-                    )
-                tasks.append(
-                    ShardTask(
-                        trace_name=spec.name,
-                        scale=scale,
-                        design_key=design.key,
-                        params=params,
-                        warmup_fraction=warmup_fraction,
-                        shard_index=shard_index,
-                        n_shards=shards,
-                        start=start,
-                        stop=stop,
-                        n_events=spec.n_events,
-                        disk_key=disk_key,
-                    )
+            disk_key = None
+            if use_disk:
+                disk_key = diskcache.result_key(
+                    spec.name, scale, design.key, params, warmup_fraction,
+                    spec=spec,
                 )
+            tasks.append(
+                Task(
+                    trace_name=spec.name,
+                    scale=scale,
+                    design_key=design.key,
+                    params=params,
+                    warmup_fraction=warmup_fraction,
+                    disk_key=disk_key,
+                )
+            )
     return tasks
 
 
@@ -790,7 +690,7 @@ def run_grid(
     skip: set[tuple[str, str]] | None = None,
     runner=None,
 ) -> ScheduleReport:
-    """Run a (specs x designs) grid through the shard scheduler.
+    """Run a (specs x designs) grid through the scheduler.
 
     Args:
         designs: the designs to sweep (must have distinct keys).
@@ -801,8 +701,8 @@ def run_grid(
             tests pass runners that raise, sleep, or count executions.
             Signature ``runner(task, attempt) -> FrontendStats``.
 
-    Returns a :class:`ScheduleReport`; failed groups are absent from
-    ``report.merged`` and listed in ``report.failures``.
+    Returns a :class:`ScheduleReport`; failed pairs are absent from
+    ``report.results`` and listed in ``report.failures``.
     """
     scale = scale or current_scale()
     config = config or resolve_config()
@@ -810,14 +710,8 @@ def run_grid(
     runner = runner or _default_runner
     for design in designs:
         _TASK_DESIGNS[design.key] = design
-    tasks = build_shard_tasks(
-        designs,
-        params_by_design,
-        warmup_fraction,
-        scale,
-        max(1, config.shards),
-        specs=specs,
-        skip=skip,
+    tasks = build_tasks(
+        designs, params_by_design, warmup_fraction, scale, specs=specs, skip=skip
     )
     report = ScheduleReport()
     if not tasks:
@@ -830,9 +724,9 @@ def run_grid(
     for name in dict.fromkeys(task.trace_name for task in tasks):
         get_trace(name, scale)
 
-    # Resume: shards already in the disk cache never reach a worker.
+    # Resume: pairs already in the disk cache never reach a worker.
     pending = []
-    preloaded: list[tuple[ShardTask, FrontendStats]] = []
+    preloaded: list[tuple[Task, FrontendStats]] = []
     for task in tasks:
         cached = (
             diskcache.load_result(task.disk_key)
@@ -851,7 +745,6 @@ def run_grid(
         tasks=len(tasks),
         resumed=len(preloaded),
         workers=config.workers if use_fork else 1,
-        shards=config.shards,
         scale=scale,
     ):
         if use_fork and pending:
@@ -869,47 +762,11 @@ def run_grid(
         tasks=len(tasks),
         resumed=len(preloaded),
         workers=config.workers if use_fork else 1,
-        shards=config.shards,
         scale=scale,
         failures=len(sweep.failures),
     )
-
-    report.shard_results = sweep.results
+    report.results = sweep.results
+    report.group_seconds = sweep.seconds
     report.failures = sweep.failures
     report.counters = sweep.counters
-
-    # Merge complete groups and persist them under the unsharded key so
-    # a future unsharded run of the same grid disk-hits immediately.
-    groups: dict[tuple[str, str], list[ShardTask]] = {}
-    for task in tasks:
-        groups.setdefault(task.group, []).append(task)
-    for group_key, group_tasks in groups.items():
-        parts: list[FrontendStats] = []
-        complete = True
-        seconds = 0.0
-        for task in sorted(group_tasks, key=lambda t: t.shard_index):
-            stats = sweep.results.get(
-                (task.trace_name, task.design_key, task.shard_index)
-            )
-            if stats is None:
-                complete = False
-                break
-            parts.append(stats)
-            seconds += sweep.task_seconds.get(task.task_id, 0.0)
-        if not complete:
-            continue
-        merged = FrontendStats.merge(parts)
-        report.merged[group_key] = merged
-        report.group_seconds[group_key] = seconds
-        if diskcache.disk_cache_enabled():
-            trace_name, design_key = group_key
-            spec = suite_spec(trace_name, scale)
-            params = params_by_design.get(design_key, ICELAKE)
-            diskcache.store_result(
-                diskcache.result_key(
-                    trace_name, scale, design_key, params, warmup_fraction,
-                    spec=spec,
-                ),
-                merged,
-            )
     return report

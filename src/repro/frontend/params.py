@@ -121,8 +121,8 @@ class CoreParams:
         overlapped ICache-miss cost and the default half-queue refill
         shadow), so ``lcm(2 * fetch_width, commit_width)`` ticks per
         cycle represents all of them exactly as integers.  Integer sums
-        are associative, which is what makes sharded runs mergeable
-        bit-for-bit (:meth:`repro.frontend.stats.FrontendStats.merge`).
+        are associative, which is what lets the per-event and columnar
+        engines agree bit for bit whatever order they sum in.
         """
         return math.lcm(2 * self.fetch_width, self.commit_width)
 

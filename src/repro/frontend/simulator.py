@@ -30,7 +30,6 @@ not modelled (a second-order effect the paper notes qualitatively).
 from __future__ import annotations
 
 import time
-from itertools import islice
 
 from repro.branch.direction import (
     DirectionPredictor,
@@ -130,7 +129,6 @@ class FrontendSimulator:
         self,
         trace: Trace,
         warmup_fraction: float = 0.25,
-        measure_range: tuple[int, int] | None = None,
     ) -> FrontendStats:
         """Simulate ``trace``; collect statistics after the warmup prefix.
 
@@ -146,29 +144,9 @@ class FrontendSimulator:
         *general* per-event engine that handles every configuration
         (ITTAGE, wrong-path modelling, custom predictors, literature BTB
         families, armed sanitizer, reused simulators).
-
-        Args:
-            measure_range: simulate one *shard* of the trace -- replay
-                events ``[0, start)`` for state warmup only, account
-                events ``[start, stop)``, and stop at ``stop``.  Because
-                measuring never feeds back into microarchitectural
-                state, summing the shard stats of a partitioned run with
-                :meth:`FrontendStats.merge` reproduces the unsharded
-                result exactly.  Overrides ``warmup_fraction``.  A shard
-                run is one-shot: post-run structure state is not
-                meaningful (the vector engine skips its end-of-trace
-                state adoption) and a subsequent ``run`` falls back to
-                the general engine like any reused simulator.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if measure_range is not None:
-            start, stop = measure_range
-            if not 0 <= start <= stop <= len(trace):
-                raise ValueError(
-                    f"measure_range {measure_range!r} out of bounds for "
-                    f"{len(trace)} events"
-                )
         engine = self.engine
         if engine == "auto":
             engine = "vector" if self._vector_path_applicable() else "general"
@@ -182,16 +160,15 @@ class FrontendSimulator:
         if engine == "vector":
             from repro.frontend.vector import run_vector
 
-            stats = run_vector(self, trace, warmup_fraction, measure_range)
+            stats = run_vector(self, trace, warmup_fraction)
         else:
-            stats = self._run_general(trace, warmup_fraction, measure_range)
+            stats = self._run_general(trace, warmup_fraction)
         elapsed = time.perf_counter() - started
         # Engine telemetry rides on the stats object as plain instance
         # attributes (not dataclass fields, so digests/to_dict stay
         # unchanged): which tier ran and its raw event throughput.
-        processed = len(trace) if measure_range is None else measure_range[1]
         stats.engine = engine
-        stats.events_per_sec = processed / elapsed if elapsed > 0 else 0.0
+        stats.events_per_sec = len(trace) / elapsed if elapsed > 0 else 0.0
         self._has_run = True
         registry = get_registry()
         if registry.enabled:
@@ -235,27 +212,17 @@ class FrontendSimulator:
             and vector_supported(self.btb)
         )
 
-    def _run_general(
-        self,
-        trace: Trace,
-        warmup_fraction: float,
-        measure_range: tuple[int, int] | None = None,
-    ) -> FrontendStats:
+    def _run_general(self, trace: Trace, warmup_fraction: float) -> FrontendStats:
         """Reference per-event engine (every configuration).
 
         All cycle quantities are integer *ticks* of ``1 / cycle_tick``
-        cycles (see :class:`FrontendStats`): exact, associative, and
-        therefore shard-mergeable.  The float buckets are derived once
-        at the end.
+        cycles (see :class:`FrontendStats`), so both engines sum them
+        exactly in any order.  The float buckets are derived once at the
+        end.
         """
         params = self.params
         stats = FrontendStats()
-        n_events = len(trace)
-        if measure_range is None:
-            warm_limit = int(n_events * warmup_fraction)
-            stop = n_events
-        else:
-            warm_limit, stop = measure_range
+        warm_limit = int(len(trace) * warmup_fraction)
         tick = params.cycle_tick
         slack = 0
         slack_max = exact_ticks(params.max_slack_cycles, tick)
@@ -283,8 +250,8 @@ class FrontendSimulator:
         icache_touch = self.icache.touch_range
         returns_use_ras = self.returns_use_ras
 
-        for index, (pc, kind_value, taken, target, gap) in islice(
-            enumerate(trace.events()), stop
+        for index, (pc, kind_value, taken, target, gap) in enumerate(
+            trace.events()
         ):
             if not measuring and index >= warm_limit:
                 measuring = True

@@ -9,17 +9,16 @@ Cycle buckets are carried twice: as floats (the reporting surface every
 figure reads) and as exact integer *ticks* of ``1 / cycle_tick`` cycles
 (``CoreParams.cycle_tick``).  The engines accumulate in ticks and derive
 each float with a single division, so the floats are a pure function of
-the tick totals.  Because integer addition is associative, per-shard
-stats from a partitioned run can be summed in :meth:`FrontendStats.merge`
-and reproduce the unsharded floats bit for bit -- something float
+the tick totals.  Because integer addition is associative, the per-event
+general engine and the columnar vector engine (which sums whole numpy
+columns) reach the same floats bit for bit -- something float
 accumulation cannot do (``commit_width=5`` makes per-event demand
-non-dyadic, so float sums are partition-order-dependent).
+non-dyadic, so float sums depend on summation order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterable
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -47,7 +46,7 @@ class FrontendStats:
     extra_latency_lookups: int = 0
     # Exact integer mirrors of the cycle buckets, in units of
     # ``1 / cycle_tick`` cycles (0 = this stats object predates tick
-    # accounting or was built by hand; such stats cannot be merged).
+    # accounting or was built by hand).
     cycle_tick: int = 0
     cycles_ticks: int = 0
     base_cycles_ticks: int = 0
@@ -55,65 +54,6 @@ class FrontendStats:
     btb_bubble_ticks: int = 0
     btb_resteer_ticks: int = 0
     bad_speculation_ticks: int = 0
-
-    #: (float bucket, integer tick mirror) pairs kept in lockstep.
-    _TICK_FIELDS = (
-        ("cycles", "cycles_ticks"),
-        ("base_cycles", "base_cycles_ticks"),
-        ("icache_stall_cycles", "icache_stall_ticks"),
-        ("btb_bubble_cycles", "btb_bubble_ticks"),
-        ("btb_resteer_cycles", "btb_resteer_ticks"),
-        ("bad_speculation_cycles", "bad_speculation_ticks"),
-    )
-
-    #: Event counters summed field-wise by :meth:`merge`.
-    _COUNT_FIELDS = (
-        "instructions",
-        "branches",
-        "taken_branches",
-        "btb_misses",
-        "decode_resteers",
-        "execute_resteers",
-        "direction_mispredicts",
-        "indirect_mispredicts",
-        "ras_mispredicts",
-        "icache_misses",
-        "extra_latency_lookups",
-    )
-
-    @classmethod
-    def merge(cls, parts: Iterable["FrontendStats"]) -> "FrontendStats":
-        """Exactly combine per-shard stats into the unsharded result.
-
-        Integer event counters and tick totals are summed; the float
-        cycle buckets are then derived from the merged ticks with the
-        same single division the engines use, so a merge over *any*
-        partitioning of a run is bit-identical to the unsharded run.
-
-        Raises ``ValueError`` on empty input, on stats that carry no
-        tick information (``cycle_tick == 0``: hand-built or pre-tick
-        stats have no exact representation to merge), or on parts with
-        mismatched tick denominators (different core geometries).
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("cannot merge zero stats shards")
-        tick = parts[0].cycle_tick
-        if tick <= 0:
-            raise ValueError("stats without tick accounting cannot be merged exactly")
-        for part in parts:
-            if part.cycle_tick != tick:
-                raise ValueError(
-                    f"mismatched cycle_tick in merge: {part.cycle_tick} != {tick}"
-                )
-        merged = cls(cycle_tick=tick)
-        for name in cls._COUNT_FIELDS:
-            setattr(merged, name, sum(getattr(part, name) for part in parts))
-        for float_name, tick_name in cls._TICK_FIELDS:
-            total = sum(getattr(part, tick_name) for part in parts)
-            setattr(merged, tick_name, total)
-            setattr(merged, float_name, total / tick)
-        return merged
 
     def set_cycle_buckets(
         self,
@@ -129,8 +69,7 @@ class FrontendStats:
 
         Every engine finishes a run through this method, so the float
         buckets are always ``ticks / cycle_tick`` -- one correctly-
-        rounded division per bucket, reproduced exactly by
-        :meth:`merge` from the summed shard ticks.
+        rounded division per bucket.
         """
         self.cycle_tick = cycle_tick
         self.cycles_ticks = cycles_ticks

@@ -32,7 +32,7 @@ over the measured range, exactly as the scalar engines do.
 
 The RAS is replayed once per ``(returns_use_ras, depth)`` by the decoded
 trace (like ICache and direction), which is why the vector tier requires
-a pristine stack; full runs adopt the replayed final state.
+a pristine stack; every run adopts the replayed final state.
 """
 
 from __future__ import annotations
@@ -53,14 +53,13 @@ CHUNK_MAX = 16384
 _KIND_NAMES = [BranchKind(value).name for value in range(len(BranchKind))]
 
 
-def run_vector(sim, trace, warmup_fraction, measure_range=None):
+def run_vector(sim, trace, warmup_fraction):
     """Run one simulation on the vector engine; returns FrontendStats.
 
     ``sim`` is the :class:`FrontendSimulator` (the caller has already
     checked ``_vector_path_applicable``); semantics mirror the general
-    engine exactly, including warm-crossing stats resets and shard
-    measure ranges.  Full runs also adopt the replayed end-of-trace
-    structure state.
+    engine exactly, including the warm-crossing stats reset.  The
+    simulator also adopts the replayed end-of-trace structure state.
     """
     from repro.frontend.simulator import _OVERLAPPED_MISS_CYCLES, _REFILL_WINDOW
 
@@ -68,11 +67,7 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
     btb = sim.btb
     decoded = trace.decoded()
     n_events = decoded.n_events
-    if measure_range is None:
-        warm_limit = int(n_events * warmup_fraction)
-        stop = n_events
-    else:
-        warm_limit, stop = measure_range
+    warm_limit = int(n_events * warmup_fraction)
     tick = params.cycle_tick
     supply_col, demand_col = decoded.supply_demand_arrays(
         tick // params.fetch_width, tick // params.commit_width
@@ -89,20 +84,20 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
     ras_ok, ras_final = decoded.ras_outcomes(sim.returns_use_ras, sim.ras.depth)
 
     cols = decoded.vector_columns()
-    taken_col = cols["taken"]
-    targets_col = cols["targets"]
+    taken = cols["taken"]
+    target = cols["targets"]
     kinds_col = cols["kinds"]
     is_indirect_col = cols["is_indirect"]
     is_return_col = cols["is_return"]
     instructions_col = cols["instructions"]
 
     ops = make_vector_ops(btb, trace, sim.returns_use_ras)
-    active_col = ops.active
+    act = ops.active
 
     # ---- phase 1: BTB pass --------------------------------------------
-    lt = np.full(stop, NO_TARGET, dtype=np.int64)
-    lh = np.zeros(stop, dtype=np.bool_)
-    lat = np.ones(stop, dtype=np.int64)
+    lt = np.full(n_events, NO_TARGET, dtype=np.int64)
+    lh = np.zeros(n_events, dtype=np.bool_)
+    lat = np.ones(n_events, dtype=np.int64)
 
     observe = btb.observe_fast
     pcs_list = trace.pcs
@@ -112,18 +107,18 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
     same_page_list = decoded.same_page
     is_indirect_list = decoded.is_indirect
 
-    reset_pending = 0 < warm_limit < stop
+    reset_pending = 0 < warm_limit < n_events
     chunk = CHUNK_START
     i = 0
     ops.begin()
     try:
-        while i < stop:
+        while i < n_events:
             if reset_pending and i == warm_limit:
                 btb.reset_stats()
                 reset_pending = False
             hi = i + chunk
-            if hi > stop:
-                hi = stop
+            if hi > n_events:
+                hi = n_events
             if reset_pending and hi > warm_limit:
                 # Force a block break on the warm crossing so the stats
                 # reset lands between events, as in the scalar engines.
@@ -180,36 +175,33 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
         ops.end()
 
     # ---- phase 2: outcomes, penalties, timing -------------------------
-    act = active_col[:stop]
-    taken = taken_col[:stop]
-    target = targets_col[:stop]
     taken_active = act & taken
     btb_missed = taken_active & (lt != target)
-    dir_mis = act & ~dir_ok[:stop]
-    ras_mis = ~ras_ok[:stop]
-    exec_like = is_indirect_col[:stop] | is_return_col[:stop]
+    dir_mis = act & ~dir_ok
+    ras_mis = ~ras_ok
+    exec_like = is_indirect_col | is_return_col
     dir_ok_act = act & ~dir_mis
     exec_pen = ras_mis | dir_mis | (dir_ok_act & btb_missed & exec_like)
     dec_pen = dir_ok_act & btb_missed & ~exec_like
-    ind_mis = dir_ok_act & btb_missed & is_indirect_col[:stop]
+    ind_mis = dir_ok_act & btb_missed & is_indirect_col
     bubble_mask = dir_ok_act & ~btb_missed & taken & (lat > 1)
     bubble_ticks = np.where(bubble_mask, (lat - 1) * tick, 0)
     has_pen = exec_pen | dec_pen
 
     # ICache refill window: a miss is a demand (full-latency) miss when
     # the last penalty lies at most _REFILL_WINDOW events back.
-    index_arr = np.arange(stop, dtype=np.int64)
+    index_arr = np.arange(n_events, dtype=np.int64)
     sentinel = np.int64(-(_REFILL_WINDOW + 1))
     pen_pos = np.where(has_pen, index_arr, sentinel)
-    last_pen = np.empty(stop, dtype=np.int64)
-    if stop:
+    last_pen = np.empty(n_events, dtype=np.int64)
+    if n_events:
         np.maximum.accumulate(pen_pos, out=pen_pos)
         last_pen[0] = sentinel
         last_pen[1:] = pen_pos[:-1]
     in_refill = (index_arr - last_pen) <= _REFILL_WINDOW
     miss_ticks = params.icache_miss_cycles * tick
     overlap_ticks = exact_ticks(_OVERLAPPED_MISS_CYCLES, tick)
-    icache_cost = icache_col[:stop] * np.where(in_refill, miss_ticks, overlap_ticks)
+    icache_cost = icache_col * np.where(in_refill, miss_ticks, overlap_ticks)
 
     refill_shadow = exact_ticks(params.resteer_refill_cycles, tick)
     decode_penalty = params.decode_resteer_cycles * tick + refill_shadow
@@ -221,11 +213,9 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
     # unless an ICache charge or lookup bubble intervenes), and clipped
     # accumulation of non-negative gains equals clipping the prefix sum
     # once, so the walk only visits penalties and d < 0 events.
-    demand = demand_col[:stop]
-    d_arr = demand - supply_col[:stop] - icache_cost - bubble_ticks
+    d_arr = demand_col - supply_col - icache_cost - bubble_ticks
     interesting = np.flatnonzero(has_pen | (d_arr < 0))
     prefix = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(d_arr)))
-    measured_start = warm_limit if warm_limit < stop else stop
     slack = 0
     overrun_total = 0
     icache_stall_ticks = 0
@@ -245,7 +235,7 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
         x = slack + d_k
         if x < 0:
             slack = 0
-            if event_at[k] >= measured_start:
+            if event_at[k] >= warm_limit:
                 overrun = -x
                 overrun_total += overrun
                 ic = icache_at[k]
@@ -263,10 +253,10 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
         gap_base = prefix_at[k] + d_k
 
     # ---- measured-range accounting ------------------------------------
-    m = slice(measured_start, stop)
+    m = slice(warm_limit, n_events)
     decode_resteers = int(np.count_nonzero(dec_pen[m]))
     execute_resteers = int(np.count_nonzero(exec_pen[m]))
-    demand_measured = int(demand[m].sum())
+    demand_measured = int(demand_col[m].sum())
     cycles_ticks = (
         demand_measured
         + overrun_total
@@ -276,7 +266,7 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
 
     stats = FrontendStats(
         instructions=int(instructions_col[m].sum()),
-        branches=stop - measured_start,
+        branches=n_events - warm_limit,
         taken_branches=int(np.count_nonzero(taken[m])),
         btb_misses=int(np.count_nonzero(btb_missed[m])),
         decode_resteers=decode_resteers,
@@ -307,7 +297,7 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
     btb_stats.misses += int(np.count_nonzero(misses_m))
     btb_stats.wrong_target += int(np.count_nonzero(misses_m & lh[m]))
     kind_counts = np.bincount(
-        kinds_col[:stop][m][misses_m], minlength=len(_KIND_NAMES)
+        kinds_col[m][misses_m], minlength=len(_KIND_NAMES)
     )
     misses_by_kind = btb_stats.misses_by_kind
     for kind_value, count in enumerate(kind_counts.tolist()):
@@ -315,12 +305,10 @@ def run_vector(sim, trace, warmup_fraction, measure_range=None):
             name = _KIND_NAMES[kind_value]
             misses_by_kind[name] = misses_by_kind.get(name, 0) + count
 
-    # Adopt replayed end-of-trace structure state on full runs so post-run
-    # inspection matches a live run (shard runs are one-shot and leave
-    # the structures untouched).
-    if stop == n_events:
-        sim.icache = icache_final.clone()
-        if direction_final is not None:
-            sim.direction = direction_final.clone()
-        sim.ras = ras_final.clone()
+    # Adopt replayed end-of-trace structure state so post-run inspection
+    # matches a live run.
+    sim.icache = icache_final.clone()
+    if direction_final is not None:
+        sim.direction = direction_final.clone()
+    sim.ras = ras_final.clone()
     return stats

@@ -28,7 +28,7 @@ Design constraints (matching ``repro.obs.metrics``):
 Correlation ids travel two ways: explicitly (``emit(..., rid=...)``
 where the caller knows the request) and via **context binding**
 (:func:`bind_rids`), which lets deep layers -- the harness, the disk
-cache, the shard scheduler -- tag their events with the requests of the
+cache, the sweep scheduler -- tag their events with the requests of the
 batch currently executing on their thread without threading ids through
 every call signature.
 """

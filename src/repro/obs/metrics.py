@@ -17,8 +17,8 @@ cache hits, fork-pool worker seconds, ...).  Design constraints:
 
 Naming scheme (documented in README "Observability"): snake_case with a
 subsystem prefix (``frontend_``, ``btb_``, ``pdede_``, ``icache_``,
-``ras_``, ``harness_``, ``scheduler_`` for the shard scheduler's
-retry/timeout/steal counters and shard-latency histogram);
+``ras_``, ``harness_``, ``scheduler_`` for the sweep scheduler's
+retry/timeout counters and task-latency histogram);
 monotonically increasing counts end in ``_total``; point-in-time values
 (occupancies, ratios) are gauges.  Series are distinguished by labels
 (``app=``, ``design=``, ``kind=``, ``outcome=``).

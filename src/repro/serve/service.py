@@ -28,7 +28,7 @@ Request lifecycle (``POST /v1/simulate``):
    others await its published result; a store outage degrades to local
    compute (outcome ``"local"``, ``store_degraded`` event,
    ``serve_store_errors_total`` metric) -- never a wrong answer, never
-   a lost request.  The shard scheduler is for batch sweeps only;
+   a lost request.  The sweep scheduler is for batch sweeps only;
    ``REPRO_SCHED_*`` does not change how serve executes.
 5. **response** -- the body is the canonical JSON of
    ``FrontendStats.to_dict()`` (byte-identical to a direct

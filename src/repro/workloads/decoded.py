@@ -183,7 +183,7 @@ class DecodedTrace:
         ``cycle_tick // commit_width`` (exact by construction of
         :attr:`repro.frontend.params.CoreParams.cycle_tick`), so the
         vectorised int64 multiply is exact -- bit-identical to the
-        per-event Python multiply and associative under sharded
+        per-event Python multiply and associative under column
         summation.
         """
         key = (fetch_tick, commit_tick)

@@ -36,8 +36,8 @@ def _hermetic_env(tmp_path, monkeypatch):
     own knobs simply ``monkeypatch.setenv`` over this.
 
     CI jobs that intentionally run the suite under ambient knobs (the
-    parallel-suite job exports ``REPRO_SCHED_WORKERS``/``_SHARDS``) list
-    them in ``REPRO_TEST_KEEP_ENV`` (comma-separated) to exempt them.
+    parallel-suite job exports ``REPRO_SCHED_WORKERS``) list them in
+    ``REPRO_TEST_KEEP_ENV`` (comma-separated) to exempt them.
     """
     keep = {
         name.strip()

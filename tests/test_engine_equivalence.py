@@ -293,11 +293,12 @@ def test_fuzz_sweep_is_deterministic():
 # vector must refuse, and the general engine must still match the frozen
 # seed referee exactly.
 
-from repro.experiments.designs import micro_btb_design, shadow_design
+from repro.experiments.designs import ghrp_design, micro_btb_design, shadow_design
 
 
 def _literature_designs():
     return {
+        "ghrp": ghrp_design(),
         "micro-btb": micro_btb_design(),
         "shadow-baseline": shadow_design("baseline"),
         "shadow-pdede": shadow_design("pdede"),

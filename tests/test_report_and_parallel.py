@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import PDedeMode
 from repro.experiments.designs import baseline_design, pdede_design
-from repro.experiments.harness import clear_cache, run_suite
+from repro.experiments.harness import clear_cache, engine_mix, run_suite
 
 
 def test_parallel_run_suite_matches_serial():
@@ -16,12 +16,18 @@ def test_parallel_run_suite_matches_serial():
     baseline = baseline_design()
     clear_cache()
     serial = run_suite(design, baseline, scale="tiny")
+    serial_mix = engine_mix()
     clear_cache()
     parallel = run_suite(design, baseline, scale="tiny", workers=2)
     assert serial.per_app.keys() == parallel.per_app.keys()
     for app in serial.per_app:
         assert serial.per_app[app].cycles == parallel.per_app[app].cycles
         assert serial.per_app[app].btb_misses == parallel.per_app[app].btb_misses
+    # Engine telemetry survives the worker pipe: the report's appendix
+    # shows the same engines and run counts under --workers.
+    assert {engine: row["runs"] for engine, row in engine_mix().items()} == {
+        engine: row["runs"] for engine, row in serial_mix.items()
+    }
     clear_cache()
 
 

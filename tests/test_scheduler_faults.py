@@ -1,10 +1,11 @@
-"""Fault tolerance of the shard scheduler.
+"""Fault tolerance of the sweep scheduler, pinned at the ``run_grid`` seam.
 
 Injected faults -- a runner that raises, a worker that sleeps past its
 deadline, a worker that dies outright, a corrupted disk-cache entry --
 must degrade a sweep (retries, then a structured failure in the report)
 rather than abort it, and a killed sweep must resume from the disk
-cache without re-simulating finished shards.
+cache without re-simulating finished (app, design) pairs.  Each fault
+targets one app of a small grid by the task's ``trace_name``.
 """
 
 from __future__ import annotations
@@ -14,20 +15,16 @@ import time
 
 import pytest
 
-from repro.experiments import diskcache
+from repro.experiments import diskcache, harness
 from repro.experiments import scheduler as sched
 from repro.experiments.designs import baseline_design, pdede_design
-from repro.experiments.scheduler import (
-    SchedulerConfig,
-    ShardTask,
-    build_shard_tasks,
-    drain_failures,
-    run_grid,
-)
+from repro.experiments.scheduler import SchedulerConfig, drain_failures, run_grid
+from repro.frontend.params import ICELAKE
 from repro.frontend.simulator import FrontendSimulator
 from repro.workloads.suite import build_suite, get_trace
 
 SCALE = "tiny"
+WARMUP = 0.3
 #: Fast retries so fault tests stay sub-second per backoff.
 FAST = dict(max_retries=2, backoff_base=0.01, backoff_max=0.05)
 
@@ -40,22 +37,33 @@ def _clean_session_failures():
 
 
 def _specs():
-    return build_suite(SCALE)[:1]
+    return build_suite(SCALE)[:3]
+
+
+def _victim() -> str:
+    """The app every injected fault targets (the middle of the grid)."""
+    return _specs()[1].name
 
 
 def _reference_stats(design, spec):
     btb, kwargs = design.build()
     simulator = FrontendSimulator(btb, **kwargs)
-    return simulator.run(get_trace(spec.name, SCALE), warmup_fraction=0.3)
+    return simulator.run(get_trace(spec.name, SCALE), warmup_fraction=WARMUP)
+
+
+def _assert_matches_reference(report, design, specs):
+    for spec in specs:
+        stats = report.results[(spec.name, design.key)]
+        assert stats.to_dict() == _reference_stats(design, spec).to_dict(), spec.name
 
 
 def test_raising_runner_is_retried_with_backoff():
     design = baseline_design()
-    spec = _specs()[0]
+    victim = _victim()
     attempts_seen = []
 
     def flaky(task, attempt):
-        if task.shard_index == 1 and attempt <= 2:
+        if task.trace_name == victim and attempt <= 2:
             attempts_seen.append(attempt)
             raise RuntimeError("injected")
         return sched._default_runner(task, attempt)
@@ -63,7 +71,7 @@ def test_raising_runner_is_retried_with_backoff():
     started = time.perf_counter()
     report = run_grid(
         [design], scale=SCALE, specs=_specs(), runner=flaky,
-        config=SchedulerConfig(workers=1, shards=3, **FAST),
+        config=SchedulerConfig(workers=1, **FAST),
     )
     elapsed = time.perf_counter() - started
     assert attempts_seen == [1, 2]
@@ -71,32 +79,33 @@ def test_raising_runner_is_retried_with_backoff():
     assert report.counters["failed"] == 0
     # Backoff actually waited: 0.01 + 0.02 of scheduled delay.
     assert elapsed >= 0.03
-    merged = report.merged[(spec.name, design.key)]
-    assert merged.to_dict() == _reference_stats(design, spec).to_dict()
+    _assert_matches_reference(report, design, _specs())
 
 
 def test_exhausted_retries_become_structured_failure():
     design = baseline_design()
-    spec = _specs()[0]
+    victim = _victim()
 
     def broken(task, attempt):
-        if task.shard_index == 0:
-            raise ValueError("permanently broken shard")
+        if task.trace_name == victim:
+            raise ValueError("permanently broken app")
         return sched._default_runner(task, attempt)
 
     report = run_grid(
         [design], scale=SCALE, specs=_specs(), runner=broken,
-        config=SchedulerConfig(workers=1, shards=3, **FAST),
+        config=SchedulerConfig(workers=1, **FAST),
     )
-    # The sweep completed: the other shards ran, nothing raised out.
+    # The sweep completed: the other apps ran, nothing raised out.
     assert report.counters["completed"] == 2
     assert report.counters["failed"] == 1
-    assert (spec.name, design.key) not in report.merged
+    assert set(report.results) == {
+        (spec.name, design.key) for spec in _specs() if spec.name != victim
+    }
     (failure,) = report.failures
+    assert failure.task_id == f"{victim}:{design.key}"
     assert failure.kind == "exception"
     assert failure.attempts == 3  # first try + max_retries
     assert "permanently broken" in failure.message
-    assert failure.shard_index == 0
     # The failure is on the session record for the report appendix.
     assert [f.task_id for f in drain_failures()] == [failure.task_id]
 
@@ -104,128 +113,135 @@ def test_exhausted_retries_become_structured_failure():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork not available")
 def test_worker_sleeping_past_timeout_is_killed_and_reported():
     design = baseline_design()
+    victim = _victim()
 
     def sleepy(task, attempt):
-        if task.shard_index == 2:
+        if task.trace_name == victim:
             time.sleep(60)
         return sched._default_runner(task, attempt)
 
     report = run_grid(
         [design], scale=SCALE, specs=_specs(), runner=sleepy,
         config=SchedulerConfig(
-            workers=2, shards=3, task_timeout=1.0, max_retries=1,
-            backoff_base=0.01,
+            workers=2, task_timeout=1.0, max_retries=1, backoff_base=0.01,
         ),
     )
     assert report.counters["timeouts"] == 2  # first try + one retry
     assert report.counters["failed"] == 1
     (failure,) = report.failures
     assert failure.kind == "timeout"
+    assert failure.trace_name == victim
     assert "1.0" in failure.message
-    # The non-faulty shards still completed.
+    # The other apps still completed.
     assert report.counters["completed"] == 2
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork not available")
 def test_dead_worker_is_respawned_and_task_retried():
     design = baseline_design()
-    spec = _specs()[0]
+    victim = _victim()
 
     def dying(task, attempt):
-        if task.shard_index == 1 and attempt == 1:
+        if task.trace_name == victim and attempt == 1:
             os._exit(13)
         return sched._default_runner(task, attempt)
 
     report = run_grid(
         [design], scale=SCALE, specs=_specs(), runner=dying,
-        config=SchedulerConfig(workers=2, shards=3, **FAST),
+        config=SchedulerConfig(workers=2, **FAST),
     )
     assert report.counters["crashes"] == 1
     assert report.counters["failed"] == 0
-    merged = report.merged[(spec.name, design.key)]
-    assert merged.to_dict() == _reference_stats(design, spec).to_dict()
+    _assert_matches_reference(report, design, _specs())
 
 
 def test_corrupted_disk_cache_entry_is_resimulated(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     design = baseline_design()
-    spec = _specs()[0]
-    config = SchedulerConfig(workers=1, shards=3, **FAST)
+    victim = _victim()
+    config = SchedulerConfig(workers=1, **FAST)
     report = run_grid([design], scale=SCALE, specs=_specs(), config=config)
     assert report.counters["fresh"] == 3
 
-    # Corrupt one shard's entry on disk, mid-sweep-sequence.
-    tasks = build_shard_tasks([design], {}, 0.3, SCALE, 3, specs=_specs())
-    victim = tasks[1]
-    path = diskcache._result_path(victim.disk_key)
+    # Corrupt one pair's entry, found through the harness's key function.
+    key = harness.result_store_key(victim, design.key, ICELAKE, WARMUP, SCALE)
+    path = diskcache._result_path(key)
     assert path.exists()
     path.write_text("{ not json")
 
-    executed: list[int] = []
+    executed: list[str] = []
 
     def counting(task, attempt):
-        executed.append(task.shard_index)
+        executed.append(task.trace_name)
         return sched._default_runner(task, attempt)
 
     report2 = run_grid(
         [design], scale=SCALE, specs=_specs(), config=config, runner=counting
     )
-    # Only the corrupted shard was re-simulated; the rest disk-hit.
-    assert executed == [victim.shard_index]
+    # Only the corrupted pair was re-simulated; the rest disk-hit.
+    assert executed == [victim]
     assert report2.counters["disk_hits"] == 2
     assert report2.counters["failed"] == 0
-    merged = report2.merged[(spec.name, design.key)]
-    assert merged.to_dict() == _reference_stats(design, spec).to_dict()
+    _assert_matches_reference(report2, design, _specs())
 
 
-def test_killed_sweep_resumes_without_resimulating_cached_shards(monkeypatch):
+def test_killed_sweep_resumes_without_resimulating_cached_pairs(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     design = pdede_design()
-    spec = _specs()[0]
-    config = SchedulerConfig(workers=1, shards=4, **FAST)
+    specs = _specs()
+    first_app = specs[0].name
+    config = SchedulerConfig(workers=1, **FAST)
 
-    # "Kill" the sweep after two shards: the runner aborts the process
-    # loop by raising through max_retries on every later shard.
+    # "Kill" the sweep after the first app: every later task raises
+    # through max_retries, so only the first pair reaches the disk.
     class Killed(Exception):
         pass
 
     def dies_midway(task, attempt):
-        if task.shard_index >= 2:
+        if task.trace_name != first_app:
             raise Killed("sweep killed")
         return sched._default_runner(task, attempt)
 
     first = run_grid(
-        [design], scale=SCALE, specs=_specs(), config=config, runner=dies_midway
+        [design], scale=SCALE, specs=specs, config=config, runner=dies_midway
     )
-    assert first.counters["fresh"] == 2 and first.counters["failed"] == 2
+    assert first.counters["fresh"] == 1 and first.counters["failed"] == 2
     drain_failures()
 
-    executed: list[int] = []
+    executed: list[str] = []
 
     def counting(task, attempt):
-        executed.append(task.shard_index)
+        executed.append(task.trace_name)
         return sched._default_runner(task, attempt)
 
     resumed = run_grid(
-        [design], scale=SCALE, specs=_specs(), config=config, runner=counting
+        [design], scale=SCALE, specs=specs, config=config, runner=counting
     )
-    # Zero fresh re-simulation of already-cached shards: only the two
-    # shards the first run never finished execute now.
-    assert sorted(executed) == [2, 3]
-    assert resumed.counters["disk_hits"] == 2
+    # Zero fresh re-simulation of the cached pair: only the two pairs
+    # the first run never finished execute now.
+    assert sorted(executed) == sorted(spec.name for spec in specs[1:])
+    assert resumed.counters["disk_hits"] == 1
     assert resumed.counters["fresh"] == 2
-    merged = resumed.merged[(spec.name, design.key)]
-    assert merged.to_dict() == _reference_stats(design, spec).to_dict()
+    _assert_matches_reference(resumed, design, specs)
 
-    # A third run re-simulates nothing at all: the merged group was also
-    # stored under the unsharded key, and every shard is cached.
+    # A third run re-simulates nothing at all.
     executed.clear()
     third = run_grid(
-        [design], scale=SCALE, specs=_specs(), config=config, runner=counting
+        [design], scale=SCALE, specs=specs, config=config, runner=counting
     )
     assert executed == []
-    assert third.counters["disk_hits"] == 4
-    assert third.merged[(spec.name, design.key)].to_dict() == merged.to_dict()
+    assert third.counters["disk_hits"] == 3
+    assert third.results == resumed.results
+
+    # The scheduler stored each pair under the harness's own key, so a
+    # later serial run_design disk-hits instead of simulating.
+    harness.clear_cache()
+    diskcache.reset_disk_telemetry()
+    stats = harness.run_design(specs[1].name, design, scale=SCALE)
+    assert stats == resumed.results[(specs[1].name, design.key)]
+    assert diskcache.disk_cache_info()["result_hits"] == 1
+    assert harness.engine_mix() == {}
+    harness.clear_cache()
 
 
 def test_grid_with_multiple_designs_merges_every_group():
@@ -233,23 +249,9 @@ def test_grid_with_multiple_designs_merges_every_group():
     specs = _specs()
     report = run_grid(
         designs, scale=SCALE, specs=specs,
-        config=SchedulerConfig(workers=1, shards=2, **FAST),
+        config=SchedulerConfig(workers=1, **FAST),
     )
-    assert set(report.merged) == {
+    assert set(report.results) == {
         (spec.name, design.key) for spec in specs for design in designs
     }
     assert not report.failures
-
-
-def test_shard_task_ids_and_grouping():
-    tasks = build_shard_tasks(
-        [baseline_design()], {}, 0.3, SCALE, 3, specs=_specs()
-    )
-    assert len(tasks) == 3
-    assert [t.task_id for t in tasks] == [
-        f"{tasks[0].trace_name}:{tasks[0].design_key}:{i + 1}/3" for i in range(3)
-    ]
-    assert len({t.group for t in tasks}) == 1
-    assert all(isinstance(t, ShardTask) for t in tasks)
-    assert tasks[0].start == int(tasks[0].n_events * 0.3)
-    assert tasks[-1].stop == tasks[0].n_events

@@ -135,7 +135,7 @@ def test_serve_ignores_sched_env_byte_identical(monkeypatch):
     """Cold suite batches always simulate in-process through the
     harness: REPRO_SCHED_* configures batch sweeps, not serve, so the
     bytes match a direct harness caller with or without it and the
-    shard scheduler never sees a task."""
+    sweep scheduler never sees a task."""
     pairs = [(APP, design) for design in DESIGNS]
     expected = _expected_payloads(pairs)
 
@@ -156,7 +156,6 @@ def test_serve_ignores_sched_env_byte_identical(monkeypatch):
 
     plain_bodies = _collect()
     monkeypatch.setenv("REPRO_SCHED_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SCHED_SHARDS", "2")
     sched_bodies = _collect()
     for (app, design), plain, sched in zip(pairs, plain_bodies, sched_bodies):
         assert plain == sched == expected[(app, design)], (app, design)

@@ -3,8 +3,8 @@
 The chunked replay loop has three delicate spots: a boundary landing on
 the first or last lane of a chunk (the clean-prefix commit is empty or
 the truncated tail is), back-to-back boundaries (consecutive replays
-with no vector commit between them), and a shard's ``measure_range``
-edge falling *inside* a replayed segment.  These tests pin each against
+with no vector commit between them), and the warm crossing falling
+*inside* a replayed segment.  These tests pin each against
 the frozen seed referee, shrinking the chunk constants so every block
 geometry actually occurs on a short trace.
 """
@@ -17,7 +17,6 @@ from repro.experiments.designs import standard_designs, with_ittage
 from repro.frontend import vector as vector_mod
 from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
 from repro.frontend.simulator import FrontendSimulator
-from repro.frontend.stats import FrontendStats
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import get_trace
@@ -53,13 +52,13 @@ def _dense_miss_trace(n_events: int = 900, seed: int = 7) -> object:
     return generate_trace(spec)
 
 
-def _stats_pair(design, trace, engine="vector", **run_kwargs):
+def _stats_pair(design, trace, warmup=WARMUP):
     btb, kwargs = design.build()
-    simulator = FrontendSimulator(btb, engine=engine, **kwargs)
-    stats = simulator.run(trace, warmup_fraction=WARMUP, **run_kwargs)
+    simulator = FrontendSimulator(btb, engine="vector", **kwargs)
+    stats = simulator.run(trace, warmup_fraction=warmup)
     seed_btb, seed_kwargs = design.build()
     reference = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)
-    seed_stats = reference.run(trace, warmup_fraction=WARMUP)
+    seed_stats = reference.run(trace, warmup_fraction=warmup)
     return stats, seed_stats
 
 
@@ -101,42 +100,20 @@ def test_growth_and_shrink_across_resteer_clusters(monkeypatch):
     assert stats.to_dict() == seed_stats.to_dict()
 
 
-@pytest.mark.parametrize(
-    "bounds", [(0, 117), (117, 800), (800, 900), (0, 900), (449, 451)]
-)
-def test_measure_range_edges_inside_replayed_segments(monkeypatch, bounds):
-    # Shard edges at awkward offsets land inside replay clusters; the
-    # shard must account exactly the events the seed engine would have
-    # accounted over the same window.  Sharding the whole trace and
-    # merging reproduces the unsharded seed run bit for bit.
+@pytest.mark.parametrize("warm_events", [1, 117, 449, 800, 899])
+@pytest.mark.parametrize("key", ["pdede-default", "pdede-multi-target"])
+def test_warm_crossing_inside_replayed_segments(monkeypatch, key, warm_events):
+    # Warm crossings at awkward offsets -- the first event, the last
+    # event, and points inside dense replay clusters -- force a block
+    # break and a stats reset mid-cluster; the measured region must
+    # account exactly the events the seed engine accounts.
     monkeypatch.setattr(vector_mod, "CHUNK_START", 32)
     monkeypatch.setattr(vector_mod, "CHUNK_MIN", 8)
     trace = _dense_miss_trace()
-    design = standard_designs()["pdede-default"]
-
-    btb, kwargs = design.build()
-    vec = FrontendSimulator(btb, engine="vector", **kwargs)
-    shard = vec.run(trace, measure_range=bounds)
-    btb, kwargs = design.build()
-    general = FrontendSimulator(btb, engine="general", **kwargs)
-    general_shard = general.run(trace, measure_range=bounds)
-    assert shard.to_dict() == general_shard.to_dict()
-
-
-def test_sharded_vector_run_merges_to_seed_run():
-    trace = _dense_miss_trace()
-    design = standard_designs()["pdede-multi-target"]
-    cuts = [0, 117, 449, 800, len(trace)]
-    parts = []
-    for start, stop in zip(cuts, cuts[1:]):
-        btb, kwargs = design.build()
-        simulator = FrontendSimulator(btb, engine="vector", **kwargs)
-        parts.append(simulator.run(trace, measure_range=(start, stop)))
-    merged = FrontendStats.merge(parts)
-    seed_btb, seed_kwargs = design.build()
-    reference = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)
-    seed_stats = reference.run(trace, warmup_fraction=0.0)
-    assert merged.to_dict() == seed_stats.to_dict()
+    stats, seed_stats = _stats_pair(
+        standard_designs()[key], trace, warmup=warm_events / len(trace)
+    )
+    assert stats.to_dict() == seed_stats.to_dict()
 
 
 # -- engine forcing and applicability ---------------------------------------
