@@ -88,11 +88,10 @@ _KNOB_LIST = (
     Knob("REPRO_SERVE_SCALE", "runtime", "serve-side workload scale override"),
     Knob("REPRO_SERVE_TRACE_BUFFER", "runtime", "event-log ring capacity"),
     Knob("REPRO_SERVE_EVENTS", "runtime", "event-log JSONL sink path"),
-    Knob("REPRO_SERVE_STORE", "runtime", "shared result-store URL (redis://, disk://, fake://)"),
+    Knob("REPRO_SERVE_STORE", "runtime", "shared result-store URL (disk://, fake://)"),
     Knob("REPRO_SERVE_STORE_TTL", "runtime", "cross-replica single-flight lease TTL seconds"),
     Knob("REPRO_SERVE_STORE_WAIT", "runtime", "seconds to await another replica's publish before local compute"),
     Knob("REPRO_SERVE_STORE_POLL", "runtime", "result-poll cadence while awaiting a publish"),
-    Knob("REPRO_REDIS_URL", "test", "opt-in Redis endpoint for the RedisStore contract tests"),
     Knob("REPRO_TEST_KEEP_ENV", "test", "comma list of REPRO_* vars the hermetic test fixture preserves"),
 )
 

@@ -742,8 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request-event ring capacity, 0 disables tracing "
                             "(default: REPRO_SERVE_TRACE_BUFFER or 4096)")
     serve.add_argument("--store", default=None, metavar="URL",
-                       help="shared result-store backend "
-                            "(redis://host:port/db, disk://, fake://name; "
+                       help="shared result store, in place of the local "
+                            "disk cache (disk://, disk:///path, fake://name; "
                             "default REPRO_SERVE_STORE or none)")
     serve.add_argument("--store-ttl", type=float, default=None, metavar="SECONDS",
                        help="cross-replica single-flight lease TTL "

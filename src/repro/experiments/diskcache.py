@@ -12,6 +12,13 @@ two expensive artifacts:
 * **FrontendStats results** as JSON under
   ``<root>/v<N>/results/<sha256>.json``.
 
+This module is the one reader and writer of result files
+(:func:`load_result` / :func:`store_result`, with the
+:func:`encode_result` / :func:`decode_result` codec).  The harness
+reaches them through a :class:`~repro.experiments.resultstore.DiskStore`
+over :func:`cache_root`; a ``disk:///path`` result store passes its
+own ``root``; the sweep scheduler calls them directly.
+
 Keys are content hashes: a trace key digests the full
 :class:`~repro.workloads.spec.WorkloadSpec` (plus the generator-
 algorithm version), a result key digests the spec digest, design key,
@@ -60,9 +67,10 @@ __all__ = [
     "RESULT_VERSION",
     "cache_root",
     "clear_disk_cache",
+    "decode_result",
     "disk_cache_enabled",
     "disk_cache_info",
-    "has_result",
+    "encode_result",
     "load_result",
     "load_trace",
     "reset_disk_telemetry",
@@ -327,51 +335,65 @@ def store_trace(spec: WorkloadSpec, trace: Trace) -> None:
 # -- results -----------------------------------------------------------------
 
 
-def _result_path(key: str) -> Path:
-    return cache_root() / "results" / f"{key}.json"
-
-
-def has_result(key: str) -> bool:
-    """Whether a result entry exists, without loading it or touching the
-    hit/miss telemetry (the serving layer's cache probes use this)."""
-    return disk_cache_enabled() and _result_path(key).exists()
-
-
-def load_result(key: str) -> FrontendStats | None:
-    """Load a cached :class:`FrontendStats`, or ``None`` on a miss."""
-    if not disk_cache_enabled():
-        return None
-    path = _result_path(key)
-    if not path.exists():
-        _count("result_misses")
-        obs_events.emit("disk-result", key=key, hit=False)
-        return None
-    try:
-        payload = json.loads(path.read_text())
-        if payload.get("result_version") != RESULT_VERSION:
-            raise ValueError("result version mismatch")
-        stats = FrontendStats(**payload["stats"])
-    except Exception:
-        _quarantine(path)
-        _count("result_misses")
-        obs_events.emit("disk-result", key=key, hit=False)
-        return None
-    _count("result_hits")
-    obs_events.emit("disk-result", key=key, hit=True)
-    return stats
-
-
-def store_result(key: str, stats: FrontendStats) -> None:
-    """Persist one simulation result as JSON."""
-    if not disk_cache_enabled():
-        return
+def encode_result(stats: FrontendStats) -> bytes:
+    """Canonical bytes for one result (sorted keys, versioned)."""
     payload = {
         "result_version": RESULT_VERSION,
         "stats": stats.to_dict(derived=False),
     }
+    return json.dumps(payload, sort_keys=True).encode()
 
-    def write(tmp: Path) -> None:
-        tmp.write_text(json.dumps(payload, sort_keys=True))
 
-    _atomic_write(_result_path(key), write)
+def decode_result(data: bytes) -> FrontendStats | None:
+    """Decode stored bytes; ``None`` marks a corrupt or stale value,
+    which the caller quarantines and reads as a miss."""
+    try:
+        payload = json.loads(data)
+        if payload.get("result_version") != RESULT_VERSION:
+            raise ValueError("result version mismatch")
+        return FrontendStats(**payload["stats"])
+    except Exception:
+        return None
+
+
+def _result_path(key: str, root: Path | None = None) -> Path | None:
+    """The result file under ``root``; the default root only while
+    the disk cache is enabled (``None``: cache off)."""
+    if root is None:
+        if not disk_cache_enabled():
+            return None
+        root = cache_root()
+    return root / "results" / f"{key}.json"
+
+
+def load_result(key: str, root: Path | None = None) -> FrontendStats | None:
+    """Load a cached :class:`FrontendStats`, or ``None`` on a miss.
+
+    ``root`` defaults to :func:`cache_root` (and honours
+    ``REPRO_DISK_CACHE=0``).  A file that fails to parse is quarantined
+    and read as a miss; an unreadable one raises ``OSError``.
+    """
+    path = _result_path(key, root)
+    if path is None:
+        return None
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        stats = None
+    else:
+        stats = decode_result(data)
+        if stats is None:
+            _quarantine(path)
+    _count("result_hits" if stats is not None else "result_misses")
+    obs_events.emit("disk-result", key=key, hit=stats is not None)
+    return stats
+
+
+def store_result(key: str, stats: FrontendStats, root: Path | None = None) -> None:
+    """Persist one simulation result (``root`` as in :func:`load_result`)."""
+    path = _result_path(key, root)
+    if path is None:
+        return
+    data = encode_result(stats)
+    _atomic_write(path, lambda tmp: tmp.write_bytes(data))
     _count("stores")

@@ -6,8 +6,11 @@ aggregation.  Simulations are deterministic, so results are memoised per
 a suite member's name or an inline workload spec's content digest:
 benchmark files for different figures share the underlying runs, and
 repeated pytest-benchmark rounds cost one simulation.  Below the memo
-sit the cross-process disk cache and the cluster-shared result store,
-all three keyed through :func:`result_store_key`.
+sits one result store (:mod:`repro.experiments.resultstore`), keyed
+through :func:`result_store_key`: the explicit store ``repro serve
+--store`` installs, else a :class:`~repro.experiments.resultstore.DiskStore`
+over the cross-process disk cache.  A fresh result is published to it
+once.
 
 ``run_suite(..., workers=N)`` fans the per-application simulations out
 through the scheduler (:mod:`repro.experiments.scheduler`) -- a fork
@@ -132,39 +135,50 @@ def _memo_key(
     return (identity, scale, design_key, params, warmup_fraction)
 
 
+#: The result tier when no explicit store is installed: the disk cache,
+#: through the same store protocol (its root follows ``cache_root()``).
+_DISK_STORE = resultstore.DiskStore()
+
+
+def _result_tier() -> tuple[resultstore.ResultStore | None, str]:
+    """The one store below the memo, with the layer its hits report:
+    the explicit store (``"store"``), else the disk cache while enabled
+    (``"disk"``), else none."""
+    store = resultstore.get_active_store()
+    if store is not None:
+        return store, "store"
+    if diskcache.disk_cache_enabled():
+        return _DISK_STORE, "disk"
+    return None, "miss"
+
+
 def _lookup_tiers(
     memo_key: tuple, trace_name: str, design_key: str, params: CoreParams,
     warmup_fraction: float, scale: str, spec: WorkloadSpec | None,
 ) -> tuple[FrontendStats | None, str, str | None]:
-    """Walk memo -> disk -> shared store for one result.
+    """Walk memo -> store for one result.
 
     Returns ``(stats, layer, content_key)`` with layer ``"memo"``,
-    ``"disk"``, ``"store"`` or ``"miss"``; a disk or store hit is
-    promoted into the memo.  ``content_key`` (:func:`result_store_key`)
-    is computed only below the memo, and only when a disk cache or
-    store is active.  A store failure is recorded and read as a miss.
+    ``"disk"``, ``"store"`` or ``"miss"``; a store hit is promoted into
+    the memo.  ``content_key`` (:func:`result_store_key`) is computed
+    only below the memo, and only when a store is active.  A store
+    failure is recorded and read as a miss.
     """
     with _CACHE_LOCK:
         cached = _RESULT_CACHE.get(memo_key)
     if cached is not None:
         return cached, "memo", None
-    use_disk = diskcache.disk_cache_enabled()
-    store = resultstore.get_active_store()
-    if not use_disk and store is None:
+    store, layer = _result_tier()
+    if store is None:
         return None, "miss", None
     content_key = result_store_key(
         trace_name, design_key, params, warmup_fraction, scale, spec
     )
-    stats = diskcache.load_result(content_key) if use_disk else None
-    layer = "disk"
-    if stats is None and store is not None:
-        layer = "store"
-        try:
-            stats = store.get_result(content_key)
-        except resultstore.StoreError as error:
-            resultstore.degraded(
-                "get_result", error, app=trace_name, design=design_key
-            )
+    try:
+        stats = store.get_result(content_key)
+    except resultstore.StoreError as error:
+        resultstore.degraded("get_result", error, app=trace_name, design=design_key)
+        stats = None
     if stats is None:
         return None, "miss", content_key
     with _CACHE_LOCK:
@@ -212,9 +226,9 @@ def run_design(
             _CACHE_HITS += 1
         else:
             _CACHE_MISSES += 1
-    # A disk or store hit is still a memo miss for cache_info(), but
-    # costs no simulation -- the registry counter's "miss" outcome
-    # therefore counts *fresh runs*.
+    # A store hit is still a memo miss for cache_info(), but costs no
+    # simulation -- the registry counter's "miss" outcome therefore
+    # counts *fresh runs*.
     registry.counter(
         "harness_result_cache_total", "memo-cache lookups by outcome"
     ).inc(outcome=_RUN_OUTCOMES[layer])
@@ -249,9 +263,7 @@ def run_design(
     if use_cache:
         with _CACHE_LOCK:
             _RESULT_CACHE[key] = stats
-        if content_key is not None and diskcache.disk_cache_enabled():
-            diskcache.store_result(content_key, stats)
-        store = resultstore.get_active_store()
+        store, _ = _result_tier()
         if content_key is not None and store is not None:
             try:
                 store.put_result(content_key, stats)
@@ -293,13 +305,14 @@ def lookup_cached(
     scale: str | None = None,
     spec: WorkloadSpec | None = None,
 ) -> tuple[FrontendStats | None, str]:
-    """Peek the memo, disk and shared-store caches without simulating.
+    """Peek the memo and the result store without simulating.
 
-    Returns ``(stats, outcome)`` where outcome is ``"memo"``, ``"disk"``,
-    ``"store"`` (a cluster-shared :mod:`resultstore` hit) or ``"miss"``
-    (stats is ``None`` on a miss).  A disk or store hit is promoted
-    into the memo so the next peek is a memo hit.  A shared-store
-    backend failure is recorded (``store_degraded``) and read as a miss
+    Returns ``(stats, outcome)`` where outcome is ``"memo"``, ``"disk"``
+    (a hit in the default disk-cache store), ``"store"`` (a hit in the
+    explicit :mod:`resultstore` store) or ``"miss"`` (stats is ``None``
+    on a miss).  A store hit is promoted into the memo so the next peek
+    is a memo hit.  A store backend failure is recorded
+    (``store_degraded``) and read as a miss
     -- the caller simulates locally.  Deliberately does not touch
     :func:`cache_info` telemetry -- that surface counts
     :func:`run_design` lookups only; the serving layer publishes its own
@@ -352,10 +365,11 @@ def result_store_key(
 ) -> str:
     """The content hash an (app, design) result is shared under.
 
-    One key function for all three result tiers -- disk cache, shared
-    store, and the serving layer's single-flight leases -- so a value
-    published anywhere is a hit everywhere.  ``spec`` is the inline
-    workload; without it the suite member named ``trace_name`` is used.
+    One key function for the result store (default disk cache or
+    explicit store), the scheduler's resume, and the serving layer's
+    single-flight leases -- so a value published anywhere is a hit
+    everywhere.  ``spec`` is the inline workload; without it the suite
+    member named ``trace_name`` is used.
     """
     return diskcache.result_key(
         trace_name, scale, design_key, params, warmup_fraction,

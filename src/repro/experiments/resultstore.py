@@ -1,33 +1,32 @@
-"""Pluggable shared result store for multi-replica serving.
+"""The result store: the tier below the harness memo, and multi-replica
+single-flight for serving.
 
-One ``repro.serve`` process shares warm results through its in-process
-memo and the local disk cache (:mod:`repro.experiments.diskcache`).
-Neither survives the process or crosses a host boundary, so N serve
-replicas would each re-simulate identical cold jobs.  This module adds
-the missing tier: a protocol-level **shared backend** every replica
-talks to, giving the cluster
+Every (app, design) :class:`FrontendStats` is cached under one
+content key (:func:`repro.experiments.harness.result_store_key`).
+Below the in-process memo sits exactly one store:
 
-* one **content-addressed result space** -- results are keyed by the
-  same SHA-256 content hashes the disk cache uses, so two replicas (or
-  a replica and a batch run) can never disagree about what a key means,
-  and concurrent writers racing on one key write identical bytes
-  (last-write-wins is therefore *safe*, see DESIGN.md §14);
-* **cross-node single-flight** -- a cold job is claimed by exactly one
-  replica cluster-wide through a compare-and-set lease with a TTL,
-  heartbeat renewal while the winner computes, and orphan takeover when
-  a claimant dies without publishing (:func:`fetch_or_compute`).
+* by default a :class:`DiskStore` over the disk-cache root
+  (:func:`repro.experiments.diskcache.cache_root`), whose hits the
+  harness reports as ``disk``;
+* or the store an operator names with ``repro serve --store URL``,
+  installed process-wide with :func:`set_active_store`, whose hits
+  report as ``store``.
 
-Three implementations ship:
+An explicit store also gives serve replicas **cross-node
+single-flight**: a cold job is claimed by exactly one replica through
+a compare-and-set lease with a TTL, heartbeat renewal while the winner
+computes, and orphan takeover when a claimant dies without publishing
+(:func:`fetch_or_compute`).  Results are content-addressed, so
+concurrent writers racing on one key write identical bytes
+(last-write-wins is therefore *safe*, see DESIGN.md §14).
+
+Two implementations ship:
 
 ``DiskStore``
-    Wraps the existing disk-cache layout (same ``results/<key>.json``
-    files, same ``RESULT_VERSION`` discipline), adding file-based
-    leases -- replicas sharing a filesystem (or a single dev box) get
-    the full protocol with zero new infrastructure.
-``RedisStore``
-    Speaks RESP2 to a Redis server over a stdlib socket (no third-party
-    client): ``SET NX PX`` is the lease CAS, key TTLs give orphan
-    takeover for free.
+    Results through :mod:`repro.experiments.diskcache` (the one reader
+    and writer of ``results/<key>.json``) under its root, plus
+    file-based leases -- replicas sharing a filesystem get the full
+    protocol with zero new infrastructure.
 ``FakeStore``
     A deterministic in-memory fake with an injectable clock and
     fault-injection schedules (fail-next-N, latency spikes,
@@ -40,9 +39,9 @@ account the degradation through the ``serve_store_errors_total`` metric
 and a ``store_degraded`` event.
 
 Knobs (all flow through :class:`repro.serve.config.ServeConfig`):
-``REPRO_SERVE_STORE`` selects the backend by URL (``redis://host:port/0``,
-``disk://`` or ``disk:///path``, ``fake://name``); ``REPRO_SERVE_STORE_TTL``
-/ ``_WAIT`` / ``_POLL`` tune the lease state machine.  See README
+``REPRO_SERVE_STORE`` selects the backend by URL (``disk://`` or
+``disk:///path``, ``fake://name``); ``REPRO_SERVE_STORE_TTL`` /
+``_WAIT`` / ``_POLL`` tune the lease state machine.  See README
 "Shared result store".
 """
 
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
-import itertools
 import json
 import os
 import socket
@@ -68,22 +66,14 @@ from repro.experiments import diskcache
 __all__ = [
     "DiskStore",
     "FakeStore",
-    "RedisStore",
     "ResultStore",
     "StoreError",
-    "decode_result",
     "default_owner",
-    "encode_result",
     "fetch_or_compute",
     "get_active_store",
     "set_active_store",
     "store_from_url",
 ]
-
-
-#: Unique-suffix counter for quarantine/temp names (with the pid,
-#: collision-free across replicas sharing a filesystem).
-_UNIQUE = itertools.count()
 
 
 class StoreError(RuntimeError):
@@ -97,39 +87,6 @@ class StoreError(RuntimeError):
 def default_owner() -> str:
     """A cluster-unique claimant id for leases (host, pid, thread)."""
     return f"{socket.gethostname()}:{os.getpid()}:{threading.get_ident()}"
-
-
-# -- value encoding ----------------------------------------------------------
-#
-# The wire/value format is exactly the disk cache's result JSON, so a
-# DiskStore entry written by this module is indistinguishable from one
-# written by the harness's disk layer, and a Redis value round-trips to
-# the same FrontendStats a direct caller would serialise.
-
-
-def encode_result(stats: FrontendStats) -> bytes:
-    """Canonical bytes for one result (sorted keys, versioned)."""
-    payload = {
-        "result_version": diskcache.RESULT_VERSION,
-        "stats": stats.to_dict(derived=False),
-    }
-    return json.dumps(payload, sort_keys=True).encode()
-
-
-def decode_result(data: bytes) -> FrontendStats | None:
-    """Decode stored bytes; ``None`` marks a corrupt/stale value.
-
-    A ``None`` tells the store to quarantine the value (move it aside /
-    drop it) and report a miss -- one bad entry can never wedge a
-    replica or serve a wrong answer.
-    """
-    try:
-        payload = json.loads(data)
-        if payload.get("result_version") != diskcache.RESULT_VERSION:
-            raise ValueError("result version mismatch")
-        return FrontendStats(**payload["stats"])
-    except Exception:
-        return None
 
 
 # -- the protocol ------------------------------------------------------------
@@ -162,17 +119,6 @@ class ResultStore:
     def put_result(self, key: str, stats: FrontendStats) -> None:
         raise NotImplementedError
 
-    def has_result(self, key: str) -> bool:
-        raise NotImplementedError
-
-    # -- traces (optional; only backends with cheap bulk storage) --
-
-    def get_trace_bytes(self, key: str) -> bytes | None:
-        return None
-
-    def put_trace_bytes(self, key: str, data: bytes) -> None:
-        return None
-
     # -- leases --
 
     def acquire_lease(self, key: str, owner: str, ttl: float) -> bool:
@@ -188,30 +134,24 @@ class ResultStore:
         """Current live claimant of ``key`` (None: unclaimed/expired)."""
         raise NotImplementedError
 
-    # -- lifecycle / introspection --
-
-    def ping(self) -> bool:
-        """Backend liveness probe (False/StoreError: unreachable)."""
-        return True
+    # -- introspection --
 
     def describe(self) -> dict:
         """Operator-facing summary for ``/v1/stats``."""
         return {"kind": self.kind}
-
-    def close(self) -> None:
-        return None
 
 
 # -- DiskStore ---------------------------------------------------------------
 
 
 class DiskStore(ResultStore):
-    """Filesystem store sharing the disk cache's content-addressed layout.
+    """Filesystem store over the disk cache's content-addressed layout.
 
-    Results live at ``<root>/results/<key>.json`` -- byte-compatible
-    with :mod:`repro.experiments.diskcache`, so with the default root a
-    result published by one serve replica is a plain disk-cache hit for
-    a batch ``repro experiment`` run on the same host, and vice versa.
+    Results are read and written by :func:`diskcache.load_result` /
+    :func:`diskcache.store_result` under ``<root>/results/<key>.json``;
+    with the default root (:func:`diskcache.cache_root`) a result
+    published by one serve replica is a plain disk-cache hit for a
+    batch ``repro experiment`` run on the same host, and vice versa.
 
     Leases are lock files at ``<root>/leases/<key>.json``.  A claim
     writes its payload to a private temp file and publishes it with
@@ -227,15 +167,10 @@ class DiskStore(ResultStore):
 
     def __init__(self, root: str | Path | None = None) -> None:
         self._root = Path(root) if root is not None else None
-        self._counter = threading.Lock()
-        self._quarantined = 0
 
     @property
     def root(self) -> Path:
         return self._root if self._root is not None else diskcache.cache_root()
-
-    def _result_path(self, key: str) -> Path:
-        return self.root / "results" / f"{key}.json"
 
     def _lease_path(self, key: str) -> Path:
         return self.root / "leases" / f"{key}.json"
@@ -246,44 +181,16 @@ class DiskStore(ResultStore):
     # -- results --
 
     def get_result(self, key: str) -> FrontendStats | None:
-        path = self._result_path(key)
         try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None
+            return diskcache.load_result(key, root=self.root)
         except OSError as error:
             raise StoreError(f"disk read failed: {error}") from error
-        stats = decode_result(data)
-        if stats is None:
-            self._quarantine(path)
-            return None
-        return stats
-
-    def _quarantine(self, path: Path) -> None:
-        with self._counter:
-            self._quarantined += 1
-        target = path.parent / f"{path.name}.corrupt-{os.getpid()}-{next(_UNIQUE)}"
-        try:
-            os.replace(path, target)
-        except OSError:
-            pass  # a concurrent replica already moved or replaced it
 
     def put_result(self, key: str, stats: FrontendStats) -> None:
-        path = self._result_path(key)
-        data = encode_result(stats)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            diskcache.store_result(key, stats, root=self.root)
         except OSError as error:
             raise StoreError(f"disk write failed: {error}") from error
-
-    def has_result(self, key: str) -> bool:
-        try:
-            return self._result_path(key).exists()
-        except OSError as error:
-            raise StoreError(f"disk stat failed: {error}") from error
 
     # -- leases --
 
@@ -384,231 +291,12 @@ class DiskStore(ResultStore):
             return None
         return lease[0]
 
-    def ping(self) -> bool:
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return False
-        return True
-
     def describe(self) -> dict:
-        with self._counter:
-            quarantined = self._quarantined
+        # Quarantined files stay beside the slot (``<key>.json.corrupt-*``)
+        # for post-mortems, so the count covers every replica sharing
+        # the root, not just this process.
+        quarantined = sum(1 for _ in (self.root / "results").glob("*.corrupt-*"))
         return {"kind": self.kind, "root": str(self.root), "quarantined": quarantined}
-
-
-# -- RedisStore --------------------------------------------------------------
-
-
-class RedisStore(ResultStore):
-    """RESP2 client over a stdlib socket -- no third-party dependency.
-
-    Key layout: ``repro:result:<key>`` holds result bytes,
-    ``repro:lease:<key>`` holds the claimant id with a server-side
-    ``PX`` TTL.  ``SET NX PX`` is the lease compare-and-set; an orphan
-    lease simply expires on the server, so takeover is the same
-    ``SET NX`` retried.  Renewal and release are owner-checked
-    (``GET`` == owner, then ``PEXPIRE`` / ``DEL``): the read-check-act
-    window is racy only against *expiry*, which the heartbeat cadence
-    (renew at TTL/3) keeps comfortably away from.
-    """
-
-    kind = "redis"
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 6379,
-        db: int = 0,
-        password: str | None = None,
-        timeout: float = 5.0,
-        prefix: str = "repro",
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.db = db
-        self.password = password
-        self.timeout = timeout
-        self.prefix = prefix
-        #: One socket shared by all worker threads (commands serialise
-        #: on the lock; the serve hot path is memo/disk-first, so the
-        #: store sees misses and publishes, not per-request traffic).
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
-        self._file = None
-
-    @classmethod
-    def from_url(cls, url: str, timeout: float = 5.0) -> "RedisStore":
-        parts = urlsplit(url)
-        if parts.scheme != "redis":
-            raise StoreError(f"not a redis URL: {url!r}")
-        db = 0
-        path = (parts.path or "").strip("/")
-        if path:
-            try:
-                db = int(path)
-            except ValueError as error:
-                raise StoreError(f"bad redis db in {url!r}") from error
-        return cls(
-            host=parts.hostname or "127.0.0.1",
-            port=parts.port or 6379,
-            db=db,
-            password=parts.password,
-            timeout=timeout,
-        )
-
-    # -- connection + protocol --
-
-    def _connect_locked(self) -> None:
-        try:
-            sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        except OSError as error:
-            raise StoreError(f"redis connect {self.host}:{self.port}: {error}") from error
-        self._sock = sock
-        self._file = sock.makefile("rb")
-        if self.password:
-            self._exchange_locked("AUTH", self.password)
-        if self.db:
-            self._exchange_locked("SELECT", str(self.db))
-
-    def _close_locked(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        self._sock = None
-        self._file = None
-
-    def _exchange_locked(self, *args: str | bytes):
-        """Send one RESP2 command and read its reply (lock held)."""
-        out = [f"*{len(args)}\r\n".encode()]
-        for arg in args:
-            data = arg if isinstance(arg, bytes) else str(arg).encode()
-            out.append(f"${len(data)}\r\n".encode() + data + b"\r\n")
-        assert self._sock is not None and self._file is not None
-        try:
-            self._sock.sendall(b"".join(out))
-            return self._read_reply_locked()
-        except OSError as error:
-            self._close_locked()
-            raise StoreError(f"redis io: {error}") from error
-
-    def _read_reply_locked(self):
-        line = self._file.readline()
-        if not line.endswith(b"\r\n"):
-            self._close_locked()
-            raise StoreError("redis connection closed mid-reply")
-        marker, payload = line[:1], line[1:-2]
-        if marker == b"+":
-            return payload.decode()
-        if marker == b":":
-            return int(payload)
-        if marker == b"-":
-            raise StoreError(f"redis error: {payload.decode()}")
-        if marker == b"$":
-            length = int(payload)
-            if length == -1:
-                return None
-            data = self._file.read(length + 2)
-            if len(data) != length + 2:
-                self._close_locked()
-                raise StoreError("redis connection closed mid-bulk")
-            return data[:-2]
-        if marker == b"*":
-            count = int(payload)
-            if count == -1:
-                return None
-            return [self._read_reply_locked() for _ in range(count)]
-        self._close_locked()
-        raise StoreError(f"unexpected RESP marker {marker!r}")
-
-    def command(self, *args: str | bytes):
-        """One command against a live connection (reconnect-on-demand)."""
-        with self._lock:
-            if self._sock is None:
-                self._connect_locked()
-            return self._exchange_locked(*args)
-
-    # -- results --
-
-    def _result_key(self, key: str) -> str:
-        return f"{self.prefix}:result:{key}"
-
-    def _lease_key(self, key: str) -> str:
-        return f"{self.prefix}:lease:{key}"
-
-    def get_result(self, key: str) -> FrontendStats | None:
-        data = self.command("GET", self._result_key(key))
-        if data is None:
-            return None
-        stats = decode_result(data)
-        if stats is None:
-            # Quarantine: move the corrupt value aside (keyed uniquely
-            # for post-mortems) so the slot reads as a miss.
-            try:
-                self.command(
-                    "RENAME",
-                    self._result_key(key),
-                    f"{self.prefix}:corrupt:{key}:{os.getpid()}",
-                )
-            except StoreError:
-                pass  # value vanished or was replaced concurrently
-            return None
-        return stats
-
-    def put_result(self, key: str, stats: FrontendStats) -> None:
-        self.command("SET", self._result_key(key), encode_result(stats))
-
-    def has_result(self, key: str) -> bool:
-        return bool(self.command("EXISTS", self._result_key(key)))
-
-    # -- leases --
-
-    def acquire_lease(self, key: str, owner: str, ttl: float) -> bool:
-        reply = self.command(
-            "SET", self._lease_key(key), owner, "NX", "PX", str(max(1, int(ttl * 1000)))
-        )
-        return reply == "OK"
-
-    def renew_lease(self, key: str, owner: str, ttl: float) -> bool:
-        holder = self.command("GET", self._lease_key(key))
-        if holder is None or holder.decode() != owner:
-            return False
-        return bool(
-            self.command("PEXPIRE", self._lease_key(key), str(max(1, int(ttl * 1000))))
-        )
-
-    def release_lease(self, key: str, owner: str) -> None:
-        holder = self.command("GET", self._lease_key(key))
-        if holder is not None and holder.decode() == owner:
-            self.command("DEL", self._lease_key(key))
-
-    def lease_owner(self, key: str) -> str | None:
-        holder = self.command("GET", self._lease_key(key))
-        return holder.decode() if holder is not None else None
-
-    def ping(self) -> bool:
-        try:
-            return self.command("PING") == "PONG"
-        except StoreError:
-            return False
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "endpoint": f"{self.host}:{self.port}/{self.db}",
-            "connected": self._sock is not None,
-        }
-
-    def close(self) -> None:
-        with self._lock:
-            self._close_locked()
 
 
 # -- FakeStore ---------------------------------------------------------------
@@ -697,7 +385,7 @@ class FakeStore(ResultStore):
             data = self._results.get(key)
             if data is None:
                 return None
-            stats = decode_result(data)
+            stats = diskcache.decode_result(data)
             if stats is None:
                 self.quarantined[key] = self._results.pop(key)
                 return None
@@ -706,12 +394,7 @@ class FakeStore(ResultStore):
     def put_result(self, key: str, stats: FrontendStats) -> None:
         self._enter("put_result")
         with self._lock:
-            self._results[key] = encode_result(stats)
-
-    def has_result(self, key: str) -> bool:
-        self._enter("has_result")
-        with self._lock:
-            return key in self._results
+            self._results[key] = diskcache.encode_result(stats)
 
     def corrupt(self, key: str, data: bytes = b"{not json") -> None:
         """Test hook: replace a stored value with garbage bytes."""
@@ -753,10 +436,6 @@ class FakeStore(ResultStore):
                 return None
             return lease[0]
 
-    def ping(self) -> bool:
-        self._enter("ping")
-        return True
-
     def describe(self) -> dict:
         with self._lock:
             return {
@@ -777,22 +456,26 @@ _FAKES: dict[str, FakeStore] = {}
 _FAKES_LOCK = threading.Lock()
 
 
-def store_from_url(url: str | None, timeout: float = 5.0) -> ResultStore | None:
+def store_from_url(url: str | None) -> ResultStore | None:
     """Build a store from a URL (``None``/empty/``"none"``: no store).
 
-    Schemes: ``redis://[:password@]host[:port][/db]``,
-    ``disk://`` (the local disk-cache root) or ``disk:///abs/path``,
-    and ``fake://name`` (a process-shared in-memory fake -- tests and
-    single-process smokes only).
+    Schemes: ``disk://`` (the local disk-cache root) or
+    ``disk:///abs/path``, and ``fake://name`` (a process-shared
+    in-memory fake -- tests and single-process smokes only).  A
+    ``disk://`` URL with a host part (``disk://tmp/x``) is rejected:
+    it is almost always a path missing its third slash, and replicas
+    must not silently land on different roots.
     """
     if not url or url == "none":
         return None
     parts = urlsplit(url)
-    if parts.scheme == "redis":
-        return RedisStore.from_url(url, timeout=timeout)
     if parts.scheme == "disk":
-        path = parts.path or ""
-        root = path if path and path != "/" else None
+        if parts.netloc:
+            raise StoreError(
+                f"disk store URL has a host part: {url!r} "
+                "(use disk:///absolute/path or disk://)"
+            )
+        root = parts.path if parts.path not in ("", "/") else None
         return DiskStore(root=root)
     if parts.scheme == "fake":
         name = parts.netloc or parts.path.strip("/") or "default"
@@ -813,16 +496,18 @@ def reset_fakes() -> None:
 
 # -- the active store --------------------------------------------------------
 #
-# One process-wide store, installed by the serving layer at boot (or by
-# tests), consulted by the harness's cache-lookup path.  Mirrors the
-# obs registry/event-log pattern: a None store disables the tier.
+# One process-wide explicit store, installed by the serving layer at
+# boot (or by tests), consulted by the harness's cache-lookup path in
+# place of its default disk-cache store.  Mirrors the obs
+# registry/event-log pattern.
 
 _ACTIVE: ResultStore | None = None
 _ACTIVE_LOCK = threading.Lock()
 
 
 def set_active_store(store: ResultStore | None) -> None:
-    """Install the process-wide shared store (None: disable the tier)."""
+    """Install the process-wide explicit store (None: the harness falls
+    back to its default disk-cache store)."""
     global _ACTIVE
     with _ACTIVE_LOCK:
         _ACTIVE = store
@@ -831,13 +516,6 @@ def set_active_store(store: ResultStore | None) -> None:
 def get_active_store() -> ResultStore | None:
     with _ACTIVE_LOCK:
         return _ACTIVE
-
-
-def configure_from_env() -> ResultStore | None:
-    """Install the store named by ``REPRO_SERVE_STORE`` (if any)."""
-    store = store_from_url(os.environ.get("REPRO_SERVE_STORE"))
-    set_active_store(store)
-    return store
 
 
 def degraded(op: str, error: Exception, **context) -> None:
@@ -906,6 +584,14 @@ class _Heartbeat:
                 return
 
 
+def _release(store: ResultStore, key: str, owner: str, context: dict) -> None:
+    """Drop a held claim; a failure is recorded, never raised."""
+    try:
+        store.release_lease(key, owner)
+    except StoreError as error:
+        degraded("release_lease", error, key=key, **context)
+
+
 def fetch_or_compute(
     store: ResultStore,
     key: str,
@@ -958,19 +644,17 @@ def fetch_or_compute(
                 with _Heartbeat(store, key, owner, ttl):
                     stats = compute()
             except BaseException:
-                try:
-                    store.release_lease(key, owner)
-                except StoreError:
-                    pass
+                _release(store, key, owner, context)
                 raise
             try:
                 store.put_result(key, stats)
-                store.release_lease(key, owner)
             except StoreError as error:
                 # The result is computed and correct; only the publish
                 # failed.  Account it and answer -- the lease will age
                 # out and another replica will republish.
                 degraded("put_result", error, key=key, **context)
+            else:
+                _release(store, key, owner, context)
             return stats, "fresh"
         # Someone else holds the claim: wait for their publish.
         time.sleep(poll_interval)

@@ -362,7 +362,7 @@ class MetricsRegistry:
             requested = tuple(sorted(buckets))
             if requested != instrument.buckets:
                 # Re-bucketing is only safe before any observation: the
-                # per-bucket counts can't be redistributed after the fact.
+                # per-bucket counts can't be moved between buckets after the fact.
                 if instrument._series:
                     raise ValueError(
                         f"histogram {name!r} already has observations under "

@@ -2,7 +2,7 @@
 
 ``python -m repro serve`` boots an asyncio HTTP/JSON service (stdlib
 only) that validates simulation requests against the design registry,
-answers from the harness memo / disk cache / shared store when warm,
+answers from the harness memo or result store when warm,
 and micro-batches cold requests that share a trace so a worker thread
 decodes it once and simulates each design through the harness.  ``python -m repro submit`` and
 :mod:`repro.serve.client` are the matching blocking clients.

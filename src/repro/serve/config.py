@@ -41,9 +41,10 @@ class ServeConfig:
             ``GET /debug/trace`` (``0`` disables request tracing).
         events_path: optional JSONL file every request event is also
             appended to (the ring only holds the recent window).
-        store_url: shared result-store backend URL
-            (``redis://host:port/db``, ``disk://``, ``fake://name``;
-            ``None`` disables the cluster-shared tier).  See README
+        store_url: explicit result-store URL (``disk://``,
+            ``disk:///path``, ``fake://name``); it replaces the local
+            disk cache as the tier below the memo and adds cross-replica
+            single-flight.  ``None``: no explicit store.  See README
             "Shared result store".
         store_ttl: single-flight lease TTL seconds; a replica that dies
             mid-simulation orphans its claim for at most this long

@@ -17,10 +17,11 @@ Request lifecycle (``POST /v1/simulate``):
 4. **execution** -- the batch runs on a worker thread.  Every job,
    suite member or inline spec alike, takes one path: it peeks the
    harness tiers (:func:`repro.experiments.harness.lookup_cached`:
-   memo, disk cache, cluster-shared result store), and each miss
-   simulates through :func:`repro.experiments.harness.run_one` over the
-   batch's shared decoded trace (resolved and decoded once, and only
-   if some job misses).  With a shared store configured (``--store`` /
+   memo, then the result store -- the local disk cache, or the shared
+   store ``--store`` names), and each miss simulates through
+   :func:`repro.experiments.harness.run_one` over the batch's shared
+   decoded trace (resolved and decoded once, and only if some job
+   misses).  With a shared store configured (``--store`` /
    ``REPRO_SERVE_STORE``), every miss first runs the cross-node
    single-flight protocol
    (:func:`repro.experiments.resultstore.fetch_or_compute`): exactly
@@ -131,7 +132,7 @@ def default_batch_runner(
     tiers (:func:`repro.experiments.harness.lookup_cached`).  Each miss
     then simulates through :func:`repro.experiments.harness.run_one`,
     so responses stay byte-identical to a direct caller's and results
-    land in the same memo and disk caches.  The trace is resolved and
+    land in the same memo and result store.  The trace is resolved and
     decoded lazily, once per batch: warm jobs never touch it, and the
     decoded columns are shared by every design the batch runs.
 
@@ -253,8 +254,10 @@ class SimulationService:
             built from ``config.store_url``; tests inject a
             :class:`~repro.experiments.resultstore.FakeStore` shared by
             several in-process replicas).  A non-None store is also
-            installed process-wide so the harness cache-lookup path
-            consults it.
+            installed process-wide, where it replaces the local disk
+            cache as the harness's result tier.  Without one the
+            harness keeps its default disk-cache store, which never
+            runs the lease protocol.
     """
 
     def __init__(

@@ -18,10 +18,7 @@ from repro.workloads.trace import Trace
 #: Environment prefixes that change simulation scheduling, caching, or
 #: serving behaviour.  Any of these leaking in from the developer's (or
 #: CI job's) shell would make a test depend on ambient state.
-#: ``REPRO_REDIS`` covers ``REPRO_REDIS_URL``: the store contract suite
-#: captures it at import time (before this fixture runs) so the opt-in
-#: Redis backend still works, but no other test sees the variable.
-_HERMETIC_PREFIXES = ("REPRO_SCHED_", "REPRO_DISK_CACHE", "REPRO_SERVE_", "REPRO_REDIS")
+_HERMETIC_PREFIXES = ("REPRO_SCHED_", "REPRO_DISK_CACHE", "REPRO_SERVE_")
 
 
 @pytest.fixture(autouse=True)

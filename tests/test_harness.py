@@ -1,6 +1,9 @@
 """Unit tests for the experiment harness and design registry."""
 
+import pytest
+
 from repro.core.config import PDedeMode
+from repro.experiments import diskcache, resultstore
 from repro.experiments.designs import (
     baseline_design,
     dedup_only_design,
@@ -16,11 +19,13 @@ from repro.experiments.designs import (
 from repro.experiments.harness import (
     clear_cache,
     format_table,
+    lookup_cached,
     percent,
     run_design,
     run_suite,
 )
 from repro.frontend.params import ICELAKE
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 def test_design_keys_stable():
@@ -85,6 +90,60 @@ def test_run_design_caches(monkeypatch):
     assert calls["count"] == 1
     assert first is second
     clear_cache()
+
+
+@pytest.mark.parametrize(
+    ("tier", "layer"),
+    [("default", "disk"), ("fake", "store"), ("disk-elsewhere", "store")],
+)
+def test_result_tier_outcomes_and_one_publish(tier, layer, tmp_path, monkeypatch):
+    """Below the memo sits one store: the default disk-cache store
+    (hits report ``disk``) or the explicit one (``store``), even when
+    the explicit store is a DiskStore and the local disk cache is on.
+    A fresh run publishes once, and on the default store that publish
+    is one call of the module attribute ``diskcache.store_result``."""
+    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_DISK_CACHE_DIR", str(cache_dir))
+    writes = []
+    real_store_result = diskcache.store_result
+
+    def counting_store_result(key, stats, root=None):
+        writes.append(root)
+        real_store_result(key, stats, root=root)
+
+    monkeypatch.setattr(diskcache, "store_result", counting_store_result)
+    store = None
+    if tier == "fake":
+        store = resultstore.FakeStore()
+    elif tier == "disk-elsewhere":
+        store = resultstore.DiskStore(root=tmp_path / "shared")
+    resultstore.set_active_store(store)
+    design = baseline_design(entries=256, key="tiny-baseline")
+    registry = MetricsRegistry()
+    clear_cache()
+    with use_registry(registry):
+        fresh = run_design("server_oltp_00", design, scale="tiny")
+        clear_cache()  # a new process: only the store survives
+        peeked, outcome = lookup_cached("server_oltp_00", design, scale="tiny")
+        clear_cache()
+        again = run_design("server_oltp_00", design, scale="tiny")
+    clear_cache()
+    assert outcome == layer
+    counter = registry.get("harness_result_cache_total")
+    assert counter.value(outcome="miss") == 1
+    assert counter.value(outcome=f"{layer}-hit") == 1
+    assert peeked.to_dict() == fresh.to_dict() == again.to_dict()
+    local_results = list((cache_dir / f"v{diskcache.CACHE_VERSION}" / "results").glob("*"))
+    if tier == "default":
+        assert writes == [diskcache.cache_root()]
+        assert len(local_results) == 1
+    else:
+        # The explicit store replaces the local disk cache as a tier.
+        assert local_results == []
+        assert writes == ([] if tier == "fake" else [tmp_path / "shared"])
+    if tier == "fake":
+        assert store.calls["put_result"] == 1
 
 
 def test_run_suite_aggregates():

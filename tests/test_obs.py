@@ -146,7 +146,7 @@ def test_registry_histogram_bucket_override_semantics():
     assert registry.histogram("lat_seconds", buckets=SERVE_BUCKETS) is hist
     assert hist.buckets == tuple(sorted(SERVE_BUCKETS))
     hist.observe(0.01)
-    # Different buckets after data: counts can't be redistributed.
+    # Different buckets after data: counts can't be moved between buckets.
     with pytest.raises(ValueError):
         registry.histogram("lat_seconds", buckets=(5.0,))
     # Omitting buckets never re-buckets.

@@ -1,14 +1,11 @@
-"""Contract tests for the pluggable shared result store.
+"""Contract tests for the pluggable result store.
 
 One parametrized suite runs the full :class:`ResultStore` protocol --
 result round-trips, lease CAS exclusivity under real thread races, TTL
-expiry + orphan takeover, corrupt-value quarantine -- against every
-backend: :class:`FakeStore` and :class:`DiskStore` always, and
-:class:`RedisStore` when ``REPRO_REDIS_URL`` points at a live server
-(the CI ``store-suite`` job runs a Redis service container; locally the
-parameter skips).  The :func:`fetch_or_compute` single-flight state
-machine is then unit-tested over the fake's injectable clock and fault
-schedules.
+expiry + orphan takeover, corrupt-value quarantine -- against both
+backends, :class:`FakeStore` and :class:`DiskStore`.  The
+:func:`fetch_or_compute` single-flight state machine is then
+unit-tested over the fake's injectable clock and fault schedules.
 """
 
 from __future__ import annotations
@@ -22,14 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.experiments import resultstore
+from repro.experiments import diskcache, resultstore
+from repro.experiments.diskcache import decode_result, encode_result
 from repro.experiments.resultstore import (
     DiskStore,
     FakeStore,
-    RedisStore,
     StoreError,
-    decode_result,
-    encode_result,
     fetch_or_compute,
     store_from_url,
 )
@@ -37,114 +32,6 @@ from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry, use_registry
 
-# Captured at import time, before the autouse hermetic fixture strips
-# REPRO_REDIS_* from the environment: opting in to the Redis backend is
-# a property of the test *invocation*, not of any single test's env.
-_REDIS_URL = os.environ.get("REPRO_REDIS_URL")
-
-
-class _MiniRedis(threading.Thread):
-    """A stdlib RESP2 server speaking the command subset RedisStore
-    uses (GET/SET NX PX/DEL/EXISTS/PEXPIRE/RENAME/PING/AUTH/SELECT), so
-    the wire protocol is contract-tested on every machine -- a real
-    Redis (``REPRO_REDIS_URL``) is an extra backend, not a requirement.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(name="mini-redis", daemon=True)
-        import socket as socketlib
-
-        self._listener = socketlib.create_server(("127.0.0.1", 0))
-        self.port = self._listener.getsockname()[1]
-        self._lock = threading.Lock()
-        #: key -> (value bytes, expiry monotonic deadline or None)
-        self._data: dict[bytes, tuple[bytes, float | None]] = {}
-        self._closing = False
-
-    def close(self) -> None:
-        self._closing = True
-        self._listener.close()
-
-    def run(self) -> None:
-        while not self._closing:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve, args=(conn,), daemon=True
-            ).start()
-
-    def _live(self, key: bytes):
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        value, deadline = entry
-        if deadline is not None and deadline <= time.monotonic():
-            del self._data[key]
-            return None
-        return value, deadline
-
-    def _serve(self, conn) -> None:
-        file = conn.makefile("rb")
-        try:
-            while True:
-                header = file.readline()
-                if not header:
-                    return
-                count = int(header[1:].strip())
-                args = []
-                for _ in range(count):
-                    length = int(file.readline()[1:].strip())
-                    args.append(file.read(length + 2)[:-2])
-                conn.sendall(self._execute(args))
-        except (OSError, ValueError):
-            pass
-        finally:
-            conn.close()
-
-    def _execute(self, args: list[bytes]) -> bytes:
-        command = args[0].upper()
-        with self._lock:
-            if command in (b"PING", b"AUTH", b"SELECT"):
-                return b"+PONG\r\n" if command == b"PING" else b"+OK\r\n"
-            if command == b"GET":
-                entry = self._live(args[1])
-                if entry is None:
-                    return b"$-1\r\n"
-                value = entry[0]
-                return b"$" + str(len(value)).encode() + b"\r\n" + value + b"\r\n"
-            if command == b"SET":
-                options = [a.upper() for a in args[3:]]
-                if b"NX" in options and self._live(args[1]) is not None:
-                    return b"$-1\r\n"
-                deadline = None
-                if b"PX" in options:
-                    ms = int(args[3 + options.index(b"PX") + 1])
-                    deadline = time.monotonic() + ms / 1000.0
-                self._data[args[1]] = (args[2], deadline)
-                return b"+OK\r\n"
-            if command == b"DEL":
-                existed = self._live(args[1]) is not None
-                self._data.pop(args[1], None)
-                return b":1\r\n" if existed else b":0\r\n"
-            if command == b"EXISTS":
-                return b":1\r\n" if self._live(args[1]) is not None else b":0\r\n"
-            if command == b"PEXPIRE":
-                entry = self._live(args[1])
-                if entry is None:
-                    return b":0\r\n"
-                deadline = time.monotonic() + int(args[2]) / 1000.0
-                self._data[args[1]] = (entry[0], deadline)
-                return b":1\r\n"
-            if command == b"RENAME":
-                entry = self._live(args[1])
-                if entry is None:
-                    return b"-ERR no such key\r\n"
-                del self._data[args[1]]
-                self._data[args[2]] = entry
-                return b"+OK\r\n"
-        return b"-ERR unknown command " + command + b"\r\n"
 
 _KEYS = itertools.count()
 
@@ -158,46 +45,20 @@ def _stats(instructions: int = 1000) -> FrontendStats:
     return FrontendStats(instructions=instructions, branches=instructions // 5)
 
 
-BACKENDS = ["fake", "disk", "resp"] + (["redis"] if _REDIS_URL else [])
-
-
-@pytest.fixture(scope="module")
-def _mini_redis():
-    server = _MiniRedis()
-    server.start()
-    yield server
-    server.close()
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, tmp_path, _mini_redis):
+@pytest.fixture(params=["fake", "disk"])
+def backend(request, tmp_path):
     """``(store, corrupt)`` for each backend: the store under test plus
     a function that replaces a stored value with garbage bytes."""
     if request.param == "fake":
         store = FakeStore()
         yield store, store.corrupt
-    elif request.param == "disk":
+    else:
         store = DiskStore(root=tmp_path / "store")
 
         def corrupt(key: str, data: bytes = b"{not json") -> None:
             (tmp_path / "store" / "results" / f"{key}.json").write_bytes(data)
 
         yield store, corrupt
-    else:
-        if request.param == "resp":
-            store = RedisStore(host="127.0.0.1", port=_mini_redis.port)
-        else:
-            store = RedisStore.from_url(_REDIS_URL, timeout=5.0)
-            if not store.ping():
-                pytest.skip(f"no redis at {_REDIS_URL}")
-        # Unique namespace per test so runs never see each other's keys.
-        store.prefix = f"repro-test-{os.getpid()}-{next(_KEYS)}"
-
-        def corrupt(key: str, data: bytes = b"{not json") -> None:
-            store.command("SET", store._result_key(key), data)
-
-        yield store, corrupt
-        store.close()
 
 
 # -- result round-trips ------------------------------------------------------
@@ -207,10 +68,8 @@ def test_result_round_trip(backend):
     store, _ = backend
     key = _key()
     assert store.get_result(key) is None
-    assert not store.has_result(key)
     stats = _stats()
     store.put_result(key, stats)
-    assert store.has_result(key)
     loaded = store.get_result(key)
     assert loaded is not None
     assert loaded.to_dict(derived=False) == stats.to_dict(derived=False)
@@ -321,11 +180,14 @@ def test_expired_lease_takeover_race_has_one_winner(backend):
     assert sum(wins) == 1
 
 
-def test_ping_and_describe(backend):
-    store, _ = backend
-    assert store.ping() is True
-    info = store.describe()
-    assert info["kind"] == store.kind
+def test_describe_names_the_backend(backend):
+    store, corrupt = backend
+    assert store.describe()["kind"] == store.kind
+    key = _key()
+    store.put_result(key, _stats())
+    corrupt(key)
+    assert store.get_result(key) is None
+    assert store.describe()["quarantined"] == 1
 
 
 # -- value encoding ----------------------------------------------------------
@@ -350,21 +212,23 @@ def test_decode_rejects_garbage_and_version_skew():
 # -- URL resolution ----------------------------------------------------------
 
 
-def test_store_from_url_schemes(tmp_path):
+def test_store_from_url_schemes(tmp_path, monkeypatch):
     assert store_from_url(None) is None
     assert store_from_url("") is None
     assert store_from_url("none") is None
     disk = store_from_url(f"disk://{tmp_path}/shared")
     assert isinstance(disk, DiskStore)
     assert str(disk.root) == f"{tmp_path}/shared"
-    redis = store_from_url("redis://:hunter2@cache.internal:7000/3")
-    assert isinstance(redis, RedisStore)
-    assert (redis.host, redis.port, redis.db) == ("cache.internal", 7000, 3)
-    assert redis.password == "hunter2"
+    monkeypatch.setenv("REPRO_DISK_CACHE_DIR", str(tmp_path / "cache"))
+    for default in ("disk://", "disk:///"):
+        assert store_from_url(default).root == diskcache.cache_root()
     with pytest.raises(StoreError):
         store_from_url("s3://bucket/prefix")
-    with pytest.raises(StoreError):
-        store_from_url("redis://host:6379/not-a-db")
+    # A host part is a path missing its third slash: two replicas with
+    # that typo must fail loudly, not land on different roots.
+    for url in ("disk://tmp/x", "disk://relative"):
+        with pytest.raises(StoreError, match=url):
+            store_from_url(url)
 
 
 def test_fake_url_registry_shares_one_store_per_name():
@@ -398,6 +262,20 @@ def test_disk_store_interoperates_with_the_disk_cache(tmp_path, monkeypatch):
     assert loaded.instructions == 778
 
 
+def test_disk_store_io_errors_are_store_errors(tmp_path):
+    """An unusable root is a backend failure callers degrade on
+    (fetch_or_compute's ``local`` path), not an ``OSError`` crash."""
+    (tmp_path / "file").write_text("not a directory")
+    store = DiskStore(root=tmp_path / "file")
+    with pytest.raises(StoreError):
+        store.put_result("k", _stats())
+    with pytest.raises(StoreError):
+        store.get_result("k")
+    compute, calls = _computer()
+    _, outcome = fetch_or_compute(store, "k", compute)
+    assert (outcome, calls) == ("local", [1])
+
+
 # -- FakeStore fault schedules -----------------------------------------------
 
 
@@ -416,10 +294,10 @@ def test_fake_fail_next_budget_and_op_filter():
     store = FakeStore()
     store.fail_next(2)
     with pytest.raises(StoreError):
-        store.has_result("k")
+        store.get_result("k")
     with pytest.raises(StoreError):
-        store.ping()
-    assert store.ping() is True  # budget spent
+        store.lease_owner("k")
+    assert store.get_result("k") is None  # budget spent
     store.fail_next(1, ops=("put_result",))
     assert store.get_result("k") is None  # unlisted ops unaffected
     with pytest.raises(StoreError):
@@ -439,42 +317,6 @@ def test_fake_partition_heal_and_latency():
     assert store.get_result("k") is not None
     assert time.monotonic() - started >= 0.05
     assert store.calls["get_result"] >= 2
-
-
-# -- RedisStore protocol details ---------------------------------------------
-
-
-def test_redis_store_reconnects_after_connection_loss(_mini_redis):
-    store = RedisStore(host="127.0.0.1", port=_mini_redis.port)
-    assert store.ping()
-    store.close()  # drop the socket; the next command must reconnect
-    store.put_result("reconnect", _stats(55))
-    assert store.get_result("reconnect").instructions == 55
-    store.close()
-
-
-def test_redis_store_auth_and_select_ride_the_url(_mini_redis):
-    store = store_from_url(f"redis://:sekrit@127.0.0.1:{_mini_redis.port}/2")
-    assert isinstance(store, RedisStore)
-    assert (store.password, store.db) == ("sekrit", 2)
-    assert store.ping()  # the AUTH/SELECT handshake succeeded
-    store.close()
-
-
-def test_redis_store_error_reply_raises_store_error(_mini_redis):
-    store = RedisStore(host="127.0.0.1", port=_mini_redis.port)
-    with pytest.raises(StoreError):
-        store.command("BOGUS")
-    assert store.ping()  # the connection survives an -ERR reply
-    store.close()
-
-
-def test_redis_store_unreachable_server_is_store_error():
-    store = RedisStore(host="127.0.0.1", port=1, timeout=0.5)
-    with pytest.raises(StoreError):
-        store.command("PING")
-    assert store.ping() is False
-    assert store.describe()["connected"] is False
 
 
 # -- fetch_or_compute: the single-flight state machine -----------------------
@@ -621,7 +463,35 @@ def test_fetch_or_compute_publish_failure_still_answers():
     assert calls == [1]
     assert stats is not None
     assert registry.get("serve_store_errors_total").value(op="put_result") == 1
-    assert not store.has_result("k")
+    assert store.get_result("k") is None
+
+
+def test_fetch_or_compute_labels_each_failure_by_its_op():
+    """A failed release is a ``release_lease`` error -- after a good
+    publish and after a failed compute alike -- never a publish one."""
+    registry, log = _observed()
+    store = FakeStore()
+    store.fail_next(1, ops=("release_lease",))
+    compute, calls = _computer()
+    with use_registry(registry), obs_events.use_event_log(log):
+        stats, outcome = fetch_or_compute(store, "k", compute)
+    assert outcome == "fresh"
+    assert store.get_result("k") is not None
+    errors = registry.get("serve_store_errors_total")
+    assert errors.value(op="release_lease") == 1
+    assert errors.value(op="put_result") == 0
+
+    def explode() -> FrontendStats:
+        raise ValueError("simulation failed")
+
+    store.fail_next(1, ops=("release_lease",))
+    with use_registry(registry), obs_events.use_event_log(log):
+        with pytest.raises(ValueError):
+            fetch_or_compute(store, "other", explode)
+    assert errors.value(op="release_lease") == 2
+    assert [event["op"] for event in log.recent(event="store_degraded")] == [
+        "release_lease", "release_lease",
+    ]
 
 
 def test_result_store_base_contract():
@@ -631,7 +501,6 @@ def test_result_store_base_contract():
     for call in (
         lambda: base.get_result("k"),
         lambda: base.put_result("k", _stats()),
-        lambda: base.has_result("k"),
         lambda: base.acquire_lease("k", "o", 1.0),
         lambda: base.renew_lease("k", "o", 1.0),
         lambda: base.release_lease("k", "o"),
@@ -639,22 +508,7 @@ def test_result_store_base_contract():
     ):
         with pytest.raises(NotImplementedError):
             call()
-    # Optional surface has safe defaults.
-    assert base.get_trace_bytes("k") is None
-    assert base.put_trace_bytes("k", b"x") is None
-    assert base.ping() is True
     assert base.describe() == {"kind": "abstract"}
-    assert base.close() is None
-
-
-def test_configure_from_env_installs_the_active_store(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_STORE", "fake://from-env")
-    store = resultstore.configure_from_env()
-    assert isinstance(store, FakeStore)
-    assert resultstore.get_active_store() is store
-    monkeypatch.delenv("REPRO_SERVE_STORE")
-    assert resultstore.configure_from_env() is None
-    assert resultstore.get_active_store() is None
 
 
 def test_fetch_or_compute_survives_a_lost_heartbeat():
@@ -670,7 +524,7 @@ def test_fetch_or_compute_survives_a_lost_heartbeat():
     assert outcome == "fresh"
     assert calls == [1]
     assert stats is not None
-    assert store.has_result("k")
+    assert store.get_result("k") is not None
     assert registry.get("serve_store_errors_total").value(op="renew_lease") >= 1
 
 

@@ -1,8 +1,8 @@
 """Multi-replica serving over one shared result store.
 
 Two real service instances (each its own event loop, port, worker
-pool) boot over a single :class:`FakeStore` -- exactly the topology
-``docker/docker-compose.yaml`` deploys with Redis, minus the network.
+pool) boot over a single :class:`FakeStore` -- the topology of two
+``repro serve --store`` processes sharing one store, minus the processes.
 A duplicate storm split across the replicas must collapse to **one**
 simulation cluster-wide (the lease CAS is the only coordination -- the
 in-process harness memo is disabled so nothing short-circuits the
