@@ -75,7 +75,6 @@ _KNOB_LIST = (
     Knob("REPRO_SCHED_WORKERS", "runtime", "scheduler fork-worker count (0 = serial)"),
     Knob("REPRO_SCHED_TASK_TIMEOUT", "runtime", "per-task timeout seconds before kill+retry"),
     Knob("REPRO_SCHED_MAX_RETRIES", "runtime", "retry budget per task before degradation"),
-    Knob("REPRO_SCHED_LOG", "runtime", "scheduler JSONL task-log path"),
     Knob("REPRO_SERVE_HOST", "runtime", "serve bind host"),
     Knob("REPRO_SERVE_PORT", "runtime", "serve bind port"),
     Knob("REPRO_SERVE_BATCH_WINDOW", "runtime", "micro-batch open window (seconds)"),
@@ -126,7 +125,8 @@ METRIC_CATALOG = frozenset(
 )
 
 #: Every event name the code emits; ``obs.aggregate`` joins on these
-#: (``respond`` carries latency; the rest are per-request hops).
+#: (``respond`` carries latency; ``span`` is every closed span; the rest
+#: are per-request hops and scheduler task records).
 EVENT_CATALOG = frozenset(
     {
         "admit",
@@ -134,10 +134,11 @@ EVENT_CATALOG = frozenset(
         "batch-execute",
         "cache",
         "respond",
-        "harness-run",
+        "span",
         "cache-lookup",
         "disk-result",
-        "scheduler-grid",
+        "scheduler-task",
+        "scheduler-retry",
         "store_degraded",
     }
 )

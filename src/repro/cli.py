@@ -18,20 +18,21 @@ Commands:
 * ``submit``        -- submit one simulation request to a running
   service and print the response payload.
 
-``simulate``, ``experiment``, and ``report`` share the observability
-flags (README "Observability"): ``--metrics-out FILE.json`` dumps the
-metrics-registry snapshot, ``--trace-out FILE.jsonl`` dumps the span
-tree, ``--progress`` streams span completions to stderr.  ``simulate``
-and ``experiment`` also take ``--sanitize`` (README "Static checks &
+``simulate``, ``experiment``, ``report``, and ``serve`` share the
+observability flags (README "Observability"): ``--metrics-out
+FILE.json`` dumps the metrics-registry snapshot, ``--events-out
+FILE.jsonl`` appends every event and span record, ``--progress``
+streams span completions to stderr, ``--trace-memory`` adds
+``tracemalloc`` peaks to span records.  ``simulate`` and
+``experiment`` also take ``--sanitize`` (README "Static checks &
 sanitizer") to run with the microarchitectural invariant checker armed.
 
 ``experiment`` and ``report`` take the scheduler flags (README "Scaling
 out"): ``--workers N`` fans simulations out over the scheduler's fork
-pool, one task per (app, design), with ``--task-timeout``,
-``--max-retries``, and ``--scheduler-log FILE.jsonl`` controlling the
-fault-tolerance machinery.  Parallel output is bit-identical to serial
-output; scheduler failures go to stderr and the report's appendix,
-never into result rows.
+pool, one task per (app, design), with ``--task-timeout`` and
+``--max-retries`` controlling the fault-tolerance machinery.  Parallel
+output is bit-identical to serial output; scheduler failures go to
+stderr and the report's appendix, never into result rows.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import os
 import sys
 
 from repro.experiments import design_registry, run_design
+from repro.obs.events import EventLog, use_event_log
 from repro.obs.metrics import enable_metrics, use_registry
-from repro.obs.tracing import NullTracer, Tracer, use_tracer
 from repro.workloads.suite import SCALES, build_suite
 
 
@@ -428,7 +429,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         }.items()
         if value is not None
     }
-    service = SimulationService(config=config_from_env().replace(**overrides))
+    config = config_from_env().replace(**overrides)
+    span_options = _span_options(args)
+    events = None
+    if config.trace_buffer > 0 and any(span_options.values()):
+        events = EventLog(config.trace_buffer, config.events_path, **span_options)
+    service = SimulationService(config=config, events=events)
 
     def ready() -> None:
         store = service.store.describe()["kind"] if service.store else "none"
@@ -556,10 +562,6 @@ def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
         help="retries per task before it becomes a structured failure "
              "(default: REPRO_SCHED_MAX_RETRIES or 2)",
     )
-    group.add_argument(
-        "--scheduler-log", metavar="FILE.jsonl", default=None,
-        help="append one JSONL record per scheduler task outcome",
-    )
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -569,8 +571,9 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         help="dump the metrics-registry snapshot as JSON",
     )
     group.add_argument(
-        "--trace-out", metavar="FILE.jsonl", default=None,
-        help="dump the span trace as JSONL (one span per line)",
+        "--events-out", metavar="FILE.jsonl", default=None,
+        help="append every event and span record to FILE as JSONL "
+             "(serve default: REPRO_SERVE_EVENTS or unset)",
     )
     group.add_argument(
         "--progress", action="store_true",
@@ -578,7 +581,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--trace-memory", action="store_true",
-        help="record tracemalloc peaks per span (implies tracing)",
+        help="record tracemalloc peaks per span",
     )
 
 
@@ -748,11 +751,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store-ttl", type=float, default=None, metavar="SECONDS",
                        help="cross-replica single-flight lease TTL "
                             "(default REPRO_SERVE_STORE_TTL or 30)")
-    serve.add_argument("--events-out", default=None, metavar="FILE",
-                       help="also append every request event to FILE as JSONL "
-                            "(default: REPRO_SERVE_EVENTS or unset)")
     # --metrics-out enables the recording registry, so /metrics serves a
-    # live snapshot and the file is written after the drain completes.
+    # live snapshot and the file is written after the drain completes;
+    # --events-out is the service's event-log sink.
     _add_obs_flags(serve)
 
     submit = sub.add_parser(
@@ -823,20 +824,16 @@ def _scheduling(args: argparse.Namespace):
         getattr(args, "workers", None),
         getattr(args, "task_timeout", None),
         getattr(args, "max_retries", None),
-        getattr(args, "scheduler_log", None),
     )
     if all(value is None for value in flags):
         yield
         return
     from repro.experiments import scheduler
 
-    workers, task_timeout, max_retries, log_path = flags
+    workers, task_timeout, max_retries = flags
     scheduler.configure(
         scheduler.resolve_config(
-            workers=workers,
-            task_timeout=task_timeout,
-            max_retries=max_retries,
-            log_path=log_path,
+            workers=workers, task_timeout=task_timeout, max_retries=max_retries
         )
     )
     try:
@@ -845,43 +842,53 @@ def _scheduling(args: argparse.Namespace):
         scheduler.configure(None)
 
 
+#: Span-record fields that are not attrs (left out of ``--progress`` lines).
+_SPAN_FIELDS = {"ts", "event", "rid", "rids", "name", "seconds", "span", "parent",
+                "depth", "memory_peak_kib"}
+
+
+def _progress_line(record: dict) -> None:
+    """``--progress``: one stderr line per closed top-level span."""
+    if record["depth"] <= 1:
+        attrs = " ".join(
+            f"{k}={v}" for k, v in record.items() if k not in _SPAN_FIELDS
+        )
+        print(f"  [{record['seconds']:7.2f}s] {record['name']} {attrs}",
+              file=sys.stderr)
+
+
+def _span_options(args: argparse.Namespace) -> dict:
+    """The EventLog span options ``--trace-memory``/``--progress`` ask for."""
+    return {
+        "trace_memory": bool(getattr(args, "trace_memory", False)),
+        "on_span": _progress_line if getattr(args, "progress", False) else None,
+    }
+
+
 @contextlib.contextmanager
 def _observability(args: argparse.Namespace):
-    """Scope the obs flags: enable, run, dump to the requested sinks."""
+    """Scope the obs flags: enable, run, dump to the requested sinks.
+
+    ``serve`` builds its own event log (ring + ``--events-out`` sink)."""
     metrics_out = getattr(args, "metrics_out", None)
-    trace_out = getattr(args, "trace_out", None)
-    progress = getattr(args, "progress", False)
-    trace_memory = getattr(args, "trace_memory", False)
-    want_tracing = bool(trace_out or progress or trace_memory)
+    events_out = getattr(args, "events_out", None)
+    span_options = _span_options(args)
     with contextlib.ExitStack() as stack:
         registry = None
         if metrics_out:
             registry = stack.enter_context(use_registry(enable_metrics()))
-        tracer = NullTracer()
-        if want_tracing:
-            tracer = stack.enter_context(
-                use_tracer(Tracer(trace_memory=trace_memory))
-            )
-            if progress:
-                def _line(span):
-                    if span.depth <= 1:
-                        attrs = " ".join(
-                            f"{k}={v}" for k, v in span.attrs.items()
-                        )
-                        print(f"  [{span.seconds:7.2f}s] {span.name} {attrs}",
-                              file=sys.stderr)
-                tracer.on_close = _line
+        if args.command != "serve" and (events_out or any(span_options.values())):
+            log = EventLog(sink_path=events_out, **span_options)
+            if events_out:
+                stack.callback(print, f"wrote {events_out}", file=sys.stderr)
+            stack.callback(log.close)
+            stack.enter_context(use_event_log(log))
         try:
             yield
         finally:
             if metrics_out and registry is not None:
                 registry.dump(metrics_out)
                 print(f"wrote {metrics_out}", file=sys.stderr)
-            if trace_out:
-                tracer.write_jsonl(trace_out)
-                print(f"wrote {trace_out}", file=sys.stderr)
-            if want_tracing:
-                tracer.close()
 
 
 def main(argv: list[str] | None = None) -> int:

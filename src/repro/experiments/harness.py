@@ -35,7 +35,6 @@ from repro.frontend.simulator import FrontendSimulator
 from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import get_tracer
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import (
     build_suite, current_scale, get_trace, spec_trace, suite_spec,
@@ -234,18 +233,20 @@ def run_design(
     ).inc(outcome=_RUN_OUTCOMES[layer])
     if stats is not None:
         return stats
-    tracer = get_tracer()
     started = time.perf_counter()
-    with tracer.span("simulate", app=trace_name, design=design.key, scale=scale):
-        with tracer.span("trace-gen", app=trace_name, scale=scale):
+    with obs_events.span(
+        "simulate", app=trace_name, design=design.key, scale=scale
+    ) as span_attrs:
+        with obs_events.span("trace-gen", app=trace_name, scale=scale):
             trace = resolve_trace(trace_name, scale, spec)
         btb, simulator_kwargs = design.build()
         simulator = FrontendSimulator(btb, params=params, **simulator_kwargs)
-        with tracer.span("warmup+measure", app=trace_name, design=design.key):
+        with obs_events.span("warmup+measure", app=trace_name, design=design.key):
             stats = simulator.run(trace, warmup_fraction=warmup_fraction)
+        engine = getattr(simulator, "last_engine", "none")
+        events_per_sec = float(getattr(stats, "events_per_sec", 0.0))
+        span_attrs.update(engine=engine, events_per_sec=round(events_per_sec))
     elapsed = time.perf_counter() - started
-    engine = getattr(simulator, "last_engine", "none")
-    events_per_sec = float(getattr(stats, "events_per_sec", 0.0))
     with _CACHE_LOCK:
         _RUN_SECONDS[(trace_name, design.key)] = elapsed
         _RUN_ENGINES[(trace_name, design.key)] = (engine, events_per_sec)
@@ -255,11 +256,6 @@ def run_design(
     registry.counter(
         "harness_engine_runs_total", "fresh simulations by engine tier"
     ).inc(engine=engine)
-    obs_events.emit(
-        "harness-run", app=trace_name, design=design.key, scale=scale,
-        seconds=round(elapsed, 6), engine=engine,
-        events_per_sec=round(events_per_sec),
-    )
     if use_cache:
         with _CACHE_LOCK:
             _RESULT_CACHE[key] = stats

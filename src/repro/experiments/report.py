@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from repro.experiments import characterization, fig10, fig11, fig12, sensitivity, tables
 from repro.experiments import scheduler
 from repro.experiments.harness import cache_info, engine_mix, percent, slowest_runs
+from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import get_tracer
 from repro.workloads.suite import SCALES, current_scale
 
 
@@ -128,8 +128,9 @@ class EvaluationReport:
 
 
 def _timed(experiment_id: str, fn, *args, **kwargs):
-    """Run one experiment under a tracer span, returning (result, seconds)."""
-    with get_tracer().span("experiment", id=experiment_id):
+    """Run one experiment under an ``experiment`` span, returning
+    (result, seconds)."""
+    with obs_events.span("experiment", id=experiment_id):
         start = time.time()
         result = fn(*args, **kwargs)
         return result, time.time() - start

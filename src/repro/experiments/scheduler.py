@@ -25,9 +25,10 @@ instead of losing it:
 
 Observability: ``scheduler_tasks_total{outcome}``,
 ``scheduler_retries_total``, ``scheduler_timeouts_total`` counters and a
-``scheduler_task_seconds`` histogram in the metrics registry, plus an
-optional JSONL task log (``log_path`` / ``--scheduler-log``) that CI
-uploads as an artifact.
+``scheduler_task_seconds`` histogram in the metrics registry, plus one
+``scheduler-task`` / ``scheduler-retry`` record per task outcome and a
+``scheduler-sweep`` span with the sweep's counters on the event stream
+(:mod:`repro.obs.events`; ``--events-out`` writes it as JSONL).
 
 Failures accumulate in a module-level session list; the evaluation
 report drains them into its failure appendix
@@ -38,13 +39,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import IO, Any
+from typing import Any
 
 from repro.experiments import diskcache
 from repro.experiments.designs import Design
@@ -53,7 +53,6 @@ from repro.frontend.simulator import FrontendSimulator
 from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import get_tracer
 from repro.workloads.suite import build_suite, current_scale, get_trace
 
 __all__ = [
@@ -88,7 +87,6 @@ class SchedulerConfig:
         max_retries: retry budget per task after its first attempt.
         backoff_base: first retry delay, seconds; attempt ``k`` waits
             ``backoff_base * 2**(k-1)``, capped at ``backoff_max``.
-        log_path: append one JSONL record per task outcome here.
     """
 
     workers: int = 1
@@ -96,7 +94,6 @@ class SchedulerConfig:
     max_retries: int = 2
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    log_path: str | None = None
 
 
 def config_from_env() -> SchedulerConfig:
@@ -115,7 +112,6 @@ def config_from_env() -> SchedulerConfig:
         workers=_int("REPRO_SCHED_WORKERS", 1),
         task_timeout=timeout,
         max_retries=_int("REPRO_SCHED_MAX_RETRIES", 2),
-        log_path=os.environ.get("REPRO_SCHED_LOG") or None,
     )
 
 
@@ -134,7 +130,6 @@ def resolve_config(
     workers: int | None = None,
     task_timeout: float | None = None,
     max_retries: int | None = None,
-    log_path: str | None = None,
 ) -> SchedulerConfig:
     """The active config with any explicitly-passed fields overridden."""
     config = _ACTIVE_CONFIG if _ACTIVE_CONFIG is not None else config_from_env()
@@ -145,8 +140,6 @@ def resolve_config(
         overrides["task_timeout"] = task_timeout
     if max_retries is not None:
         overrides["max_retries"] = max_retries
-    if log_path is not None:
-        overrides["log_path"] = log_path
     return replace(config, **overrides) if overrides else config
 
 
@@ -268,28 +261,34 @@ def _default_runner(task: Task, attempt: int) -> FrontendStats:
 
 
 def _worker_main(conn, runner) -> None:
-    """Forked worker loop: receive a task, reply with stats or an error."""
-    try:
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                return
-            _, task, attempt = message
-            started = time.perf_counter()
-            try:
-                stats = runner(task, attempt)
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                conn.send(
-                    (
-                        "fail",
-                        f"{type(exc).__name__}: {exc}",
-                        time.perf_counter() - started,
+    """Forked worker loop: receive a task, reply with stats or an error.
+
+    The inherited event log's sink writer thread did not survive the
+    fork, so the worker records nothing; the parent records every task
+    outcome.
+    """
+    with obs_events.use_event_log(obs_events.NullEventLog()):
+        try:
+            while True:
+                message = conn.recv()
+                if message[0] == "stop":
+                    return
+                _, task, attempt = message
+                started = time.perf_counter()
+                try:
+                    stats = runner(task, attempt)
+                except Exception as exc:  # noqa: BLE001 - reported to the parent
+                    conn.send(
+                        (
+                            "fail",
+                            f"{type(exc).__name__}: {exc}",
+                            time.perf_counter() - started,
+                        )
                     )
-                )
-            else:
-                conn.send(("done", stats, time.perf_counter() - started))
-    except (EOFError, OSError, KeyboardInterrupt):
-        return
+                else:
+                    conn.send(("done", stats, time.perf_counter() - started))
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
 
 
 class _Worker:
@@ -382,22 +381,8 @@ class _Sweep:
             "crashes": 0,
             "failed": 0,
         }
-        self._log_handle: IO[str] | None = None
-        if config.log_path:
-            os.makedirs(os.path.dirname(config.log_path) or ".", exist_ok=True)
-            self._log_handle = open(config.log_path, "a", encoding="utf-8")
 
-    # -- logging / accounting ------------------------------------------------
-
-    def log(self, record: dict) -> None:
-        if self._log_handle is not None:
-            self._log_handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._log_handle.flush()
-
-    def close(self) -> None:
-        if self._log_handle is not None:
-            self._log_handle.close()
-            self._log_handle = None
+    # -- accounting ----------------------------------------------------------
 
     def done(self) -> bool:
         return self.counters["completed"] + self.counters["failed"] >= self.total
@@ -420,15 +405,10 @@ class _Sweep:
         registry.histogram(
             "scheduler_task_seconds", "wall seconds per scheduler task"
         ).observe(seconds, design=task.design_key, app=task.trace_name)
-        self.log(
-            {
-                "event": "task",
-                "task": task.task_id,
-                "outcome": outcome,
-                "attempt": self.attempts.get(task.task_id, 0) + 1,
-                "seconds": round(seconds, 6),
-                "worker": worker,
-            }
+        obs_events.emit(
+            "scheduler-task", task=task.task_id, outcome=outcome,
+            attempt=self.attempts.get(task.task_id, 0) + 1,
+            seconds=round(seconds, 6), worker=worker,
         )
 
     def record_attempt_failure(
@@ -458,16 +438,9 @@ class _Sweep:
                 self.retry_heap,
                 (time.monotonic() + delay, next(self._seq), task, attempts + 1),
             )
-            self.log(
-                {
-                    "event": "retry",
-                    "task": task.task_id,
-                    "kind": kind,
-                    "message": message,
-                    "attempt": attempts,
-                    "delay": round(delay, 6),
-                    "worker": worker,
-                }
+            obs_events.emit(
+                "scheduler-retry", task=task.task_id, kind=kind, message=message,
+                attempt=attempts, delay=round(delay, 6), worker=worker,
             )
             return
         self.counters["failed"] += 1
@@ -485,16 +458,9 @@ class _Sweep:
         self.failures.append(failure)
         with _SESSION_LOCK:
             _SESSION_FAILURES.append(failure)
-        self.log(
-            {
-                "event": "task",
-                "task": task.task_id,
-                "outcome": "failed",
-                "kind": kind,
-                "message": message,
-                "attempt": attempts,
-                "worker": worker,
-            }
+        obs_events.emit(
+            "scheduler-task", task=task.task_id, outcome="failed", kind=kind,
+            message=message, attempt=attempts, worker=worker,
         )
 
     # -- task selection ------------------------------------------------------
@@ -738,15 +704,14 @@ def run_grid(
         else:
             pending.append(task)
 
-    tracer = get_tracer()
     use_fork = config.workers > 1 and hasattr(os, "fork")
-    with tracer.span(
+    with obs_events.span(
         "scheduler-sweep",
         tasks=len(tasks),
         resumed=len(preloaded),
         workers=config.workers if use_fork else 1,
         scale=scale,
-    ):
+    ) as span_attrs:
         if use_fork and pending:
             sweep = _execute_parallel(pending, config, runner)
         else:
@@ -754,17 +719,8 @@ def run_grid(
         for task, stats in preloaded:
             sweep.record_success(task, stats, 0.0, os.getpid(), outcome="disk-hit")
         sweep.counters["tasks"] = len(tasks)
-        sweep.log({"event": "summary", **sweep.counters})
-        sweep.close()
+        span_attrs.update(sweep.counters)
     _accumulate_session_counters(sweep.counters)
-    obs_events.emit(
-        "scheduler-grid",
-        tasks=len(tasks),
-        resumed=len(preloaded),
-        workers=config.workers if use_fork else 1,
-        scale=scale,
-        failures=len(sweep.failures),
-    )
     report.results = sweep.results
     report.group_seconds = sweep.seconds
     report.failures = sweep.failures

@@ -1,4 +1,4 @@
-"""Observability layer: metrics, span tracing, and request events.
+"""Observability layer: metrics and one telemetry stream.
 
 A dependency-free instrumentation substrate for the simulator stack:
 
@@ -6,17 +6,18 @@ A dependency-free instrumentation substrate for the simulator stack:
   labels (and bucket-interpolated percentiles), published by the
   frontend simulator, the BTB designs, the ICache, the RAS, and the
   experiment harness;
-* :mod:`repro.obs.tracing` -- nested wall-clock spans (optionally with
-  ``tracemalloc`` peaks) around trace generation, simulation, and the
-  report sections, with a JSONL sink and a human tree renderer;
-* :mod:`repro.obs.events` -- flat per-request event log (bounded ring
-  + JSONL sink) keyed by correlation id, driving `/debug/trace` and
-  the serve telemetry report (:mod:`repro.obs.aggregate`).
+* :mod:`repro.obs.events` -- the one recorder: request events and
+  nested wall-clock spans (optionally with ``tracemalloc`` peaks)
+  around trace generation, simulation, scheduler sweeps and report
+  sections, tagged by correlation id, in a bounded ring + JSONL sink
+  driving `/debug/trace` and the serve telemetry report
+  (:mod:`repro.obs.aggregate`, whose ``read_events`` reads the sink).
 
-All three default to shared null objects, so instrumented code pays
-~nothing until ``python -m repro ... --metrics-out/--trace-out/
---progress`` / ``repro serve`` (or a test) enables them.  See README
-"Observability" for the metric naming scheme and example output.
+Both default to shared null objects, so instrumented code pays
+~nothing until ``python -m repro ... --metrics-out/--events-out/
+--progress/--trace-memory`` / ``repro serve`` (or a test) enables
+them.  See README "Observability" for the metric naming scheme, the
+record shapes, and example output.
 """
 
 from repro.obs.events import (
@@ -29,6 +30,7 @@ from repro.obs.events import (
     events_enabled,
     get_event_log,
     new_request_id,
+    span,
     use_event_log,
 )
 from repro.obs.metrics import (
@@ -43,17 +45,6 @@ from repro.obs.metrics import (
     metrics_enabled,
     use_registry,
 )
-from repro.obs.tracing import (
-    NullTracer,
-    Span,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    read_jsonl,
-    tracing_enabled,
-    use_tracer,
-)
 
 __all__ = [
     "EventLog",
@@ -65,6 +56,7 @@ __all__ = [
     "events_enabled",
     "get_event_log",
     "new_request_id",
+    "span",
     "use_event_log",
     "Counter",
     "Gauge",
@@ -76,13 +68,4 @@ __all__ = [
     "get_registry",
     "metrics_enabled",
     "use_registry",
-    "NullTracer",
-    "Span",
-    "Tracer",
-    "disable_tracing",
-    "enable_tracing",
-    "get_tracer",
-    "read_jsonl",
-    "tracing_enabled",
-    "use_tracer",
 ]

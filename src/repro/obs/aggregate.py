@@ -38,7 +38,8 @@ _HOP_FIELDS = ("batch_wait_s", "queue_s", "simulate_s")
 
 
 def read_events(path: str) -> list[dict]:
-    """Parse an event-log JSONL sink back into records."""
+    """Parse a JSONL sink (``--events-out``) back into its event and
+    span records."""
     records = []
     with open(path) as handle:
         for line in handle:

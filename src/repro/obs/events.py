@@ -1,19 +1,26 @@
-"""Structured request-event log: bounded ring buffer + JSONL sink.
+"""One telemetry stream: spans and events in a bounded ring + JSONL sink.
 
-The third leg of the observability layer, next to
-:mod:`repro.obs.metrics` (aggregates) and :mod:`repro.obs.tracing`
-(nested wall-clock spans).  Where a span tree describes one *process
-phase*, the event log describes one *request*: every hop a serve
-request takes through admission, batch formation, execution, the cache
-hierarchy, and the response is one flat, timestamped record tagged with
-the request's **correlation id**, so a slow or failed request can be
-reconstructed hop-by-hop long after it completed.
+Next to :mod:`repro.obs.metrics` (aggregates), this is the observability
+layer's only recorder.  Every record is flat, timestamped JSON:
+
+* **events** (:func:`emit`) -- one per hop a serve request takes through
+  admission, batching, execution, the cache tiers and the response, and
+  one per scheduler task outcome;
+* **spans** (:func:`span`) -- one ``"span"`` record per closed, named
+  wall-clock interval (trace generation, simulation, a scheduler sweep,
+  a report section) with its own id, its parent's id and its depth, so
+  the span tree can be rebuilt from the stream.
+
+Both are tagged with the request **correlation ids** bound where they
+were recorded, so a slow or failed request -- including the simulation
+it triggered -- can be reconstructed long after it completed.
 
 Design constraints (matching ``repro.obs.metrics``):
 
 * **dependency-free** -- records are plain JSON-serialisable dicts;
 * **null object when disabled** -- the module-level default log is a
-  shared no-op, so emitters never branch on an "is tracing on?" flag;
+  shared no-op, so emitters never branch on an "is tracing on?" flag
+  and a span on the null log is an empty ``with``;
 * **bounded memory** -- the recording log is a ring (``deque`` with
   ``maxlen``); the oldest records fall off under sustained load and a
   ``dropped`` counter records the loss honestly.  An optional JSONL
@@ -28,9 +35,10 @@ Design constraints (matching ``repro.obs.metrics``):
 Correlation ids travel two ways: explicitly (``emit(..., rid=...)``
 where the caller knows the request) and via **context binding**
 (:func:`bind_rids`), which lets deep layers -- the harness, the disk
-cache, the sweep scheduler -- tag their events with the requests of the
+cache, the sweep scheduler -- tag their records with the requests of the
 batch currently executing on their thread without threading ids through
-every call signature.
+every call signature.  The open span lives in a contextvar too, so
+asyncio tasks and threads nest their spans correctly.
 """
 
 from __future__ import annotations
@@ -42,8 +50,10 @@ import os
 import queue
 import threading
 import time
+import tracemalloc
 from collections import deque
 from contextlib import contextmanager
+from typing import Callable
 
 __all__ = [
     "EventLog",
@@ -56,6 +66,7 @@ __all__ = [
     "events_enabled",
     "get_event_log",
     "new_request_id",
+    "span",
     "use_event_log",
 ]
 
@@ -83,10 +94,11 @@ def new_request_id(prefix: str = "r") -> str:
 def bind_rids(*rids: str):
     """Bind correlation ids to the current context (thread or task).
 
-    Events emitted through :func:`emit` while the binding is active are
-    tagged with these ids automatically -- the serving layer binds a
-    batch's request ids around the batch runner so harness / disk-cache /
-    scheduler hops land in every member request's trace.
+    Records emitted through :func:`emit` or :func:`span` while the
+    binding is active are tagged with these ids automatically -- the
+    serving layer binds a batch's request ids around the batch runner so
+    harness / disk-cache / scheduler hops land in every member request's
+    trace.
     """
     token = _BOUND_RIDS.set(tuple(rids))
     try:
@@ -105,7 +117,13 @@ _SINK_CLOSE = object()
 
 
 class EventLog:
-    """Recording log: bounded ring plus an optional JSONL file sink."""
+    """Recording log: bounded ring plus an optional JSONL file sink.
+
+    ``trace_memory`` adds each span's ``tracemalloc`` peak to its record
+    (starting ``tracemalloc`` if needed; :meth:`close` stops it again).
+    ``on_span`` is called with every span record as it closes (the CLI
+    hooks this for ``--progress`` status lines).
+    """
 
     enabled = True
 
@@ -113,11 +131,19 @@ class EventLog:
         self,
         capacity: int = DEFAULT_CAPACITY,
         sink_path: str | None = None,
+        trace_memory: bool = False,
+        on_span: Callable[[dict], None] | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.sink_path = sink_path
+        self.trace_memory = trace_memory
+        self.on_span = on_span
+        self._tracemalloc_started = False
+        if trace_memory and not tracemalloc.is_tracing():
+            tracemalloc.start()
+            self._tracemalloc_started = True
         self._ring: deque[dict] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._emitted = 0
@@ -153,15 +179,17 @@ class EventLog:
 
     # -- recording ----------------------------------------------------------
 
-    def emit(self, event: str, rid: str = "", **attrs) -> dict:
-        """Record one event; returns the record (a plain dict).
+    def emit(self, event: str, rid: str = "", **attrs) -> None:
+        """Record one event.
 
         ``attrs`` must be JSON-serialisable.  ``rids`` (a list) is the
         conventional attribute for an event shared by several requests
         (a batch execution); :meth:`for_request` matches both forms.
         """
-        record: dict = {"ts": round(time.time(), 6), "event": event, "rid": rid}
-        record.update(attrs)
+        self.append({"ts": round(time.time(), 6), "event": event, "rid": rid, **attrs})
+
+    def append(self, record: dict) -> None:
+        """Buffer one finished record and queue it for the sink."""
         with self._lock:
             if len(self._ring) == self.capacity:
                 self._dropped += 1
@@ -170,7 +198,6 @@ class EventLog:
             enqueue = self._sink is not None and not self._closed
         if enqueue:
             self._sink_queue.put(record)
-        return record
 
     # -- introspection -------------------------------------------------------
 
@@ -180,13 +207,15 @@ class EventLog:
         event: str | None = None,
     ) -> list[dict]:
         """The newest buffered records, oldest first (optionally filtered
-        by event name, optionally capped to the last ``limit``)."""
+        by event name, optionally capped to the last ``limit`` >= 0)."""
         with self._lock:
             records = list(self._ring)
         if event is not None:
             records = [r for r in records if r["event"] == event]
-        if limit is not None and limit >= 0:
-            records = records[-limit:]
+        if limit is not None:
+            if limit < 0:
+                raise ValueError("limit must be >= 0")
+            records = records[-limit:] if limit else []
         return records
 
     def for_request(self, rid: str) -> list[dict]:
@@ -219,12 +248,16 @@ class EventLog:
             self._dropped = 0
 
     def close(self) -> None:
-        """Drain the writer queue, flush and close the sink (idempotent)."""
+        """Drain the writer queue, flush and close the sink, and stop
+        ``tracemalloc`` if this log started it (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             sink = self._sink
+        if self._tracemalloc_started:
+            tracemalloc.stop()
+            self._tracemalloc_started = False
         if sink is None:
             return
         self._sink_queue.put(_SINK_CLOSE)
@@ -243,8 +276,8 @@ class NullEventLog:
     capacity = 0
     sink_path = None
 
-    def emit(self, event: str, rid: str = "", **attrs) -> dict:
-        return {}
+    def emit(self, event: str, rid: str = "", **attrs) -> None:
+        pass
 
     def recent(self, limit: int | None = None, event: str | None = None) -> list:
         return []
@@ -313,23 +346,103 @@ def use_event_log(log: EventLog | NullEventLog):
         _active = previous
 
 
+def _tag_rids(attrs: dict) -> str:
+    """The record ``rid`` for the ids bound to this context: a single
+    bound id becomes the ``rid``; several become a ``rids`` list in
+    ``attrs`` (the record's own ``rid`` stays empty)."""
+    bound = _BOUND_RIDS.get()
+    if len(bound) == 1:
+        return bound[0]
+    if bound:
+        attrs.setdefault("rids", list(bound))
+    return ""
+
+
 def emit(event: str, rid: str | None = None, **attrs) -> None:
     """Emit on the active log, auto-tagging bound correlation ids.
 
     The cheap front door for deep layers: a no-op dict lookup when the
-    null log is active.  With no explicit ``rid``, a single bound id
-    becomes the record's ``rid``; several bound ids become a ``rids``
-    list (the record's own ``rid`` stays empty).
+    null log is active.  With no explicit ``rid`` the record is tagged
+    with the bound ids (see :func:`_tag_rids`).
     """
     log = _active
     if not log.enabled:
         return
     if rid is None:
-        bound = _BOUND_RIDS.get()
-        if len(bound) == 1:
-            rid = bound[0]
-        else:
-            rid = ""
-            if bound:
-                attrs.setdefault("rids", list(bound))
+        rid = _tag_rids(attrs)
     log.emit(event, rid=rid, **attrs)
+
+
+class _OpenSpan:
+    """The innermost open span of one context (the parent of the next)."""
+
+    __slots__ = ("span_id", "depth", "peak")
+
+    def __init__(self, span_id: int, depth: int) -> None:
+        self.span_id = span_id
+        self.depth = depth
+        #: Largest ``tracemalloc`` peak seen before a child's reset.
+        self.peak = 0
+
+
+#: Process-wide span ids (``next`` on a count is atomic under the GIL).
+_SPAN_IDS = itertools.count(1)
+
+#: The innermost open span of the current context (asyncio task or thread).
+_OPEN_SPAN: contextvars.ContextVar[_OpenSpan | None] = contextvars.ContextVar(
+    "repro_obs_open_span", default=None
+)
+
+
+@contextmanager
+def span(name: str, **attrs):
+    """Time a named interval; on close, record one ``"span"`` record.
+
+    Yields the attrs dict, which the body may extend with results it
+    computes.  The record carries ``ts`` (start), ``name``, ``seconds``,
+    ``span`` (its id), ``parent`` (the enclosing span's id, or None),
+    ``depth``, the attrs, the bound correlation ids (tagged as
+    :func:`emit` tags them) and, when the log traces memory,
+    ``memory_peak_kib``.  Children close before their parents, so a
+    parent's record follows its children's in the stream.
+    """
+    log = _active
+    if not isinstance(log, EventLog):
+        yield attrs
+        return
+    parent = _OPEN_SPAN.get()
+    current = _OpenSpan(next(_SPAN_IDS), 0 if parent is None else parent.depth + 1)
+    token = _OPEN_SPAN.set(current)
+    if log.trace_memory:
+        # reset_peak() is process-global: fold the peak so far into the
+        # parent first, or the parent would lose it.
+        if parent is not None:
+            parent.peak = max(parent.peak, tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+    ts = time.time()
+    started = time.perf_counter()
+    try:
+        yield attrs
+    finally:
+        seconds = time.perf_counter() - started
+        _OPEN_SPAN.reset(token)
+        rid = _tag_rids(attrs)
+        record = {
+            "ts": round(ts, 6),
+            "event": "span",
+            "rid": rid,
+            "name": name,
+            "seconds": round(seconds, 6),
+            "span": current.span_id,
+            "parent": None if parent is None else parent.span_id,
+            "depth": current.depth,
+        }
+        record.update(attrs)
+        if log.trace_memory:
+            peak = max(current.peak, tracemalloc.get_traced_memory()[1])
+            if parent is not None:
+                parent.peak = max(parent.peak, peak)
+            record["memory_peak_kib"] = round(peak / 1024.0, 1)
+        log.append(record)
+        if log.on_span is not None:
+            log.on_span(record)

@@ -52,8 +52,9 @@ Request tracing: every ``/v1/simulate`` request gets a correlation id
 (``X-Repro-Request-Id``) at admission and leaves a hop trail in the
 service's event log (:mod:`repro.obs.events`) -- ``admit`` →
 ``batch-join`` → ``batch-execute`` → ``cache`` → ``respond`` -- with
-the batch runner's thread bound to the batch's ids so harness /
-disk-cache / result-store events join each member request's trace.  The
+the batch runner's thread bound to the batch's ids so the harness's
+``simulate`` span and disk-cache / result-store events join each member
+request's trace.  The
 recent ring is served on ``GET /debug/trace``; per-hop timing
 (batch-wait / executor-queue / simulate) rides back in ``X-Repro-*``
 headers.  ``trace_buffer=0`` disables all of it (null event log).
@@ -258,6 +259,8 @@ class SimulationService:
             cache as the harness's result tier.  Without one the
             harness keeps its default disk-cache store, which never
             runs the lease protocol.
+        events: the service's event log (default: built from
+            ``config.trace_buffer`` and ``config.events_path``).
     """
 
     def __init__(
@@ -265,6 +268,7 @@ class SimulationService:
         config: ServeConfig | None = None,
         runner: Callable[[list[SimJob]], BatchOutcome] | None = None,
         store: "resultstore.ResultStore | None" = None,
+        events: EventLog | NullEventLog | None = None,
     ) -> None:
         self.config = config or config_from_env()
         self.store = (
@@ -293,16 +297,18 @@ class SimulationService:
         self._batch_seq = itertools.count(1)
         self._inflight = 0
         self._draining = False
-        #: Request-event log: ring served on /debug/trace (+ optional
-        #: JSONL sink).  trace_buffer=0 turns tracing off entirely.
-        self.events: EventLog | NullEventLog = (
-            EventLog(
-                capacity=self.config.trace_buffer,
-                sink_path=self.config.events_path,
+        #: Event log: ring served on /debug/trace (+ optional JSONL
+        #: sink).  trace_buffer=0 turns tracing off entirely.
+        if events is None:
+            events = (
+                EventLog(
+                    capacity=self.config.trace_buffer,
+                    sink_path=self.config.events_path,
+                )
+                if self.config.trace_buffer > 0
+                else NullEventLog()
             )
-            if self.config.trace_buffer > 0
-            else NullEventLog()
-        )
+        self.events: EventLog | NullEventLog = events
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-serve"
         )
@@ -674,6 +680,9 @@ class SimulationService:
             except ValueError:
                 return _error(HTTPStatus.BAD_REQUEST, "bad-limit",
                               f"limit must be an integer, got {limit_raw!r}")
+            if limit is not None and limit < 0:
+                return _error(HTTPStatus.BAD_REQUEST, "bad-limit",
+                              f"limit must be non-negative, got {limit_raw!r}")
             if rid is not None:
                 records = self.events.for_request(rid)
             else:

@@ -18,13 +18,16 @@ from repro.obs.metrics import (
     percentile_from_buckets,
     use_registry,
 )
-from repro.obs.tracing import (
-    NullTracer,
-    Tracer,
-    get_tracer,
-    read_jsonl,
-    tracing_enabled,
-    use_tracer,
+from repro.obs.aggregate import read_events
+from repro.obs.events import (
+    EventLog,
+    NullEventLog,
+    bind_rids,
+    emit,
+    events_enabled,
+    get_event_log,
+    span,
+    use_event_log,
 )
 
 
@@ -252,138 +255,209 @@ def test_use_registry_restores_previous():
     assert not metrics_enabled()
 
 
-# -- tracing -----------------------------------------------------------------
+# -- spans -------------------------------------------------------------------
+
+
+def _spans(log) -> dict:
+    """The log's span records by name."""
+    return {r["name"]: r for r in log.recent(event="span")}
 
 
 def test_span_nesting_parent_depth():
-    tracer = Tracer()
-    with tracer.span("outer", phase="x") as outer:
-        with tracer.span("inner") as inner:
-            assert tracer.current() is inner
-        with tracer.span("sibling"):
-            pass
-    assert tracer.current() is None
-    assert [s.name for s in tracer.spans()] == ["outer", "inner", "sibling"]
-    assert inner.parent_id == outer.span_id
-    assert inner.depth == 1
-    assert outer.seconds >= inner.seconds >= 0.0
+    log = EventLog()
+    with use_event_log(log):
+        with span("outer", phase="x"):
+            with span("inner"):
+                pass
+            with span("sibling"):
+                pass
+    records = log.recent(event="span")
+    # Children close (and are recorded) before their parent.
+    assert [r["name"] for r in records] == ["inner", "sibling", "outer"]
+    by_name = _spans(log)
+    outer, inner = by_name["outer"], by_name["inner"]
+    assert outer["parent"] is None and outer["depth"] == 0
+    assert outer["phase"] == "x"
+    assert inner["parent"] == outer["span"]
+    assert by_name["sibling"]["parent"] == outer["span"]
+    assert inner["depth"] == 1
+    assert outer["seconds"] >= inner["seconds"] >= 0.0
+    assert outer["ts"] <= inner["ts"]
+    assert "memory_peak_kib" not in outer  # only under trace_memory
 
 
 def test_span_annotate_and_event():
-    tracer = Tracer()
-    with tracer.span("run") as span:
-        span.annotate(apps=4)
-        tracer.event("cache-hit", app="x")
-    records = tracer.to_records()
-    assert records[0]["attrs"] == {"apps": 4}
-    assert records[1]["name"] == "cache-hit"
-    assert records[1]["seconds"] == 0.0
-    assert records[1]["parent_id"] == records[0]["span_id"]
+    log = EventLog()
+    with use_event_log(log):
+        with span("run") as attrs:
+            attrs["apps"] = 4  # results computed inside the span
+            emit("cache-lookup", app="x")
+    event, run = log.recent()
+    assert event["event"] == "cache-lookup"
+    assert run["event"] == "span"
+    assert run["apps"] == 4
+    assert run["ts"] <= event["ts"]
+
+
+def test_span_records_carry_bound_rids():
+    log = EventLog()
+    with use_event_log(log):
+        with bind_rids("r1"):
+            with span("single"):
+                pass
+        with bind_rids("r2", "r3"):
+            with span("batch"):
+                pass
+    by_name = _spans(log)
+    assert by_name["single"]["rid"] == "r1"
+    assert by_name["batch"]["rid"] == ""
+    assert by_name["batch"]["rids"] == ["r2", "r3"]
+    assert log.for_request("r3") == [by_name["batch"]]
 
 
 def test_on_close_callback_fires_in_completion_order():
-    tracer = Tracer()
     closed = []
-    tracer.on_close = lambda span: closed.append(span.name)
-    with tracer.span("outer"):
-        with tracer.span("inner"):
-            pass
+    log = EventLog(on_span=lambda record: closed.append(record["name"]))
+    with use_event_log(log):
+        with span("outer"):
+            with span("inner"):
+                pass
     assert closed == ["inner", "outer"]
 
 
 def test_jsonl_round_trip(tmp_path):
-    tracer = Tracer()
-    with tracer.span("simulate", app="a", design="d"):
-        with tracer.span("trace-gen", app="a"):
-            pass
-    path = tmp_path / "trace.jsonl"
-    tracer.write_jsonl(str(path))
-    records = read_jsonl(str(path))
-    assert records == tracer.to_records()
-    assert records[0]["name"] == "simulate"
-    assert records[1]["parent_id"] == records[0]["span_id"]
-    assert records[1]["depth"] == 1
+    path = tmp_path / "events.jsonl"
+    log = EventLog(sink_path=str(path))
+    with use_event_log(log):
+        with span("simulate", app="a", design="d"):
+            with span("trace-gen", app="a"):
+                pass
+    log.close()
+    records = read_events(str(path))
+    assert records == log.recent()
+    trace_gen, simulate = records
+    assert simulate["name"] == "simulate"
+    assert trace_gen["parent"] == simulate["span"]
+    assert trace_gen["depth"] == 1
 
 
 def test_tracer_concurrent_asyncio_tasks_keep_parentage(tmp_path):
     """Interleaved asyncio tasks must not corrupt span parentage.
 
-    Each task inherits the spawner's contextvar stack snapshot, so its
-    spans parent under the root that was open when it was created --
-    never under a sibling task's span -- and the JSONL sink stays one
-    well-formed record per line."""
+    Each task inherits the spawner's open span through its contextvar
+    snapshot, so its spans parent under the root that was open when it
+    was created -- never under a sibling task's span -- and the JSONL
+    sink stays one well-formed record per line."""
     import asyncio
 
-    tracer = Tracer()
+    path = tmp_path / "spans.jsonl"
+    log = EventLog(sink_path=str(path))
 
     async def worker(n: int) -> None:
-        with tracer.span(f"task-{n}", index=n):
+        with span(f"task-{n}", index=n):
             await asyncio.sleep(0)  # force interleaving with siblings
-            with tracer.span(f"task-{n}-inner"):
+            with span(f"task-{n}-inner"):
                 await asyncio.sleep(0)
 
     async def main():
-        with tracer.span("root") as root:
+        with span("root"):
             await asyncio.gather(*(worker(n) for n in range(8)))
-        return root
 
-    root = asyncio.run(main())
-    path = tmp_path / "spans.jsonl"
-    tracer.write_jsonl(str(path))
+    with use_event_log(log):
+        asyncio.run(main())
+    log.close()
     lines = path.read_text().splitlines()
     records = [json.loads(line) for line in lines]  # every line parses
     assert len(records) == 1 + 2 * 8
     by_name = {record["name"]: record for record in records}
-    assert by_name["root"]["span_id"] == root.span_id
+    root = by_name["root"]
     for n in range(8):
         outer = by_name[f"task-{n}"]
         inner = by_name[f"task-{n}-inner"]
-        assert outer["parent_id"] == root.span_id, outer
+        assert outer["parent"] == root["span"], outer
         assert outer["depth"] == 1
-        assert inner["parent_id"] == outer["span_id"], inner
+        assert inner["parent"] == outer["span"], inner
         assert inner["depth"] == 2
 
 
-def test_trace_memory_records_peaks():
-    tracer = Tracer(trace_memory=True)
+def test_spans_on_threads_are_roots_with_unique_ids():
+    """Threads share the ring and the id counter but not the open span:
+    under forced switching every thread's spans nest under its own root
+    and no id repeats."""
+    import sys
+    import threading
+
+    log = EventLog(capacity=1024)
+
+    def worker(n: int) -> None:
+        for _ in range(20):
+            with span(f"root-{n}"):
+                with span(f"leaf-{n}"):
+                    pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        with tracer.span("alloc") as span:
-            _ = [0] * 50_000
-        assert span.memory_peak_kib is not None
-        assert span.memory_peak_kib > 100  # 50k pointers >> 100 KiB
+        with use_event_log(log):
+            with span("main"):
+                threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
     finally:
-        tracer.close()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    records = log.recent(event="span")
+    assert len(records) == 1 + 8 * 20 * 2
+    assert len({r["span"] for r in records}) == len(records)
+    by_id = {r["span"]: r for r in records}
+    for record in records:
+        if record["name"].startswith("root-"):
+            assert record["parent"] is None  # a fresh thread starts a tree
+        elif record["name"].startswith("leaf-"):
+            parent = by_id[record["parent"]]
+            assert parent["name"] == "root-" + record["name"][len("leaf-"):]
 
 
-def test_render_tree_indents_children():
-    tracer = Tracer()
-    with tracer.span("outer"):
-        with tracer.span("inner", app="x"):
-            pass
-    tree = tracer.render_tree()
-    lines = tree.splitlines()
-    assert lines[0].startswith("outer")
-    assert lines[1].startswith("  inner")
-    assert "app=x" in lines[1]
+def test_trace_memory_records_peaks():
+    log = EventLog(trace_memory=True)
+    try:
+        with use_event_log(log):
+            with span("alloc"):
+                _ = [0] * 50_000
+        (record,) = log.recent()
+        assert record["memory_peak_kib"] > 100  # 50k pointers >> 100 KiB
+    finally:
+        log.close()
 
 
-def test_null_tracer_is_default_and_free():
-    tracer = get_tracer()
-    assert not tracing_enabled()
-    assert isinstance(tracer, NullTracer)
-    with tracer.span("anything", app="x") as span:
-        span.annotate(ok=True)
-    tracer.event("nothing")
-    assert tracer.to_records() == []
-    assert tracer.render_tree() == ""
+def test_trace_memory_child_reset_keeps_parent_peak():
+    """An inner span's peak reset must not erase its parent's earlier
+    peak: the outer span's record covers the list freed before the
+    inner span opened."""
+    log = EventLog(trace_memory=True)
+    try:
+        with use_event_log(log):
+            with span("outer"):
+                scratch = list(range(200_000))  # ~7 MiB of ints + pointers
+                del scratch
+                with span("inner"):
+                    with span("innermost"):
+                        pass
+        by_name = _spans(log)
+        assert by_name["outer"]["memory_peak_kib"] > 4096
+        assert by_name["inner"]["memory_peak_kib"] < 1024
+    finally:
+        log.close()
 
 
-def test_use_tracer_restores_previous():
-    scoped = Tracer()
-    with use_tracer(scoped) as active:
-        assert active is scoped
-        assert get_tracer() is scoped
-    assert not tracing_enabled()
+def test_null_log_span_is_default_and_free():
+    assert not events_enabled()
+    assert isinstance(get_event_log(), NullEventLog)
+    with span("anything", app="x") as attrs:
+        attrs["ok"] = True
+    assert get_event_log().recent() == []
 
 
 # -- stats serialisation (satellite) ----------------------------------------
@@ -498,12 +572,11 @@ def test_simulate_cli_emits_metrics_and_trace(tmp_path):
 
     clear_cache()  # guarantee a fresh simulation so metrics are published
     metrics_path = tmp_path / "m.json"
-    trace_path = tmp_path / "t.jsonl"
+    events_path = tmp_path / "events.jsonl"
     code = main([
-        "--scale", "tiny", "simulate",
-        "--app", "server_oltp_00", "--design", "pdede-default",
+        "--scale", "tiny", "simulate", "server_oltp_00", "pdede-default",
         "--metrics-out", str(metrics_path),
-        "--trace-out", str(trace_path),
+        "--events-out", str(events_path),
     ])
     assert code == 0
     snapshot = json.loads(metrics_path.read_text())
@@ -515,13 +588,16 @@ def test_simulate_cli_emits_metrics_and_trace(tmp_path):
         "app": "server_oltp_00", "design": "PDede[default]",
     }
     assert ipc_series["value"] > 0
-    records = read_jsonl(str(trace_path))
-    names = [record["name"] for record in records]
-    assert "simulate" in names
-    assert "trace-gen" in names
-    simulate = next(r for r in records if r["name"] == "simulate")
-    nested = [r for r in records if r["parent_id"] == simulate["span_id"]]
-    assert nested, "simulate span must have nested children"
+    spans = {
+        r["name"]: r for r in read_events(str(events_path)) if r["event"] == "span"
+    }
+    simulate, trace_gen = spans["simulate"], spans["trace-gen"]
+    assert trace_gen["parent"] == simulate["span"]
+    assert simulate["parent"] is None
+    # The simulate span carries the fresh run's engine tier and rate.
+    assert simulate["engine"] in ("vector", "general")
+    assert simulate["events_per_sec"] > 0
+    assert not events_enabled()  # the CLI scope restored the null log
     clear_cache()
 
 

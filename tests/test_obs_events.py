@@ -88,6 +88,10 @@ def test_event_log_recent_filters_and_limits():
     responds = log.recent(event="respond")
     assert [r["rid"] for r in responds] == ["r0", "r1", "r2", "r3"]
     assert [r["rid"] for r in log.recent(limit=2, event="respond")] == ["r2", "r3"]
+    assert len(log.recent(limit=99)) == 8
+    assert log.recent(limit=0) == []  # not records[-0:], the whole ring
+    with pytest.raises(ValueError):
+        log.recent(limit=-1)
 
 
 def test_event_log_for_request_matches_direct_and_batch_rids():

@@ -31,6 +31,34 @@ def test_parallel_run_suite_matches_serial():
     clear_cache()
 
 
+def test_parallel_experiment_events_out_records_every_task(tmp_path):
+    """``--workers 2 --events-out F``: the parent records one terminal
+    ``scheduler-task`` per task and one ``scheduler-sweep`` span per
+    sweep; forked workers record nothing, so F stays well-formed."""
+    if not hasattr(os, "fork"):
+        pytest.skip("fork not available")
+    from repro.cli import main
+    from repro.obs.aggregate import read_events
+
+    clear_cache()
+    path = tmp_path / "events.jsonl"
+    assert main(["--scale", "tiny", "experiment", "s5.5", "--workers", "2",
+                 "--events-out", str(path)]) == 0
+    records = read_events(str(path))  # every line parses
+    sweeps = [r for r in records if r.get("name") == "scheduler-sweep"]
+    tasks = [r for r in records if r["event"] == "scheduler-task"]
+    # s5.5 sweeps the default and the perfect direction predictor.
+    assert len(sweeps) == 2
+    for sweep in sweeps:
+        assert sweep["event"] == "span" and sweep["workers"] == 2
+        assert sweep["completed"] == sweep["fresh"] == sweep["tasks"] > 0
+    assert len(tasks) == sum(sweep["tasks"] for sweep in sweeps)
+    assert len({record["task"] for record in tasks}) == len(tasks)
+    assert {record["outcome"] for record in tasks} == {"ok"}
+    assert {record["event"] for record in records} == {"span", "scheduler-task"}
+    clear_cache()
+
+
 def test_report_sections_cover_every_experiment():
     from repro.experiments.report import generate_report
 

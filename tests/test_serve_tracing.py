@@ -104,6 +104,13 @@ def test_cold_request_full_hop_sequence_by_correlation_id():
         # bound rids: a cold request must show its cache miss.
         deep = [r for r in trace["records"] if r["event"] == "cache-lookup"]
         assert deep and deep[0]["hit"] is False
+        # The fresh simulation's span is tagged with the request too.
+        (simulate,) = [
+            r for r in records if r["event"] == "span" and r["name"] == "simulate"
+        ]
+        assert simulate["rid"] == rid
+        assert simulate["design"] == DESIGN
+        assert simulate["engine"] in ("vector", "general")
     finally:
         handle.shutdown()
 
@@ -182,6 +189,7 @@ def test_debug_trace_filters_and_drain_state():
         assert all(r["event"] == "respond" for r in responds)
         limited = client.debug_trace(event="respond", limit=2)["records"]
         assert limited == responds[-2:]
+        assert client.debug_trace(limit=0)["records"] == []
         # Health reports the same drain state under "events".
         health = client.health()
         assert health["status"] in ("ok", "draining")
@@ -194,13 +202,16 @@ def test_debug_trace_filters_and_drain_state():
 def test_debug_trace_rejects_bad_limit():
     handle = serve_in_thread(_config())
     try:
-        connection = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
-        connection.request("GET", "/debug/trace?limit=banana")
-        response = connection.getresponse()
-        payload = json.loads(response.read())
-        assert response.status == 400
-        assert payload["error"]["code"] == "bad-limit"
-        connection.close()
+        for limit in ("banana", "-1"):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", handle.port, timeout=10
+            )
+            connection.request("GET", f"/debug/trace?limit={limit}")
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400, limit
+            assert payload["error"]["code"] == "bad-limit"
+            connection.close()
     finally:
         handle.shutdown()
 
