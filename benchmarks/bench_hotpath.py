@@ -14,7 +14,12 @@ in the same process:
 * the bulk TAGE direction replay (``TageLitePredictor.replay``, the
   largest part of prepare) must give the same predictions as the
   per-event ``predict_and_update`` loop it replaced and beat it by
-  ``DIRECTION_MIN_SPEEDUP`` (``direction_replay_speedup``).
+  ``DIRECTION_MIN_SPEEDUP`` (``direction_replay_speedup``);
+* the general engine, on the literature designs only it runs (Micro
+  BTB, Shadow PDede), must match the seed engine byte for byte and beat
+  it by ``GENERAL_MIN_SPEEDUP`` across those designs
+  (``general_sweep_speedup``): it reads the same prepared direction,
+  ICache and RAS columns instead of calling the live structures.
 
 The race attributes the shared one-time work -- trace decode, the
 memoised TAGE direction, ICache and RAS replays, and the numpy column
@@ -41,6 +46,7 @@ Run directly (CI perf-budget job) or under pytest-benchmark::
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
@@ -48,7 +54,7 @@ from pathlib import Path
 
 from repro.branch.direction import TageLitePredictor
 from repro.branch.types import BranchKind
-from repro.experiments.designs import standard_designs
+from repro.experiments.designs import design_registry, standard_designs
 from repro.frontend.params import ICELAKE
 from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
 from repro.frontend.simulator import FrontendSimulator
@@ -70,6 +76,20 @@ SWEEP_MIN_SPEEDUP = 3.0
 #: app at smoke and default scale, so 3.0 leaves honest CI headroom.
 DIRECTION_MIN_SPEEDUP = 3.0
 
+#: Required general-engine speed-up over the seed engine across
+#: ``GENERAL_DESIGNS``, measured after the shared prepare step.  Measured
+#: 1.7-1.85x at smoke and default scale (about 1.0x before the general
+#: engine read the prepared columns), so 1.4 leaves honest CI headroom.
+GENERAL_MIN_SPEEDUP = 1.4
+
+#: Literature designs that only the general engine runs.
+GENERAL_DESIGNS = ("micro-btb", "shadow-pdede")
+
+#: Alternating general/seed runs per design in the general race; each
+#: side keeps its fastest, so one noisy run cannot sink a ~1.7x ratio
+#: toward the 1.4x budget.
+GENERAL_REPEATS = 3
+
 #: App the gate races on (hot-set and branch mix representative; any
 #: suite member works -- results must match on all of them regardless).
 GATE_APP = "server_oltp_00"
@@ -87,6 +107,11 @@ def _measure(run) -> tuple[float, object]:
     start = time.perf_counter()
     stats = run()
     return time.perf_counter() - start, stats
+
+
+def _diffs(stats: dict, seed: dict) -> dict:
+    """``{field: (value, seed value)}`` for every field that differs."""
+    return {name: (value, seed[name]) for name, value in stats.items() if value != seed[name]}
 
 
 def prepare(trace) -> float:
@@ -130,6 +155,57 @@ def race_direction(trace) -> dict:
     }
 
 
+def race_general(trace) -> tuple[dict, list]:
+    """Race the general engine against the seed referee on
+    ``GENERAL_DESIGNS``; returns the report fields and any mismatches.
+
+    Call after :func:`prepare`: like the vector designs, a fresh general
+    run reads the memoised direction, ICache and RAS columns.
+    """
+    registry = design_registry()
+    rows: dict[str, dict] = {}
+    engines: dict[str, str] = {}
+    mismatches = []
+    general_total = seed_total = 0.0
+    for key in GENERAL_DESIGNS:
+        design = registry[key]
+        general_seconds = seed_seconds = float("inf")
+        for _ in range(GENERAL_REPEATS):
+            btb, kwargs = design.build()
+            simulator = FrontendSimulator(btb, **kwargs)
+            # A full collection left pending by the earlier races would
+            # otherwise land inside whichever run crosses the threshold.
+            gc.collect()
+            seconds, stats = _measure(
+                lambda s=simulator: s.run(trace, warmup_fraction=0.3)
+            )
+            general_seconds = min(general_seconds, seconds)
+            seed_btb, seed_kwargs = design.build()
+            reference = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)
+            gc.collect()
+            seconds, seed_stats = _measure(
+                lambda s=reference: s.run(trace, warmup_fraction=0.3)
+            )
+            seed_seconds = min(seed_seconds, seconds)
+        engines[key] = simulator.last_engine
+        diffs = _diffs(stats.to_dict(), seed_stats.to_dict())
+        if diffs:
+            mismatches.append((key, "general", diffs))
+        general_total += general_seconds
+        seed_total += seed_seconds
+        rows[key] = {
+            "seed_seconds": round(seed_seconds, 4),
+            "general_seconds": round(general_seconds, 4),
+            "general_speedup": round(seed_seconds / general_seconds, 2),
+        }
+    return {
+        "general_designs": list(GENERAL_DESIGNS),
+        "general_engines": engines,
+        "general_per_design": rows,
+        "general_sweep_speedup": round(seed_total / general_total, 3),
+    }, mismatches
+
+
 def race(trace) -> dict:
     """Race the engine tiers against the seed referee on every design."""
     designs = standard_designs()
@@ -162,16 +238,13 @@ def race(trace) -> dict:
         per_design[key]["seed"] = elapsed
         seed_dict = seed_stats.to_dict()
         for tier in TIERS:
-            tier_dict = per_design[key]["stats"][tier]
-            if tier_dict != seed_dict:
-                diffs = {
-                    name: (value, seed_dict[name])
-                    for name, value in tier_dict.items()
-                    if value != seed_dict[name]
-                }
+            diffs = _diffs(per_design[key]["stats"][tier], seed_dict)
+            if diffs:
                 mismatches.append((key, tier, diffs))
         del per_design[key]["stats"]
 
+    general, general_mismatches = race_general(trace)
+    mismatches.extend(general_mismatches)
     events = len(trace)
     design_rows = {
         key: {
@@ -204,6 +277,7 @@ def race(trace) -> dict:
         "mismatches": mismatches,
         "peak_design": peak_key,
         "peak_vector_speedup": design_rows[peak_key]["vector_speedup"],
+        **general,
     }
     for tier in TIERS:
         seconds = tier_seconds[tier]
@@ -228,7 +302,7 @@ def run_gate(record: bool = False) -> dict:
     gauge.set(report["vector_sweep_speedup"], scale=report["scale"], tier="vector")
 
     assert not report["mismatches"], (
-        "vector engine diverged from the seed engine: "
+        "an engine diverged from the seed engine: "
         f"{report['mismatches']}"
     )
     for tier in TIERS:
@@ -236,6 +310,8 @@ def run_gate(record: bool = False) -> dict:
             assert engine == tier, (
                 f"{key} requested the {tier} engine but ran {engine}"
             )
+    for key, engine in report["general_engines"].items():
+        assert engine == "general", f"{key} ran the {engine} engine, not general"
     assert report["peak_vector_speedup"] >= MIN_SPEEDUP, (
         f"peak vector speedup {report['peak_vector_speedup']:.2f}x "
         f"({report['peak_design']}) is below the {MIN_SPEEDUP:.1f}x budget"
@@ -253,6 +329,11 @@ def run_gate(record: bool = False) -> dict:
         f"TAGE replay speedup {report['direction_replay_speedup']:.2f}x is below "
         f"the {DIRECTION_MIN_SPEEDUP:.1f}x budget"
     )
+    assert report["general_sweep_speedup"] >= GENERAL_MIN_SPEEDUP, (
+        f"general sweep speedup {report['general_sweep_speedup']:.2f}x over "
+        f"{', '.join(GENERAL_DESIGNS)} is below the {GENERAL_MIN_SPEEDUP:.1f}x budget "
+        f"({report['general_per_design']})"
+    )
 
     if record:
         history = []
@@ -265,6 +346,7 @@ def run_gate(record: bool = False) -> dict:
                     "min_speedup": MIN_SPEEDUP,
                     "sweep_min_speedup": SWEEP_MIN_SPEEDUP,
                     "direction_min_speedup": DIRECTION_MIN_SPEEDUP,
+                    "general_min_speedup": GENERAL_MIN_SPEEDUP,
                     "history": history,
                 },
                 indent=2,
@@ -284,7 +366,9 @@ def test_hotpath_speedup_and_equivalence(benchmark):
         f"{report['peak_vector_speedup']:.2f}x on {report['peak_design']} "
         f"(budgets {SWEEP_MIN_SPEEDUP:.1f}x sweep, {MIN_SPEEDUP:.1f}x peak), "
         f"TAGE replay {report['direction_replay_speedup']:.2f}x "
-        f"(budget {DIRECTION_MIN_SPEEDUP:.1f}x) at scale={report['scale']}"
+        f"(budget {DIRECTION_MIN_SPEEDUP:.1f}x), general "
+        f"{report['general_sweep_speedup']:.2f}x "
+        f"(budget {GENERAL_MIN_SPEEDUP:.1f}x) at scale={report['scale']}"
     )
     trace = get_trace(GATE_APP)
     design = standard_designs()["pdede-default"]
@@ -306,6 +390,8 @@ def main(argv: list[str]) -> int:
         f"peak {report['peak_vector_speedup']:.2f}x >= {MIN_SPEEDUP:.1f}x, "
         f"TAGE replay {report['direction_replay_speedup']:.2f}x >= "
         f"{DIRECTION_MIN_SPEEDUP:.1f}x, "
+        f"general {report['general_sweep_speedup']:.2f}x >= "
+        f"{GENERAL_MIN_SPEEDUP:.1f}x, "
         "stats bit-identical across engines, replay identical to the loop"
     )
     return 0

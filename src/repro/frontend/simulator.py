@@ -30,6 +30,9 @@ not modelled (a second-order effect the paper notes qualitatively).
 from __future__ import annotations
 
 import time
+from itertools import count, repeat
+
+import numpy as np
 
 from repro.branch.direction import (
     DirectionPredictor,
@@ -143,14 +146,18 @@ class FrontendSimulator:
         columns and used when the configuration allows it, and the
         *general* per-event engine that handles every configuration
         (ITTAGE, wrong-path modelling, custom predictors, literature BTB
-        families, armed sanitizer, reused simulators).
+        families, armed sanitizer, reused simulators).  Both read the
+        same replayed direction, ICache and RAS columns whenever
+        :meth:`_columns_applicable` holds.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         engine = self.engine
+        columns = self._columns_applicable()
+        vector_ok = columns and vector_supported(self.btb)
         if engine == "auto":
-            engine = "vector" if self._vector_path_applicable() else "general"
-        elif engine == "vector" and not self._vector_path_applicable():
+            engine = "vector" if vector_ok else "general"
+        elif engine == "vector" and not vector_ok:
             raise ValueError(
                 "vector engine not applicable to this configuration "
                 "(requires cold structures and a vector-capable BTB)"
@@ -162,7 +169,7 @@ class FrontendSimulator:
 
             stats = run_vector(self, trace, warmup_fraction)
         else:
-            stats = self._run_general(trace, warmup_fraction)
+            stats = self._run_general(trace, warmup_fraction, columns)
         elapsed = time.perf_counter() - started
         # Engine telemetry rides on the stats object as plain instance
         # attributes (not dataclass fields, so digests/to_dict stay
@@ -188,16 +195,18 @@ class FrontendSimulator:
             return "tage-default"
         return None
 
-    def _vector_path_applicable(self) -> bool:
-        """Whether the columnar vector engine reproduces this configuration.
+    def _columns_applicable(self) -> bool:
+        """Whether the decoded trace's cold-state replays stand in for
+        this simulator's direction predictor, ICache and RAS.
 
-        The vector engine takes direction outcomes, ICache misses and
-        RAS outcomes from the decoded trace's cold-state replays, so it
-        only applies to a simulator's first run with cold structures and
-        a design with exact struct-of-arrays kernels; anything it cannot
-        replicate exactly (ITTAGE, wrong-path pollution, an armed
-        sanitizer, a caller-supplied predictor, a pre-touched RAS, a BTB
-        without kernels) falls back to the general engine.
+        Those replays start from cold structures and see only the
+        trace, so they apply to a simulator's first run with a pristine
+        ICache and RAS, the default TAGE or the perfect oracle, and
+        nothing that feeds other events into those structures (ITTAGE
+        history, wrong-path pollution) or inspects every step (an armed
+        sanitizer).  The vector engine additionally needs exact
+        struct-of-arrays BTB kernels (``vector_supported``); the general
+        engine runs any BTB on the columns.
         """
         return (
             not self._has_run
@@ -209,16 +218,58 @@ class FrontendSimulator:
             and self.ras.pushes == 0
             and self.ras.pops == 0
             and len(self.ras) == 0
-            and vector_supported(self.btb)
         )
 
-    def _run_general(self, trace: Trace, warmup_fraction: float) -> FrontendStats:
+    def _replayed_columns(self, trace: Trace) -> tuple[tuple, tuple]:
+        """Per-event ``(icache misses, direction ok, ras ok)`` columns
+        from ``trace.decoded()`` plus the replays' end states.
+
+        Only valid when :meth:`_columns_applicable` holds; the memo on
+        the trace means every design after the first reuses the
+        replays.  Pass the end states to :meth:`_adopt_end_states` once
+        the run is over.
+        """
+        params = self.params
+        decoded = trace.decoded()
+        icache_col, icache_final = decoded.icache_misses(
+            params.icache_kib, params.icache_line_bytes, params.icache_ways
+        )
+        signature = self._direction_signature()
+        if signature == "perfect":
+            direction_col = np.ones(decoded.n_events, dtype=np.bool_)
+            direction_final = None
+        else:
+            direction_col, direction_final = decoded.direction_outcomes(signature)
+        ras_col, ras_final = decoded.ras_outcomes(self.returns_use_ras, self.ras.depth)
+        return (icache_col, direction_col, ras_col), (
+            icache_final, direction_final, ras_final
+        )
+
+    def _adopt_end_states(self, finals: tuple) -> None:
+        """Take clones of the replayed end-of-trace ICache, predictor and
+        RAS, so post-run inspection and a second run match a live run."""
+        icache_final, direction_final, ras_final = finals
+        self.icache = icache_final.clone()
+        if direction_final is not None:
+            self.direction = direction_final.clone()
+        self.ras = ras_final.clone()
+
+    def _run_general(
+        self, trace: Trace, warmup_fraction: float, columns: bool
+    ) -> FrontendStats:
         """Reference per-event engine (every configuration).
 
         All cycle quantities are integer *ticks* of ``1 / cycle_tick``
         cycles (see :class:`FrontendStats`), so both engines sum them
         exactly in any order.  The float buckets are derived once at the
         end.
+
+        With ``columns`` (see :meth:`_columns_applicable`) the per-event
+        ICache miss count, direction-correct bit and RAS-correct bit come
+        from the decoded trace's replays instead of live calls, and the
+        simulator adopts the replays' end states afterwards.  Each of
+        the three per-event values is ``None`` on the live path, meaning
+        "ask the structure".
         """
         params = self.params
         stats = FrontendStats()
@@ -249,18 +300,24 @@ class FrontendSimulator:
         ras = self.ras
         icache_touch = self.icache.touch_range
         returns_use_ras = self.returns_use_ras
+        if columns:
+            replayed, finals = self._replayed_columns(trace)
+            icache_col, direction_col, ras_col = (col.tolist() for col in replayed)
+        else:
+            icache_col = direction_col = ras_col = repeat(None)
 
-        for index, (pc, kind_value, taken, target, gap) in enumerate(
-            trace.events()
-        ):
+        for (
+            index, (pc, kind_value, taken, target, gap),
+            icache_misses, direction_ok, ras_ok,
+        ) in zip(count(), trace.events(), icache_col, direction_col, ras_col):
             if not measuring and index >= warm_limit:
                 measuring = True
                 btb.reset_stats()
             kind = _KINDS[kind_value]
             kind_is_indirect = _IS_INDIRECT[kind_value]
             block_instructions = gap + 1
-            block_start = pc - gap * _INSTR_BYTES
-            icache_misses = icache_touch(block_start, pc)
+            if icache_misses is None:
+                icache_misses = icache_touch(pc - gap * _INSTR_BYTES, pc)
             if icache_misses:
                 if blocks_since_resteer < _REFILL_WINDOW:
                     icache_cost = icache_misses * miss_ticks
@@ -280,20 +337,27 @@ class FrontendSimulator:
             wrong_path_addr = -1
 
             if kind_value == _KIND_RETURN and returns_use_ras:
-                if ras.pop() != target:
+                if ras_ok is None:
+                    ras_ok = ras.pop() == target
+                if not ras_ok:
                     ras_mispredict = True
                     penalty = execute_penalty
                     resteer_kind = 2
                 if ittage is not None:
                     ittage.record_history(pc, taken)
             else:
-                if _IS_CALL[kind_value]:
+                # The RAS replay already made the column's pushes.
+                if ras_ok is None and _IS_CALL[kind_value]:
                     ras.push(pc + _INSTR_BYTES)
                 direction_correct = True
                 if kind_value == _KIND_COND:
-                    predicted_taken = taken if direction_is_perfect else direction.predict(pc)
-                    direction.update(pc, taken)
-                    direction_correct = predicted_taken == taken
+                    if direction_ok is None:
+                        predicted_taken = (
+                            taken if direction_is_perfect else direction.predict(pc)
+                        )
+                        direction.update(pc, taken)
+                        direction_ok = predicted_taken == taken
+                    direction_correct = direction_ok
                 if ittage is not None:
                     ittage.record_history(pc, taken)
                 if kind_is_indirect and ittage is not None:
@@ -388,6 +452,8 @@ class FrontendSimulator:
                 stats.ras_mispredicts += 1
             if bubble:
                 stats.extra_latency_lookups += 1
+        if columns:
+            self._adopt_end_states(finals)
         stats.set_cycle_buckets(
             tick,
             cycles_ticks,

@@ -57,9 +57,10 @@ def run_vector(sim, trace, warmup_fraction):
     """Run one simulation on the vector engine; returns FrontendStats.
 
     ``sim`` is the :class:`FrontendSimulator` (the caller has already
-    checked ``_vector_path_applicable``); semantics mirror the general
-    engine exactly, including the warm-crossing stats reset.  The
-    simulator also adopts the replayed end-of-trace structure state.
+    checked ``_columns_applicable`` and ``vector_supported``);
+    semantics mirror the general engine exactly, including the
+    warm-crossing stats reset.  The simulator also adopts the replayed
+    end-of-trace structure state.
     """
     from repro.frontend.simulator import _OVERLAPPED_MISS_CYCLES, _REFILL_WINDOW
 
@@ -72,16 +73,7 @@ def run_vector(sim, trace, warmup_fraction):
     supply_col, demand_col = decoded.supply_demand_arrays(
         tick // params.fetch_width, tick // params.commit_width
     )
-    icache_col, icache_final = decoded.icache_misses(
-        params.icache_kib, params.icache_line_bytes, params.icache_ways
-    )
-    signature = sim._direction_signature()
-    if signature == "perfect":
-        dir_ok = np.ones(n_events, dtype=np.bool_)
-        direction_final = None
-    else:
-        dir_ok, direction_final = decoded.direction_outcomes(signature)
-    ras_ok, ras_final = decoded.ras_outcomes(sim.returns_use_ras, sim.ras.depth)
+    (icache_col, dir_ok, ras_ok), finals = sim._replayed_columns(trace)
 
     cols = decoded.vector_columns()
     taken = cols["taken"]
@@ -305,10 +297,5 @@ def run_vector(sim, trace, warmup_fraction):
             name = _KIND_NAMES[kind_value]
             misses_by_kind[name] = misses_by_kind.get(name, 0) + count
 
-    # Adopt replayed end-of-trace structure state so post-run inspection
-    # matches a live run.
-    sim.icache = icache_final.clone()
-    if direction_final is not None:
-        sim.direction = direction_final.clone()
-    sim.ras = ras_final.clone()
+    sim._adopt_end_states(finals)
     return stats

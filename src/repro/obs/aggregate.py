@@ -13,6 +13,8 @@ writes and the CI ``serve-slo`` job uploads:
 * **hop decomposition** -- mean batch-wait (time in the open
   micro-batch window) vs. executor-queue vs. simulate time, answering
   "where does a slow request spend its time?";
+* **span roll-up** -- count and total seconds per span name, with the
+  ``simulate`` spans split by the engine that ran;
 * **request reconstruction** -- :func:`reconstruct` returns one
   request's full hop sequence by correlation id (what the e2e test and
   `/debug/trace?rid=` assert on).
@@ -25,6 +27,7 @@ response, or a JSONL sink file read back with :func:`read_events`.
 from __future__ import annotations
 
 import json
+import math
 
 __all__ = [
     "aggregate",
@@ -65,12 +68,30 @@ def reconstruct(records: list[dict], rid: str) -> list[dict]:
 
 
 def _exact_percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile over true samples (not bucket-estimated)."""
+    """Nearest-rank percentile over true samples (not bucket-estimated):
+    the smallest sample with at least ``q`` percent of samples at or
+    below it."""
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, round(q / 100.0 * len(ordered)) - 1))
+    rank = max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))
     return ordered[rank]
+
+
+def _span_rollup(records: list[dict]) -> dict[str, dict]:
+    """``{name: {count, seconds}}`` over the ``span`` records, with
+    ``simulate`` split by engine (``simulate[vector]``, ...)."""
+    spans: dict[str, dict] = {}
+    for record in records:
+        if record.get("event") != "span":
+            continue
+        name = str(record.get("name", "?"))
+        if name == "simulate" and "engine" in record:
+            name = f"simulate[{record['engine']}]"
+        entry = spans.setdefault(name, {"count": 0, "seconds": 0.0})
+        entry["count"] += 1
+        entry["seconds"] += float(record.get("seconds", 0.0))
+    return dict(sorted(spans.items()))
 
 
 def aggregate(records: list[dict], metrics_snapshot: dict | None = None) -> dict:
@@ -88,8 +109,12 @@ def aggregate(records: list[dict], metrics_snapshot: dict | None = None) -> dict
                                    mean_batch_wait_s, mean_queue_s,
                                    mean_simulate_s}},
           "events": {event name: count},
+          "spans": {span name: {count, seconds}},
           "metrics": <metrics_snapshot, passed through>,
         }
+
+    ``spans`` rolls up the ``span`` records by name; ``simulate`` spans
+    are split by their ``engine`` attribute (``simulate[general]``).
     """
     responds = [r for r in records if r.get("event") == "respond"]
     by_outcome: dict[str, list[dict]] = {}
@@ -126,6 +151,7 @@ def aggregate(records: list[dict], metrics_snapshot: dict | None = None) -> dict
         "shed": shed,
         "by_outcome": outcome_stats,
         "events": dict(sorted(event_counts.items())),
+        "spans": _span_rollup(records),
     }
     if metrics_snapshot is not None:
         summary["metrics"] = metrics_snapshot
@@ -162,5 +188,10 @@ def render_markdown(summary: dict, title: str = "Serve telemetry") -> str:
     lines.extend(["", "## Event counts", ""])
     for name, count in summary["events"].items():
         lines.append(f"- `{name}`: {count}")
+    spans = summary.get("spans")
+    if spans:
+        lines.extend(["", "## Spans", "", "| span | count | seconds |", "|---|---|---|"])
+        for name, entry in spans.items():
+            lines.append(f"| {name} | {entry['count']} | {entry['seconds']:.3f} |")
     lines.append("")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Precomputed per-event columns for the vector engine.
+"""Precomputed per-event columns for the simulation engines.
 
 The columnar engine (:mod:`repro.frontend.vector`) needs, for every event
 of every design in a sweep, quantities that depend only on the trace:
@@ -8,14 +8,15 @@ target)`` bit, the per-event ICache miss count, the RAS outcome, and
 A :class:`DecodedTrace` computes each of these once per trace and caches
 them on the trace object (:meth:`repro.workloads.trace.Trace.decoded`),
 so an N-design sweep pays the trace-pure work once instead of N times.
+The general engine reads the replayed columns too, on a fresh simulator.
 
 Two kinds of columns:
 
 * **vectorised** -- pure element-wise functions of the event columns
   (block instructions, hashes, page bits, kind property bytes), computed
-  with numpy; the few that scalar boundary replay indexes per event
-  (hashes, page bits, indirect bits) are also kept as plain lists, since
-  the BTB hooks want native ints;
+  with numpy on first use; the few that scalar boundary replay indexes
+  per event (hashes, page bits, indirect bits) are also offered as plain
+  lists, built on first use too, since the BTB hooks want native ints;
 * **replayed** -- sequential state machines that are nevertheless
   independent of the BTB under test: the ICache miss count per event
   (the *cost* of a miss depends on resteer proximity, but whether a line
@@ -24,7 +25,13 @@ Two kinds of columns:
   the RAS outcome per return.  Replays run on the real model classes
   (the TAGE one through :meth:`TageLitePredictor.replay`, which takes
   the trace-pure history keys from numpy) and keep the final state
-  object so a simulator can adopt it after a full vector run.
+  object so a simulator can adopt it after a full run (vector, or
+  general on the columns).
+
+Decoding itself builds nothing: the general engine reads only the
+replayed columns, so every per-event Python list is built by the first
+consumer that needs it, and the ICache replay's block starts live only
+for the replay.
 
 Everything here is derived, deterministic data; the equivalence suite
 (``tests/test_engine_equivalence.py``) checks the vector engine against
@@ -60,24 +67,21 @@ _PAGE_SHIFT = np.uint64(12)
 class DecodedTrace:
     """One-time derived columns of a :class:`Trace` (see module docs).
 
-    Vectorised columns are built eagerly in :meth:`from_trace`; replayed
-    columns are built lazily per configuration key and memoised, since
-    different sweeps may use different core geometries or predictors.
+    Every column is built lazily and memoised: the vectorised ones on
+    first use, the replayed ones per configuration key, since different
+    sweeps may use different core geometries or predictors.
     """
 
     __slots__ = (
         "n_events",
-        "hashes",
-        "same_page",
-        "is_indirect",
         "_pcs",
-        "_block_starts",
         "_kinds",
         "_targets",
         "_icache",
         "_direction",
         "_raw",
         "_vector",
+        "_lists",
         "_index_tag",
         "_supply_demand",
         "_ras",
@@ -85,39 +89,26 @@ class DecodedTrace:
 
     def __init__(self) -> None:
         self.n_events = 0
-        self.hashes: list[int] = []
-        self.same_page: list[bool] = []
-        self.is_indirect: list[bool] = []
         self._pcs: list[int] = []
-        self._block_starts: list[int] = []
         self._kinds: list[int] = []
         self._targets: list[int] = []
         self._icache: dict[tuple[int, int, int], tuple[np.ndarray, ICache]] = {}
         self._direction: dict[str, tuple[np.ndarray, object]] = {}
-        self._raw: tuple[np.ndarray, ...] | None = None
+        self._raw: tuple[np.ndarray, ...] = ()
         self._vector: dict[str, np.ndarray] | None = None
+        self._lists: dict[str, list] = {}
         self._index_tag: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._supply_demand: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._ras: dict[tuple[bool, int], tuple[np.ndarray, ReturnAddressStack]] = {}
 
     @classmethod
     def from_trace(cls, trace: "Trace") -> "DecodedTrace":
-        pcs, kinds, takens, targets, gaps = trace.columns()
         decoded = cls()
         decoded.n_events = len(trace)
-        with np.errstate(over="ignore"):
-            decoded._block_starts = (
-                pcs - gaps.astype(np.uint64) * np.uint64(_INSTR_BYTES)
-            ).tolist()
-            hash_arr = vmix64(pcs >> np.uint64(1))  # hash_pc of every event
-            decoded.hashes = hash_arr.tolist()
-            same_page_arr = (pcs >> _PAGE_SHIFT) == (targets >> _PAGE_SHIFT)
-            decoded.same_page = same_page_arr.tolist()
-        decoded.is_indirect = _IS_INDIRECT_BY_KIND[kinds].tolist()
         decoded._pcs = trace.pcs
         decoded._kinds = trace.kinds
         decoded._targets = trace.targets
-        decoded._raw = (pcs, kinds, takens, targets, gaps, hash_arr, same_page_arr)
+        decoded._raw = trace.columns()
         return decoded
 
     # -- vectorised-engine columns ------------------------------------------
@@ -132,23 +123,44 @@ class DecodedTrace:
         """
         cached = self._vector
         if cached is None:
-            if self._raw is None:
-                raise RuntimeError("DecodedTrace built without raw columns")
-            pcs, kinds, takens, targets, gaps, hash_arr, same_page_arr = self._raw
+            pcs, kinds, takens, targets, gaps = self._raw
+            with np.errstate(over="ignore"):
+                hashes = vmix64(pcs >> np.uint64(1))  # hash_pc of every event
             cached = {
                 "pcs": pcs.astype(np.int64),
                 "targets": targets.astype(np.int64),
                 "kinds": kinds,
                 "taken": np.ascontiguousarray(takens, dtype=np.bool_),
                 "instructions": gaps.astype(np.int64) + 1,
-                "hashes": hash_arr,
-                "same_page": np.ascontiguousarray(same_page_arr, dtype=np.bool_),
+                "hashes": hashes,
+                "same_page": (pcs >> _PAGE_SHIFT) == (targets >> _PAGE_SHIFT),
                 "is_call": _IS_CALL_BY_KIND[kinds],
                 "is_indirect": _IS_INDIRECT_BY_KIND[kinds],
                 "is_return": kinds == np.uint8(_KIND_RETURN),
             }
             self._vector = cached
         return cached
+
+    def _as_list(self, name: str) -> list:
+        cached = self._lists.get(name)
+        if cached is None:
+            cached = self._lists[name] = self.vector_columns()[name].tolist()
+        return cached
+
+    @property
+    def hashes(self) -> list[int]:
+        """``hash_pc`` of every event, as native ints (boundary replay)."""
+        return self._as_list("hashes")
+
+    @property
+    def same_page(self) -> list[bool]:
+        """``same_page(pc, target)`` of every event (boundary replay)."""
+        return self._as_list("same_page")
+
+    @property
+    def is_indirect(self) -> list[bool]:
+        """Whether each event's kind is indirect (boundary replay)."""
+        return self._as_list("is_indirect")
 
     def btb_index_tag(self, sets: int, tag_bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-event BTB (set index, partial tag) columns for a geometry.
@@ -212,11 +224,11 @@ class DecodedTrace:
         key = (bool(use_ras), depth)
         cached = self._ras.get(key)
         if cached is None:
-            cols = self.vector_columns()
+            kinds = self._raw[1]
+            touched = _IS_CALL_BY_KIND[kinds]
             if use_ras:
-                touched = np.flatnonzero(cols["is_call"] | cols["is_return"])
-            else:
-                touched = np.flatnonzero(cols["is_call"])
+                touched |= kinds == np.uint8(_KIND_RETURN)
+            touched = np.flatnonzero(touched)
             ok = [True] * self.n_events
             ras = ReturnAddressStack(depth)
             pcs = self._pcs
@@ -249,12 +261,13 @@ class DecodedTrace:
         key = (size_kib, line_bytes, ways)
         cached = self._icache.get(key)
         if cached is None:
+            pcs, _, _, _, gaps = self._raw
+            with np.errstate(over="ignore"):
+                starts = (pcs - gaps.astype(np.uint64) * np.uint64(_INSTR_BYTES)).tolist()
             icache = ICache(size_kib, line_bytes, ways)
             touch_range = icache.touch_range
-            misses = [
-                touch_range(start, pc)
-                for start, pc in zip(self._block_starts, self._pcs)
-            ]
+            misses = [touch_range(start, pc) for start, pc in zip(starts, self._pcs)]
+            del starts
             cached = (np.array(misses, dtype=np.int64), icache)
             self._icache[key] = cached
         return cached
@@ -273,8 +286,6 @@ class DecodedTrace:
         if cached is None:
             if signature != "tage-default":
                 raise ValueError(f"unknown direction signature {signature!r}")
-            if self._raw is None:
-                raise RuntimeError("DecodedTrace built without raw columns")
             pcs, kinds, takens = self._raw[:3]
             conditional = kinds == np.uint8(_KIND_COND)
             cond_takens = takens[conditional]

@@ -5,17 +5,19 @@ the same final state as an event-by-event live run."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.branch import direction
-from repro.branch.address import hash_pc, same_page
+from repro.branch.address import hash_pc, same_page, vmix64
 from repro.branch.direction import TageLitePredictor
 from repro.branch.types import BranchKind
 from repro.experiments.designs import standard_designs
 from repro.frontend.icache import ICache
 from repro.frontend.simulator import FrontendSimulator
+from repro.workloads.decoded import DecodedTrace
 from repro.workloads.suite import build_suite, get_trace
 
 TRACE_APP = "server_oltp_00"
@@ -63,6 +65,39 @@ def test_kind_property_columns(trace, decoded):
         kind.is_call for kind in kinds
     ]
     assert decoded.is_indirect == [kind.is_indirect for kind in kinds]
+
+
+@pytest.mark.parametrize("app", TINY_APPS)
+def test_lazy_boundary_lists_match_their_definitions(app):
+    trace = get_trace(app, "tiny")
+    decoded = DecodedTrace.from_trace(trace)
+    pcs, kinds, _, targets, _ = trace.columns()
+    assert decoded.hashes == vmix64(pcs >> np.uint64(1)).tolist()
+    assert decoded.same_page == (
+        (pcs >> np.uint64(12)) == (targets >> np.uint64(12))
+    ).tolist()
+    assert decoded.is_indirect == [
+        BranchKind(kind).is_indirect for kind in kinds.tolist()
+    ]
+    assert decoded.hashes is decoded.hashes
+
+
+def test_decode_retains_no_per_event_lists():
+    # Decoding runs once per trace and stays on it; only the consumers
+    # that need a column build it (the general engine needs none of the
+    # per-event lists).
+    trace = get_trace(TRACE_APP, "tiny")
+    assert len(trace) == 8000
+    trace.columns()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decoded = DecodedTrace.from_trace(trace)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert decoded.n_events == len(trace)
+    assert retained < 0.3 * 2**20
 
 
 def test_supply_demand_arrays_are_exact_multiples(decoded):
@@ -204,9 +239,16 @@ def test_simulator_adopting_the_replay_continues_like_a_live_one(trace):
     adopted = FrontendSimulator(btb, **kwargs)
     first = adopted.run(trace, warmup_fraction=0.3)
     assert adopted.last_engine == "vector"
+    # A caller-supplied predictor keeps the reference leg on live TAGE,
+    # ICache and RAS calls (the general engine would otherwise read the
+    # same replay columns and adopt the same end state).
     btb, kwargs = design.build()
-    live = FrontendSimulator(btb, engine="general", **kwargs)
+    live = FrontendSimulator(
+        btb, direction=TageLitePredictor(), engine="general", **kwargs
+    )
+    live_icache, live_ras = live.icache, live.ras
     assert live.run(trace, warmup_fraction=0.3).to_dict() == first.to_dict()
+    assert live.icache is live_icache and live.ras is live_ras
     assert _tage_state(adopted.direction) == _tage_state(live.direction)
     # The second run falls back to the general engine on the adopted
     # predictor and must stay bit-identical to the live one.

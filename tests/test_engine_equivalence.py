@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.branch.direction import TageLitePredictor
 from repro.btb.baseline import BaselineBTB
 from repro.btb.twolevel import TwoLevelBTB
 from repro.checks.sanitizer import Sanitizer, use_sanitizer
@@ -23,6 +24,7 @@ from repro.experiments.designs import (
 )
 from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
 from repro.frontend.simulator import FrontendSimulator
+from repro.serve.protocol import stats_payload
 from repro.workloads.suite import get_trace
 
 TRACE_SCALE = "tiny"
@@ -342,3 +344,89 @@ def test_differential_fuzz_literature_families(fuzz_seed):
             f"Reproduce with: generate_trace({spec!r}).truncate({shrunk})\n"
             f"Diverging fields: {diff}"
         )
+
+
+# -- general engine on the decoded columns -----------------------------------
+#
+# A fresh general-engine run reads the ICache, direction and RAS outcomes
+# from the trace's replays and adopts the replays' end states (so its
+# ``icache`` is a new object afterwards); anything not fresh asks the
+# live structures.  Both must match the seed referee byte for byte.
+
+
+def _seed_run(design, trace, runs=1, **seed_overrides):
+    seed_btb, seed_kwargs = design.build()
+    reference = SeedFrontendSimulator(
+        seed_counterpart(seed_btb), **{**seed_kwargs, **seed_overrides}
+    )
+    for _ in range(runs):
+        stats = reference.run(trace, warmup_fraction=0.3)
+    return reference, stats
+
+
+def _tage_tables(predictor) -> tuple:
+    return (
+        predictor._base._table,
+        [(c.tags, c.counters, c.useful) for c in predictor._components],
+        predictor._history,
+        predictor._rng_state,
+    )
+
+
+@pytest.mark.parametrize("key", ["micro-btb", "shadow-pdede", "baseline"])
+def test_fresh_general_run_reads_the_columns_and_matches_seed(key):
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = {**_literature_designs(), **standard_designs()}[key]
+    btb, kwargs = design.build()
+    simulator = FrontendSimulator(btb, engine="general", **kwargs)
+    icache_before = simulator.icache
+    stats = simulator.run(trace, warmup_fraction=0.3)
+    assert simulator.last_engine == "general"
+    assert simulator.icache is not icache_before  # adopted the replay's state
+    _, seed_stats = _seed_run(design, trace)
+    assert stats_payload(stats) == stats_payload(seed_stats)
+
+
+def test_second_general_run_asks_the_live_structures_and_matches_seed():
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = _literature_designs()["micro-btb"]
+    btb, kwargs = design.build()
+    simulator = FrontendSimulator(btb, **kwargs)
+    simulator.run(trace, warmup_fraction=0.3)
+    adopted = simulator.icache
+    second = simulator.run(trace, warmup_fraction=0.3)
+    assert simulator.icache is adopted
+    _, seed_second = _seed_run(design, trace, runs=2)
+    assert stats_payload(second) == stats_payload(seed_second)
+
+
+def test_caller_supplied_predictor_takes_the_live_path_and_matches_seed():
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = _literature_designs()["shadow-pdede"]
+    btb, kwargs = design.build()
+    simulator = FrontendSimulator(btb, direction=TageLitePredictor(), **kwargs)
+    icache_before = simulator.icache
+    stats = simulator.run(trace, warmup_fraction=0.3)
+    assert simulator.icache is icache_before
+    _, seed_stats = _seed_run(design, trace, direction=TageLitePredictor())
+    assert stats_payload(stats) == stats_payload(seed_stats)
+
+
+@pytest.mark.parametrize("key", ["micro-btb", "shadow-pdede"])
+def test_general_run_on_columns_ends_in_the_live_run_state(key):
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = _literature_designs()[key]
+    runs = []
+    for direction in (None, TageLitePredictor()):
+        btb, kwargs = design.build()
+        simulator = FrontendSimulator(btb, direction=direction, **kwargs)
+        simulator.run(trace, warmup_fraction=0.3)
+        runs.append(simulator)
+    columns, live = runs
+    assert columns.icache is not live.icache
+    assert (columns.icache.accesses, columns.icache.misses) == (
+        live.icache.accesses, live.icache.misses
+    )
+    assert columns.icache._lines == live.icache._lines
+    assert columns.ras.snapshot() == live.ras.snapshot()
+    assert _tage_tables(columns.direction) == _tage_tables(live.direction)

@@ -18,7 +18,7 @@ from repro.obs.metrics import (
     percentile_from_buckets,
     use_registry,
 )
-from repro.obs.aggregate import read_events
+from repro.obs.aggregate import _exact_percentile, aggregate, read_events, render_markdown
 from repro.obs.events import (
     EventLog,
     NullEventLog,
@@ -339,6 +339,47 @@ def test_jsonl_round_trip(tmp_path):
     assert simulate["name"] == "simulate"
     assert trace_gen["parent"] == simulate["span"]
     assert trace_gen["depth"] == 1
+
+
+def test_aggregate_rolls_up_spans_and_splits_simulate_by_engine():
+    log = EventLog()
+    with use_event_log(log):
+        for engine in ("vector", "general", "general"):
+            with span("simulate", app="a", design="d") as attrs:
+                with span("trace-gen", app="a"):
+                    pass
+                attrs["engine"] = engine
+        with span("simulate", app="a", design="d"):
+            pass  # a simulate span that never learned its engine
+        emit("admit", rid="r1")
+    records = log.recent()
+    summary = aggregate(records)
+    spans = summary["spans"]
+    assert list(spans) == [
+        "simulate", "simulate[general]", "simulate[vector]", "trace-gen",
+    ]
+    assert spans["simulate[general]"]["count"] == 2
+    assert spans["simulate[vector]"]["count"] == 1
+    assert spans["trace-gen"]["count"] == 3
+    general = [r for r in records if r.get("engine") == "general"]
+    assert spans["simulate[general]"]["seconds"] == pytest.approx(
+        sum(r["seconds"] for r in general)
+    )
+    assert summary["events"] == {"admit": 1, "span": 7}
+    text = render_markdown(summary)
+    assert "## Spans" in text
+    assert "| simulate[general] | 2 |" in text
+    assert "## Spans" not in render_markdown(aggregate([]))
+
+
+def test_exact_percentile_is_nearest_rank():
+    # Nearest rank: the smallest sample with at least q% at or below it.
+    assert _exact_percentile([1, 2, 3, 4, 5], 50) == 3
+    assert _exact_percentile(list(range(1, 31)), 95) == 29
+    assert _exact_percentile(list(range(1, 101)), 99) == 99
+    assert _exact_percentile([7], 1) == 7
+    assert _exact_percentile([4, 1], 100) == 4
+    assert _exact_percentile([], 50) == 0.0
 
 
 def test_tracer_concurrent_asyncio_tasks_keep_parentage(tmp_path):
