@@ -42,7 +42,9 @@ def _seconds(design) -> float:
 
 
 def test_obs_overhead_under_5_percent(benchmark, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")  # every run simulates
+    # Memo and disk cache off, so every run simulates.
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     design = pdede_design()
     _simulate(design)  # warm the trace cache and code paths
 

@@ -192,7 +192,7 @@ def run_load(
         # memo, so direct runs here make the "warm" pairs true memo hits.
         designs = design_registry()
         for app, design_key in warm_pairs:
-            harness.run_one(app, designs[design_key], scale=scale)
+            harness.run_design(app, designs[design_key], scale=scale)
 
         config = ServeConfig(
             port=0, batch_window=0.005, queue_limit=256, workers=4,

@@ -84,13 +84,9 @@ _KNOB_LIST = (
     Knob("REPRO_SERVE_RETRY_AFTER", "runtime", "Retry-After header value for 429/503"),
     Knob("REPRO_SERVE_MAX_BODY", "runtime", "request body byte cap"),
     Knob("REPRO_SERVE_MAX_EVENTS", "runtime", "per-job trace event cap"),
-    Knob("REPRO_SERVE_SCALE", "runtime", "serve-side workload scale override"),
     Knob("REPRO_SERVE_TRACE_BUFFER", "runtime", "event-log ring capacity"),
     Knob("REPRO_SERVE_EVENTS", "runtime", "event-log JSONL sink path"),
     Knob("REPRO_SERVE_STORE", "runtime", "shared result-store URL (disk://, fake://)"),
-    Knob("REPRO_SERVE_STORE_TTL", "runtime", "cross-replica single-flight lease TTL seconds"),
-    Knob("REPRO_SERVE_STORE_WAIT", "runtime", "seconds to await another replica's publish before local compute"),
-    Knob("REPRO_SERVE_STORE_POLL", "runtime", "result-poll cadence while awaiting a publish"),
     Knob("REPRO_TEST_KEEP_ENV", "test", "comma list of REPRO_* vars the hermetic test fixture preserves"),
 )
 

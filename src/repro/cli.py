@@ -425,7 +425,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "trace_buffer": args.trace_buffer,
             "events_path": args.events_out,
             "store_url": args.store,
-            "store_ttl": args.store_ttl,
         }.items()
         if value is not None
     }
@@ -748,9 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared result store, in place of the local "
                             "disk cache (disk://, disk:///path, fake://name; "
                             "default REPRO_SERVE_STORE or none)")
-    serve.add_argument("--store-ttl", type=float, default=None, metavar="SECONDS",
-                       help="cross-replica single-flight lease TTL "
-                            "(default REPRO_SERVE_STORE_TTL or 30)")
     # --metrics-out enables the recording registry, so /metrics serves a
     # live snapshot and the file is written after the drain completes;
     # --events-out is the service's event-log sink.
@@ -792,16 +788,17 @@ _COMMANDS = {
 @contextlib.contextmanager
 def _sanitization(args: argparse.Namespace):
     """Scope ``--sanitize`` on simulate/experiment: arm the checker and
-    disable the memo-cache so simulations actually execute (a cache hit
-    would silently skip the sweeps being asked for)."""
+    disable the memo and the disk cache so simulations actually execute
+    (a cache hit would silently skip the sweeps being asked for)."""
     if not getattr(args, "sanitize", None) or args.command == "check":
         yield
         return
     from repro.checks.sanitizer import DEFAULT_CHECK_INTERVAL, Sanitizer, use_sanitizer
 
     interval = getattr(args, "sanitize_interval", None) or DEFAULT_CHECK_INTERVAL
-    previous_cache = os.environ.get("REPRO_RESULT_CACHE")
-    os.environ["REPRO_RESULT_CACHE"] = "0"
+    knobs = ("REPRO_RESULT_CACHE", "REPRO_DISK_CACHE")
+    previous = {name: os.environ.get(name) for name in knobs}
+    os.environ.update(dict.fromkeys(knobs, "0"))
     try:
         with use_sanitizer(Sanitizer(interval=interval)) as sanitizer:
             yield
@@ -810,10 +807,11 @@ def _sanitization(args: argparse.Namespace):
                   f"over {snapshot['sanitizer_steps_total']} steps)",
                   file=sys.stderr)
     finally:
-        if previous_cache is None:
-            del os.environ["REPRO_RESULT_CACHE"]
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = previous_cache
+        for name, value in previous.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
 
 
 @contextlib.contextmanager

@@ -1,22 +1,24 @@
 """Suite runner with process-level result caching.
 
 Every figure/table of the paper is (app x design) simulations plus an
-aggregation.  Simulations are deterministic, so results are memoised per
-``(trace, scale, design key, core-params, warmup)``, where the trace is
-a suite member's name or an inline workload spec's content digest:
-benchmark files for different figures share the underlying runs, and
-repeated pytest-benchmark rounds cost one simulation.  Below the memo
-sits one result store (:mod:`repro.experiments.resultstore`), keyed
-through :func:`result_store_key`: the explicit store ``repro serve
+aggregation.  Simulations are deterministic, so every result has one
+content key, :func:`result_store_key` (the trace -- a suite member's
+name or an inline workload spec's content digest -- scale, design key,
+core parameters and warmup).  That key names the result everywhere:
+the in-process memo, the result store below it
+(:mod:`repro.experiments.resultstore`: the explicit store ``repro serve
 --store`` installs, else a :class:`~repro.experiments.resultstore.DiskStore`
-over the cross-process disk cache.  A fresh result is published to it
-once.
+over the cross-process disk cache) and the store's single-flight
+leases.  :func:`run_one` is the one walk memo -> store -> simulate ->
+publish; :func:`run_design`, the sweep scheduler's tasks and the
+serving layer's misses all take it, and :func:`lookup_cached` is its
+read-only half.  ``REPRO_RESULT_CACHE=0`` turns off the memo only.
 
 ``run_suite(..., workers=N)`` fans the per-application simulations out
 through the scheduler (:mod:`repro.experiments.scheduler`) -- a fork
 pool fed from one queue, with per-task timeouts, bounded retries, and
-disk-cache resume -- useful at ``REPRO_SCALE=full`` where a single
-design sweep is 102 simulations.  A pair whose task exhausts its
+resume from the result store -- useful at ``REPRO_SCALE=full`` where a
+single design sweep is 102 simulations.  A pair whose task exhausts its
 retries is recorded as a structured failure
 (``scheduler.drain_failures``) and falls back to an inline serial run
 here, so a flaky worker degrades a sweep instead of aborting it.
@@ -43,8 +45,8 @@ from repro.workloads.trace import Trace
 from repro.experiments import diskcache, resultstore, scheduler
 from repro.experiments.designs import Design
 
-#: (trace name or spec digest, scale, design key, params, warmup) -> FrontendStats
-_RESULT_CACHE: dict[tuple, FrontendStats] = {}
+#: result_store_key(...) -> FrontendStats
+_RESULT_CACHE: dict[str, FrontendStats] = {}
 
 #: Memo-cache telemetry (exposed by cache_info / the metrics registry).
 _CACHE_HITS = 0
@@ -64,8 +66,8 @@ _CACHE_LOCK = threading.Lock()
 
 
 def cache_enabled() -> bool:
-    """Memoisation knob: ``REPRO_RESULT_CACHE=0`` disables the cache
-    (benchmarking the cache's own impact, or forcing fresh runs)."""
+    """Memoisation knob: ``REPRO_RESULT_CACHE=0`` disables the in-process
+    memo (the result store below it stays on)."""
     return os.environ.get("REPRO_RESULT_CACHE", "1") != "0"
 
 
@@ -124,16 +126,6 @@ def engine_mix() -> dict[str, dict]:
     return out
 
 
-def _memo_key(
-    trace_name: str, scale: str, design_key: str, params: CoreParams,
-    warmup_fraction: float, spec: WorkloadSpec | None,
-) -> tuple:
-    """The memo key: an inline spec is identified by its content digest
-    (same-named specs never alias), a suite member by its name."""
-    identity = diskcache.spec_digest(spec) if spec is not None else trace_name
-    return (identity, scale, design_key, params, warmup_fraction)
-
-
 #: The result tier when no explicit store is installed: the disk cache,
 #: through the same store protocol (its root follows ``cache_root()``).
 _DISK_STORE = resultstore.DiskStore()
@@ -151,42 +143,40 @@ def _result_tier() -> tuple[resultstore.ResultStore | None, str]:
     return None, "miss"
 
 
-def _lookup_tiers(
-    memo_key: tuple, trace_name: str, design_key: str, params: CoreParams,
-    warmup_fraction: float, scale: str, spec: WorkloadSpec | None,
-) -> tuple[FrontendStats | None, str, str | None]:
-    """Walk memo -> store for one result.
-
-    Returns ``(stats, layer, content_key)`` with layer ``"memo"``,
-    ``"disk"``, ``"store"`` or ``"miss"``; a store hit is promoted into
-    the memo.  ``content_key`` (:func:`result_store_key`) is computed
-    only below the memo, and only when a store is active.  A store
-    failure is recorded and read as a miss.
-    """
+def _memo_get(key: str) -> FrontendStats | None:
+    """The memoised result, if the memo is enabled and holds one."""
+    if not cache_enabled():
+        return None
     with _CACHE_LOCK:
-        cached = _RESULT_CACHE.get(memo_key)
-    if cached is not None:
-        return cached, "memo", None
-    store, layer = _result_tier()
+        return _RESULT_CACHE.get(key)
+
+
+def _remember(key: str, stats: FrontendStats) -> None:
+    """Memoise one result (a no-op while the memo is disabled)."""
+    if cache_enabled():
+        with _CACHE_LOCK:
+            _RESULT_CACHE[key] = stats
+
+
+def _store_get(
+    store: resultstore.ResultStore | None, key: str, app: str, design_key: str
+) -> FrontendStats | None:
+    """One store read (``None`` without a store); a backend failure is
+    recorded and read as a miss."""
     if store is None:
-        return None, "miss", None
-    content_key = result_store_key(
-        trace_name, design_key, params, warmup_fraction, scale, spec
-    )
+        return None
     try:
-        stats = store.get_result(content_key)
+        return store.get_result(key)
     except resultstore.StoreError as error:
-        resultstore.degraded("get_result", error, app=trace_name, design=design_key)
-        stats = None
-    if stats is None:
-        return None, "miss", content_key
-    with _CACHE_LOCK:
-        _RESULT_CACHE[memo_key] = stats
-    return stats, layer, content_key
+        resultstore.degraded("get_result", error, app=app, design=design_key)
+        return None
 
 
-#: ``harness_result_cache_total`` outcome of a run_design lookup, by layer.
-_RUN_OUTCOMES = {"memo": "hit", "disk": "disk-hit", "store": "store-hit", "miss": "miss"}
+#: ``harness_result_cache_total`` outcome of a run_one walk.
+_RUN_OUTCOMES = {
+    "memo": "hit", "disk": "disk-hit", "store": "store-hit",
+    "fresh": "miss", "local": "miss",
+}
 
 
 def resolve_trace(
@@ -196,43 +186,12 @@ def resolve_trace(
     return spec_trace(spec) if spec is not None else get_trace(trace_name, scale)
 
 
-def run_design(
-    trace_name: str,
-    design: Design,
-    params: CoreParams = ICELAKE,
-    warmup_fraction: float = 0.3,
-    scale: str | None = None,
-    spec: WorkloadSpec | None = None,
+def _simulate(
+    trace_name: str, design: Design, params: CoreParams,
+    warmup_fraction: float, scale: str, spec: WorkloadSpec | None,
 ) -> FrontendStats:
-    """Simulate one (app, design) pair, memoised.
-
-    ``spec`` names an inline workload (``trace_name`` is then its
-    name); without it ``trace_name`` is a suite member.
-    """
-    global _CACHE_HITS, _CACHE_MISSES
-    scale = scale or current_scale()
-    registry = get_registry()
-    use_cache = cache_enabled()
-    key = _memo_key(trace_name, scale, design.key, params, warmup_fraction, spec)
-    if use_cache:
-        stats, layer, content_key = _lookup_tiers(
-            key, trace_name, design.key, params, warmup_fraction, scale, spec
-        )
-    else:
-        stats, layer, content_key = None, "miss", None
-    with _CACHE_LOCK:
-        if layer == "memo":
-            _CACHE_HITS += 1
-        else:
-            _CACHE_MISSES += 1
-    # A store hit is still a memo miss for cache_info(), but costs no
-    # simulation -- the registry counter's "miss" outcome therefore
-    # counts *fresh runs*.
-    registry.counter(
-        "harness_result_cache_total", "memo-cache lookups by outcome"
-    ).inc(outcome=_RUN_OUTCOMES[layer])
-    if stats is not None:
-        return stats
+    """One fresh simulation with its span and run telemetry; publishes
+    nothing."""
     started = time.perf_counter()
     with obs_events.span(
         "simulate", app=trace_name, design=design.key, scale=scale
@@ -250,23 +209,13 @@ def run_design(
     with _CACHE_LOCK:
         _RUN_SECONDS[(trace_name, design.key)] = elapsed
         _RUN_ENGINES[(trace_name, design.key)] = (engine, events_per_sec)
+    registry = get_registry()
     registry.histogram(
         "harness_simulation_seconds", "wall seconds per fresh simulation"
     ).observe(elapsed, design=design.key, scale=scale)
     registry.counter(
         "harness_engine_runs_total", "fresh simulations by engine tier"
     ).inc(engine=engine)
-    if use_cache:
-        with _CACHE_LOCK:
-            _RESULT_CACHE[key] = stats
-        store, _ = _result_tier()
-        if content_key is not None and store is not None:
-            try:
-                store.put_result(content_key, stats)
-            except resultstore.StoreError as error:
-                resultstore.degraded(
-                    "put_result", error, app=trace_name, design=design.key
-                )
     return stats
 
 
@@ -277,20 +226,73 @@ def run_one(
     warmup_fraction: float = 0.3,
     scale: str | None = None,
     spec: WorkloadSpec | None = None,
-) -> FrontendStats:
-    """Simulate one (app, design) pair -- the single-request entry point.
+) -> tuple[FrontendStats, str]:
+    """Answer one (app, design) pair: memo -> store -> simulate -> publish.
 
-    Alias of :func:`run_design`; the serving layer's tests byte-compare
-    service responses against this function's results.
+    The one walk every caller takes.  Returns ``(stats, outcome)`` with
+    outcome ``"memo"``, ``"disk"`` (a hit in the default disk-cache
+    store), ``"store"`` (a hit in the explicit store, possibly one
+    another replica published while we waited), ``"fresh"`` (simulated
+    here and published once) or ``"local"`` (simulated here because the
+    explicit store failed).  On a memo miss an explicit store runs the
+    cross-node single-flight protocol
+    (:func:`repro.experiments.resultstore.fetch_or_compute`) around the
+    simulation; the default disk-cache store is read, then written,
+    without leases, so a crashed sweep worker's retry never waits out a
+    lease TTL.  ``spec`` names an inline workload (``trace_name`` is
+    then its name); without it ``trace_name`` is a suite member.
     """
-    return run_design(
-        trace_name,
-        design,
-        params=params,
-        warmup_fraction=warmup_fraction,
-        scale=scale,
-        spec=spec,
-    )
+    global _CACHE_HITS, _CACHE_MISSES
+    scale = scale or current_scale()
+    key = result_store_key(trace_name, design.key, params, warmup_fraction, scale, spec)
+
+    def simulate() -> FrontendStats:
+        return _simulate(trace_name, design, params, warmup_fraction, scale, spec)
+
+    stats, outcome = _memo_get(key), "memo"
+    if stats is None:
+        store, layer = _result_tier()
+        if layer == "store":
+            stats, outcome = resultstore.fetch_or_compute(
+                store, key, simulate,
+                context={"app": trace_name, "design": design.key},
+            )
+        else:
+            stats, outcome = _store_get(store, key, trace_name, design.key), layer
+            if stats is None:
+                stats, outcome = simulate(), "fresh"
+                if store is not None:
+                    try:
+                        store.put_result(key, stats)
+                    except resultstore.StoreError as error:
+                        resultstore.degraded(
+                            "put_result", error, app=trace_name, design=design.key
+                        )
+        _remember(key, stats)
+    with _CACHE_LOCK:
+        if outcome == "memo":
+            _CACHE_HITS += 1
+        else:
+            _CACHE_MISSES += 1
+    # A store hit is still a memo miss for cache_info(), but costs no
+    # simulation -- the registry counter's "miss" outcome therefore
+    # counts *fresh runs*.
+    get_registry().counter(
+        "harness_result_cache_total", "memo-cache lookups by outcome"
+    ).inc(outcome=_RUN_OUTCOMES[outcome])
+    return stats, outcome
+
+
+def run_design(
+    trace_name: str,
+    design: Design,
+    params: CoreParams = ICELAKE,
+    warmup_fraction: float = 0.3,
+    scale: str | None = None,
+    spec: WorkloadSpec | None = None,
+) -> FrontendStats:
+    """Simulate one (app, design) pair, memoised: :func:`run_one`'s stats."""
+    return run_one(trace_name, design, params, warmup_fraction, scale, spec)[0]
 
 
 def lookup_cached(
@@ -308,47 +310,21 @@ def lookup_cached(
     explicit :mod:`resultstore` store) or ``"miss"`` (stats is ``None``
     on a miss).  A store hit is promoted into the memo so the next peek
     is a memo hit.  A store backend failure is recorded
-    (``store_degraded``) and read as a miss
-    -- the caller simulates locally.  Deliberately does not touch
-    :func:`cache_info` telemetry -- that surface counts
-    :func:`run_design` lookups only; the serving layer publishes its own
-    ``serve_cache_outcome_total`` series.
+    (``store_degraded``) and read as a miss.  Deliberately does not
+    touch :func:`cache_info` telemetry -- that surface counts
+    :func:`run_one` walks only.
     """
     scale = scale or current_scale()
-    if not cache_enabled():
+    key = result_store_key(trace_name, design.key, params, warmup_fraction, scale, spec)
+    stats = _memo_get(key)
+    if stats is not None:
+        return stats, "memo"
+    store, layer = _result_tier()
+    stats = _store_get(store, key, trace_name, design.key)
+    if stats is None:
         return None, "miss"
-    stats, layer, _ = _lookup_tiers(
-        _memo_key(trace_name, scale, design.key, params, warmup_fraction, spec),
-        trace_name, design.key, params, warmup_fraction, scale, spec,
-    )
-    obs_events.emit(
-        "cache-lookup", layer="all" if stats is None else layer,
-        app=trace_name, design=design.key, hit=stats is not None,
-    )
+    _remember(key, stats)
     return stats, layer
-
-
-def adopt_result(
-    trace_name: str,
-    design: Design,
-    stats: FrontendStats,
-    params: CoreParams = ICELAKE,
-    warmup_fraction: float = 0.3,
-    scale: str | None = None,
-    spec: WorkloadSpec | None = None,
-) -> None:
-    """Install an externally-computed result in the memo cache.
-
-    The serving layer adopts results another replica published to the
-    shared store, so later ``run_design`` and :func:`lookup_cached`
-    calls memo-hit without leaving the process.
-    """
-    if not cache_enabled():
-        return
-    scale = scale or current_scale()
-    key = _memo_key(trace_name, scale, design.key, params, warmup_fraction, spec)
-    with _CACHE_LOCK:
-        _RESULT_CACHE[key] = stats
 
 
 def result_store_key(
@@ -359,13 +335,12 @@ def result_store_key(
     scale: str,
     spec: WorkloadSpec | None = None,
 ) -> str:
-    """The content hash an (app, design) result is shared under.
+    """The one content key an (app, design) result is cached under.
 
-    One key function for the result store (default disk cache or
-    explicit store), the scheduler's resume, and the serving layer's
-    single-flight leases -- so a value published anywhere is a hit
-    everywhere.  ``spec`` is the inline workload; without it the suite
-    member named ``trace_name`` is used.
+    It keys the memo, the result store (default disk cache or explicit
+    store) and the serving layer's single-flight leases, so a value
+    published anywhere is a hit everywhere.  ``spec`` is the inline
+    workload; without it the suite member named ``trace_name`` is used.
     """
     return diskcache.result_key(
         trace_name, scale, design_key, params, warmup_fraction,
@@ -488,27 +463,29 @@ def _prefill_cache_scheduled(
     scale: str,
     config: "scheduler.SchedulerConfig",
 ) -> None:
-    """Populate the result cache for (suite x designs) via the scheduler.
+    """Populate the memo for (suite x designs) via the scheduler.
 
     Pairs already memoised are skipped.  Results that come back feed
-    the memo (the scheduler has already stored them in the disk cache);
-    failed pairs are simply *absent* -- the serial loop in ``run_suite``
-    re-runs them inline, and the failure stays on record for the
-    report's appendix.  Fresh results carry their engine telemetry
-    (``stats.engine``) through the worker pipe and are recorded for
-    :func:`slowest_runs` and :func:`engine_mix` as :func:`run_design`
-    records them; disk hits are not.
+    the memo (each task ran :func:`run_design`, so its result is in the
+    store already); failed pairs are simply *absent* -- the serial loop
+    in ``run_suite`` re-runs them inline, and the failure stays on
+    record for the report's appendix.  Fresh results carry their engine
+    telemetry (``stats.engine``) through the worker pipe and are
+    recorded for :func:`slowest_runs` and :func:`engine_mix` as
+    :func:`run_design` records them; store hits are not.
     """
-    skip = set()
-    for design in designs:
-        for spec in build_suite(scale):
-            key = _memo_key(
-                spec.name, scale, design.key, params[design.key], warmup_fraction, None
-            )
-            with _CACHE_LOCK:
-                present = key in _RESULT_CACHE
-            if present:
-                skip.add((spec.name, design.key))
+
+    def key(app: str, design_key: str) -> str:
+        return result_store_key(
+            app, design_key, params[design_key], warmup_fraction, scale
+        )
+
+    skip = {
+        (spec.name, design.key)
+        for design in designs
+        for spec in build_suite(scale)
+        if _memo_get(key(spec.name, design.key)) is not None
+    }
     report = scheduler.run_grid(
         designs,
         params_by_design=params,
@@ -518,13 +495,9 @@ def _prefill_cache_scheduled(
         skip=skip,
     )
     for pair, stats in report.results.items():
-        trace_name, design_key = pair
-        key = _memo_key(
-            trace_name, scale, design_key, params[design_key], warmup_fraction, None
-        )
         engine = getattr(stats, "engine", None)
+        _remember(key(*pair), stats)
         with _CACHE_LOCK:
-            _RESULT_CACHE[key] = stats
             if engine is not None:
                 _RUN_SECONDS[pair] = report.group_seconds[pair]
                 _RUN_ENGINES[pair] = (engine, float(stats.events_per_sec))

@@ -12,13 +12,16 @@ Below the in-process memo sits exactly one store:
   installed process-wide with :func:`set_active_store`, whose hits
   report as ``store``.
 
-An explicit store also gives serve replicas **cross-node
-single-flight**: a cold job is claimed by exactly one replica through
-a compare-and-set lease with a TTL, heartbeat renewal while the winner
-computes, and orphan takeover when a claimant dies without publishing
-(:func:`fetch_or_compute`).  Results are content-addressed, so
-concurrent writers racing on one key write identical bytes
-(last-write-wins is therefore *safe*, see DESIGN.md §14).
+An explicit store also gives replicas **cross-node single-flight**: on
+a memo miss the harness's one walk
+(:func:`repro.experiments.harness.run_one`) hands its simulation to
+:func:`fetch_or_compute`, so a cold job is claimed by exactly one
+replica through a compare-and-set lease with a TTL, heartbeat renewal
+while the winner computes, and orphan takeover when a claimant dies
+without publishing.  The default disk store is read and written
+without leases.  Results are content-addressed, so concurrent writers
+racing on one key write identical bytes (last-write-wins is therefore
+*safe*, see DESIGN.md §14).
 
 Two implementations ship:
 
@@ -38,11 +41,10 @@ to local compute (never a wrong answer, never a lost request) and
 account the degradation through the ``serve_store_errors_total`` metric
 and a ``store_degraded`` event.
 
-Knobs (all flow through :class:`repro.serve.config.ServeConfig`):
+One knob, through :class:`repro.serve.config.ServeConfig`:
 ``REPRO_SERVE_STORE`` selects the backend by URL (``disk://`` or
-``disk:///path``, ``fake://name``); ``REPRO_SERVE_STORE_TTL`` /
-``_WAIT`` / ``_POLL`` tune the lease state machine.  See README
-"Shared result store".
+``disk:///path``, ``fake://name``).  The lease timings are
+:func:`fetch_or_compute`'s defaults.  See README "Shared result store".
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ instead of losing it:
 * **graceful degradation** -- a task that exhausts its retries becomes a
   structured :class:`TaskFailure` in the report instead of aborting the
   sweep;
-* **crash-safe resume** -- every finished task is stored in the disk
-  cache under :func:`repro.experiments.diskcache.result_key`, the same
-  key :func:`repro.experiments.harness.result_store_key` computes;
-  re-running a killed sweep loads finished pairs and simulates only the
-  missing ones, and later serial runs of those pairs disk-hit too.
+* **crash-safe resume** -- every task runs
+  :func:`repro.experiments.harness.run_design`, which publishes its
+  result to the harness's result store; re-running a killed sweep
+  finds finished pairs through :func:`repro.experiments.harness.lookup_cached`
+  and simulates only the missing ones, and later serial runs of those
+  pairs hit too.  The scheduler itself knows no cache key.
 
 Observability: ``scheduler_tasks_total{outcome}``,
 ``scheduler_retries_total``, ``scheduler_timeouts_total`` counters and a
@@ -46,10 +47,9 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.experiments import diskcache
+from repro.experiments import harness
 from repro.experiments.designs import Design
 from repro.frontend.params import CoreParams, ICELAKE
-from repro.frontend.simulator import FrontendSimulator
 from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.metrics import get_registry
@@ -155,9 +155,6 @@ class Task:
     design_key: str
     params: CoreParams
     warmup_fraction: float
-    #: Disk-cache key of this task's result (None when the disk cache
-    #: is off).
-    disk_key: str | None = None
 
     @property
     def task_id(self) -> str:
@@ -191,7 +188,7 @@ class ScheduleReport:
     failures: list[TaskFailure] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
     #: (app, design) -> worker wall-seconds of its successful attempt
-    #: (0.0 for a pair resumed from the disk cache).
+    #: (0.0 for a pair resumed from the result store).
     group_seconds: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
@@ -244,20 +241,12 @@ _TASK_DESIGNS: dict[str, Design] = {}
 
 
 def _default_runner(task: Task, attempt: int) -> FrontendStats:
-    """Simulate one (app, design) pair (or load it from the disk cache)."""
+    """Answer one (app, design) pair through the harness's one walk."""
     del attempt  # the default runner does not vary; fault injectors do
-    if task.disk_key is not None:
-        cached = diskcache.load_result(task.disk_key)
-        if cached is not None:
-            return cached
-    trace = get_trace(task.trace_name, task.scale)
-    design = _TASK_DESIGNS[task.design_key]
-    btb, simulator_kwargs = design.build()
-    simulator = FrontendSimulator(btb, params=task.params, **simulator_kwargs)
-    stats = simulator.run(trace, warmup_fraction=task.warmup_fraction)
-    if task.disk_key is not None:
-        diskcache.store_result(task.disk_key, stats)
-    return stats
+    return harness.run_design(
+        task.trace_name, _TASK_DESIGNS[task.design_key], params=task.params,
+        warmup_fraction=task.warmup_fraction, scale=task.scale,
+    )
 
 
 def _worker_main(conn, runner) -> None:
@@ -620,30 +609,18 @@ def build_tasks(
     """The full (spec x design) task list for a sweep."""
     specs = list(build_suite(scale) if specs is None else specs)
     skip = skip or set()
-    use_disk = diskcache.disk_cache_enabled()
-    tasks = []
-    for design in designs:
-        params = params_by_design.get(design.key, ICELAKE)
-        for spec in specs:
-            if (spec.name, design.key) in skip:
-                continue
-            disk_key = None
-            if use_disk:
-                disk_key = diskcache.result_key(
-                    spec.name, scale, design.key, params, warmup_fraction,
-                    spec=spec,
-                )
-            tasks.append(
-                Task(
-                    trace_name=spec.name,
-                    scale=scale,
-                    design_key=design.key,
-                    params=params,
-                    warmup_fraction=warmup_fraction,
-                    disk_key=disk_key,
-                )
-            )
-    return tasks
+    return [
+        Task(
+            trace_name=spec.name,
+            scale=scale,
+            design_key=design.key,
+            params=params_by_design.get(design.key, ICELAKE),
+            warmup_fraction=warmup_fraction,
+        )
+        for design in designs
+        for spec in specs
+        if (spec.name, design.key) not in skip
+    ]
 
 
 def run_grid(
@@ -690,14 +667,13 @@ def run_grid(
     for name in dict.fromkeys(task.trace_name for task in tasks):
         get_trace(name, scale)
 
-    # Resume: pairs already in the disk cache never reach a worker.
+    # Resume: pairs the harness already holds never reach a worker.
     pending = []
     preloaded: list[tuple[Task, FrontendStats]] = []
     for task in tasks:
-        cached = (
-            diskcache.load_result(task.disk_key)
-            if task.disk_key is not None
-            else None
+        cached, _ = harness.lookup_cached(
+            task.trace_name, _TASK_DESIGNS[task.design_key], params=task.params,
+            warmup_fraction=task.warmup_fraction, scale=task.scale,
         )
         if cached is not None:
             preloaded.append((task, cached))

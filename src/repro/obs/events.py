@@ -334,16 +334,35 @@ def disable_events() -> None:
     _active = _NULL_LOG
 
 
+#: Open :func:`use_event_log` scopes, oldest first, each ``[log, the
+#: log it replaced]``.  Scopes may close out of order (two in-process
+#: replicas drained A then B), so a closing scope unlinks its own entry
+#: instead of restoring LIFO.
+_SCOPES: list[list] = []
+_SCOPES_LOCK = threading.Lock()
+
+
 @contextmanager
 def use_event_log(log: EventLog | NullEventLog):
     """Temporarily install ``log`` (tests, scoped serve processes)."""
     global _active
-    previous = _active
-    _active = log
+    with _SCOPES_LOCK:
+        scope = [log, _active]
+        _SCOPES.append(scope)
+        _active = log
     try:
         yield log
     finally:
-        _active = previous
+        with _SCOPES_LOCK:
+            index = next(
+                position for position, entry in enumerate(_SCOPES) if entry is scope
+            )
+            del _SCOPES[index]
+            if index < len(_SCOPES):
+                # A later scope replaced this one: it now replaced ours.
+                _SCOPES[index][1] = scope[1]
+            else:
+                _active = scope[1]
 
 
 def _tag_rids(attrs: dict) -> str:

@@ -36,7 +36,8 @@ class ServeConfig:
         max_events: cap on ``n_events`` of inline ``spec`` requests (an
             unbounded spec would let one request monopolise a worker).
         default_scale: suite scale used when a request omits ``scale``
-            (``None``: the process-wide ``REPRO_SCALE`` resolution).
+            (``None``: the process-wide ``REPRO_SCALE`` resolution;
+            ``repro --scale`` sets it).
         trace_buffer: capacity of the request-event ring served on
             ``GET /debug/trace`` (``0`` disables request tracing).
         events_path: optional JSONL file every request event is also
@@ -46,12 +47,6 @@ class ServeConfig:
             disk cache as the tier below the memo and adds cross-replica
             single-flight.  ``None``: no explicit store.  See README
             "Shared result store".
-        store_ttl: single-flight lease TTL seconds; a replica that dies
-            mid-simulation orphans its claim for at most this long
-            (heartbeats renew at TTL/3 while it computes).
-        store_wait: seconds a replica waits for another's publish
-            before degrading to local compute (deadlock ceiling).
-        store_poll: result-poll cadence while awaiting a publish.
     """
 
     host: str = "127.0.0.1"
@@ -67,9 +62,6 @@ class ServeConfig:
     trace_buffer: int = 4096
     events_path: str | None = None
     store_url: str | None = None
-    store_ttl: float = 30.0
-    store_wait: float = 120.0
-    store_poll: float = 0.05
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
@@ -80,12 +72,6 @@ class ServeConfig:
             raise ValueError("batch_window must be non-negative")
         if self.trace_buffer < 0:
             raise ValueError("trace_buffer must be non-negative")
-        if self.store_ttl <= 0:
-            raise ValueError("store_ttl must be positive")
-        if self.store_wait <= 0:
-            raise ValueError("store_wait must be positive")
-        if self.store_poll <= 0:
-            raise ValueError("store_poll must be positive")
 
     def replace(self, **changes: Any) -> "ServeConfig":
         return replace(self, **changes)
@@ -112,11 +98,7 @@ def config_from_env() -> ServeConfig:
         retry_after=_float("REPRO_SERVE_RETRY_AFTER", 1.0),
         max_body_bytes=_int("REPRO_SERVE_MAX_BODY", 1 << 20),
         max_events=_int("REPRO_SERVE_MAX_EVENTS", 2_000_000),
-        default_scale=os.environ.get("REPRO_SERVE_SCALE") or None,
         trace_buffer=_int("REPRO_SERVE_TRACE_BUFFER", 4096),
         events_path=os.environ.get("REPRO_SERVE_EVENTS") or None,
         store_url=os.environ.get("REPRO_SERVE_STORE") or None,
-        store_ttl=_float("REPRO_SERVE_STORE_TTL", 30.0),
-        store_wait=_float("REPRO_SERVE_STORE_WAIT", 120.0),
-        store_poll=_float("REPRO_SERVE_STORE_POLL", 0.05),
     )

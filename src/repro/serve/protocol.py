@@ -17,7 +17,7 @@ entry of the design registry
 
 The 200 response body is *exactly* the canonical JSON serialisation of
 ``FrontendStats.to_dict()`` -- byte-identical to what a direct
-:func:`repro.experiments.harness.run_one` caller would serialise --
+:func:`repro.experiments.harness.run_design` caller would serialise --
 with request metadata (cache outcome, batch size) in ``X-Repro-*``
 headers, so clients can byte-compare payloads without re-encoding.
 Errors are ``{"ok": false, "error": {"code", "message"}}``.

@@ -18,12 +18,12 @@ Request lifecycle (``POST /v1/simulate``):
    suite member or inline spec alike, takes one path: it peeks the
    harness tiers (:func:`repro.experiments.harness.lookup_cached`:
    memo, then the result store -- the local disk cache, or the shared
-   store ``--store`` names), and each miss simulates through
-   :func:`repro.experiments.harness.run_one` over the batch's shared
-   decoded trace (resolved and decoded once, and only if some job
-   misses).  With a shared store configured (``--store`` /
-   ``REPRO_SERVE_STORE``), every miss first runs the cross-node
-   single-flight protocol
+   store ``--store`` names) and records a ``cache-lookup`` event.  If
+   any job misses, the batch's trace is resolved and decoded once, and
+   each miss takes the harness's one walk
+   (:func:`repro.experiments.harness.run_one`).  With a shared store
+   configured (``--store`` / ``REPRO_SERVE_STORE``) that walk runs the
+   cross-node single-flight protocol
    (:func:`repro.experiments.resultstore.fetch_or_compute`): exactly
    one replica cluster-wide claims the lease and simulates while the
    others await its published result; a store outage degrades to local
@@ -33,7 +33,7 @@ Request lifecycle (``POST /v1/simulate``):
    ``REPRO_SCHED_*`` does not change how serve executes.
 5. **response** -- the body is the canonical JSON of
    ``FrontendStats.to_dict()`` (byte-identical to a direct
-   :func:`repro.experiments.harness.run_one` caller's serialisation);
+   :func:`repro.experiments.harness.run_design` caller's serialisation);
    cache outcome and batch size ride in ``X-Repro-*`` headers.
 
 SIGTERM/SIGINT (or :meth:`SimulationService.request_shutdown`) starts a
@@ -52,9 +52,9 @@ Request tracing: every ``/v1/simulate`` request gets a correlation id
 (``X-Repro-Request-Id``) at admission and leaves a hop trail in the
 service's event log (:mod:`repro.obs.events`) -- ``admit`` →
 ``batch-join`` → ``batch-execute`` → ``cache`` → ``respond`` -- with
-the batch runner's thread bound to the batch's ids so the harness's
-``simulate`` span and disk-cache / result-store events join each member
-request's trace.  The
+the batch runner's thread bound to the batch's ids so its
+``cache-lookup`` events, the harness's ``simulate`` span and the
+disk-cache / result-store events join each member request's trace.  The
 recent ring is served on ``GET /debug/trace``; per-hop timing
 (batch-wait / executor-queue / simulate) rides back in ``X-Repro-*``
 headers.  ``trace_buffer=0`` disables all of it (null event log).
@@ -88,7 +88,6 @@ from repro.serve.protocol import (
     parse_request,
     stats_payload,
 )
-from repro.workloads.trace import Trace
 
 __all__ = [
     "BatchOutcome",
@@ -122,28 +121,19 @@ class BatchOutcome:
     decodes: int = 0
 
 
-def default_batch_runner(
-    jobs: list[SimJob],
-    store: "resultstore.ResultStore | None" = None,
-    store_opts: dict | None = None,
-) -> BatchOutcome:
+def default_batch_runner(jobs: list[SimJob]) -> BatchOutcome:
     """Answer every unique job of one batch (all share a trace).
 
     Every job, suite member or inline spec, first peeks the harness
-    tiers (:func:`repro.experiments.harness.lookup_cached`).  Each miss
-    then simulates through :func:`repro.experiments.harness.run_one`,
-    so responses stay byte-identical to a direct caller's and results
-    land in the same memo and result store.  The trace is resolved and
-    decoded lazily, once per batch: warm jobs never touch it, and the
-    decoded columns are shared by every design the batch runs.
-
-    With a shared store active, each miss runs the cross-node
-    single-flight protocol
-    (:func:`repro.experiments.resultstore.fetch_or_compute`): one
-    replica cluster-wide wins the lease and simulates (outcome
-    ``fresh``), the rest await its publish (outcome ``store``, adopted
-    into the local memo); a backend failure degrades to local compute
-    (outcome ``local``).
+    tiers (:func:`repro.experiments.harness.lookup_cached`) and records
+    a ``cache-lookup`` event.  If any job misses, the batch's trace is
+    resolved and decoded once, and each miss takes the harness's one
+    walk (:func:`repro.experiments.harness.run_one`): with a shared
+    store active that is the cross-node single-flight, so one replica
+    cluster-wide simulates (``fresh``), the rest await its publish
+    (``store``), and a backend failure degrades to local compute
+    (``local``).  Responses therefore stay byte-identical to a direct
+    caller's, and results land in the same memo and result store.
     """
     from repro.experiments import harness
     from repro.experiments.designs import design_registry
@@ -152,62 +142,32 @@ def default_batch_runner(
     outcome = BatchOutcome()
     misses: list[SimJob] = []
     for job in jobs:
+        design = registry[job.design_key]
         stats, kind = harness.lookup_cached(
-            job.trace_name, registry[job.design_key],
+            job.trace_name, design,
             params=job.params, warmup_fraction=job.warmup_fraction,
             scale=job.scale, spec=job.spec,
+        )
+        obs_events.emit(
+            "cache-lookup", layer="all" if stats is None else kind,
+            app=job.trace_name, design=design.key, hit=stats is not None,
         )
         if stats is None:
             misses.append(job)
         else:
             outcome.results[job] = (stats, kind)
-    store = store if store is not None else resultstore.get_active_store()
-    opts = store_opts or {}
-    decoded: list[Trace] = []
-
-    def compute(job: SimJob) -> FrontendStats:
-        if not decoded:
-            trace = harness.resolve_trace(job.trace_name, job.scale, job.spec)
-            if not trace.is_decoded:
-                outcome.decodes = 1
-            trace.decoded()
-            decoded.append(trace)
-        return harness.run_one(
+    if misses:
+        first = misses[0]
+        trace = harness.resolve_trace(first.trace_name, first.scale, first.spec)
+        if not trace.is_decoded:
+            outcome.decodes = 1
+        trace.decoded()
+    for job in misses:
+        outcome.results[job] = harness.run_one(
             job.trace_name, registry[job.design_key],
             params=job.params, warmup_fraction=job.warmup_fraction,
             scale=job.scale, spec=job.spec,
         )
-
-    for job in misses:
-        if store is None:
-            outcome.results[job] = (compute(job), "fresh")
-            continue
-        # Key by the *resolved* design's key, not the request's registry
-        # name: aliases ("baseline" -> "baseline-4096") must share one
-        # store slot with harness/disk publishes.
-        design = registry[job.design_key]
-        stats, kind = resultstore.fetch_or_compute(
-            store,
-            harness.result_store_key(
-                job.trace_name, design.key, job.params,
-                job.warmup_fraction, job.scale, job.spec,
-            ),
-            lambda job=job: compute(job),
-            ttl=opts.get("ttl", 30.0),
-            wait_timeout=opts.get("wait", 120.0),
-            poll_interval=opts.get("poll", 0.05),
-            context={"app": job.trace_name, "design": job.design_key},
-        )
-        if kind == "store":
-            # Another replica paid for the simulation: adopt the value
-            # into the local memo so the next lookup never leaves the
-            # process.
-            harness.adopt_result(
-                job.trace_name, design, stats,
-                params=job.params, warmup_fraction=job.warmup_fraction,
-                scale=job.scale, spec=job.spec,
-            )
-        outcome.results[job] = (stats, kind)
     return outcome
 
 
@@ -254,11 +214,12 @@ class SimulationService:
         store: shared result store for cross-replica dedup (default:
             built from ``config.store_url``; tests inject a
             :class:`~repro.experiments.resultstore.FakeStore` shared by
-            several in-process replicas).  A non-None store is also
+            several in-process replicas).  A non-None store is
             installed process-wide, where it replaces the local disk
-            cache as the harness's result tier.  Without one the
-            harness keeps its default disk-cache store, which never
-            runs the lease protocol.
+            cache as the harness's result tier and the harness's walk
+            runs single-flight over it.  Without one the harness keeps
+            its default disk-cache store, which never runs the lease
+            protocol.
         events: the service's event log (default: built from
             ``config.trace_buffer`` and ``config.events_path``).
     """
@@ -278,19 +239,7 @@ class SimulationService:
         )
         if self.store is not None:
             resultstore.set_active_store(self.store)
-        store_opts = {
-            "ttl": self.config.store_ttl,
-            "wait": self.config.store_wait,
-            "poll": self.config.store_poll,
-        }
-        if runner is not None:
-            self._runner = runner
-        elif self.store is not None:
-            self._runner = lambda jobs: default_batch_runner(
-                jobs, store=self.store, store_opts=store_opts
-            )
-        else:
-            self._runner = default_batch_runner
+        self._runner = runner or default_batch_runner
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown_event: asyncio.Event | None = None
         self._batches: dict[tuple[str, str], _Batch] = {}

@@ -84,6 +84,23 @@ def test_simulate_with_sanitize_flag(capsys):
     assert "sanitizer: OK" in captured.err
 
 
+def test_sanitize_simulates_over_a_warm_disk_cache(capsys, monkeypatch, tmp_path):
+    """``--sanitize`` scopes the disk cache off too: a second sanitized
+    run over the same cache dir still simulates, so the checker still
+    sees steps."""
+    import re
+
+    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
+    monkeypatch.setenv("REPRO_DISK_CACHE_DIR", str(tmp_path / "cache"))
+    steps = []
+    for _ in range(2):
+        assert main(["--scale", "tiny", "simulate", "server_oltp_00",
+                     "pdede-default", "--sanitize"]) == 0
+        err = capsys.readouterr().err
+        steps.append(int(re.search(r"over (\d+) steps", err).group(1)))
+    assert steps[0] == steps[1] > 0
+
+
 def test_parser_rejects_bad_scale():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--scale", "galactic", "list-apps"])

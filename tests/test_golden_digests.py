@@ -53,7 +53,7 @@ def compute_digests() -> dict[str, str]:
     return {
         family: hashlib.sha256(
             stats_payload(
-                harness.run_one(
+                harness.run_design(
                     APP, registry[family], warmup_fraction=WARMUP, scale=SCALE
                 )
             )

@@ -32,8 +32,10 @@ FAST = dict(max_retries=2, backoff_base=0.01, backoff_max=0.05)
 @pytest.fixture(autouse=True)
 def _clean_session_failures():
     drain_failures()
+    harness.clear_cache()
     yield
     drain_failures()
+    harness.clear_cache()
 
 
 def _specs():
@@ -175,6 +177,7 @@ def test_corrupted_disk_cache_entry_is_resimulated(monkeypatch):
         executed.append(task.trace_name)
         return sched._default_runner(task, attempt)
 
+    harness.clear_cache()  # a new process: only the disk cache survives
     report2 = run_grid(
         [design], scale=SCALE, specs=_specs(), config=config, runner=counting
     )

@@ -9,7 +9,7 @@ scheduler's fault-injection tests do.
 The two invariants the issue pins:
 
 * responses are **byte-identical** to a direct
-  :func:`repro.experiments.harness.run_one` caller serialising
+  :func:`repro.experiments.harness.run_design` caller serialising
   ``to_dict()`` canonically -- the service adds zero numeric drift;
 * concurrent requests sharing a trace are **micro-batched**: the
   decoded trace columns are computed once per batch, and a warm-cache
@@ -71,7 +71,7 @@ def _expected_payloads(pairs) -> dict[tuple[str, str], bytes]:
     registry = design_registry()
     return {
         (app, design): stats_payload(
-            harness.run_one(app, registry[design], scale=SCALE)
+            harness.run_design(app, registry[design], scale=SCALE)
         )
         for app, design in pairs
     }
@@ -482,3 +482,19 @@ def test_service_publishes_metrics():
     assert registry.get("serve_queue_depth").value() == 0
     # /metrics serves the very same snapshot.
     assert "serve_requests_total" in snapshot
+
+
+def test_replicas_drained_out_of_order_leave_the_null_log_active():
+    """Each service installs its event log while it serves.  Draining
+    replica A before replica B must not leave A's closed log installed
+    process-wide."""
+    from repro.obs.events import NullEventLog, events_enabled, get_event_log
+
+    assert not events_enabled()
+    first = serve_in_thread(_config())
+    second = serve_in_thread(_config())
+    first.shutdown()
+    assert get_event_log() is second.service.events
+    second.shutdown()
+    assert not events_enabled()
+    assert isinstance(get_event_log(), NullEventLog)

@@ -48,8 +48,7 @@ def _cold_process_state():
 
 def _config(**overrides) -> ServeConfig:
     base = dict(port=0, batch_window=0.15, queue_limit=64, workers=2,
-                drain_timeout=10.0, default_scale=SCALE,
-                store_ttl=5.0, store_wait=60.0, store_poll=0.02)
+                drain_timeout=10.0, default_scale=SCALE)
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -107,7 +106,7 @@ def test_duplicate_storm_across_replicas_simulates_exactly_once(monkeypatch):
         # Byte identity against a direct harness caller (computed after
         # the storm; with the memo off this is itself a fresh run).
         expected = stats_payload(
-            harness.run_one(APP, design_registry()[DESIGN], scale=SCALE)
+            harness.run_design(APP, design_registry()[DESIGN], scale=SCALE)
         )
         for response in responses:
             assert response.body == expected
@@ -155,7 +154,7 @@ def test_storm_with_partitioned_store_degrades_without_wrong_answers(monkeypatch
             storm_count = count[0]
             assert storm_count >= 1
             expected = stats_payload(
-                harness.run_one(APP, design_registry()[DESIGN], scale=SCALE)
+                harness.run_design(APP, design_registry()[DESIGN], scale=SCALE)
             )
             for response in responses:
                 assert response.body == expected

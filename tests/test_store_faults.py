@@ -46,8 +46,7 @@ def _cold_process_state():
 
 def _config(**overrides) -> ServeConfig:
     base = dict(port=0, batch_window=0.05, queue_limit=64, workers=2,
-                drain_timeout=10.0, default_scale=SCALE,
-                store_ttl=5.0, store_wait=60.0, store_poll=0.02)
+                drain_timeout=10.0, default_scale=SCALE)
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -55,7 +54,7 @@ def _config(**overrides) -> ServeConfig:
 def _expected_payloads():
     registry = design_registry()
     return {
-        design: stats_payload(harness.run_one(APP, registry[design], scale=SCALE))
+        design: stats_payload(harness.run_design(APP, registry[design], scale=SCALE))
         for design in DESIGNS
     }
 
@@ -205,5 +204,25 @@ def test_store_outage_never_rejects_or_deadlocks_a_storm():
         assert counters["ok"] == len(storm)
         assert counters["rejected"] == 0
         assert counters["errors"] == 0
+    finally:
+        handle.shutdown()
+
+
+def test_cold_job_store_traffic_is_one_walk():
+    """One cold job reads the store twice (the serve peek, then the
+    single-flight probe), claims and releases one lease and publishes
+    once; a repeat is a memo hit that never leaves the process."""
+    store = FakeStore(name="traffic")
+    handle = serve_in_thread(_config(), store=store)
+    try:
+        client = ServeClient(port=handle.port)
+        assert client.simulate(design=DESIGNS[0], app=APP).outcome == "fresh"
+        expected = {
+            "get_result": 2, "acquire_lease": 1, "put_result": 1,
+            "release_lease": 1,
+        }
+        assert store.calls == expected
+        assert client.simulate(design=DESIGNS[0], app=APP).outcome == "memo"
+        assert store.calls == expected
     finally:
         handle.shutdown()
