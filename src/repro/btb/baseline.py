@@ -86,9 +86,9 @@ class BaselineBTB(BranchTargetPredictor):
         self._tags = [_NO_TAG] * size
         self._targets = [0] * size
         self._conf = [0] * size
-        #: Mutation journal for the vector engine's struct-of-arrays
-        #: mirrors: every write to lookup-visible state (tags/targets)
-        #: appends its flat slot here while a vector run is active.
+        #: Mutation journal for the ``btb/vectorops.py`` struct-of-arrays
+        #: mirrors (no engine arms it): every write to lookup-visible
+        #: state (tags/targets) appends its flat slot here while armed.
         self._vec_journal: list[int] | None = None
 
     # -- address mapping ---------------------------------------------------
@@ -146,7 +146,7 @@ class BaselineBTB(BranchTargetPredictor):
             return
         self._allocate(index, tag, event.target)
 
-    # -- scalar hooks used by vector boundary replay -------------------------
+    # -- scalar hooks used by the fresh-run engine's BTB pass ----------------
 
     def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int]:
         """`lookup` on a precomputed hash; ``(target, hit, latency)``."""

@@ -16,11 +16,11 @@ predictors) because victim filling needs eviction visibility: the L1
 must hand its evicted entry to the LLBTB, which a generic wrapper
 cannot see.
 
-Engine support: general only.  The vector engine has no kernel for the
-promotion/victim-fill traffic between the levels, so
-:func:`~repro.btb.vectorops.vector_supported` rejects the class exactly
-like :class:`~repro.btb.ghrp.GhrpBTB`; the seed referee passes instances
-through unchanged, which is what the differential tests lean on.
+Engine support: both engines.  The class has no combined
+``observe_fast`` hook, so the fresh-run engine's BTB pass calls
+``lookup`` then ``update`` per event, exactly as the live loop does; the
+seed referee passes instances through unchanged, which is what the
+differential tests lean on.
 """
 
 from __future__ import annotations

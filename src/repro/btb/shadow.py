@@ -27,9 +27,10 @@ The model layers over any inner predictor (Baseline or PDede here):
 Only direct branches participate: indirect targets and returns are not
 recoverable from instruction bytes.
 
-Engine support: general only (like GhrpBTB, the vector engine has no
-kernel for it) -- the scalar hooks cannot see fetch-line adjacency,
-which is the whole mechanism.
+Engine support: both engines.  The class has no combined
+``observe_fast`` hook -- one per-event hook could not see fetch-line
+adjacency, which is the whole mechanism -- so the fresh-run engine's BTB
+pass calls ``lookup`` then ``update``, exactly as the live loop does.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ class TwoLevelBTB(BranchTargetPredictor):
         self.level0.update(event)
         self.level1.update(event)
 
-    # -- scalar hooks used by vector boundary replay -------------------------
+    # -- scalar hooks used by the fresh-run engine's BTB pass ----------------
 
     def observe_fast(
         self,

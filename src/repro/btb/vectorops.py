@@ -1,11 +1,20 @@
-"""Struct-of-arrays lookup kernels for the vectorised frontend engine.
+"""Struct-of-arrays lookup kernels of the former chunked BTB pass.
 
-The vector engine (:mod:`repro.frontend.vector`) replays a trace in
-chunks: one vectorised BTB lookup over a whole chunk, a scan for the
-first *boundary* event (one whose update would change lookup-visible
-state), bulk replication of the clean prefix's update side effects, and
-a scalar ``observe_fast`` replay of the boundary itself.  This module
-supplies the per-design machinery that makes that sound:
+No simulation engine uses this module any more: the fresh-run engine
+(:mod:`repro.frontend.vector`) now makes one scalar ``observe_fast`` (or
+``lookup`` + ``update``) call per event.  It stays only because the
+per-layer benchmark tracer (``benchmarks/perf/tracing.py``) imports it
+and wraps ``lookup_block`` / ``commit`` in every traced run; it goes,
+with the ``_vec_journal`` hooks on :class:`BaselineBTB`,
+:class:`PDedeBTB` and :class:`DedupValueTable`, once the tracer stops
+importing it.
+
+The chunked pass replayed a trace in chunks: one vectorised BTB lookup
+over a whole chunk, a scan for the first *boundary* event (one whose
+update would change lookup-visible state), bulk replication of the
+clean prefix's update side effects, and a scalar ``observe_fast``
+replay of the boundary itself.  This module supplied the per-design
+machinery that made that sound:
 
 * **Mirrors** -- numpy copies of exactly the state a lookup *reads*
   (tags, targets / delta-offset-pointer fields, dedup-table values and
@@ -27,8 +36,6 @@ supplies the per-design machinery that makes that sound:
   trace order, so the authoritative structures never diverge from a
   scalar run.
 
-Equivalence with the frozen seed engine is enforced bit for bit by
-``tests/test_engine_equivalence.py`` and ``tests/test_vector_engine.py``.
 """
 
 from __future__ import annotations

@@ -149,9 +149,9 @@ class PDedeBTB(BranchTargetPredictor):
         # Reverse pointer maps, maintained only in invalidating mode.
         self._page_ptr_users: dict[int, set[tuple[int, int]]] = {}
         self._region_ptr_users: dict[int, set[tuple[int, int]]] = {}
-        #: Mutation journal for the vector engine's struct-of-arrays
-        #: mirrors: every write to lookup-visible BTBM state appends its
-        #: flat slot here while a vector run is active.
+        #: Mutation journal for the ``btb/vectorops.py`` struct-of-arrays
+        #: mirrors (no engine arms it): every write to lookup-visible
+        #: BTBM state appends its flat slot here while armed.
         self._vec_journal: list[int] | None = None
         # Extra observability.
         self.stale_pointer_reads = 0
@@ -360,7 +360,7 @@ class PDedeBTB(BranchTargetPredictor):
         if self.config.mode is PDedeMode.MULTI_TARGET:
             self._chain_next_target(set_index, way, pc, target, use_delta)
 
-    # -- scalar hooks used by vector boundary replay -------------------------------
+    # -- scalar hooks used by the fresh-run engine's BTB pass ----------------------
 
     def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int]:
         """`lookup` on a precomputed hash; returns ``(target, hit, latency)``.
@@ -416,8 +416,8 @@ class PDedeBTB(BranchTargetPredictor):
     ) -> None:
         """`update` on precomputed hash and page bits (no event object).
 
-        The sanitizer hook is omitted: the vector engine only runs with
-        the sanitizer disarmed (the simulator gates on it).
+        The sanitizer hook is omitted: the fresh-run engine only runs
+        with the sanitizer disarmed (the simulator gates on it).
         """
         self.stats.updates += 1
         if not taken:

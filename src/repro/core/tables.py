@@ -63,8 +63,9 @@ class DedupValueTable:
         #: Optional callback fired with the evicted slot's pointer before
         #: reuse; the invalidating-BTBM mode hooks this.
         self.on_evict = on_evict
-        #: Mutation journal for the vector engine's value/generation
-        #: mirrors: inserts append the written pointer while active.
+        #: Mutation journal for the ``btb/vectorops.py`` value/generation
+        #: mirrors (no engine arms it): inserts append the written
+        #: pointer while armed.
         self._vec_journal: list[int] | None = None
 
     def _set_of(self, value: int) -> int:

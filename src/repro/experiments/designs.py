@@ -82,10 +82,7 @@ def ghrp_design(entries: int = 4096, key: str | None = None, **kwargs) -> Design
 
 
 def micro_btb_design(key: str = "micro-btb", **kwargs) -> Design:
-    """Two-tier last-level BTB hierarchy (Micro BTB, Gupta & Panda).
-
-    General engine only (the vector engine has no kernel for the class).
-    """
+    """Two-tier last-level BTB hierarchy (Micro BTB, Gupta & Panda)."""
     from repro.btb.microbtb import MicroBTB
 
     return Design(key=key, build_btb=lambda: MicroBTB(**kwargs))
@@ -97,7 +94,6 @@ def shadow_design(
     """Decode-assisted shadow-branch fill (Pepi et al.) over Baseline/PDede.
 
     ``inner`` selects the main predictor the shadow table backs.
-    General engine only (the vector engine has no kernel for the class).
     """
     from repro.btb.shadow import ShadowBTB
 

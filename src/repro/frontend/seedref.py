@@ -599,15 +599,17 @@ def seed_counterpart(btb: BranchTargetPredictor) -> BranchTargetPredictor:
     those map onto the ``Seed*`` copies above.  Every other design's
     model code is untouched by the pass, so the instance itself (fresh
     from ``Design.build()``) already *is* the seed behaviour and passes
-    through unchanged.
+    through unchanged.  The match is on exact types: a subclass such as
+    ``GhrpBTB`` overrides the behaviour it inherits, so mapping it onto
+    a plain seed copy would drop exactly what it adds.
     """
     from repro.btb.baseline import BaselineBTB
     from repro.btb.twolevel import TwoLevelBTB
     from repro.core.pdede import PDedeBTB
 
-    if isinstance(btb, PDedeBTB):
+    if type(btb) is PDedeBTB:
         return SeedPDedeBTB(btb.config)
-    if isinstance(btb, BaselineBTB):
+    if type(btb) is BaselineBTB:
         return SeedBaselineBTB(
             entries=btb.entries,
             ways=btb.ways,
@@ -620,7 +622,7 @@ def seed_counterpart(btb: BranchTargetPredictor) -> BranchTargetPredictor:
             latency=btb.latency,
             allocate_indirect=btb.allocate_indirect,
         )
-    if isinstance(btb, TwoLevelBTB):
+    if type(btb) is TwoLevelBTB:
         return SeedTwoLevelBTB(
             seed_counterpart(btb.level0),
             seed_counterpart(btb.level1),

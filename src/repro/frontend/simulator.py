@@ -23,14 +23,16 @@ This model charges exactly those effects:
 
 Absolute IPC is not that of the authors' silicon-correlated simulator;
 relative IPC between two BTB designs -- the quantity every figure of the
-paper reports -- tracks the same events.  Wrong-path ICache pollution is
-not modelled (a second-order effect the paper notes qualitatively).
+paper reports -- tracks the same events.  Wrong-path ICache pollution
+(a second-order effect the paper notes qualitatively) is modelled on
+request (``model_wrong_path``, off by default): each execute-stage
+flush also fetches a stretch of code down the mispredicted path into
+the ICache.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import count, repeat
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from repro.obs.metrics import get_registry
 from repro.branch.types import BranchKind
 from repro.btb.base import BranchTargetPredictor
 from repro.btb.ittage import ITTagePredictor
-from repro.btb.vectorops import vector_supported
 from repro.btb.ras import ReturnAddressStack
 from repro.checks.sanitizer import get_sanitizer
 from repro.frontend.icache import ICache
@@ -88,11 +89,12 @@ class FrontendSimulator:
             the mispredicted path on execute-stage flushes, polluting the
             ICache (the paper notes this effect of BTB misses
             qualitatively; off by default).
-        engine: ``"auto"`` (default) runs the vector engine when it
-            applies and the general engine otherwise; ``"vector"``
-            forces the vector engine and raises ``ValueError`` at
-            :meth:`run` when the configuration cannot use it;
-            ``"general"`` always applies.
+        engine: ``"auto"`` (default) runs the fresh-run ``"vector"``
+            engine whenever :meth:`_columns_applicable` holds and the
+            live ``"general"`` loop otherwise; ``"vector"`` forces the
+            fresh-run engine and raises ``ValueError`` at :meth:`run`
+            when the columns do not apply; ``"general"`` forces the live
+            loop, which applies to every configuration.
     """
 
     _ENGINES = ("auto", "vector", "general")
@@ -140,27 +142,26 @@ class FrontendSimulator:
         the same role at trace scale.
 
         Two engines produce the same ``FrontendStats`` bit for bit (the
-        equivalence suite is the referee): the columnar *vector* engine
-        (:mod:`repro.frontend.vector`), driven by the trace's
-        precomputed :class:`~repro.workloads.decoded.DecodedTrace`
-        columns and used when the configuration allows it, and the
-        *general* per-event engine that handles every configuration
-        (ITTAGE, wrong-path modelling, custom predictors, literature BTB
-        families, armed sanitizer, reused simulators).  Both read the
-        same replayed direction, ICache and RAS columns whenever
-        :meth:`_columns_applicable` holds.
+        equivalence suite is the referee).  The fresh-run *vector*
+        engine (:mod:`repro.frontend.vector`) runs every BTB design
+        whenever :meth:`_columns_applicable` holds: a scalar BTB pass
+        over the active events, then a numpy timing model over the
+        decoded trace's replayed direction, ICache and RAS columns.  The
+        *general* engine is the live per-event loop that asks every
+        structure itself; it runs what the columns cannot stand in for
+        (ITTAGE, wrong-path modelling, a caller-supplied predictor, an
+        armed sanitizer, a reused simulator).
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         engine = self.engine
         columns = self._columns_applicable()
-        vector_ok = columns and vector_supported(self.btb)
         if engine == "auto":
-            engine = "vector" if vector_ok else "general"
-        elif engine == "vector" and not vector_ok:
+            engine = "vector" if columns else "general"
+        elif engine == "vector" and not columns:
             raise ValueError(
                 "vector engine not applicable to this configuration "
-                "(requires cold structures and a vector-capable BTB)"
+                "(requires a fresh simulator with cold structures)"
             )
         self.last_engine = engine
         started = time.perf_counter()
@@ -169,7 +170,7 @@ class FrontendSimulator:
 
             stats = run_vector(self, trace, warmup_fraction)
         else:
-            stats = self._run_general(trace, warmup_fraction, columns)
+            stats = self._run_general(trace, warmup_fraction)
         elapsed = time.perf_counter() - started
         # Engine telemetry rides on the stats object as plain instance
         # attributes (not dataclass fields, so digests/to_dict stay
@@ -204,9 +205,8 @@ class FrontendSimulator:
         ICache and RAS, the default TAGE or the perfect oracle, and
         nothing that feeds other events into those structures (ITTAGE
         history, wrong-path pollution) or inspects every step (an armed
-        sanitizer).  The vector engine additionally needs exact
-        struct-of-arrays BTB kernels (``vector_supported``); the general
-        engine runs any BTB on the columns.
+        sanitizer).  This is the one gate of the fresh-run vector
+        engine, which runs any BTB on the columns.
         """
         return (
             not self._has_run
@@ -254,22 +254,19 @@ class FrontendSimulator:
             self.direction = direction_final.clone()
         self.ras = ras_final.clone()
 
-    def _run_general(
-        self, trace: Trace, warmup_fraction: float, columns: bool
-    ) -> FrontendStats:
-        """Reference per-event engine (every configuration).
+    def _run_general(self, trace: Trace, warmup_fraction: float) -> FrontendStats:
+        """Live per-event engine (every configuration).
+
+        Each event asks the simulator's own ICache, direction predictor,
+        RAS, ITTAGE and BTB in trace order, so it handles what the
+        decoded trace's cold-state replays cannot: a reused simulator, a
+        caller-supplied predictor, ITTAGE, wrong-path pollution and an
+        armed sanitizer.
 
         All cycle quantities are integer *ticks* of ``1 / cycle_tick``
         cycles (see :class:`FrontendStats`), so both engines sum them
         exactly in any order.  The float buckets are derived once at the
         end.
-
-        With ``columns`` (see :meth:`_columns_applicable`) the per-event
-        ICache miss count, direction-correct bit and RAS-correct bit come
-        from the decoded trace's replays instead of live calls, and the
-        simulator adopts the replays' end states afterwards.  Each of
-        the three per-event values is ``None`` on the live path, meaning
-        "ask the structure".
         """
         params = self.params
         stats = FrontendStats()
@@ -300,24 +297,17 @@ class FrontendSimulator:
         ras = self.ras
         icache_touch = self.icache.touch_range
         returns_use_ras = self.returns_use_ras
-        if columns:
-            replayed, finals = self._replayed_columns(trace)
-            icache_col, direction_col, ras_col = (col.tolist() for col in replayed)
-        else:
-            icache_col = direction_col = ras_col = repeat(None)
 
-        for (
-            index, (pc, kind_value, taken, target, gap),
-            icache_misses, direction_ok, ras_ok,
-        ) in zip(count(), trace.events(), icache_col, direction_col, ras_col):
+        for index, (pc, kind_value, taken, target, gap) in enumerate(
+            trace.events()
+        ):
             if not measuring and index >= warm_limit:
                 measuring = True
                 btb.reset_stats()
             kind = _KINDS[kind_value]
             kind_is_indirect = _IS_INDIRECT[kind_value]
             block_instructions = gap + 1
-            if icache_misses is None:
-                icache_misses = icache_touch(pc - gap * _INSTR_BYTES, pc)
+            icache_misses = icache_touch(pc - gap * _INSTR_BYTES, pc)
             if icache_misses:
                 if blocks_since_resteer < _REFILL_WINDOW:
                     icache_cost = icache_misses * miss_ticks
@@ -337,27 +327,22 @@ class FrontendSimulator:
             wrong_path_addr = -1
 
             if kind_value == _KIND_RETURN and returns_use_ras:
-                if ras_ok is None:
-                    ras_ok = ras.pop() == target
-                if not ras_ok:
+                if ras.pop() != target:
                     ras_mispredict = True
                     penalty = execute_penalty
                     resteer_kind = 2
                 if ittage is not None:
                     ittage.record_history(pc, taken)
             else:
-                # The RAS replay already made the column's pushes.
-                if ras_ok is None and _IS_CALL[kind_value]:
+                if _IS_CALL[kind_value]:
                     ras.push(pc + _INSTR_BYTES)
                 direction_correct = True
                 if kind_value == _KIND_COND:
-                    if direction_ok is None:
-                        predicted_taken = (
-                            taken if direction_is_perfect else direction.predict(pc)
-                        )
-                        direction.update(pc, taken)
-                        direction_ok = predicted_taken == taken
-                    direction_correct = direction_ok
+                    predicted_taken = (
+                        taken if direction_is_perfect else direction.predict(pc)
+                    )
+                    direction.update(pc, taken)
+                    direction_correct = predicted_taken == taken
                 if ittage is not None:
                     ittage.record_history(pc, taken)
                 if kind_is_indirect and ittage is not None:
@@ -452,8 +437,6 @@ class FrontendSimulator:
                 stats.ras_mispredicts += 1
             if bubble:
                 stats.extra_latency_lookups += 1
-        if columns:
-            self._adopt_end_states(finals)
         stats.set_cycle_buckets(
             tick,
             cycles_ticks,

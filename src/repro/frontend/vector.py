@@ -1,23 +1,22 @@
-"""Columnar frontend engine: chunked vector lookups + resteer-segment replay.
+"""Fresh-run frontend engine: a scalar BTB pass under a columnar timing model.
 
 :class:`repro.frontend.simulator.FrontendSimulator` picks this engine
-whenever the configuration allows it; the per-event ``general`` engine
-is the fallback and the reference.  The two are bit-identical by
-construction and by the equivalence suite.  Two phases:
+for every BTB design whenever the decoded trace's cold-state replays
+stand in for the simulator's direction predictor, ICache and RAS
+(``_columns_applicable``); the live per-event ``general`` engine is the
+fallback and the reference.  The two are bit-identical by construction
+and by the equivalence suite.  Two phases:
 
-**Phase 1 -- BTB pass.**  The trace is consumed in adaptively-sized
-chunks.  Each chunk gets one struct-of-arrays BTB lookup over the
-design's mirrors (:mod:`repro.btb.vectorops`), yielding per-event
-``(target, hit, latency)`` columns plus a conservative *boundary* mask
-marking events whose update would mutate lookup-visible state.  The
-clean prefix before each boundary is committed in bulk (update counters,
-replacement touches, confidence saturation -- exact replication of the
-scalar side effects); the boundary itself is replayed through the real
-``observe_fast``.  If the replay journalled a lookup-visible write, the
-mirrors are patched and the chunk restarts after the boundary; otherwise
-(a confidence drain, a non-allocating miss) the scan continues inside
-the same chunk.  Chunks grow after clean blocks and shrink toward the
-observed resteer density after mutations.
+**Phase 1 -- BTB pass.**  One scalar loop over the *active* events (all
+of them, or every non-return when returns are served by the RAS) makes
+the BTB calls a live run makes, in trace order, and collects each
+lookup's ``(target, hit, latency)``.  The exact types with a combined
+hook (:class:`BaselineBTB`, :class:`PDedeBTB`, and a
+:class:`TwoLevelBTB` of those) take one ``observe_fast`` call per event,
+which shares the tag match between lookup and update; every other BTB
+takes ``lookup`` then ``update``, as in the live loop.  The stats reset
+of the warm crossing lands between the last warm-up event and the first
+measured one.
 
 **Phase 2 -- timing.**  Branch-resolution outcomes (direction, RAS, BTB
 miss, penalty kind, lookup bubbles) are pure element-wise functions of
@@ -28,39 +27,83 @@ running maximum over penalty positions, and the fetch-queue slack walk
 *interesting* events (penalties and supply-over-demand blocks) with
 prefix-summed slack gains in between, because slack clipping commutes
 with non-negative accumulation.  All accounting is integer ticks, summed
-over the measured range, exactly as the scalar engines do.
+over the measured range, exactly as the live engine does.
 
 The RAS is replayed once per ``(returns_use_ras, depth)`` by the decoded
-trace (like ICache and direction), which is why the vector tier requires
-a pristine stack; every run adopts the replayed final state.
+trace (like ICache and direction), which is why this engine requires a
+pristine stack; every run adopts the replayed final state.
 """
 
 from __future__ import annotations
 
+from itertools import compress, islice
+
 import numpy as np
 
 from repro.branch.types import BranchKind
-from repro.btb.vectorops import NO_TARGET, make_vector_ops
+from repro.btb.baseline import BaselineBTB
+from repro.btb.twolevel import TwoLevelBTB
+from repro.core.pdede import PDedeBTB
 from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
 
-#: Adaptive chunk bounds (module-level so tests can shrink them to force
-#: boundary events onto chunk edges).
-CHUNK_MIN = 256
-CHUNK_START = 2048
-CHUNK_MAX = 16384
+#: ``None`` lookup target as an int64 sentinel (targets are 57-bit
+#: non-negative addresses, so -1 never collides with a real target).
+NO_TARGET = -1
 
 _KIND_NAMES = [BranchKind(value).name for value in range(len(BranchKind))]
 
+#: BTB types whose own ``observe_fast`` is one exact lookup + update.
+_FAST_TYPES = (BaselineBTB, PDedeBTB)
+
+
+def _has_fast_observe(btb) -> bool:
+    """Whether ``btb.observe_fast`` equals its ``lookup`` + ``update``.
+
+    Exact types only: a subclass may inherit ``observe_fast`` yet
+    override ``lookup`` or ``update`` (``GhrpBTB`` overrides both), so
+    it takes the two calls.
+    """
+    if type(btb) is TwoLevelBTB:
+        return type(btb.level0) in _FAST_TYPES and type(btb.level1) in _FAST_TYPES
+    return type(btb) in _FAST_TYPES
+
+
+def _observer(btb, trace, decoded):
+    """``(observe, columns)``: mapping ``observe`` over the per-event
+    ``columns`` makes one event's BTB calls and returns its lookup's
+    ``(target, hit, latency)``."""
+    if _has_fast_observe(btb):
+        columns = (
+            trace.pcs,
+            trace.targets,
+            trace.takens,
+            decoded.is_indirect,
+            decoded.hashes,
+            decoded.same_page,
+        )
+        return btb.observe_fast, columns
+
+    from repro.frontend.simulator import _KINDS, _EventView
+
+    lookup = btb.lookup
+    update = btb.update
+
+    def observe(pc, kind_value, taken, target, gap):
+        result = lookup(pc)
+        update(_EventView(pc, _KINDS[kind_value], taken, target, gap))
+        return result.target, result.hit, result.latency
+
+    return observe, (trace.pcs, trace.kinds, trace.takens, trace.targets, trace.gaps)
+
 
 def run_vector(sim, trace, warmup_fraction):
-    """Run one simulation on the vector engine; returns FrontendStats.
+    """Run one simulation on the fresh-run engine; returns FrontendStats.
 
     ``sim`` is the :class:`FrontendSimulator` (the caller has already
-    checked ``_columns_applicable`` and ``vector_supported``);
-    semantics mirror the general engine exactly, including the
-    warm-crossing stats reset.  The simulator also adopts the replayed
-    end-of-trace structure state.
+    checked ``_columns_applicable``); semantics mirror the general
+    engine exactly, including the warm-crossing stats reset.  The
+    simulator also adopts the replayed end-of-trace structure state.
     """
     from repro.frontend.simulator import _OVERLAPPED_MISS_CYCLES, _REFILL_WINDOW
 
@@ -83,88 +126,29 @@ def run_vector(sim, trace, warmup_fraction):
     is_return_col = cols["is_return"]
     instructions_col = cols["instructions"]
 
-    ops = make_vector_ops(btb, trace, sim.returns_use_ras)
-    act = ops.active
-
     # ---- phase 1: BTB pass --------------------------------------------
+    observe, columns = _observer(btb, trace, decoded)
+    if sim.returns_use_ras:
+        act = ~is_return_col
+        selectors = act.tolist()
+        columns = [compress(column, selectors) for column in columns]
+    else:
+        act = np.ones(n_events, dtype=np.bool_)
+    outcomes = map(observe, *columns)
+    # The warm crossing's stats reset lands between the last warm-up BTB
+    # call and the first measured one, wherever the crossing event is.
+    results = list(islice(outcomes, int(np.count_nonzero(act[:warm_limit]))))
+    if 0 < warm_limit < n_events:
+        btb.reset_stats()
+    results.extend(outcomes)
+
     lt = np.full(n_events, NO_TARGET, dtype=np.int64)
     lh = np.zeros(n_events, dtype=np.bool_)
     lat = np.ones(n_events, dtype=np.int64)
-
-    observe = btb.observe_fast
-    pcs_list = trace.pcs
-    targets_list = trace.targets
-    takens_list = trace.takens
-    hashes_list = decoded.hashes
-    same_page_list = decoded.same_page
-    is_indirect_list = decoded.is_indirect
-
-    reset_pending = 0 < warm_limit < n_events
-    chunk = CHUNK_START
-    i = 0
-    ops.begin()
-    try:
-        while i < n_events:
-            if reset_pending and i == warm_limit:
-                btb.reset_stats()
-                reset_pending = False
-            hi = i + chunk
-            if hi > n_events:
-                hi = n_events
-            if reset_pending and hi > warm_limit:
-                # Force a block break on the warm crossing so the stats
-                # reset lands between events, as in the scalar engines.
-                hi = warm_limit
-            blk = ops.lookup_block(i, hi)
-            # Optimistically copy the whole block's lookup columns once;
-            # replayed boundaries overwrite single positions and a
-            # truncated tail is rewritten by the next block.
-            lt[i:hi] = blk.lt
-            lh[i:hi] = blk.lh
-            lat[i:hi] = blk.lat
-            pos = i
-            # ``valid_hi``: how far this block's precomputed lookups are
-            # still valid.  A replayed boundary that journals a write
-            # truncates it to the first later event that reads the
-            # written state (usually none -- the scan keeps going).
-            valid_hi = hi
-            for b in blk.bounds:
-                if b >= valid_hi:
-                    break
-                if b > pos:
-                    ops.commit(blk, pos, b)
-                replay_lt, replay_lh, replay_lat = observe(
-                    pcs_list[b],
-                    targets_list[b],
-                    takens_list[b],
-                    is_indirect_list[b],
-                    hashes_list[b],
-                    same_page_list[b],
-                )
-                lt[b] = NO_TARGET if replay_lt is None else replay_lt
-                lh[b] = replay_lh
-                lat[b] = replay_lat
-                pos = b + 1
-                if ops.absorb():
-                    affected = ops.first_affected(blk, pos, valid_hi)
-                    if affected < valid_hi:
-                        valid_hi = affected
-            if pos < valid_hi:
-                ops.commit(blk, pos, valid_hi)
-                pos = valid_hi
-            if valid_hi < hi:
-                # Truncated by a mutation: retry with twice the distance
-                # just consumed so chunk size tracks mutation density.
-                chunk = (pos - i) * 2
-                if chunk < CHUNK_MIN:
-                    chunk = CHUNK_MIN
-                elif chunk > CHUNK_MAX:
-                    chunk = CHUNK_MAX
-            elif chunk < CHUNK_MAX:
-                chunk = min(chunk * 2, CHUNK_MAX)
-            i = pos
-    finally:
-        ops.end()
+    if results:
+        lt[act] = [NO_TARGET if t is None else t for t, _, _ in results]
+        lh[act] = [hit for _, hit, _ in results]
+        lat[act] = [latency for _, _, latency in results]
 
     # ---- phase 2: outcomes, penalties, timing -------------------------
     taken_active = act & taken

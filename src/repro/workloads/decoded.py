@@ -1,6 +1,6 @@
 """Precomputed per-event columns for the simulation engines.
 
-The columnar engine (:mod:`repro.frontend.vector`) needs, for every event
+The fresh-run engine (:mod:`repro.frontend.vector`) needs, for every event
 of every design in a sweep, quantities that depend only on the trace:
 block geometry, the branch-PC avalanche hash, the ``same_page(pc,
 target)`` bit, the per-event ICache miss count, the RAS outcome, and
@@ -8,13 +8,12 @@ target)`` bit, the per-event ICache miss count, the RAS outcome, and
 A :class:`DecodedTrace` computes each of these once per trace and caches
 them on the trace object (:meth:`repro.workloads.trace.Trace.decoded`),
 so an N-design sweep pays the trace-pure work once instead of N times.
-The general engine reads the replayed columns too, on a fresh simulator.
 
 Two kinds of columns:
 
 * **vectorised** -- pure element-wise functions of the event columns
   (block instructions, hashes, page bits, kind property bytes), computed
-  with numpy on first use; the few that scalar boundary replay indexes
+  with numpy on first use; the few that the scalar BTB pass indexes
   per event (hashes, page bits, indirect bits) are also offered as plain
   lists, built on first use too, since the BTB hooks want native ints;
 * **replayed** -- sequential state machines that are nevertheless
@@ -25,13 +24,13 @@ Two kinds of columns:
   the RAS outcome per return.  Replays run on the real model classes
   (the TAGE one through :meth:`TageLitePredictor.replay`, which takes
   the trace-pure history keys from numpy) and keep the final state
-  object so a simulator can adopt it after a full run (vector, or
-  general on the columns).
+  object so a simulator can adopt it after a full run.
 
-Decoding itself builds nothing: the general engine reads only the
-replayed columns, so every per-event Python list is built by the first
-consumer that needs it, and the ICache replay's block starts live only
-for the replay.
+Decoding itself builds nothing: every per-event Python list is built by
+the first consumer that needs it (a BTB pass with a combined
+``observe_fast`` hook wants the hash, page and indirect lists; one that
+calls ``lookup`` + ``update`` wants none), and the ICache replay's block
+starts live only for the replay.
 
 Everything here is derived, deterministic data; the equivalence suite
 (``tests/test_engine_equivalence.py``) checks the vector engine against
@@ -114,12 +113,11 @@ class DecodedTrace:
     # -- vectorised-engine columns ------------------------------------------
 
     def vector_columns(self) -> dict[str, np.ndarray]:
-        """Numpy event columns for the chunked vector engine, built once.
+        """Numpy event columns for the fresh-run vector engine, built once.
 
         Signed ``int64`` variants of the address columns (addresses are
         57-bit, so the conversion is lossless) plus the boolean kind
-        properties; every array is the full trace length and sliced per
-        chunk by the engine.
+        properties; every array is the full trace length.
         """
         cached = self._vector
         if cached is None:
@@ -149,17 +147,17 @@ class DecodedTrace:
 
     @property
     def hashes(self) -> list[int]:
-        """``hash_pc`` of every event, as native ints (boundary replay)."""
+        """``hash_pc`` of every event, as native ints (BTB pass)."""
         return self._as_list("hashes")
 
     @property
     def same_page(self) -> list[bool]:
-        """``same_page(pc, target)`` of every event (boundary replay)."""
+        """``same_page(pc, target)`` of every event (BTB pass)."""
         return self._as_list("same_page")
 
     @property
     def is_indirect(self) -> list[bool]:
-        """Whether each event's kind is indirect (boundary replay)."""
+        """Whether each event's kind is indirect (BTB pass)."""
         return self._as_list("is_indirect")
 
     def btb_index_tag(self, sets: int, tag_bits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -75,14 +75,27 @@ def test_ittage_falls_back_to_general_engine_and_still_matches():
     assert stats.to_dict() == seed_stats.to_dict()
 
 
-def test_twolevel_with_pdede_l0_falls_back_to_general_and_matches():
-    # The vector kernels cover only a Baseline L0; any other L0 runs on
-    # the general engine and must still match the seed referee.
+def test_twolevel_with_pdede_l0_runs_the_fresh_engine_and_matches():
+    # A PDede L0 takes the hierarchy's combined observe_fast hook on the
+    # fresh-run engine and must still match the seed referee.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = Design(
         key="twolevel-pdede-l0",
         build_btb=lambda: TwoLevelBTB(PDedeBTB(), BaselineBTB(entries=8192)),
     )
+    simulator, stats, seed_stats = _run_both(design, trace)
+    assert simulator.last_engine == "vector"
+    assert stats.to_dict() == seed_stats.to_dict()
+
+
+def test_twolevel_with_pdede_l0_falls_back_to_general_and_matches():
+    # With ITTAGE attached the columns no longer stand in, so the same
+    # hierarchy runs on the live general engine and must still match.
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = with_ittage(Design(
+        key="twolevel-pdede-l0",
+        build_btb=lambda: TwoLevelBTB(PDedeBTB(), BaselineBTB(entries=8192)),
+    ))
     simulator, stats, seed_stats = _run_both(design, trace)
     assert simulator.last_engine == "general"
     assert stats.to_dict() == seed_stats.to_dict()
@@ -212,8 +225,8 @@ def _fuzz_design(seed: int):
     designs["pdede+perfect-direction"] = with_perfect_direction(
         designs["pdede-multi-entry"]
     )
-    # with_ittage forces the general engine, so the sweep exercises the
-    # vector *and* the general path against the seed referee.
+    # with_ittage forces the live general engine, so the sweep exercises
+    # the fresh-run vector *and* the general path against the seed referee.
     designs["pdede+ittage"] = with_ittage(designs["pdede-default"])
     key = rng.choice(sorted(designs))
     return key, designs[key]
@@ -287,13 +300,13 @@ def test_fuzz_sweep_is_deterministic():
     assert _fuzz_design(5)[0] == _fuzz_design(5)[0]
 
 
-# -- literature families (general engine only) -------------------------------
+# -- literature families on the fresh-run engine ------------------------------
 #
-# MicroBTB and ShadowBTB have no vector kernels (like GhrpBTB):
-# victim-fill/promotion and fetch-line exposure are invisible to the
-# scalar hooks.  Auto must route them to the general engine, forced
-# vector must refuse, and the general engine must still match the frozen
-# seed referee exactly.
+# MicroBTB, ShadowBTB and GhrpBTB have no combined ``observe_fast`` hook
+# of their own (GhrpBTB inherits one but overrides ``update``), so the
+# fresh-run engine's BTB pass calls their ``lookup`` and ``update``.  Auto
+# and a forced ``vector`` both run them there, and they must still match
+# the frozen seed referee exactly.
 
 from repro.experiments.designs import ghrp_design, micro_btb_design, shadow_design
 
@@ -308,9 +321,34 @@ def _literature_designs():
 
 
 @pytest.mark.parametrize("key", sorted(_literature_designs()))
-def test_literature_families_fall_back_to_general_and_match_seed(key):
+def test_literature_families_run_the_fresh_engine_and_match_seed(key):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = _literature_designs()[key]
+    simulator, stats, seed_stats = _run_both(design, trace)
+    assert simulator.last_engine == "vector"
+    assert stats.to_dict() == seed_stats.to_dict()
+
+
+@pytest.mark.parametrize("engine", ["vector"])
+@pytest.mark.parametrize("key", sorted(_literature_designs()))
+def test_literature_families_run_forced_vector_and_match_seed(key, engine):
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    simulator, stats, seed_stats = _run_both(
+        _literature_designs()[key], trace, engine=engine
+    )
+    assert simulator.last_engine == engine
+    assert stats.to_dict() == seed_stats.to_dict()
+
+
+# Where the columns cannot stand in (here: ITTAGE owns the indirect
+# branches), auto falls back to the live general engine and a forced
+# ``vector`` refuses, for the literature families as for PDede.
+
+
+@pytest.mark.parametrize("key", sorted(_literature_designs()))
+def test_literature_families_fall_back_to_general_and_match_seed(key):
+    trace = get_trace(TRACE_APP, TRACE_SCALE)
+    design = with_ittage(_literature_designs()[key])
     simulator, stats, seed_stats = _run_both(design, trace)
     assert simulator.last_engine == "general"
     assert stats.to_dict() == seed_stats.to_dict()
@@ -320,7 +358,7 @@ def test_literature_families_fall_back_to_general_and_match_seed(key):
 @pytest.mark.parametrize("key", sorted(_literature_designs()))
 def test_literature_families_refuse_forced_fast_tiers(key, engine):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
-    btb, kwargs = _literature_designs()[key].build()
+    btb, kwargs = with_ittage(_literature_designs()[key]).build()
     simulator = FrontendSimulator(btb, engine=engine, **kwargs)
     with pytest.raises(ValueError, match="not applicable"):
         simulator.run(trace, warmup_fraction=0.3)
@@ -328,8 +366,9 @@ def test_literature_families_refuse_forced_fast_tiers(key, engine):
 
 @pytest.mark.parametrize("fuzz_seed", range(4))
 def test_differential_fuzz_literature_families(fuzz_seed):
-    """The seedref differential sweep over the opted-out families: the
-    general engine vs the referee on randomized workloads."""
+    """The seedref differential sweep over the literature families: the
+    fresh-run engine's lookup/update pass vs the referee on randomized
+    workloads."""
     spec = _fuzz_spec(1000 + fuzz_seed)
     designs = _literature_designs()
     key = sorted(designs)[fuzz_seed % len(designs)]
@@ -338,7 +377,7 @@ def test_differential_fuzz_literature_families(fuzz_seed):
     if diff:
         shrunk = _shrink_prefix(designs[key], spec, len(trace))
         raise AssertionError(
-            f"general engine diverges from seed referee on fuzz seed "
+            f"fresh-run engine diverges from seed referee on fuzz seed "
             f"{1000 + fuzz_seed} (design {key!r}, {len(trace)} events; "
             f"shrunk to first {shrunk} events).\n"
             f"Reproduce with: generate_trace({spec!r}).truncate({shrunk})\n"
@@ -346,12 +385,14 @@ def test_differential_fuzz_literature_families(fuzz_seed):
         )
 
 
-# -- general engine on the decoded columns -----------------------------------
+# -- fresh runs on the decoded columns, everything else live -----------------
 #
-# A fresh general-engine run reads the ICache, direction and RAS outcomes
-# from the trace's replays and adopts the replays' end states (so its
-# ``icache`` is a new object afterwards); anything not fresh asks the
-# live structures.  Both must match the seed referee byte for byte.
+# A fresh run reads the ICache, direction and RAS outcomes from the
+# trace's replays and adopts the replays' end states (so its ``icache``
+# is a new object afterwards); a forced ``general`` run, a reused
+# simulator and a caller-supplied predictor ask the live structures (so
+# the ``icache`` stays the same object).  All must match the seed referee
+# byte for byte.
 
 
 def _seed_run(design, trace, runs=1, **seed_overrides):
@@ -374,7 +415,7 @@ def _tage_tables(predictor) -> tuple:
 
 
 @pytest.mark.parametrize("key", ["micro-btb", "shadow-pdede", "baseline"])
-def test_fresh_general_run_reads_the_columns_and_matches_seed(key):
+def test_forced_general_takes_the_live_path_and_matches_seed(key):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = {**_literature_designs(), **standard_designs()}[key]
     btb, kwargs = design.build()
@@ -382,7 +423,7 @@ def test_fresh_general_run_reads_the_columns_and_matches_seed(key):
     icache_before = simulator.icache
     stats = simulator.run(trace, warmup_fraction=0.3)
     assert simulator.last_engine == "general"
-    assert simulator.icache is not icache_before  # adopted the replay's state
+    assert simulator.icache is icache_before  # asked the live ICache
     _, seed_stats = _seed_run(design, trace)
     assert stats_payload(stats) == stats_payload(seed_stats)
 
@@ -413,7 +454,7 @@ def test_caller_supplied_predictor_takes_the_live_path_and_matches_seed():
 
 
 @pytest.mark.parametrize("key", ["micro-btb", "shadow-pdede"])
-def test_general_run_on_columns_ends_in_the_live_run_state(key):
+def test_fresh_run_on_columns_ends_in_the_live_run_state(key):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = _literature_designs()[key]
     runs = []
@@ -423,6 +464,7 @@ def test_general_run_on_columns_ends_in_the_live_run_state(key):
         simulator.run(trace, warmup_fraction=0.3)
         runs.append(simulator)
     columns, live = runs
+    assert (columns.last_engine, live.last_engine) == ("vector", "general")
     assert columns.icache is not live.icache
     assert (columns.icache.accesses, columns.icache.misses) == (
         live.icache.accesses, live.icache.misses

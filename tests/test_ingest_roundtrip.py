@@ -8,8 +8,7 @@ binary-search shrunk to a short reproducing prefix.  Malformed input
 must fail with a structured :class:`IngestError` carrying a stable
 code, and the committed sample capture must convert through ``repro
 convert``, pass the characterization gate, and simulate identically to
-the frozen seed engine for both new design families (their documented
-engine opt-out).
+the frozen seed engine for both new design families.
 """
 
 from __future__ import annotations
@@ -317,11 +316,9 @@ def test_convert_cli_rejects_out_of_envelope_input(tmp_path, capsys):
 def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     """The acceptance criterion: the shipped capture simulates
     byte-identically between the auto-selected engine and the frozen
-    seed referee for both new families.  Neither class has vector
-    kernels (``vector_supported`` is False), so auto resolves to the
-    general engine -- the documented equivalent of cross-engine
-    byte-identity for these designs."""
-    from repro.btb.vectorops import vector_supported
+    seed referee for both new families.  Auto resolves to the fresh-run
+    vector engine, whose BTB pass calls their ``lookup`` and ``update``
+    (neither class has a combined ``observe_fast`` hook)."""
     from repro.experiments import design_registry
     from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
     from repro.frontend.simulator import FrontendSimulator
@@ -331,10 +328,10 @@ def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     design = design_registry()[design_key]
 
     btb, kwargs = design.build()
-    assert not vector_supported(btb)
+    assert not hasattr(btb, "observe_fast")
     simulator = FrontendSimulator(btb, **kwargs)
     live = simulator.run(trace, warmup_fraction=0.3)
-    assert simulator.last_engine == "general"
+    assert simulator.last_engine == "vector"
 
     seed_btb, seed_kwargs = design.build()
     seed = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.btb.microbtb import MicroBTB
-from repro.btb.vectorops import vector_supported
 
 from conftest import make_event, synthetic_branch_set
 
@@ -186,4 +185,7 @@ def test_bad_geometry_is_rejected(kwargs, match):
 
 
 def test_opts_out_of_fast_engines():
-    assert not vector_supported(MicroBTB())
+    # No combined ``observe_fast`` hook of its own, so the fresh-run
+    # engine's BTB pass calls ``lookup`` then ``update``, like the live
+    # loop.
+    assert not hasattr(MicroBTB(), "observe_fast")
