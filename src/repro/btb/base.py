@@ -20,6 +20,11 @@ from dataclasses import dataclass, field
 
 from repro.branch.types import BranchEvent
 
+#: "No target" in the lookup-target list an ``observe_fast`` BTB pass
+#: fills (targets are 57-bit non-negative addresses, so -1 never
+#: collides with a real one).
+NO_TARGET = -1
+
 
 @dataclass(slots=True)
 class BTBLookup:

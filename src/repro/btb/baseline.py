@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS, hash_pc
 from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 
@@ -182,37 +182,61 @@ class BaselineBTB(BranchTargetPredictor):
             return
         self._allocate(index, tag, target)
 
-    def observe_fast(
-        self,
-        pc: int,
-        target: int,
-        taken: bool,
-        is_indirect: bool,
-        hashed: int,
-        is_same_page: bool,
-    ) -> tuple[int | None, bool, int]:
-        """Combined lookup+update sharing one tag match.
+    def observe_fast(self, columns, start: int, stop: int, results) -> None:
+        """The fresh-run engine's BTB pass over active events ``start:stop``.
 
-        Lookup mutates only replacement state, which cannot change the
-        tag match, so the update half reuses the found way.
+        ``columns`` are the active events' ``(pcs, targets, takens,
+        is_indirect, hashes, same_page)`` lists; each event's lookup
+        ``(target, hit, latency)`` is appended to the three ``results``
+        lists, with :data:`NO_TARGET` for no target.  Exactly
+        :meth:`lookup` then :meth:`update` per event, in one frame: lookup
+        mutates only replacement state, which cannot change the tag
+        match, so one match serves both halves, and the update's
+        ``on_hit`` of the way the lookup just promoted is dropped (no
+        policy tells two back-to-back ``on_hit`` calls from one).  The
+        sanitizer hook is omitted, as in :meth:`update_fast`.
         """
-        index = hashed & self._index_mask if self._sets_pow2 else hashed % self.sets
-        tag = (hashed >> 40) & self._tag_mask
-        base = index * self.ways
-        try:
-            slot = self._tags.index(tag, base, base + self.ways)
-        except ValueError:
-            self.stats.updates += 1
-            if taken and not (is_indirect and not self.allocate_indirect):
-                self._allocate(index, tag, target)
-            return (None, False, self.latency)
-        way = slot - base
-        ltarget = self._targets[slot]
-        self._policies[index].on_hit(way)
-        self.stats.updates += 1
-        if taken and not (is_indirect and not self.allocate_indirect):
-            self._train_existing(index, way, target)
-        return (ltarget, True, self.latency)
+        _, targets, takens, is_indirect, hashes, _ = columns
+        lookup_targets, lookup_hits, latencies = results
+        out_target, out_hit = lookup_targets.append, lookup_hits.append
+        skip_indirect = not self.allocate_indirect
+        sets_pow2, index_mask, sets = self._sets_pow2, self._index_mask, self.sets
+        tag_mask, ways = self._tag_mask, self.ways
+        tags, stored, conf, conf_max = self._tags, self._targets, self._conf, self._conf_max
+        policies = self._policies
+        allocate = self._allocate
+        journal = self._vec_journal
+        for i in range(start, stop):
+            hashed = hashes[i]
+            index = hashed & index_mask if sets_pow2 else hashed % sets
+            tag = (hashed >> 40) & tag_mask
+            base = index * ways
+            try:
+                slot = tags.index(tag, base, base + ways)
+            except ValueError:
+                out_target(NO_TARGET)
+                out_hit(False)
+                if takens[i] and not (skip_indirect and is_indirect[i]):
+                    allocate(index, tag, targets[i])
+                continue
+            predicted = stored[slot]
+            out_target(predicted)
+            out_hit(True)
+            policies[index].on_hit(slot - base)
+            if not takens[i] or (skip_indirect and is_indirect[i]):
+                continue
+            target = targets[i]
+            if predicted == target:
+                if conf[slot] < conf_max:
+                    conf[slot] += 1
+            elif conf[slot] > 0:
+                conf[slot] -= 1
+            else:
+                stored[slot] = target
+                if journal is not None:
+                    journal.append(slot)
+        latencies.extend([self.latency] * (stop - start))
+        self.stats.updates += stop - start
 
     def _train_existing(self, index: int, way: int, target: int) -> None:
         slot = index * self.ways + way

@@ -16,10 +16,11 @@ predictors) because victim filling needs eviction visibility: the L1
 must hand its evicted entry to the LLBTB, which a generic wrapper
 cannot see.
 
-Engine support: both engines.  The class has no combined
-``observe_fast`` hook, so the fresh-run engine's BTB pass calls
-``lookup`` then ``update`` per event, exactly as the live loop does; the
-seed referee passes instances through unchanged, which is what the
+Engine support: both engines.  The class has no ``observe_fast`` pass
+hook, so the fresh-run engine's BTB pass runs it through the shared
+module-level loop (``repro.frontend.vector``), which calls ``lookup``
+then ``update`` per event, exactly as the live loop does; the seed
+referee passes instances through unchanged, which is what the
 differential tests lean on.
 """
 

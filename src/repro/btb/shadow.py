@@ -27,10 +27,12 @@ The model layers over any inner predictor (Baseline or PDede here):
 Only direct branches participate: indirect targets and returns are not
 recoverable from instruction bytes.
 
-Engine support: both engines.  The class has no combined
-``observe_fast`` hook -- one per-event hook could not see fetch-line
+Engine support: both engines.  The class has no ``observe_fast`` pass
+hook -- the shortcuts that hook takes for Baseline and PDede (one tag
+match, one target reconstruction per hit) do not cover fetch-line
 adjacency, which is the whole mechanism -- so the fresh-run engine's BTB
-pass calls ``lookup`` then ``update``, exactly as the live loop does.
+pass runs it through the shared module-level loop, which calls
+``lookup`` then ``update`` per event, exactly as the live loop does.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ instances -- the paper's configuration is
 from __future__ import annotations
 
 from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor
 from repro.checks.sanitizer import sanitizer_step
 
 
@@ -75,45 +75,44 @@ class TwoLevelBTB(BranchTargetPredictor):
 
     # -- scalar hooks used by the fresh-run engine's BTB pass ----------------
 
-    def observe_fast(
-        self,
-        pc: int,
-        target: int,
-        taken: bool,
-        is_indirect: bool,
-        hashed: int,
-        is_same_page: bool,
-    ) -> tuple[int | None, bool, int]:
-        """Combined lookup+update over the levels' split fast hooks.
+    def observe_fast(self, columns, start: int, stop: int, results) -> None:
+        """The fresh-run engine's BTB pass over active events ``start:stop``.
 
-        The hierarchy cannot share one tag match across lookup and
-        update (the L1 is only *looked up* on an L0 miss but always
-        *updated*), so it composes the levels' ``lookup_fast`` /
-        ``update_fast`` in the seed call order.
+        Same contract as ``PDedeBTB.observe_fast``: ``columns`` are the
+        active events' ``(pcs, targets, takens, is_indirect, hashes,
+        same_page)`` lists, and each lookup's ``(target, hit, latency)``
+        is appended to the three ``results`` lists.  The hierarchy cannot
+        share one tag match across lookup and update (the L1 is only
+        *looked up* on an L0 miss but always *updated*), so each event
+        composes the levels' ``lookup_fast`` / ``update_fast`` in the
+        seed call order.
         """
-        l0_target, l0_hit, l0_latency = self.level0.lookup_fast(pc, hashed)
-        if l0_hit:
-            self.l0_hits += 1
-            ltarget, lhit, latency = l0_target, True, l0_latency
-        else:
-            l1_target, l1_hit, l1_latency = self.level1.lookup_fast(pc, hashed)
-            if l1_hit or l1_target is not None:
-                self.l1_hits += 1
-                ltarget, lhit, latency = (
-                    l1_target,
-                    l1_hit,
-                    l1_latency + self.l1_extra_latency,
-                )
+        pcs, targets, takens, is_indirect, hashes, same_page = columns
+        out_target, out_hit, out_latency = (column.append for column in results)
+        lookup0, update0 = self.level0.lookup_fast, self.level0.update_fast
+        lookup1, update1 = self.level1.lookup_fast, self.level1.update_fast
+        extra = self.l1_extra_latency
+        l0_hits = l1_hits = 0
+        for i in range(start, stop):
+            pc = pcs[i]
+            hashed = hashes[i]
+            ltarget, lhit, latency = lookup0(pc, hashed)
+            if lhit:
+                l0_hits += 1
             else:
-                ltarget, lhit, latency = (
-                    None,
-                    False,
-                    l1_latency + self.l1_extra_latency,
-                )
-        self.stats.updates += 1
-        self.level0.update_fast(pc, target, taken, is_indirect, hashed, is_same_page)
-        self.level1.update_fast(pc, target, taken, is_indirect, hashed, is_same_page)
-        return (ltarget, lhit, latency)
+                ltarget, lhit, latency = lookup1(pc, hashed)
+                latency += extra
+                if lhit or ltarget is not None:
+                    l1_hits += 1
+            out_target(NO_TARGET if ltarget is None else ltarget)
+            out_hit(lhit)
+            out_latency(latency)
+            target, taken, indirect, page = targets[i], takens[i], is_indirect[i], same_page[i]
+            update0(pc, target, taken, indirect, hashed, page)
+            update1(pc, target, taken, indirect, hashed, page)
+        self.l0_hits += l0_hits
+        self.l1_hits += l1_hits
+        self.stats.updates += stop - start
 
     def storage_bits(self) -> int:
         return self.level0.storage_bits() + self.level1.storage_bits()

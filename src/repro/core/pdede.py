@@ -39,6 +39,7 @@ are an integer compare instead of a list membership scan.
 from __future__ import annotations
 
 from repro.branch.address import (
+    ADDRESS_MASK,
     REGION_BITS,
     PAGE_IN_REGION_BITS,
     fold_bits,
@@ -51,7 +52,7 @@ from repro.branch.address import (
     same_page,
 )
 from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 from repro.core.config import PDedeConfig, PDedeMode
@@ -366,8 +367,7 @@ class PDedeBTB(BranchTargetPredictor):
         """`lookup` on a precomputed hash; returns ``(target, hit, latency)``.
 
         Exact state evolution of :meth:`lookup` minus the BTBLookup
-        allocation; ``observe_fast`` and ``TwoLevelBTB.observe_fast``
-        are the only callers.
+        allocation; ``TwoLevelBTB.observe_fast`` is the only caller.
         """
         pending = self._pending_next_offset
         pending_tag = self._pending_next_tag
@@ -437,81 +437,163 @@ class PDedeBTB(BranchTargetPredictor):
         if cfg.mode is PDedeMode.MULTI_TARGET:
             self._chain_next_target(set_index, way, pc, target, use_delta)
 
-    def observe_fast(
-        self,
-        pc: int,
-        target: int,
-        taken: bool,
-        is_indirect: bool,
-        hashed: int,
-        is_same_page: bool,
-    ) -> tuple[int | None, bool, int]:
-        """Combined lookup+update sharing one tag match.
+    def observe_fast(self, columns, start: int, stop: int, results) -> None:
+        """The fresh-run engine's BTB pass over active events ``start:stop``.
 
-        Returns the lookup's ``(target, hit, latency)``.  Nothing between
-        the seed's ``lookup`` and ``update`` calls can change the tag
-        match (lookup touches only replacement/pending/counter state), so
-        one ``list.index`` serves both halves; every other state
-        transition happens in the seed order.
+        ``columns`` are the active events' ``(pcs, targets, takens,
+        is_indirect, hashes, same_page)`` lists; each event's lookup
+        ``(target, hit, latency)`` is appended to the three ``results``
+        lists, with :data:`NO_TARGET` for no target.  The state evolution
+        is exactly :meth:`lookup` then :meth:`update` per event, in one
+        frame, with two shortcuts:
+
+        * one tag match serves both halves: lookup writes only
+          replacement, pending-register and counter state, none of which
+          the match reads;
+        * a hit reconstructs its target once.  The update (Section 4.4.2)
+          retrains the entry the lookup (Section 4.4.1) just read, and
+          nothing in between writes that entry or the dedup tables, so a
+          second reconstruction would return the same target; its touches
+          would repeat the lookup's back to back, which no replacement
+          policy distinguishes from one.  The hit counters still advance
+          twice for an event that trains, as the seed's second
+          reconstruction does.
+
+        Counters are accumulated in locals and flushed on return, so a
+        ``reset_stats`` between two calls splits them at the call
+        boundary.  The sanitizer hook is omitted, as in
+        :meth:`update_fast`.
         """
+        pcs, targets, takens, is_indirect, hashes, same_page_col = columns
+        out_target, out_hit, out_latency = (column.append for column in results)
         cfg = self.config
+        multi_target = cfg.mode is PDedeMode.MULTI_TARGET
+        next_tag_bits = cfg.next_target_tag_bits
+        # A delta hit or a Next-Target provision: one cycle unless every
+        # lookup is charged two; a pointer chase always takes two.
+        short_latency = 2 if cfg.always_two_cycle else 1
+        skip_indirect = not cfg.allocate_indirect
+        delta_encoding = cfg.delta_encoding
+        sets_pow2, index_mask, sets = self._sets_pow2, self._index_mask, self._sets
+        tag_mask, ways = self._tag_mask, self._ways
+        tags, delta, offsets = self._tags, self._delta, self._offsets
+        page_ptr, region_ptr = self._page_ptr, self._region_ptr
+        page_gen, region_gen = self._page_gen, self._region_gen
+        conf, conf_max = self._conf, self._conf_max
+        next_valid, next_offset, next_tag = (
+            self._next_valid, self._next_offset, self._next_tag
+        )
+        policies, short_base = self._policies, self._short_base
+        long_policies, short_policies = self._long_policies, self._short_policies
+        page, region = self.page_btb, self.region_btb
+        page_ways, page_values = page.ways, page._values
+        page_gens, page_policies = page._generations, page._policies
+        region_ways, region_values = region.ways, region._values
+        region_gens, region_policies = region._generations, region._policies
+        page_mask = page_base(ADDRESS_MASK)
+        allocate = self._allocate
+        write_target_fields = self._write_target_fields
+        chain_next_target = self._chain_next_target
         pending = self._pending_next_offset
         pending_tag = self._pending_next_tag
-        self._pending_next_offset = None
-        set_index = hashed & self._index_mask if self._sets_pow2 else hashed % self._sets
-        tag = (hashed >> 40) & self._tag_mask
-        ways = self._ways
-        base = set_index * ways
-        try:
-            slot = self._tags.index(tag, base, base + ways)
-        except ValueError:
-            # -- lookup outcome on a tag miss --
-            if pending is not None and (
-                not cfg.next_target_tag_bits
-                or pending_tag == fold_bits(pc >> 1, cfg.next_target_tag_bits)
-            ):
-                self.next_target_provisions += 1
-                ltarget: int | None = page_base(pc) | pending
-                latency = 2 if cfg.always_two_cycle else 1
+        delta_reads = pointer_reads = stale_reads = provisions = 0
+        for i in range(start, stop):
+            hashed = hashes[i]
+            set_index = hashed & index_mask if sets_pow2 else hashed % sets
+            tag = (hashed >> 40) & tag_mask
+            base = set_index * ways
+            staged = pending
+            pending = None
+            try:
+                slot = tags.index(tag, base, base + ways)
+            except ValueError:
+                # -- lookup: tag miss, maybe served by the Next Target
+                # Offset register (see lookup) --
+                pc = pcs[i]
+                if staged is not None and (
+                    not next_tag_bits
+                    or pending_tag == fold_bits(pc >> 1, next_tag_bits)
+                ):
+                    provisions += 1
+                    out_target((pc & page_mask) | staged)
+                    out_latency(short_latency)
+                else:
+                    out_target(NO_TARGET)
+                    out_latency(1)
+                out_hit(False)
+                # -- update: allocate --
+                if not takens[i]:
+                    continue
+                if skip_indirect and is_indirect[i]:
+                    self._last_btbm_slot = None
+                    continue
+                target = targets[i]
+                use_delta = same_page_col[i] and delta_encoding
+                way = allocate(set_index, tag, target, use_delta)
+                if multi_target:
+                    chain_next_target(set_index, way, pc, target, use_delta)
+                continue
+            # -- lookup: hit, reconstructed once --
+            taken = takens[i]
+            trains = taken and not (skip_indirect and is_indirect[i])
+            # The seed's update reconstructs again, counting every read twice.
+            reads = 2 if trains else 1
+            if delta[slot]:
+                delta_reads += reads
+                predicted = (pcs[i] & page_mask) | offsets[slot]
+                out_latency(short_latency)
+                if multi_target and next_valid[slot]:
+                    pending = next_offset[slot]
+                    pending_tag = next_tag[slot]
             else:
-                ltarget = None
-                latency = 1
-            # -- update half --
-            self.stats.updates += 1
-            if not taken:
-                return (ltarget, False, latency)
-            if is_indirect and not cfg.allocate_indirect:
-                self._last_btbm_slot = None
-                return (ltarget, False, latency)
-            use_delta = is_same_page and cfg.delta_encoding
-            way = self._allocate(set_index, tag, target, use_delta)
-            if cfg.mode is PDedeMode.MULTI_TARGET:
-                self._chain_next_target(set_index, way, pc, target, use_delta)
-            return (ltarget, False, latency)
-        way = slot - base
-        ltarget, latency = self._reconstruct(set_index, way, pc)
-        if cfg.always_two_cycle:
-            latency = 2
-        if (
-            cfg.mode is PDedeMode.MULTI_TARGET
-            and self._delta[slot]
-            and self._next_valid[slot]
-        ):
-            self._pending_next_offset = self._next_offset[slot]
-            self._pending_next_tag = self._next_tag[slot]
-        self._touch(set_index, way)
-        # -- update half --
-        self.stats.updates += 1
-        if not taken:
-            return (ltarget, True, latency)
-        if is_indirect and not cfg.allocate_indirect:
-            self._last_btbm_slot = None
-            return (ltarget, True, latency)
-        use_delta = is_same_page and cfg.delta_encoding
-        self._train_existing(set_index, way, pc, target, use_delta)
-        if cfg.mode is PDedeMode.MULTI_TARGET:
-            self._chain_next_target(set_index, way, pc, target, use_delta)
-        return (ltarget, True, latency)
+                pointer_reads += reads
+                page_set, page_way = divmod(page_ptr[slot], page_ways)
+                region_set, region_way = divmod(region_ptr[slot], region_ways)
+                if (
+                    page_gens[page_set][page_way] != page_gen[slot]
+                    or region_gens[region_set][region_way] != region_gen[slot]
+                ):
+                    stale_reads += reads
+                predicted = join_target(
+                    region_values[region_set][region_way],
+                    page_values[page_set][page_way],
+                    offsets[slot],
+                )
+                page_policies[page_set].on_hit(page_way)
+                region_policies[region_set].on_hit(region_way)
+                out_latency(2)
+            out_target(predicted)
+            out_hit(True)
+            way = slot - base
+            if policies is not None:
+                policies[set_index].on_hit(way)
+            elif way >= short_base:
+                short_policies[set_index].on_hit(way - short_base)
+            else:
+                long_policies[set_index].on_hit(way)
+            # -- update: retrain the entry just read --
+            if not trains:
+                if taken:
+                    self._last_btbm_slot = None
+                continue
+            target = targets[i]
+            use_delta = same_page_col[i] and delta_encoding
+            if predicted == target:
+                if conf[slot] < conf_max:
+                    conf[slot] += 1
+            elif conf[slot] > 0:
+                conf[slot] -= 1
+            else:
+                write_target_fields(set_index, way, target, use_delta)
+            if multi_target:
+                chain_next_target(set_index, way, pcs[i], target, use_delta)
+        self._pending_next_offset = pending
+        self._pending_next_tag = pending_tag
+        self.stats.updates += stop - start
+        self.delta_hits += delta_reads
+        self.pointer_hits += pointer_reads
+        self.stale_pointer_reads += stale_reads
+        self.next_target_provisions += provisions
 
     def _train_existing(
         self, set_index: int, way: int, pc: int, target: int, use_delta: bool

@@ -26,6 +26,8 @@ class DedupValueTable:
 
     Pointers are ``set * ways + way`` and remain meaningful for the
     lifetime of the slot's current value; generations disambiguate reuse.
+    ``PDedeBTB.observe_fast`` inlines :meth:`read`, :meth:`is_stale` and
+    :meth:`touch` over ``_values``, ``_generations`` and ``_policies``.
     """
 
     def __init__(

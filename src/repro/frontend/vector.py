@@ -10,13 +10,18 @@ and by the equivalence suite.  Two phases:
 **Phase 1 -- BTB pass.**  One scalar loop over the *active* events (all
 of them, or every non-return when returns are served by the RAS) makes
 the BTB calls a live run makes, in trace order, and collects each
-lookup's ``(target, hit, latency)``.  The exact types with a combined
-hook (:class:`BaselineBTB`, :class:`PDedeBTB`, and a
-:class:`TwoLevelBTB` of those) take one ``observe_fast`` call per event,
-which shares the tag match between lookup and update; every other BTB
-takes ``lookup`` then ``update``, as in the live loop.  The stats reset
-of the warm crossing lands between the last warm-up event and the first
-measured one.
+lookup's ``(target, hit, latency)`` into three lists.  The loop is
+called twice, once on each side of the warm crossing, with the stats
+reset in between, so the reset lands between the last warm-up event and
+the first measured one.  The exact types with a pass hook
+(:class:`BaselineBTB`, :class:`PDedeBTB`, and a :class:`TwoLevelBTB` of
+those) run it as their own ``observe_fast(columns, start, stop,
+results)``: one Python frame with the structure's lists bound to
+locals, one tag match shared by lookup and update, and -- for PDede --
+one target reconstruction per hit, because the update retrains the very
+entry the lookup just read.  Every other BTB runs it through
+:func:`_lookup_update_pass`, which calls ``lookup`` then ``update`` per
+event, as in the live loop.
 
 **Phase 2 -- timing.**  Branch-resolution outcomes (direction, RAS, BTB
 miss, penalty kind, lookup bubbles) are pure element-wise functions of
@@ -36,24 +41,22 @@ pristine stack; every run adopts the replayed final state.
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from functools import partial
+from itertools import compress
 
 import numpy as np
 
 from repro.branch.types import BranchKind
+from repro.btb.base import NO_TARGET
 from repro.btb.baseline import BaselineBTB
 from repro.btb.twolevel import TwoLevelBTB
 from repro.core.pdede import PDedeBTB
 from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
 
-#: ``None`` lookup target as an int64 sentinel (targets are 57-bit
-#: non-negative addresses, so -1 never collides with a real target).
-NO_TARGET = -1
-
 _KIND_NAMES = [BranchKind(value).name for value in range(len(BranchKind))]
 
-#: BTB types whose own ``observe_fast`` is one exact lookup + update.
+#: BTB types whose own ``observe_fast`` is one exact lookup + update pass.
 _FAST_TYPES = (BaselineBTB, PDedeBTB)
 
 
@@ -69,10 +72,31 @@ def _has_fast_observe(btb) -> bool:
     return type(btb) in _FAST_TYPES
 
 
-def _observer(btb, trace, decoded):
-    """``(observe, columns)``: mapping ``observe`` over the per-event
-    ``columns`` makes one event's BTB calls and returns its lookup's
-    ``(target, hit, latency)``."""
+def _lookup_update_pass(btb, columns, start, stop, results):
+    """The BTB pass of a BTB without an ``observe_fast`` hook.
+
+    Same contract as the hook, over the active events' ``(pcs, kinds,
+    takens, targets, gaps)`` lists: ``lookup`` then ``update`` per
+    event, as in the live loop, appending each lookup's ``(target, hit,
+    latency)`` to the three ``results`` lists.
+    """
+    from repro.frontend.simulator import _KINDS, _EventView
+
+    pcs, kinds, takens, targets, gaps = columns
+    lookup, update = btb.lookup, btb.update
+    out_target, out_hit, out_latency = (column.append for column in results)
+    for i in range(start, stop):
+        pc = pcs[i]
+        result = lookup(pc)
+        update(_EventView(pc, _KINDS[kinds[i]], takens[i], targets[i], gaps[i]))
+        out_target(NO_TARGET if result.target is None else result.target)
+        out_hit(result.hit)
+        out_latency(result.latency)
+
+
+def _btb_pass(btb, trace, decoded):
+    """``(observe, columns)``: ``observe(columns, start, stop, results)``
+    makes the BTB calls of events ``start:stop`` of ``columns``."""
     if _has_fast_observe(btb):
         columns = (
             trace.pcs,
@@ -83,18 +107,10 @@ def _observer(btb, trace, decoded):
             decoded.same_page,
         )
         return btb.observe_fast, columns
-
-    from repro.frontend.simulator import _KINDS, _EventView
-
-    lookup = btb.lookup
-    update = btb.update
-
-    def observe(pc, kind_value, taken, target, gap):
-        result = lookup(pc)
-        update(_EventView(pc, _KINDS[kind_value], taken, target, gap))
-        return result.target, result.hit, result.latency
-
-    return observe, (trace.pcs, trace.kinds, trace.takens, trace.targets, trace.gaps)
+    return (
+        partial(_lookup_update_pass, btb),
+        (trace.pcs, trace.kinds, trace.takens, trace.targets, trace.gaps),
+    )
 
 
 def run_vector(sim, trace, warmup_fraction):
@@ -127,28 +143,27 @@ def run_vector(sim, trace, warmup_fraction):
     instructions_col = cols["instructions"]
 
     # ---- phase 1: BTB pass --------------------------------------------
-    observe, columns = _observer(btb, trace, decoded)
+    observe, columns = _btb_pass(btb, trace, decoded)
     if sim.returns_use_ras:
         act = ~is_return_col
         selectors = act.tolist()
-        columns = [compress(column, selectors) for column in columns]
+        columns = [list(compress(column, selectors)) for column in columns]
     else:
         act = np.ones(n_events, dtype=np.bool_)
-    outcomes = map(observe, *columns)
-    # The warm crossing's stats reset lands between the last warm-up BTB
-    # call and the first measured one, wherever the crossing event is.
-    results = list(islice(outcomes, int(np.count_nonzero(act[:warm_limit]))))
+    results = ([], [], [])
+    # One call on each side of the warm crossing: its stats reset lands
+    # between the last warm-up BTB call and the first measured one,
+    # wherever the crossing event is.
+    n_warm = int(np.count_nonzero(act[:warm_limit]))
+    observe(columns, 0, n_warm, results)
     if 0 < warm_limit < n_events:
         btb.reset_stats()
-    results.extend(outcomes)
+    observe(columns, n_warm, len(columns[0]), results)
 
     lt = np.full(n_events, NO_TARGET, dtype=np.int64)
     lh = np.zeros(n_events, dtype=np.bool_)
     lat = np.ones(n_events, dtype=np.int64)
-    if results:
-        lt[act] = [NO_TARGET if t is None else t for t, _, _ in results]
-        lh[act] = [hit for _, hit, _ in results]
-        lat[act] = [latency for _, _, latency in results]
+    lt[act], lh[act], lat[act] = results
 
     # ---- phase 2: outcomes, penalties, timing -------------------------
     taken_active = act & taken

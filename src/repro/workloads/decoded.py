@@ -27,10 +27,10 @@ Two kinds of columns:
   object so a simulator can adopt it after a full run.
 
 Decoding itself builds nothing: every per-event Python list is built by
-the first consumer that needs it (a BTB pass with a combined
-``observe_fast`` hook wants the hash, page and indirect lists; one that
-calls ``lookup`` + ``update`` wants none), and the ICache replay's block
-starts live only for the replay.
+the first consumer that needs it (a BTB whose ``observe_fast`` hook runs
+the BTB pass wants the hash, page and indirect lists; one that the
+engine's shared loop drives through ``lookup`` + ``update`` wants none),
+and the ICache replay's block starts live only for the replay.
 
 Everything here is derived, deterministic data; the equivalence suite
 (``tests/test_engine_equivalence.py``) checks the vector engine against

@@ -1,0 +1,163 @@
+"""The fresh-run engine's ``observe_fast`` BTB pass against the seed referee.
+
+The pass makes one ``observe_fast`` call on each side of the warm
+crossing, and a PDede hit reconstructs its target once where the seed's
+``lookup`` + ``update`` reconstruct it twice.  ``FrontendStats`` carries
+none of the structure-internal counters that shortcut could miscount, so
+these tests compare, event for event, the lookup columns, the
+``BTBStats`` and the whole ``btb.metrics()`` -- delta, pointer, stale
+and next-target counters, Page-/Region-BTB allocations, dedup hits and
+evictions -- against the frozen seed BTBs driven by ``lookup`` then
+``update``.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+
+import pytest
+
+from repro.btb.base import NO_TARGET
+from repro.btb.baseline import BaselineBTB
+from repro.btb.twolevel import TwoLevelBTB
+from repro.core.config import PDedeConfig, PDedeMode
+from repro.core.pdede import PDedeBTB
+from repro.frontend.seedref import seed_counterpart
+from repro.workloads.suite import get_trace
+
+#: Small enough that the tiny trace evicts from the BTBM and both dedup
+#: tables (its different-page targets span three regions), so stale pointers,
+#: evictions and dedup hits all occur.
+SMALL = dict(btbm_entries=256, page_entries=32, region_entries=1)
+
+POLICIES = ("lru", "fifo", "random", "srrip")
+
+
+def _pdede(**overrides) -> PDedeBTB:
+    return PDedeBTB(PDedeConfig(**{**SMALL, **overrides}))
+
+
+PDEDE_VARIANTS = {
+    **{f"mode-{mode.value}": dict(mode=mode) for mode in PDedeMode},
+    "always-two-cycle": dict(always_two_cycle=True),
+    "next-target-tag": dict(mode=PDedeMode.MULTI_TARGET, next_target_tag_bits=4),
+    "no-indirect": dict(allocate_indirect=False),
+    "invalidate-stale": dict(invalidate_stale_pointers=True),
+    "no-delta": dict(delta_encoding=False),
+    **{f"replacement-{name}": dict(replacement=name) for name in POLICIES},
+    "multi-entry-lru": dict(mode=PDedeMode.MULTI_ENTRY, replacement="lru"),
+    "multi-target-lru": dict(mode=PDedeMode.MULTI_TARGET, replacement="lru"),
+}
+
+
+def _columns(trace, decoded, returns_use_ras=True):
+    """The active events' hook columns and their ``BranchEvent`` objects."""
+    columns = [
+        trace.pcs,
+        trace.targets,
+        trace.takens,
+        decoded.is_indirect,
+        decoded.hashes,
+        decoded.same_page,
+    ]
+    events = list(trace.branch_events())
+    if returns_use_ras:
+        selectors = (~decoded.vector_columns()["is_return"]).tolist()
+        columns = [list(compress(column, selectors)) for column in columns]
+        events = list(compress(events, selectors))
+    return columns, events
+
+
+def _assert_pass_matches_seed(btb, warmup_fraction, returns_use_ras=True):
+    trace = get_trace("server_oltp_00", "tiny")
+    decoded = trace.decoded()
+    columns, events = _columns(trace, decoded, returns_use_ras)
+    n_warm = int(len(events) * warmup_fraction)
+    seed = seed_counterpart(btb)
+    assert type(seed) is not type(btb)
+
+    results = ([], [], [])
+    btb.observe_fast(columns, 0, n_warm, results)
+    if n_warm:
+        btb.reset_stats()
+    btb.observe_fast(columns, n_warm, len(events), results)
+
+    expected = ([], [], [])
+    for index, event in enumerate(events):
+        if index == n_warm and n_warm:
+            seed.reset_stats()
+        lookup = seed.lookup(event.pc)
+        seed.update(event)
+        expected[0].append(NO_TARGET if lookup.target is None else lookup.target)
+        expected[1].append(lookup.hit)
+        expected[2].append(lookup.latency)
+
+    assert results[0] == expected[0]
+    assert results[1] == expected[1]
+    assert results[2] == expected[2]
+    assert btb.stats.to_dict() == seed.stats.to_dict()
+    assert btb.metrics() == seed.metrics()
+    return seed
+
+
+@pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("variant", sorted(PDEDE_VARIANTS))
+def test_pdede_pass_matches_seed(variant, warmup_fraction):
+    metrics = _assert_pass_matches_seed(
+        _pdede(**PDEDE_VARIANTS[variant]), warmup_fraction
+    ).metrics()
+    assert metrics["btb_allocations_total"] > 0
+    if PDEDE_VARIANTS[variant].get("delta_encoding", True):
+        assert metrics["pdede_delta_hits_total"] > 0
+
+
+def test_small_pdede_exercises_every_counter():
+    # The geometry must actually reach the paths the fused hit touches.
+    metrics = _assert_pass_matches_seed(_pdede(), 0.3).metrics()
+    for key in (
+        "pdede_pointer_hits_total",
+        "pdede_stale_pointer_reads_total",
+        "page_btb_dedup_hits_total",
+        "page_btb_evictions_total",
+        "region_btb_evictions_total",
+        "btb_evictions_total",
+    ):
+        assert metrics[key] > 0, key
+    metrics = _assert_pass_matches_seed(
+        _pdede(mode=PDedeMode.MULTI_TARGET), 0.3
+    ).metrics()
+    assert metrics["pdede_next_target_provisions_total"] > 0
+
+
+def test_returns_reach_the_pass():
+    # With returns in the BTB, every event is active.
+    _assert_pass_matches_seed(_pdede(), 0.3, returns_use_ras=False)
+
+
+@pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("replacement", POLICIES)
+@pytest.mark.parametrize("allocate_indirect", [True, False])
+def test_baseline_pass_matches_seed(replacement, allocate_indirect, warmup_fraction):
+    btb = BaselineBTB(
+        entries=256, replacement=replacement, allocate_indirect=allocate_indirect
+    )
+    seed = _assert_pass_matches_seed(btb, warmup_fraction)
+    assert seed.metrics()["btb_evictions_total"] > 0
+
+
+@pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "levels",
+    [
+        (lambda: BaselineBTB(entries=64), lambda: _pdede()),
+        (lambda: _pdede(mode=PDedeMode.MULTI_TARGET), lambda: BaselineBTB(entries=512)),
+    ],
+    ids=["baseline-l0", "pdede-l0"],
+)
+def test_twolevel_pass_matches_seed(levels, warmup_fraction):
+    build0, build1 = levels
+    btb = TwoLevelBTB(build0(), build1())
+    seed = _assert_pass_matches_seed(btb, warmup_fraction)
+    assert (btb.l0_hits, btb.l1_hits) == (seed.l0_hits, seed.l1_hits)
+    for level, seed_level in ((btb.level0, seed.level0), (btb.level1, seed.level1)):
+        assert level.metrics() == seed_level.metrics()

@@ -76,8 +76,8 @@ def test_ittage_falls_back_to_general_engine_and_still_matches():
 
 
 def test_twolevel_with_pdede_l0_runs_the_fresh_engine_and_matches():
-    # A PDede L0 takes the hierarchy's combined observe_fast hook on the
-    # fresh-run engine and must still match the seed referee.
+    # A PDede L0 runs inside the hierarchy's observe_fast pass hook on
+    # the fresh-run engine and must still match the seed referee.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = Design(
         key="twolevel-pdede-l0",
@@ -302,8 +302,8 @@ def test_fuzz_sweep_is_deterministic():
 
 # -- literature families on the fresh-run engine ------------------------------
 #
-# MicroBTB, ShadowBTB and GhrpBTB have no combined ``observe_fast`` hook
-# of their own (GhrpBTB inherits one but overrides ``update``), so the
+# MicroBTB, ShadowBTB and GhrpBTB have no ``observe_fast`` pass hook of
+# their own (GhrpBTB inherits one but overrides ``update``), so the
 # fresh-run engine's BTB pass calls their ``lookup`` and ``update``.  Auto
 # and a forced ``vector`` both run them there, and they must still match
 # the frozen seed referee exactly.

@@ -318,7 +318,7 @@ def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     byte-identically between the auto-selected engine and the frozen
     seed referee for both new families.  Auto resolves to the fresh-run
     vector engine, whose BTB pass calls their ``lookup`` and ``update``
-    (neither class has a combined ``observe_fast`` hook)."""
+    (neither class has an ``observe_fast`` pass hook)."""
     from repro.experiments import design_registry
     from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
     from repro.frontend.simulator import FrontendSimulator

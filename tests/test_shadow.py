@@ -149,7 +149,7 @@ def test_bad_geometry_is_rejected(kwargs, match):
 
 
 def test_opts_out_of_fast_engines():
-    # No combined ``observe_fast`` hook of its own, so the fresh-run
+    # No ``observe_fast`` pass hook of its own, so the fresh-run
     # engine's BTB pass calls ``lookup`` then ``update``, like the live
     # loop.
     assert not hasattr(_shadow(), "observe_fast")

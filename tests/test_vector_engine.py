@@ -3,8 +3,8 @@
 Its scalar BTB pass has a few delicate spots: back-to-back allocations
 on a cold BTB, the warm crossing's stats reset (inside an allocation
 cluster, on a return the BTB never sees, or never at all), degenerate
-traces, and the choice between a BTB's combined ``observe_fast`` hook
-and its ``lookup`` + ``update``.  These tests pin each against the
+traces, and the choice between a BTB's ``observe_fast`` pass hook and
+the engine's shared ``lookup`` + ``update`` loop.  These tests pin each against the
 frozen seed referee.
 """
 
@@ -130,8 +130,8 @@ def test_empty_and_one_event_traces(n_events):
 )
 def test_lookup_update_families_on_the_fresh_engine(design):
     # GhrpBTB inherits BaselineBTB.observe_fast but overrides lookup and
-    # update, so the pass must give it those two calls, not the inherited
-    # hook.  At 1024 entries the tiny trace evicts enough for the
+    # update, so the pass must run it through the shared lookup + update
+    # loop, not the inherited hook.  At 1024 entries the tiny trace evicts enough for the
     # dead-entry predictor to steer replacement, so the hook would show.
     _assert_matches_seed(design, get_trace("server_oltp_00", "tiny"))
 
