@@ -229,13 +229,18 @@ def race(trace) -> dict:
     for tier in TIERS:
         for key, design in designs.items():
             btb, kwargs = design.build()
-            simulator = FrontendSimulator(btb, engine=tier, **kwargs)
+            simulator = FrontendSimulator(btb, **kwargs)
             elapsed, stats = _measure(
                 lambda s=simulator: s.run(trace, warmup_fraction=0.3)
             )
             tier_seconds[tier] += elapsed
             per_design[key][tier] = elapsed
             engines[tier][key] = simulator.last_engine
+            if simulator.last_engine != tier:
+                # A standard design that fell off the fresh-run engine.
+                mismatches.append(
+                    (key, tier, {"engine": (simulator.last_engine, tier)})
+                )
             per_design[key].setdefault("stats", {})[tier] = stats.to_dict()
 
     seed_seconds = 0.0
@@ -313,14 +318,9 @@ def run_gate(record: bool = False) -> dict:
     gauge.set(report["vector_sweep_speedup"], scale=report["scale"], tier="vector")
 
     assert not report["mismatches"], (
-        "an engine diverged from the seed engine: "
-        f"{report['mismatches']}"
+        "an engine diverged from the seed engine or a standard design "
+        f"left the vector engine: {report['mismatches']}"
     )
-    for tier in TIERS:
-        for key, engine in report["engines"][tier].items():
-            assert engine == tier, (
-                f"{key} requested the {tier} engine but ran {engine}"
-            )
     for key, engine in report["general_engines"].items():
         assert engine == "vector", f"{key} ran the {engine} engine, not vector"
     assert report["peak_vector_speedup"] >= MIN_SPEEDUP, (

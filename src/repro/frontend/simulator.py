@@ -28,6 +28,11 @@ paper reports -- tracks the same events.  Wrong-path ICache pollution
 request (``model_wrong_path``, off by default): each execute-stage
 flush also fetches a stretch of code down the mispredicted path into
 the ICache.
+
+The model is implemented once, as the timing phase of
+:func:`repro.frontend.vector.run_vector`, and fed by one of two column
+sources: the fresh-run engine's trace replays and BTB pass, or this
+module's live structure pass (:meth:`FrontendSimulator._run_general`).
 """
 
 from __future__ import annotations
@@ -43,23 +48,16 @@ from repro.branch.direction import (
 )
 from repro.obs.metrics import get_registry
 from repro.branch.types import BranchKind
-from repro.btb.base import BranchTargetPredictor
+from repro.btb.base import NO_TARGET, BranchTargetPredictor
 from repro.btb.ittage import ITTagePredictor
 from repro.btb.ras import ReturnAddressStack
 from repro.checks.sanitizer import get_sanitizer
 from repro.frontend.icache import ICache
-from repro.frontend.params import CoreParams, ICELAKE, exact_ticks
+from repro.frontend.params import CoreParams, ICELAKE
 from repro.frontend.stats import FrontendStats
 from repro.workloads.trace import Trace
 
 _INSTR_BYTES = 4
-
-#: Blocks after a resteer during which ICache misses are demand misses
-#: (the prefetcher has not caught up yet).
-_REFILL_WINDOW = 4
-
-#: Residual cost of an ICache miss that FDIP prefetching overlapped.
-_OVERLAPPED_MISS_CYCLES = 1.5
 
 _KIND_RETURN = int(BranchKind.RETURN)
 _KIND_COND = int(BranchKind.COND_DIRECT)
@@ -89,15 +87,7 @@ class FrontendSimulator:
             the mispredicted path on execute-stage flushes, polluting the
             ICache (the paper notes this effect of BTB misses
             qualitatively; off by default).
-        engine: ``"auto"`` (default) runs the fresh-run ``"vector"``
-            engine whenever :meth:`_columns_applicable` holds and the
-            live ``"general"`` loop otherwise; ``"vector"`` forces the
-            fresh-run engine and raises ``ValueError`` at :meth:`run`
-            when the columns do not apply; ``"general"`` forces the live
-            loop, which applies to every configuration.
     """
-
-    _ENGINES = ("auto", "vector", "general")
 
     def __init__(
         self,
@@ -109,10 +99,7 @@ class FrontendSimulator:
         ras_depth: int = 32,
         model_wrong_path: bool = False,
         wrong_path_bytes: int = 256,
-        engine: str = "auto",
     ) -> None:
-        if engine not in self._ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; options: {self._ENGINES}")
         self.btb = btb
         self.params = params
         self._direction_is_default = direction is None
@@ -124,7 +111,6 @@ class FrontendSimulator:
         self.model_wrong_path = model_wrong_path
         self.wrong_path_bytes = wrong_path_bytes
         self.wrong_path_fetches = 0
-        self.engine = engine
         self._has_run = False
         #: Which engine the most recent :meth:`run` used ("vector" for
         #: the columnar engine, "general" otherwise).
@@ -141,28 +127,20 @@ class FrontendSimulator:
         before measuring 10M+ (Section 5.1); ``warmup_fraction`` plays
         the same role at trace scale.
 
-        Two engines produce the same ``FrontendStats`` bit for bit (the
-        equivalence suite is the referee).  The fresh-run *vector*
-        engine (:mod:`repro.frontend.vector`) runs every BTB design
-        whenever :meth:`_columns_applicable` holds: a scalar BTB pass
-        over the active events, then a numpy timing model over the
-        decoded trace's replayed direction, ICache and RAS columns.  The
-        *general* engine is the live per-event loop that asks every
-        structure itself; it runs what the columns cannot stand in for
-        (ITTAGE, wrong-path modelling, a caller-supplied predictor, an
-        armed sanitizer, a reused simulator).
+        There is one timing model (:func:`repro.frontend.vector.run_vector`)
+        and two sources of the per-event outcome columns it reads.  The
+        fresh-run ``"vector"`` engine runs whenever
+        :meth:`_columns_applicable` holds: a scalar BTB pass over the
+        active events, on the decoded trace's replayed direction, ICache
+        and RAS columns.  Otherwise the ``"general"`` engine's live
+        structure pass (:meth:`_run_general`) asks every structure
+        itself and records the same columns (ITTAGE, wrong-path
+        modelling, a caller-supplied predictor, an armed sanitizer, a
+        reused simulator).  Both are bit-identical to the seed referee.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        engine = self.engine
-        columns = self._columns_applicable()
-        if engine == "auto":
-            engine = "vector" if columns else "general"
-        elif engine == "vector" and not columns:
-            raise ValueError(
-                "vector engine not applicable to this configuration "
-                "(requires a fresh simulator with cold structures)"
-            )
+        engine = "vector" if self._columns_applicable() else "general"
         self.last_engine = engine
         started = time.perf_counter()
         if engine == "vector":
@@ -174,7 +152,7 @@ class FrontendSimulator:
         elapsed = time.perf_counter() - started
         # Engine telemetry rides on the stats object as plain instance
         # attributes (not dataclass fields, so digests/to_dict stay
-        # unchanged): which tier ran and its raw event throughput.
+        # unchanged): which column source ran and its raw event throughput.
         stats.engine = engine
         stats.events_per_sec = len(trace) / elapsed if elapsed > 0 else 0.0
         self._has_run = True
@@ -255,40 +233,35 @@ class FrontendSimulator:
         self.ras = ras_final.clone()
 
     def _run_general(self, trace: Trace, warmup_fraction: float) -> FrontendStats:
-        """Live per-event engine (every configuration).
+        """Live structure pass: the ``general`` engine's column source.
 
         Each event asks the simulator's own ICache, direction predictor,
         RAS, ITTAGE and BTB in trace order, so it handles what the
         decoded trace's cold-state replays cannot: a reused simulator, a
         caller-supplied predictor, ITTAGE, wrong-path pollution and an
-        armed sanitizer.
+        armed sanitizer.  It records only per-event outcomes -- ICache
+        misses, direction and RAS correctness, ITTAGE target
+        mispredicts and each BTB lookup's ``(target, hit, latency)`` --
+        and hands them to the timing model of
+        :func:`repro.frontend.vector.run_vector`, the one the fresh-run
+        engine feeds from the replayed columns.
 
-        All cycle quantities are integer *ticks* of ``1 / cycle_tick``
-        cycles (see :class:`FrontendStats`), so both engines sum them
-        exactly in any order.  The float buckets are derived once at the
-        end.
+        A wrong-path fetch follows an execute-stage flush and its address
+        comes from the event and the BTB's prediction, never from
+        timing, so it stays in this pass and pollutes the ICache before
+        the next event's touch, exactly as the seed engine does.
         """
-        params = self.params
-        stats = FrontendStats()
-        warm_limit = int(len(trace) * warmup_fraction)
-        tick = params.cycle_tick
-        slack = 0
-        slack_max = exact_ticks(params.max_slack_cycles, tick)
-        fetch_tick = tick // params.fetch_width
-        commit_tick = tick // params.commit_width
-        miss_ticks = params.icache_miss_cycles * tick
-        overlap_ticks = exact_ticks(_OVERLAPPED_MISS_CYCLES, tick)
-        refill_shadow = exact_ticks(params.resteer_refill_cycles, tick)
-        decode_penalty = params.decode_resteer_cycles * tick + refill_shadow
-        execute_penalty = params.execute_resteer_cycles * tick + refill_shadow
-        measuring = warm_limit == 0
-        blocks_since_resteer = _REFILL_WINDOW
-        cycles_ticks = 0
-        base_cycles_ticks = 0
-        icache_stall_ticks = 0
-        btb_bubble_ticks = 0
-        btb_resteer_ticks = 0
-        bad_speculation_ticks = 0
+        from repro.frontend.vector import run_vector
+
+        n_events = len(trace)
+        warm_limit = int(n_events * warmup_fraction)
+        icache_col: list[int] = []
+        record_misses = icache_col.append
+        dir_ok = [True] * n_events
+        ras_ok = [True] * n_events
+        ittage_mis = [False] * n_events
+        results: tuple[list, list, list] = ([], [], [])
+        out_target, out_hit, out_latency = (column.append for column in results)
 
         btb = self.btb
         direction = self.direction
@@ -297,156 +270,72 @@ class FrontendSimulator:
         ras = self.ras
         icache_touch = self.icache.touch_range
         returns_use_ras = self.returns_use_ras
+        model_wrong_path = self.model_wrong_path
+        wrong_path_bytes = self.wrong_path_bytes
 
         for index, (pc, kind_value, taken, target, gap) in enumerate(
             trace.events()
         ):
-            if not measuring and index >= warm_limit:
-                measuring = True
+            if index == warm_limit and warm_limit:
                 btb.reset_stats()
-            kind = _KINDS[kind_value]
-            kind_is_indirect = _IS_INDIRECT[kind_value]
-            block_instructions = gap + 1
-            icache_misses = icache_touch(pc - gap * _INSTR_BYTES, pc)
-            if icache_misses:
-                if blocks_since_resteer < _REFILL_WINDOW:
-                    icache_cost = icache_misses * miss_ticks
-                else:
-                    icache_cost = icache_misses * overlap_ticks
-            else:
-                icache_cost = 0
-
-            # ---- branch resolution -------------------------------------
-            penalty = 0
-            bubble = 0
-            resteer_kind = 0  # 0 none, 1 decode, 2 execute
-            btb_miss = False
-            direction_mispredict = False
-            indirect_mispredict = False
-            ras_mispredict = False
-            wrong_path_addr = -1
-
+            record_misses(icache_touch(pc - gap * _INSTR_BYTES, pc))
             if kind_value == _KIND_RETURN and returns_use_ras:
                 if ras.pop() != target:
-                    ras_mispredict = True
-                    penalty = execute_penalty
-                    resteer_kind = 2
+                    ras_ok[index] = False
                 if ittage is not None:
                     ittage.record_history(pc, taken)
-            else:
-                if _IS_CALL[kind_value]:
-                    ras.push(pc + _INSTR_BYTES)
-                direction_correct = True
-                if kind_value == _KIND_COND:
-                    predicted_taken = (
-                        taken if direction_is_perfect else direction.predict(pc)
-                    )
-                    direction.update(pc, taken)
-                    direction_correct = predicted_taken == taken
-                if ittage is not None:
-                    ittage.record_history(pc, taken)
-                if kind_is_indirect and ittage is not None:
+                continue
+            if _IS_CALL[kind_value]:
+                ras.push(pc + _INSTR_BYTES)
+            direction_correct = True
+            if kind_value == _KIND_COND:
+                predicted_taken = (
+                    taken if direction_is_perfect else direction.predict(pc)
+                )
+                direction.update(pc, taken)
+                if predicted_taken != taken:
+                    direction_correct = dir_ok[index] = False
+            if ittage is not None:
+                ittage.record_history(pc, taken)
+                if _IS_INDIRECT[kind_value]:
+                    # ITTAGE owns the indirect branches: no BTB call.
                     predicted_target = ittage.predict(pc)
                     ittage.update(pc, target)
                     if taken and predicted_target != target:
-                        indirect_mispredict = True
-                        penalty = execute_penalty
-                        resteer_kind = 2
-                else:
-                    lookup = btb.lookup(pc)
-                    event = _EventView(pc, kind, taken, target, gap)
-                    btb_miss = btb.stats.record_outcome(event, lookup)
-                    btb.update(event)
-                    if not direction_correct:
-                        # Resolves at execute; dominates target issues.
-                        direction_mispredict = True
-                        penalty = execute_penalty
-                        resteer_kind = 2
-                        if taken:
-                            wrong_path_addr = pc + _INSTR_BYTES  # fetched fall-through
-                        elif lookup.target is not None:
-                            wrong_path_addr = lookup.target  # fetched the taken path
-                    elif taken and btb_miss:
-                        if kind_is_indirect or kind_value == _KIND_RETURN:
-                            if kind_is_indirect:
-                                indirect_mispredict = True
-                            penalty = execute_penalty
-                            resteer_kind = 2
-                            if lookup.target is not None:
-                                wrong_path_addr = lookup.target
-                        else:
-                            penalty = decode_penalty
-                            resteer_kind = 1
-                    elif taken and lookup.latency > 1:
-                        # Correct target, one cycle late (Figure 9D).
-                        bubble = (lookup.latency - 1) * tick
-
-            # ---- timing ------------------------------------------------
-            supply = block_instructions * fetch_tick + icache_cost + bubble
-            demand = block_instructions * commit_tick
-            effective = supply - slack
-            if effective > demand:
-                block_cycles = effective
-                slack = 0
-            else:
-                block_cycles = demand
-                slack = slack + demand - supply
-                if slack > slack_max:
-                    slack = slack_max
-            if penalty:
-                slack = 0
-                blocks_since_resteer = 0
-                if self.model_wrong_path and wrong_path_addr >= 0:
-                    # Wrong-path fetches pollute the ICache (lines pulled
-                    # in for code that is then flushed).
-                    icache_touch(wrong_path_addr, wrong_path_addr + self.wrong_path_bytes)
-                    self.wrong_path_fetches += 1
-            else:
-                blocks_since_resteer += 1
-
-            if not measuring:
+                        ittage_mis[index] = True
+                    continue
+            lookup = btb.lookup(pc)
+            btb.update(_EventView(pc, _KINDS[kind_value], taken, target, gap))
+            predicted = lookup.target
+            out_target(NO_TARGET if predicted is None else predicted)
+            out_hit(lookup.hit)
+            out_latency(lookup.latency)
+            if not model_wrong_path:
                 continue
+            # Execute-stage flushes fetch down the mispredicted path:
+            # the fall-through or the predicted taken path after a
+            # direction mispredict, the predicted target after an
+            # indirect or return target miss.
+            if not direction_correct:
+                wrong_path = pc + _INSTR_BYTES if taken else predicted
+            elif taken and predicted != target and (
+                _IS_INDIRECT[kind_value] or kind_value == _KIND_RETURN
+            ):
+                wrong_path = predicted
+            else:
+                wrong_path = None
+            if wrong_path is not None:
+                icache_touch(wrong_path, wrong_path + wrong_path_bytes)
+                self.wrong_path_fetches += 1
 
-            # ---- accounting ---------------------------------------------
-            stats.instructions += block_instructions
-            cycles_ticks += block_cycles + penalty
-            base_cycles_ticks += demand
-            overrun = block_cycles - demand
-            if overrun > 0:
-                icache_part = icache_cost if icache_cost < overrun else overrun
-                icache_stall_ticks += icache_part
-                rest = overrun - icache_part
-                btb_bubble_ticks += bubble if bubble < rest else rest
-            stats.icache_misses += icache_misses
-            stats.branches += 1
-            if taken:
-                stats.taken_branches += 1
-            if btb_miss:
-                stats.btb_misses += 1
-            if resteer_kind == 1:
-                stats.decode_resteers += 1
-                btb_resteer_ticks += penalty
-            elif resteer_kind == 2:
-                stats.execute_resteers += 1
-                bad_speculation_ticks += penalty
-            if direction_mispredict:
-                stats.direction_mispredicts += 1
-            if indirect_mispredict:
-                stats.indirect_mispredicts += 1
-            if ras_mispredict:
-                stats.ras_mispredicts += 1
-            if bubble:
-                stats.extra_latency_lookups += 1
-        stats.set_cycle_buckets(
-            tick,
-            cycles_ticks,
-            base_cycles_ticks,
-            icache_stall_ticks,
-            btb_bubble_ticks,
-            btb_resteer_ticks,
-            bad_speculation_ticks,
+        live = (
+            np.array(icache_col, dtype=np.int64),
+            np.array(dir_ok, dtype=np.bool_),
+            np.array(ras_ok, dtype=np.bool_),
+            results,
+            None if ittage is None else np.array(ittage_mis, dtype=np.bool_),
         )
-        return stats
+        return run_vector(self, trace, warmup_fraction, live=live)
 
     def publish_metrics(self, stats: FrontendStats, registry=None, app: str = "?") -> None:
         """Publish one run's aggregate metrics into the registry.

@@ -10,7 +10,7 @@ figure reads) and as exact integer *ticks* of ``1 / cycle_tick`` cycles
 (``CoreParams.cycle_tick``).  The engines accumulate in ticks and derive
 each float with a single division, so the floats are a pure function of
 the tick totals.  Because integer addition is associative, the per-event
-general engine and the columnar vector engine (which sums whole numpy
+seed engine and the columnar timing model (which sums whole numpy
 columns) reach the same floats bit for bit -- something float
 accumulation cannot do (``commit_width=5`` makes per-event demand
 non-dyadic, so float sums depend on summation order).

@@ -1,11 +1,16 @@
-"""Fresh-run frontend engine: a scalar BTB pass under a columnar timing model.
+"""The frontend timing model, and the fresh-run engine that feeds it.
 
-:class:`repro.frontend.simulator.FrontendSimulator` picks this engine
-for every BTB design whenever the decoded trace's cold-state replays
-stand in for the simulator's direction predictor, ICache and RAS
-(``_columns_applicable``); the live per-event ``general`` engine is the
-fallback and the reference.  The two are bit-identical by construction
-and by the equivalence suite.  Two phases:
+There is one timing model and two sources of the per-event outcome
+columns it reads (ICache misses, direction and RAS correctness, each BTB
+lookup's ``(target, hit, latency)``, ITTAGE target mispredicts).
+:class:`repro.frontend.simulator.FrontendSimulator` picks the fresh-run
+``vector`` engine for every BTB design whenever the decoded trace's
+cold-state replays stand in for the simulator's direction predictor,
+ICache and RAS (``_columns_applicable``): those replays plus the phase-1
+BTB pass below.  Otherwise its ``general`` engine runs a live structure
+pass (``FrontendSimulator._run_general``) that asks every structure
+itself and hands the same columns to :func:`run_vector`, which then
+skips phase 1.  Both are bit-identical to the seed referee.
 
 **Phase 1 -- BTB pass.**  One scalar loop over the *active* events (all
 of them, or every non-return when returns are served by the RAS) makes
@@ -21,22 +26,22 @@ locals, one tag match shared by lookup and update, and -- for PDede --
 one target reconstruction per hit, because the update retrains the very
 entry the lookup just read.  Every other BTB runs it through
 :func:`_lookup_update_pass`, which calls ``lookup`` then ``update`` per
-event, as in the live loop.
+event, as the live pass does.
 
 **Phase 2 -- timing.**  Branch-resolution outcomes (direction, RAS, BTB
 miss, penalty kind, lookup bubbles) are pure element-wise functions of
-the phase-1 columns and the decoded trace's replayed columns, so the
-whole timing model vectorises: the ICache refill window is a shifted
-running maximum over penalty positions, and the fetch-queue slack walk
--- the only sequential recurrence -- collapses to a scalar loop over
-*interesting* events (penalties and supply-over-demand blocks) with
-prefix-summed slack gains in between, because slack clipping commutes
-with non-negative accumulation.  All accounting is integer ticks, summed
-over the measured range, exactly as the live engine does.
+the outcome columns, so the whole timing model vectorises: the ICache
+refill window is a shifted running maximum over penalty positions, and
+the fetch-queue slack walk -- the only sequential recurrence --
+collapses to a scalar loop over *interesting* events (penalties and
+supply-over-demand blocks) with prefix-summed slack gains in between,
+because slack clipping commutes with non-negative accumulation.  All
+accounting is integer ticks, summed over the measured range.
 
 The RAS is replayed once per ``(returns_use_ras, depth)`` by the decoded
-trace (like ICache and direction), which is why this engine requires a
-pristine stack; every run adopts the replayed final state.
+trace (like ICache and direction), which is why the fresh-run engine
+requires a pristine stack; every fresh run adopts the replayed final
+state.
 """
 
 from __future__ import annotations
@@ -55,6 +60,13 @@ from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
 
 _KIND_NAMES = [BranchKind(value).name for value in range(len(BranchKind))]
+
+#: Blocks after a resteer during which ICache misses are demand misses
+#: (the prefetcher has not caught up yet).
+_REFILL_WINDOW = 4
+
+#: Residual cost of an ICache miss that FDIP prefetching overlapped.
+_OVERLAPPED_MISS_CYCLES = 1.5
 
 #: BTB types whose own ``observe_fast`` is one exact lookup + update pass.
 _FAST_TYPES = (BaselineBTB, PDedeBTB)
@@ -77,7 +89,7 @@ def _lookup_update_pass(btb, columns, start, stop, results):
 
     Same contract as the hook, over the active events' ``(pcs, kinds,
     takens, targets, gaps)`` lists: ``lookup`` then ``update`` per
-    event, as in the live loop, appending each lookup's ``(target, hit,
+    event, as the live pass does, appending each lookup's ``(target, hit,
     latency)`` to the three ``results`` lists.
     """
     from repro.frontend.simulator import _KINDS, _EventView
@@ -113,16 +125,18 @@ def _btb_pass(btb, trace, decoded):
     )
 
 
-def run_vector(sim, trace, warmup_fraction):
-    """Run one simulation on the fresh-run engine; returns FrontendStats.
+def run_vector(sim, trace, warmup_fraction, live=None):
+    """Run one simulation through the timing model; returns FrontendStats.
 
-    ``sim`` is the :class:`FrontendSimulator` (the caller has already
-    checked ``_columns_applicable``); semantics mirror the general
-    engine exactly, including the warm-crossing stats reset.  The
-    simulator also adopts the replayed end-of-trace structure state.
+    ``sim`` is the :class:`FrontendSimulator`.  Without ``live`` this is
+    the fresh-run engine (the caller has already checked
+    ``_columns_applicable``): the replayed columns, the phase-1 BTB pass
+    with its warm-crossing stats reset, and adoption of the replayed
+    end-of-trace structure state.  ``live`` is the live structure pass's
+    ``(icache misses, direction ok, ras ok, (lookup targets, hits,
+    latencies), ITTAGE mispredicts or None)``; it replaces both the
+    replays and phase 1, and the simulator keeps its own structures.
     """
-    from repro.frontend.simulator import _OVERLAPPED_MISS_CYCLES, _REFILL_WINDOW
-
     params = sim.params
     btb = sim.btb
     decoded = trace.decoded()
@@ -132,7 +146,6 @@ def run_vector(sim, trace, warmup_fraction):
     supply_col, demand_col = decoded.supply_demand_arrays(
         tick // params.fetch_width, tick // params.commit_width
     )
-    (icache_col, dir_ok, ras_ok), finals = sim._replayed_columns(trace)
 
     cols = decoded.vector_columns()
     taken = cols["taken"]
@@ -142,23 +155,34 @@ def run_vector(sim, trace, warmup_fraction):
     is_return_col = cols["is_return"]
     instructions_col = cols["instructions"]
 
-    # ---- phase 1: BTB pass --------------------------------------------
-    observe, columns = _btb_pass(btb, trace, decoded)
+    # The BTB-active events: every non-return when returns are served by
+    # the RAS, and no indirect branch when ITTAGE owns them.
     if sim.returns_use_ras:
         act = ~is_return_col
-        selectors = act.tolist()
-        columns = [list(compress(column, selectors)) for column in columns]
     else:
         act = np.ones(n_events, dtype=np.bool_)
-    results = ([], [], [])
-    # One call on each side of the warm crossing: its stats reset lands
-    # between the last warm-up BTB call and the first measured one,
-    # wherever the crossing event is.
-    n_warm = int(np.count_nonzero(act[:warm_limit]))
-    observe(columns, 0, n_warm, results)
-    if 0 < warm_limit < n_events:
-        btb.reset_stats()
-    observe(columns, n_warm, len(columns[0]), results)
+    if sim.ittage is not None:
+        act &= ~is_indirect_col
+
+    if live is None:
+        (icache_col, dir_ok, ras_ok), finals = sim._replayed_columns(trace)
+        ittage_mis = None
+        # ---- phase 1: BTB pass ----------------------------------------
+        observe, columns = _btb_pass(btb, trace, decoded)
+        if sim.returns_use_ras:
+            selectors = act.tolist()
+            columns = [list(compress(column, selectors)) for column in columns]
+        results = ([], [], [])
+        # One call on each side of the warm crossing: its stats reset
+        # lands between the last warm-up BTB call and the first measured
+        # one, wherever the crossing event is.
+        n_warm = int(np.count_nonzero(act[:warm_limit]))
+        observe(columns, 0, n_warm, results)
+        if 0 < warm_limit < n_events:
+            btb.reset_stats()
+        observe(columns, n_warm, len(columns[0]), results)
+    else:
+        icache_col, dir_ok, ras_ok, results, ittage_mis = live
 
     lt = np.full(n_events, NO_TARGET, dtype=np.int64)
     lh = np.zeros(n_events, dtype=np.bool_)
@@ -177,6 +201,9 @@ def run_vector(sim, trace, warmup_fraction):
     ind_mis = dir_ok_act & btb_missed & is_indirect_col
     bubble_mask = dir_ok_act & ~btb_missed & taken & (lat > 1)
     bubble_ticks = np.where(bubble_mask, (lat - 1) * tick, 0)
+    if ittage_mis is not None:
+        exec_pen |= ittage_mis
+        ind_mis |= ittage_mis
     has_pen = exec_pen | dec_pen
 
     # ICache refill window: a miss is a demand (full-latency) miss when
@@ -296,5 +323,6 @@ def run_vector(sim, trace, warmup_fraction):
             name = _KIND_NAMES[kind_value]
             misses_by_kind[name] = misses_by_kind.get(name, 0) + count
 
-    sim._adopt_end_states(finals)
+    if live is None:
+        sim._adopt_end_states(finals)
     return stats

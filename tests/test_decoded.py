@@ -239,13 +239,11 @@ def test_simulator_adopting_the_replay_continues_like_a_live_one(trace):
     adopted = FrontendSimulator(btb, **kwargs)
     first = adopted.run(trace, warmup_fraction=0.3)
     assert adopted.last_engine == "vector"
-    # A caller-supplied predictor keeps the reference leg on live TAGE,
-    # ICache and RAS calls (the general engine would otherwise read the
-    # same replay columns and adopt the same end state).
+    # A caller-supplied predictor sends the reference leg through the
+    # live structure pass: live TAGE, ICache and RAS calls, and no
+    # adopted replay state.
     btb, kwargs = design.build()
-    live = FrontendSimulator(
-        btb, direction=TageLitePredictor(), engine="general", **kwargs
-    )
+    live = FrontendSimulator(btb, direction=TageLitePredictor(), **kwargs)
     live_icache, live_ras = live.icache, live.ras
     assert live.run(trace, warmup_fraction=0.3).to_dict() == first.to_dict()
     assert live.icache is live_icache and live.ras is live_ras

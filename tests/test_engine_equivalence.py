@@ -1,10 +1,14 @@
-"""The vector engine is an *optimisation*, not a model change: for
-every design it must reproduce the frozen seed engine's FrontendStats
-exactly (``to_dict()`` equality -- bit-identical floats, not
-approximate), and it must engage exactly when its gate says it can.
+"""The engines are *optimisations*, not model changes: for every design
+both column sources of the one timing model -- the fresh-run engine's
+replayed columns and the live structure pass -- must reproduce the
+frozen seed engine's FrontendStats exactly (``to_dict()`` equality --
+bit-identical floats, not approximate), and the fresh-run engine must
+engage exactly when its gate says it can.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -40,21 +44,26 @@ def _designs():
     return designs
 
 
-def _run_both(design, trace, engine="auto"):
+def _run_both(design, trace, live=False):
+    """Run ``design`` and the seed referee; ``live`` arms a sanitizer,
+    which sends the run through the live structure pass."""
     btb, kwargs = design.build()
-    simulator = FrontendSimulator(btb, engine=engine, **kwargs)
-    stats = simulator.run(trace, warmup_fraction=0.3)
+    simulator = FrontendSimulator(btb, **kwargs)
+    with use_sanitizer(Sanitizer(interval=1 << 20)) if live else nullcontext():
+        stats = simulator.run(trace, warmup_fraction=0.3)
     seed_btb, seed_kwargs = design.build()
     reference = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)
     seed_stats = reference.run(trace, warmup_fraction=0.3)
     return simulator, stats, seed_stats
 
 
-@pytest.mark.parametrize("engine", ["vector"])
+@pytest.mark.parametrize("engine", ["vector", "general"])
 @pytest.mark.parametrize("key", sorted(_designs()))
 def test_decoded_engines_match_seed_exactly(key, engine):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
-    simulator, stats, seed_stats = _run_both(_designs()[key], trace, engine=engine)
+    simulator, stats, seed_stats = _run_both(
+        _designs()[key], trace, live=engine == "general"
+    )
     assert simulator.last_engine == engine
     assert stats.to_dict() == seed_stats.to_dict()
 
@@ -132,12 +141,24 @@ def test_second_run_uses_general_engine():
 def test_armed_sanitizer_forces_general_engine():
     # The scalar BTB hooks skip sanitizer_step (they are gated on the
     # sanitizer being off); an armed sanitizer must see the full loop.
+    # The snapshot pins the live pass's structure calls: a RAS or BTB
+    # update added or dropped moves the step count, a structure no
+    # longer reached moves the structure count.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
-    btb, kwargs = standard_designs()["pdede-default"].build()
+    design = standard_designs()["pdede-default"]
+    btb, kwargs = design.build()
     simulator = FrontendSimulator(btb, **kwargs)
-    with use_sanitizer(Sanitizer(interval=1 << 20)):
-        simulator.run(trace, warmup_fraction=0.3)
+    with use_sanitizer(Sanitizer(interval=97)) as sanitizer:
+        stats = simulator.run(trace, warmup_fraction=0.3)
     assert simulator.last_engine == "general"
+    _, seed_stats = _seed_run(design, trace)
+    assert stats_payload(stats) == stats_payload(seed_stats)
+    assert sanitizer.snapshot() == {
+        "sanitizer_steps_total": 10320,
+        "sanitizer_checks_total": 106,
+        "sanitizer_interval": 97,
+        "sanitizer_structures": 3,
+    }
 
 
 def test_post_run_state_matches_live_objects():
@@ -304,9 +325,8 @@ def test_fuzz_sweep_is_deterministic():
 #
 # MicroBTB, ShadowBTB and GhrpBTB have no ``observe_fast`` pass hook of
 # their own (GhrpBTB inherits one but overrides ``update``), so the
-# fresh-run engine's BTB pass calls their ``lookup`` and ``update``.  Auto
-# and a forced ``vector`` both run them there, and they must still match
-# the frozen seed referee exactly.
+# fresh-run engine's BTB pass calls their ``lookup`` and ``update``, and
+# they must still match the frozen seed referee exactly.
 
 from repro.experiments.designs import ghrp_design, micro_btb_design, shadow_design
 
@@ -329,20 +349,25 @@ def test_literature_families_run_the_fresh_engine_and_match_seed(key):
     assert stats.to_dict() == seed_stats.to_dict()
 
 
+# There is no ``engine=`` knob any more: a run that the gate admits *is*
+# the fresh-run ("vector") engine, so asking for it means giving the
+# simulator nothing that sends it down the live structure pass.
+
+
 @pytest.mark.parametrize("engine", ["vector"])
 @pytest.mark.parametrize("key", sorted(_literature_designs()))
 def test_literature_families_run_forced_vector_and_match_seed(key, engine):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     simulator, stats, seed_stats = _run_both(
-        _literature_designs()[key], trace, engine=engine
+        _literature_designs()[key], trace, live=engine == "general"
     )
     assert simulator.last_engine == engine
     assert stats.to_dict() == seed_stats.to_dict()
 
 
 # Where the columns cannot stand in (here: ITTAGE owns the indirect
-# branches), auto falls back to the live general engine and a forced
-# ``vector`` refuses, for the literature families as for PDede.
+# branches), the run takes the live structure pass, for the literature
+# families as for PDede.
 
 
 @pytest.mark.parametrize("key", sorted(_literature_designs()))
@@ -352,16 +377,6 @@ def test_literature_families_fall_back_to_general_and_match_seed(key):
     simulator, stats, seed_stats = _run_both(design, trace)
     assert simulator.last_engine == "general"
     assert stats.to_dict() == seed_stats.to_dict()
-
-
-@pytest.mark.parametrize("engine", ["vector"])
-@pytest.mark.parametrize("key", sorted(_literature_designs()))
-def test_literature_families_refuse_forced_fast_tiers(key, engine):
-    trace = get_trace(TRACE_APP, TRACE_SCALE)
-    btb, kwargs = with_ittage(_literature_designs()[key]).build()
-    simulator = FrontendSimulator(btb, engine=engine, **kwargs)
-    with pytest.raises(ValueError, match="not applicable"):
-        simulator.run(trace, warmup_fraction=0.3)
 
 
 @pytest.mark.parametrize("fuzz_seed", range(4))
@@ -389,10 +404,10 @@ def test_differential_fuzz_literature_families(fuzz_seed):
 #
 # A fresh run reads the ICache, direction and RAS outcomes from the
 # trace's replays and adopts the replays' end states (so its ``icache``
-# is a new object afterwards); a forced ``general`` run, a reused
-# simulator and a caller-supplied predictor ask the live structures (so
-# the ``icache`` stays the same object).  All must match the seed referee
-# byte for byte.
+# is a new object afterwards); a reused simulator, a caller-supplied
+# predictor, ITTAGE and wrong-path modelling take the live structure
+# pass (so the ``icache`` stays the same object).  All must match the
+# seed referee byte for byte.
 
 
 def _seed_run(design, trace, runs=1, **seed_overrides):
@@ -414,18 +429,43 @@ def _tage_tables(predictor) -> tuple:
     )
 
 
-@pytest.mark.parametrize("key", ["micro-btb", "shadow-pdede", "baseline"])
-def test_forced_general_takes_the_live_path_and_matches_seed(key):
+def _live_designs():
+    designs = {**_literature_designs(), **standard_designs()}
+    designs["pdede-default+ittage"] = with_ittage(designs["pdede-default"])
+    return designs
+
+
+# Wrong-path modelling only runs on the live path; each key runs with it
+# off (the plain key) and on ("-wrong-path").
+_LIVE_CASES = [
+    pytest.param(key, wrong_path, id=key + ("-wrong-path" if wrong_path else ""))
+    for key in ("micro-btb", "shadow-pdede", "baseline", "pdede-default+ittage")
+    for wrong_path in (False, True)
+]
+
+
+@pytest.mark.parametrize("key, model_wrong_path", _LIVE_CASES)
+def test_forced_general_takes_the_live_path_and_matches_seed(key, model_wrong_path):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
-    design = {**_literature_designs(), **standard_designs()}[key]
+    design = _live_designs()[key]
     btb, kwargs = design.build()
-    simulator = FrontendSimulator(btb, engine="general", **kwargs)
+    # A caller-supplied predictor (the default TAGE-lite) forces the
+    # live path for every key, whatever else the design configures.
+    simulator = FrontendSimulator(
+        btb, direction=TageLitePredictor(), model_wrong_path=model_wrong_path,
+        **kwargs,
+    )
     icache_before = simulator.icache
     stats = simulator.run(trace, warmup_fraction=0.3)
     assert simulator.last_engine == "general"
     assert simulator.icache is icache_before  # asked the live ICache
-    _, seed_stats = _seed_run(design, trace)
+    reference, seed_stats = _seed_run(
+        design, trace, model_wrong_path=model_wrong_path
+    )
     assert stats_payload(stats) == stats_payload(seed_stats)
+    assert simulator.wrong_path_fetches == reference.wrong_path_fetches
+    assert (simulator.wrong_path_fetches > 0) == model_wrong_path
+    assert simulator.icache._lines == reference.icache._lines
 
 
 def test_second_general_run_asks_the_live_structures_and_matches_seed():

@@ -22,7 +22,6 @@ from repro.experiments.designs import (
     baseline_design,
     ghrp_design,
     standard_designs,
-    with_ittage,
     with_returns_in_btb,
     with_temporal_prefetch,
 )
@@ -158,30 +157,3 @@ def test_fresh_runs_never_import_the_chunked_kernels():
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=300)
-
-
-# -- engine forcing and applicability ---------------------------------------
-
-
-def test_unknown_engine_rejected_at_construction():
-    btb, kwargs = standard_designs()["baseline"].build()
-    for engine in ("warp", "fast"):
-        with pytest.raises(ValueError, match="unknown engine"):
-            FrontendSimulator(btb, engine=engine, **kwargs)
-
-
-def test_forced_vector_rejects_inapplicable_design():
-    design = with_ittage(standard_designs()["pdede-default"])
-    btb, kwargs = design.build()
-    simulator = FrontendSimulator(btb, engine="vector", **kwargs)
-    with pytest.raises(ValueError, match="vector engine not applicable"):
-        simulator.run(get_trace("server_oltp_00", "tiny"))
-
-
-def test_forced_vector_rejects_reused_simulator():
-    trace = get_trace("server_oltp_00", "tiny")
-    btb, kwargs = standard_designs()["baseline"].build()
-    simulator = FrontendSimulator(btb, engine="vector", **kwargs)
-    simulator.run(trace, warmup_fraction=WARMUP)
-    with pytest.raises(ValueError, match="vector engine not applicable"):
-        simulator.run(trace, warmup_fraction=WARMUP)
