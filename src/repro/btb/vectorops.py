@@ -540,7 +540,7 @@ class PDedeOps(_OpsBase):
         self.multi_target = cfg.mode is PDedeMode.MULTI_TARGET
         self.pcs_list = trace.pcs
         self.targets_list = trace.targets
-        self.same_page_list = decoded.same_page
+        self.same_page_list = decoded.vector_columns()["same_page"].tolist()
         # SRRIP touch fast path: direct rrpv stores instead of the
         # closure call.  Multi-entry splits fold into one matrix (long
         # policies first, short policies after, ways rebased).
@@ -865,7 +865,7 @@ class TwoLevelOps(_OpsBase):
         self.targets_col = cols["targets"]
         self.pcs_list = trace.pcs
         self.targets_list = trace.targets
-        self.same_page_list = decoded.same_page
+        self.same_page_list = decoded.vector_columns()["same_page"].tolist()
         self._journaled = journaled
 
     def lookup_block(self, lo, hi):

@@ -14,7 +14,8 @@ skips phase 1.  Both are bit-identical to the seed referee.
 
 **Phase 1 -- BTB pass.**  One scalar loop over the *active* events (all
 of them, or every non-return when returns are served by the RAS) makes
-the BTB calls a live run makes, in trace order, and collects each
+the BTB calls a live run makes, in trace order, over lists built for the
+run from the trace and the decoded numpy columns, and collects each
 lookup's ``(target, hit, latency)`` into three lists.  The loop is
 called twice, once on each side of the warm crossing, with the stats
 reset in between, so the reset lands between the last warm-up event and
@@ -106,23 +107,32 @@ def _lookup_update_pass(btb, columns, start, stop, results):
         out_latency(result.latency)
 
 
-def _btb_pass(btb, trace, decoded):
-    """``(observe, columns)``: ``observe(columns, start, stop, results)``
-    makes the BTB calls of events ``start:stop`` of ``columns``."""
+def _btb_pass(btb, trace, decoded, act):
+    """``(observe, columns)`` over the BTB-active events (the bool mask
+    ``act``): ``observe(columns, start, stop, results)`` makes the BTB
+    calls of active events ``start:stop``.
+
+    The columns are built for this run from the trace's lists and the
+    decoded numpy columns, and dropped with it.
+    """
+    selectors = act.tolist()
+
+    def active(column):
+        return list(compress(column, selectors))
+
     if _has_fast_observe(btb):
+        vector = decoded.vector_columns()
         columns = (
-            trace.pcs,
-            trace.targets,
-            trace.takens,
-            decoded.is_indirect,
-            decoded.hashes,
-            decoded.same_page,
+            active(trace.pcs),
+            active(trace.targets),
+            active(trace.takens),
+            *(vector[name][act].tolist() for name in ("is_indirect", "hashes", "same_page")),
         )
         return btb.observe_fast, columns
-    return (
-        partial(_lookup_update_pass, btb),
-        (trace.pcs, trace.kinds, trace.takens, trace.targets, trace.gaps),
-    )
+    return partial(_lookup_update_pass, btb), [
+        active(column)
+        for column in (trace.pcs, trace.kinds, trace.takens, trace.targets, trace.gaps)
+    ]
 
 
 def run_vector(sim, trace, warmup_fraction, live=None):
@@ -168,10 +178,7 @@ def run_vector(sim, trace, warmup_fraction, live=None):
         (icache_col, dir_ok, ras_ok), finals = sim._replayed_columns(trace)
         ittage_mis = None
         # ---- phase 1: BTB pass ----------------------------------------
-        observe, columns = _btb_pass(btb, trace, decoded)
-        if sim.returns_use_ras:
-            selectors = act.tolist()
-            columns = [list(compress(column, selectors)) for column in columns]
+        observe, columns = _btb_pass(btb, trace, decoded, act)
         results = ([], [], [])
         # One call on each side of the warm crossing: its stats reset
         # lands between the last warm-up BTB call and the first measured

@@ -13,24 +13,25 @@ Two kinds of columns:
 
 * **vectorised** -- pure element-wise functions of the event columns
   (block instructions, hashes, page bits, kind property bytes), computed
-  with numpy on first use; the few that the scalar BTB pass indexes
-  per event (hashes, page bits, indirect bits) are also offered as plain
-  lists, built on first use too, since the BTB hooks want native ints;
+  with numpy on first use and kept as numpy arrays only;
 * **replayed** -- sequential state machines that are nevertheless
   independent of the BTB under test: the ICache miss count per event
   (the *cost* of a miss depends on resteer proximity, but whether a line
   misses depends only on the reference stream), the TAGE direction
   outcome per conditional (direction state never observes the BTB), and
-  the RAS outcome per return.  Replays run on the real model classes
-  (the TAGE one through :meth:`TageLitePredictor.replay`, which takes
-  the trace-pure history keys from numpy) and keep the final state
-  object so a simulator can adopt it after a full run.
+  the RAS outcome per return.  Replays run against the real model
+  classes' state and keep the final state object so a simulator can
+  adopt it after a full run.  The TAGE replay goes through
+  :meth:`TageLitePredictor.replay`, which takes the trace-pure history
+  keys from numpy; the ICache replay builds the line reference stream in
+  numpy, drops every access to the line the access just before it
+  touched (a sure hit that leaves the LRU order as it is), and walks the
+  rest in one Python frame over the :class:`ICache`'s own set lists.
 
-Decoding itself builds nothing: every per-event Python list is built by
-the first consumer that needs it (a BTB whose ``observe_fast`` hook runs
-the BTB pass wants the hash, page and indirect lists; one that the
-engine's shared loop drives through ``lookup`` + ``update`` wants none),
-and the ICache replay's block starts live only for the replay.
+Decoding itself builds nothing, and no per-event Python list is
+memoised here: the BTB pass builds the hash, page and indirect lists it
+indexes from the numpy columns for each run, over its active events only
+(:func:`repro.frontend.vector._btb_pass`), and drops them with the run.
 
 Everything here is derived, deterministic data; the equivalence suite
 (``tests/test_engine_equivalence.py``) checks the vector engine against
@@ -80,7 +81,6 @@ class DecodedTrace:
         "_direction",
         "_raw",
         "_vector",
-        "_lists",
         "_index_tag",
         "_supply_demand",
         "_ras",
@@ -95,7 +95,6 @@ class DecodedTrace:
         self._direction: dict[str, tuple[np.ndarray, object]] = {}
         self._raw: tuple[np.ndarray, ...] = ()
         self._vector: dict[str, np.ndarray] | None = None
-        self._lists: dict[str, list] = {}
         self._index_tag: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._supply_demand: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._ras: dict[tuple[bool, int], tuple[np.ndarray, ReturnAddressStack]] = {}
@@ -138,27 +137,6 @@ class DecodedTrace:
             }
             self._vector = cached
         return cached
-
-    def _as_list(self, name: str) -> list:
-        cached = self._lists.get(name)
-        if cached is None:
-            cached = self._lists[name] = self.vector_columns()[name].tolist()
-        return cached
-
-    @property
-    def hashes(self) -> list[int]:
-        """``hash_pc`` of every event, as native ints (BTB pass)."""
-        return self._as_list("hashes")
-
-    @property
-    def same_page(self) -> list[bool]:
-        """``same_page(pc, target)`` of every event (BTB pass)."""
-        return self._as_list("same_page")
-
-    @property
-    def is_indirect(self) -> list[bool]:
-        """Whether each event's kind is indirect (BTB pass)."""
-        return self._as_list("is_indirect")
 
     def btb_index_tag(self, sets: int, tag_bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-event BTB (set index, partial tag) columns for a geometry.
@@ -252,23 +230,74 @@ class DecodedTrace:
         The reference stream -- one ``touch_range(block_start, pc)`` per
         event -- does not depend on the BTB under test (only the *charge*
         per miss does), so a single replay of the real :class:`ICache`
-        serves every design.  The returned cache is the end-of-trace
-        state; a full vector run clones it into the simulator so post-run
-        inspection matches a live run.
+        serves every design.  The replay is one Python loop over the
+        collapsed line stream of :meth:`_line_stream`, over the cache's
+        own set lists (each access's set looked up in numpy first) and
+        with no method calls: a hit moves the line to the most recent
+        slot unless it is there already, a miss evicts the least recent
+        line of a full set.  Misses fold back to their events with
+        ``np.bincount``; ``accesses`` counts the dropped sure hits too, so
+        the cache ends exactly as a per-event ``touch_range`` loop leaves
+        it.  The returned cache is the end-of-trace state; a full vector
+        run clones it into the simulator so post-run inspection matches a
+        live run.
         """
         key = (size_kib, line_bytes, ways)
         cached = self._icache.get(key)
         if cached is None:
-            pcs, _, _, _, gaps = self._raw
-            with np.errstate(over="ignore"):
-                starts = (pcs - gaps.astype(np.uint64) * np.uint64(_INSTR_BYTES)).tolist()
             icache = ICache(size_kib, line_bytes, ways)
-            touch_range = icache.touch_range
-            misses = [touch_range(start, pc) for start, pc in zip(starts, self._pcs)]
-            del starts
-            cached = (np.array(misses, dtype=np.int64), icache)
+            owner, lines, accesses = self._line_stream(icache._line_shift)
+            table = icache._lines
+            residents = [table[index] for index in (lines % icache.sets).tolist()]
+            missed: list[int] = []
+            record_miss = missed.append
+            for position, line, resident in zip(
+                range(len(residents)), lines.tolist(), residents
+            ):
+                if line in resident:
+                    if resident[-1] != line:
+                        resident.remove(line)
+                        resident.append(line)
+                else:
+                    record_miss(position)
+                    if len(resident) >= ways:
+                        del resident[0]
+                    resident.append(line)
+            icache.accesses = accesses
+            icache.misses = len(missed)
+            misses = np.bincount(
+                owner[np.array(missed, dtype=np.int64)], minlength=self.n_events
+            )
+            cached = (misses, icache)
             self._icache[key] = cached
         return cached
+
+    def _line_stream(self, line_shift: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The ICache reference stream, collapsed: ``(owner, lines, total)``.
+
+        Event ``i`` touches every line from ``(pc - 4*gap) >> line_shift``
+        to ``pc >> line_shift``, as :meth:`ICache.touch_range` does.  The
+        starts are signed, so a block that begins below address 0 touches
+        the negative lines a Python-int replay touches.  Flattened in trace
+        order, an access to the same line as the access just before it
+        always hits and leaves that line most recent, so it is dropped;
+        ``lines`` holds the rest and ``owner`` their event indices.
+        ``total`` counts every access, dropped ones included.
+        """
+        pcs, _, _, _, gaps = self._raw
+        ends = pcs.astype(np.int64)
+        first = (ends - gaps.astype(np.int64) * _INSTR_BYTES) >> line_shift
+        counts = (ends >> line_shift) - first + 1
+        total = int(counts.sum())
+        # Access k of event i is line first[i] + (k - offset[i]), where
+        # offset[i] is the position of event i's first access.
+        offsets = np.cumsum(counts) - counts
+        lines = np.arange(total, dtype=np.int64) + np.repeat(first - offsets, counts)
+        owner = np.repeat(np.arange(self.n_events, dtype=np.int64), counts)
+        keep = np.empty(total, dtype=np.bool_)
+        keep[:1] = True  # a slice, so an empty trace needs no branch
+        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+        return owner[keep], lines[keep], total
 
     def direction_outcomes(self, signature: str) -> tuple[np.ndarray, object]:
         """Per-event direction-correct bits (bool) plus the final predictor.

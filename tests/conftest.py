@@ -96,6 +96,27 @@ def synthetic_branch_set(
     return pairs
 
 
+def low_address_trace(seed: int, n_events: int = 4000) -> Trace:
+    """A random trace with 30% of its branch pcs in ``0x40..0xdc`` and
+    gaps of 0-59 instructions, so many blocks start below address 0."""
+    rng = random.Random(seed)
+    kinds = list(BranchKind)
+
+    def address() -> int:
+        if rng.random() < 0.3:
+            return 0x40 + 4 * rng.randrange(40)
+        return 0x40_0000 + 4 * rng.randrange(1 << 12)
+
+    events = []
+    for _ in range(n_events):
+        pc = address()
+        kind = rng.choice(kinds)
+        taken = kind is not BranchKind.COND_DIRECT or rng.random() < 0.6
+        target = address() if taken else pc + 4
+        events.append((pc, kind, taken, target, rng.randrange(60)))
+    return make_trace(events, name=f"low-address-{seed}")
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)

@@ -52,17 +52,18 @@ PDEDE_VARIANTS = {
 
 def _columns(trace, decoded, returns_use_ras=True):
     """The active events' hook columns and their ``BranchEvent`` objects."""
+    vector = decoded.vector_columns()
     columns = [
         trace.pcs,
         trace.targets,
         trace.takens,
-        decoded.is_indirect,
-        decoded.hashes,
-        decoded.same_page,
+        vector["is_indirect"].tolist(),
+        vector["hashes"].tolist(),
+        vector["same_page"].tolist(),
     ]
     events = list(trace.branch_events())
     if returns_use_ras:
-        selectors = (~decoded.vector_columns()["is_return"]).tolist()
+        selectors = (~vector["is_return"]).tolist()
         columns = [list(compress(column, selectors)) for column in columns]
         events = list(compress(events, selectors))
     return columns, events

@@ -20,6 +20,8 @@ from repro.frontend.simulator import FrontendSimulator
 from repro.workloads.decoded import DecodedTrace
 from repro.workloads.suite import build_suite, get_trace
 
+from conftest import low_address_trace, make_trace
+
 TRACE_APP = "server_oltp_00"
 
 #: The tiny suite holds one app per category.
@@ -49,12 +51,13 @@ def test_block_instructions_is_gap_plus_one(trace, decoded):
 def test_hashes_match_scalar_hash_pc(trace, decoded):
     # Spot-check across the column; the vectorised mix64 must agree
     # with the scalar helper, including uint64 wrap-around.
+    hashes = decoded.vector_columns()["hashes"].tolist()
     for index in range(0, len(trace), max(1, len(trace) // 257)):
-        assert decoded.hashes[index] == hash_pc(trace.pcs[index])
+        assert hashes[index] == hash_pc(trace.pcs[index])
 
 
 def test_same_page_matches_scalar_helper(trace, decoded):
-    assert decoded.same_page == [
+    assert decoded.vector_columns()["same_page"].tolist() == [
         same_page(pc, target) for pc, target in zip(trace.pcs, trace.targets)
     ]
 
@@ -64,22 +67,27 @@ def test_kind_property_columns(trace, decoded):
     assert decoded.vector_columns()["is_call"].tolist() == [
         kind.is_call for kind in kinds
     ]
-    assert decoded.is_indirect == [kind.is_indirect for kind in kinds]
+    assert decoded.vector_columns()["is_indirect"].tolist() == [
+        kind.is_indirect for kind in kinds
+    ]
 
 
 @pytest.mark.parametrize("app", TINY_APPS)
 def test_lazy_boundary_lists_match_their_definitions(app):
+    # The BTB pass builds its hash, page and indirect lists per run from
+    # these numpy columns.
     trace = get_trace(app, "tiny")
     decoded = DecodedTrace.from_trace(trace)
+    columns = decoded.vector_columns()
     pcs, kinds, _, targets, _ = trace.columns()
-    assert decoded.hashes == vmix64(pcs >> np.uint64(1)).tolist()
-    assert decoded.same_page == (
+    assert columns["hashes"].tolist() == vmix64(pcs >> np.uint64(1)).tolist()
+    assert columns["same_page"].tolist() == (
         (pcs >> np.uint64(12)) == (targets >> np.uint64(12))
     ).tolist()
-    assert decoded.is_indirect == [
+    assert columns["is_indirect"].tolist() == [
         BranchKind(kind).is_indirect for kind in kinds.tolist()
     ]
-    assert decoded.hashes is decoded.hashes
+    assert decoded.vector_columns()["hashes"] is columns["hashes"]
 
 
 def test_decode_retains_no_per_event_lists():
@@ -110,13 +118,16 @@ def test_supply_demand_arrays_are_exact_multiples(decoded):
     assert decoded.supply_demand_arrays(5, 16)[0].tolist() != supply.tolist()
 
 
+def _touch_range_loop(trace, size_kib, line_bytes, ways):
+    """The per-event ``touch_range`` loop the replay stands in for."""
+    live = ICache(size_kib, line_bytes, ways)
+    misses = [live.touch_range(pc - gap * 4, pc) for pc, gap in zip(trace.pcs, trace.gaps)]
+    return misses, live
+
+
 def test_icache_misses_match_live_replay(trace, decoded):
     misses, final = decoded.icache_misses(32, 64, 8)
-    live = ICache(32, 64, 8)
-    expected = []
-    for pc, gap in zip(trace.pcs, trace.gaps):
-        start = pc - gap * 4
-        expected.append(live.touch_range(start, pc))
+    expected, live = _touch_range_loop(trace, 32, 64, 8)
     assert misses.tolist() == expected
     assert misses.dtype == np.int64
     assert decoded.icache_misses(32, 64, 8)[0] is misses
@@ -127,6 +138,50 @@ def test_icache_misses_match_live_replay(trace, decoded):
     adopted = final.clone()
     adopted.touch_range(0x9999_0000, 0x9999_0040)
     assert final.accesses == live.accesses
+
+
+#: ``(size_kib, line_bytes, ways)``: the default, and one change from it each.
+ICACHE_GEOMETRIES = {
+    "default": (32, 64, 8),
+    "48-sets": (24, 64, 8),
+    "32B-lines": (32, 32, 8),
+    "1-way": (32, 64, 1),
+    "16-ways": (32, 64, 16),
+}
+
+
+def _edge_trace(name):
+    rng = random.Random(7)
+    if name == "empty":
+        return make_trace([])
+    if name == "one-event":
+        return make_trace([(0x40_1000, BranchKind.COND_DIRECT, True, 0x40_2000, 9)])
+    if name == "low-address":
+        return low_address_trace(2)
+    # "gap-0": every block is its branch alone; "long-blocks": every
+    # block spans 4 or more 64 B lines (13 or more 32 B ones).
+    gaps = (0, 0) if name == "gap-0" else (64, 200)
+    events = []
+    for _ in range(3000):
+        pc = 0x40_0000 + 4 * rng.randrange(1 << 12)
+        events.append((pc, BranchKind.COND_DIRECT, True, pc + 64, rng.randint(*gaps)))
+    return make_trace(events, name=name)
+
+
+EDGE_TRACES = ("empty", "one-event", "gap-0", "long-blocks", "low-address")
+
+
+@pytest.mark.parametrize("geometry", ICACHE_GEOMETRIES.values(), ids=ICACHE_GEOMETRIES)
+@pytest.mark.parametrize("name", (TRACE_APP, *EDGE_TRACES))
+def test_icache_replay_matches_the_touch_range_loop(name, geometry):
+    trace = _edge_trace(name) if name in EDGE_TRACES else get_trace(name, "tiny")
+    misses, final = DecodedTrace.from_trace(trace).icache_misses(*geometry)
+    expected, live = _touch_range_loop(trace, *geometry)
+    assert misses.dtype == np.int64
+    assert misses.tolist() == expected
+    assert final._lines == live._lines
+    assert (final.accesses, final.misses) == (live.accesses, live.misses)
+    assert (final.sets, final.ways, final.line_bytes) == (live.sets, live.ways, live.line_bytes)
 
 
 def _tage_state(predictor: TageLitePredictor) -> dict:

@@ -31,6 +31,8 @@ from repro.frontend.simulator import FrontendSimulator
 from repro.serve.protocol import stats_payload
 from repro.workloads.suite import get_trace
 
+from conftest import low_address_trace
+
 TRACE_SCALE = "tiny"
 TRACE_APP = "server_oltp_00"
 
@@ -177,6 +179,25 @@ def test_post_run_state_matches_live_objects():
     assert vector.icache._lines == general.icache._lines
     assert vector.direction._history == general.direction._history
     assert vector.direction._rng_state == general.direction._rng_state
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_blocks_starting_below_address_zero_match_seed(seed):
+    # A block whose pc is below 4 * gap starts at a negative address;
+    # the seed touches the lines from that start upward, and so must the
+    # ICache replay (an unsigned start would wrap to one bogus line).
+    trace = low_address_trace(seed)
+    assert any(pc < 4 * gap for pc, gap in zip(trace.pcs, trace.gaps))
+    design = standard_designs()["baseline"]
+    btb, kwargs = design.build()
+    simulator = FrontendSimulator(btb, **kwargs)
+    stats = simulator.run(trace, warmup_fraction=0.3)
+    assert simulator.last_engine == "vector"
+    reference, seed_stats = _seed_run(design, trace)
+    assert stats.to_dict() == seed_stats.to_dict()
+    assert simulator.icache.accesses == reference.icache.accesses
+    assert simulator.icache.misses == reference.icache.misses
+    assert simulator.icache._lines == reference.icache._lines
 
 
 def test_btb_metrics_match_between_engines():
