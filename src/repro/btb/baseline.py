@@ -86,10 +86,6 @@ class BaselineBTB(BranchTargetPredictor):
         self._tags = [_NO_TAG] * size
         self._targets = [0] * size
         self._conf = [0] * size
-        #: Mutation journal for the ``btb/vectorops.py`` struct-of-arrays
-        #: mirrors (no engine arms it): every write to lookup-visible
-        #: state (tags/targets) appends its flat slot here while armed.
-        self._vec_journal: list[int] | None = None
 
     # -- address mapping ---------------------------------------------------
 
@@ -205,7 +201,6 @@ class BaselineBTB(BranchTargetPredictor):
         tags, stored, conf, conf_max = self._tags, self._targets, self._conf, self._conf_max
         policies = self._policies
         allocate = self._allocate
-        journal = self._vec_journal
         for i in range(start, stop):
             hashed = hashes[i]
             index = hashed & index_mask if sets_pow2 else hashed % sets
@@ -233,8 +228,6 @@ class BaselineBTB(BranchTargetPredictor):
                 conf[slot] -= 1
             else:
                 stored[slot] = target
-                if journal is not None:
-                    journal.append(slot)
         latencies.extend([self.latency] * (stop - start))
         self.stats.updates += stop - start
 
@@ -248,8 +241,6 @@ class BaselineBTB(BranchTargetPredictor):
             self._conf[slot] -= 1
         else:
             self._targets[slot] = target
-            if self._vec_journal is not None:
-                self._vec_journal.append(slot)
         self._policies[index].on_hit(way)
 
     def _allocate(self, index: int, tag: int, target: int) -> None:
@@ -263,8 +254,6 @@ class BaselineBTB(BranchTargetPredictor):
         self._tags[slot] = tag
         self._targets[slot] = target
         self._conf[slot] = 0
-        if self._vec_journal is not None:
-            self._vec_journal.append(slot)
         policy.on_insert(way)
         self.stats.allocations += 1
 

@@ -150,10 +150,6 @@ class PDedeBTB(BranchTargetPredictor):
         # Reverse pointer maps, maintained only in invalidating mode.
         self._page_ptr_users: dict[int, set[tuple[int, int]]] = {}
         self._region_ptr_users: dict[int, set[tuple[int, int]]] = {}
-        #: Mutation journal for the ``btb/vectorops.py`` struct-of-arrays
-        #: mirrors (no engine arms it): every write to lookup-visible
-        #: BTBM state appends its flat slot here while armed.
-        self._vec_journal: list[int] | None = None
         # Extra observability.
         self.stale_pointer_reads = 0
         self.delta_hits = 0
@@ -236,8 +232,6 @@ class PDedeBTB(BranchTargetPredictor):
             slot = set_index * ways + way
             self._valid[slot] = False
             self._tags[slot] = _NO_TAG
-            if self._vec_journal is not None:
-                self._vec_journal.append(slot)
 
     def _invalidate_region_ptr(self, pointer: int) -> None:
         ways = self._ways
@@ -246,8 +240,6 @@ class PDedeBTB(BranchTargetPredictor):
             slot = set_index * ways + way
             self._valid[slot] = False
             self._tags[slot] = _NO_TAG
-            if self._vec_journal is not None:
-                self._vec_journal.append(slot)
 
     def _unlink_pointers(self, set_index: int, way: int) -> None:
         if not self.config.invalidate_stale_pointers:
@@ -621,8 +613,6 @@ class PDedeBTB(BranchTargetPredictor):
             self._unlink_pointers(set_index, way)
             self._valid[slot] = False
             self._tags[slot] = _NO_TAG
-            if self._vec_journal is not None:
-                self._vec_journal.append(slot)
             return
         self._unlink_pointers(set_index, way)
         self._offsets[slot] = page_offset(target)
@@ -639,8 +629,6 @@ class PDedeBTB(BranchTargetPredictor):
             self._page_ptr[slot] = page_ptr
             self._page_gen[slot] = page_gen
             self._link_pointers(set_index, way)
-        if self._vec_journal is not None:
-            self._vec_journal.append(slot)
 
     def _allocate(self, set_index: int, tag: int, target: int, use_delta: bool) -> int:
         # Region/Page-BTB allocations come first: a BTBM entry is created
@@ -657,8 +645,6 @@ class PDedeBTB(BranchTargetPredictor):
         self._next_valid[slot] = False
         self._page_ptr[slot] = _NO_PTR
         self._region_ptr[slot] = _NO_PTR
-        if self._vec_journal is not None:
-            self._vec_journal.append(slot)
         self._write_target_fields(set_index, way, target, use_delta)
         self._mark_inserted(set_index, way)
         self.stats.allocations += 1

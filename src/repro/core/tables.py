@@ -65,10 +65,6 @@ class DedupValueTable:
         #: Optional callback fired with the evicted slot's pointer before
         #: reuse; the invalidating-BTBM mode hooks this.
         self.on_evict = on_evict
-        #: Mutation journal for the ``btb/vectorops.py`` value/generation
-        #: mirrors (no engine arms it): inserts append the written
-        #: pointer while armed.
-        self._vec_journal: list[int] | None = None
 
     def _set_of(self, value: int) -> int:
         if self.sets == 1:
@@ -111,8 +107,6 @@ class DedupValueTable:
         values[way] = value
         policy.on_insert(way)
         self.allocations += 1
-        if self._vec_journal is not None:
-            self._vec_journal.append(set_index * self.ways + way)
         return set_index * self.ways + way, self._generations[set_index][way]
 
     # -- reads (pointer-addressed) ----------------------------------------------

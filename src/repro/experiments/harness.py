@@ -52,13 +52,10 @@ _RESULT_CACHE: dict[str, FrontendStats] = {}
 _CACHE_HITS = 0
 _CACHE_MISSES = 0
 
-#: (trace name, design key) -> wall seconds of the last fresh simulation;
-#: the report's telemetry appendix ranks these.
-_RUN_SECONDS: dict[tuple[str, str], float] = {}
-
-#: (trace name, design key) -> (engine tier, events/sec) of the last
-#: fresh simulation; the report's telemetry appendix aggregates these.
-_RUN_ENGINES: dict[tuple[str, str], tuple[str, float]] = {}
+#: (trace name, design key) -> (wall seconds, engine tier, events/sec) of
+#: the last fresh simulation; the report's telemetry appendix ranks the
+#: seconds and aggregates the engines.
+_RUNS: dict[tuple[str, str], tuple[float, str, float]] = {}
 
 #: Memo state is written by serve worker threads while the event loop
 #: reads ``cache_info`` on ``/v1/stats`` (REP104).
@@ -90,8 +87,7 @@ def clear_cache() -> None:
     global _CACHE_HITS, _CACHE_MISSES
     with _CACHE_LOCK:
         _RESULT_CACHE.clear()
-        _RUN_SECONDS.clear()
-        _RUN_ENGINES.clear()
+        _RUNS.clear()
         _CACHE_HITS = 0
         _CACHE_MISSES = 0
 
@@ -99,8 +95,8 @@ def clear_cache() -> None:
 def slowest_runs(n: int = 5) -> list[tuple[str, str, float]]:
     """The ``n`` slowest fresh simulations seen so far, slowest first."""
     with _CACHE_LOCK:
-        ranked = sorted(_RUN_SECONDS.items(), key=lambda item: -item[1])
-    return [(app, design, seconds) for (app, design), seconds in ranked[:n]]
+        ranked = sorted(_RUNS.items(), key=lambda item: -item[1][0])
+    return [(app, design, run[0]) for (app, design), run in ranked[:n]]
 
 
 def engine_mix() -> dict[str, dict]:
@@ -112,9 +108,9 @@ def engine_mix() -> dict[str, dict]:
     design accidentally falling off the vector path is visible.
     """
     with _CACHE_LOCK:
-        rows = list(_RUN_ENGINES.values())
+        rows = list(_RUNS.values())
     mix: dict[str, list[float]] = {}
-    for engine, eps in rows:
+    for _, engine, eps in rows:
         mix.setdefault(engine, []).append(eps)
     out = {}
     for engine, rates in sorted(mix.items()):
@@ -207,8 +203,7 @@ def _simulate(
         span_attrs.update(engine=engine, events_per_sec=round(events_per_sec))
     elapsed = time.perf_counter() - started
     with _CACHE_LOCK:
-        _RUN_SECONDS[(trace_name, design.key)] = elapsed
-        _RUN_ENGINES[(trace_name, design.key)] = (engine, events_per_sec)
+        _RUNS[(trace_name, design.key)] = (elapsed, engine, events_per_sec)
     registry = get_registry()
     registry.histogram(
         "harness_simulation_seconds", "wall seconds per fresh simulation"
@@ -499,8 +494,9 @@ def _prefill_cache_scheduled(
         _remember(key(*pair), stats)
         with _CACHE_LOCK:
             if engine is not None:
-                _RUN_SECONDS[pair] = report.group_seconds[pair]
-                _RUN_ENGINES[pair] = (engine, float(stats.events_per_sec))
+                _RUNS[pair] = (
+                    report.group_seconds[pair], engine, float(stats.events_per_sec)
+                )
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

@@ -55,6 +55,7 @@ from repro.checks.sanitizer import get_sanitizer
 from repro.frontend.icache import ICache
 from repro.frontend.params import CoreParams, ICELAKE
 from repro.frontend.stats import FrontendStats
+from repro.frontend.vector import _KINDS, _EventView, run_vector
 from repro.workloads.trace import Trace
 
 _INSTR_BYTES = 4
@@ -64,7 +65,6 @@ _KIND_COND = int(BranchKind.COND_DIRECT)
 
 # Per-kind property tables indexed by int(kind) -- avoids enum-object
 # construction in the hot loop.
-_KINDS = [BranchKind(value) for value in range(len(BranchKind))]
 _IS_CALL = [kind.is_call for kind in _KINDS]
 _IS_INDIRECT = [kind.is_indirect for kind in _KINDS]
 
@@ -144,8 +144,6 @@ class FrontendSimulator:
         self.last_engine = engine
         started = time.perf_counter()
         if engine == "vector":
-            from repro.frontend.vector import run_vector
-
             stats = run_vector(self, trace, warmup_fraction)
         else:
             stats = self._run_general(trace, warmup_fraction)
@@ -251,8 +249,6 @@ class FrontendSimulator:
         timing, so it stays in this pass and pollutes the ICache before
         the next event's touch, exactly as the seed engine does.
         """
-        from repro.frontend.vector import run_vector
-
         n_events = len(trace)
         warm_limit = int(n_events * warmup_fraction)
         icache_col: list[int] = []
@@ -402,19 +398,3 @@ class FrontendSimulator:
         if sanitizer.enabled:
             registry.publish(sanitizer.snapshot(), **labels)
 
-
-class _EventView:
-    """Minimal BranchEvent stand-in built without validation (hot path)."""
-
-    __slots__ = ("pc", "kind", "taken", "target", "instr_gap")
-
-    def __init__(self, pc: int, kind: BranchKind, taken: bool, target: int, gap: int) -> None:
-        self.pc = pc
-        self.kind = kind
-        self.taken = taken
-        self.target = target
-        self.instr_gap = gap
-
-    @property
-    def fall_through(self) -> int:
-        return self.pc + 4

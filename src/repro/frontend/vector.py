@@ -60,7 +60,10 @@ from repro.core.pdede import PDedeBTB
 from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
 
-_KIND_NAMES = [BranchKind(value).name for value in range(len(BranchKind))]
+# Per-kind tables indexed by int(kind) -- avoids enum-object
+# construction in the hot loops.
+_KINDS = [BranchKind(value) for value in range(len(BranchKind))]
+_KIND_NAMES = [kind.name for kind in _KINDS]
 
 #: Blocks after a resteer during which ICache misses are demand misses
 #: (the prefetcher has not caught up yet).
@@ -71,6 +74,23 @@ _OVERLAPPED_MISS_CYCLES = 1.5
 
 #: BTB types whose own ``observe_fast`` is one exact lookup + update pass.
 _FAST_TYPES = (BaselineBTB, PDedeBTB)
+
+
+class _EventView:
+    """Minimal BranchEvent stand-in built without validation (hot path)."""
+
+    __slots__ = ("pc", "kind", "taken", "target", "instr_gap")
+
+    def __init__(self, pc: int, kind: BranchKind, taken: bool, target: int, gap: int) -> None:
+        self.pc = pc
+        self.kind = kind
+        self.taken = taken
+        self.target = target
+        self.instr_gap = gap
+
+    @property
+    def fall_through(self) -> int:
+        return self.pc + 4
 
 
 def _has_fast_observe(btb) -> bool:
@@ -93,8 +113,6 @@ def _lookup_update_pass(btb, columns, start, stop, results):
     event, as the live pass does, appending each lookup's ``(target, hit,
     latency)`` to the three ``results`` lists.
     """
-    from repro.frontend.simulator import _KINDS, _EventView
-
     pcs, kinds, takens, targets, gaps = columns
     lookup, update = btb.lookup, btb.update
     out_target, out_hit, out_latency = (column.append for column in results)

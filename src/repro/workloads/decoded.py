@@ -11,9 +11,12 @@ so an N-design sweep pays the trace-pure work once instead of N times.
 
 Two kinds of columns:
 
-* **vectorised** -- pure element-wise functions of the event columns
-  (block instructions, hashes, page bits, kind property bytes), computed
-  with numpy on first use and kept as numpy arrays only;
+* **vectorised** -- pure element-wise functions of the event columns,
+  computed with numpy on first use and kept as numpy arrays only:
+  ``vector_columns()`` holds the signed targets, kinds, taken bits, block
+  instruction counts, branch-PC hashes, ``same_page`` bits and the
+  indirect / return kind properties, and ``supply_demand_arrays()`` the
+  per-event fetch supply and commit demand in ticks;
 * **replayed** -- sequential state machines that are nevertheless
   independent of the BTB under test: the ICache miss count per event
   (the *cost* of a miss depends on resteer proximity, but whether a line
@@ -81,7 +84,6 @@ class DecodedTrace:
         "_direction",
         "_raw",
         "_vector",
-        "_index_tag",
         "_supply_demand",
         "_ras",
     )
@@ -95,7 +97,6 @@ class DecodedTrace:
         self._direction: dict[str, tuple[np.ndarray, object]] = {}
         self._raw: tuple[np.ndarray, ...] = ()
         self._vector: dict[str, np.ndarray] | None = None
-        self._index_tag: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._supply_demand: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._ras: dict[tuple[bool, int], tuple[np.ndarray, ReturnAddressStack]] = {}
 
@@ -114,8 +115,10 @@ class DecodedTrace:
     def vector_columns(self) -> dict[str, np.ndarray]:
         """Numpy event columns for the fresh-run vector engine, built once.
 
-        Signed ``int64`` variants of the address columns (addresses are
-        57-bit, so the conversion is lossless) plus the boolean kind
+        ``targets`` (signed ``int64``; addresses are 57-bit, so the
+        conversion is lossless), ``kinds``, ``taken``, block
+        ``instructions``, the ``hashes`` of every branch PC, the
+        ``same_page`` bit and the ``is_indirect`` / ``is_return`` kind
         properties; every array is the full trace length.
         """
         cached = self._vector
@@ -124,41 +127,16 @@ class DecodedTrace:
             with np.errstate(over="ignore"):
                 hashes = vmix64(pcs >> np.uint64(1))  # hash_pc of every event
             cached = {
-                "pcs": pcs.astype(np.int64),
                 "targets": targets.astype(np.int64),
                 "kinds": kinds,
                 "taken": np.ascontiguousarray(takens, dtype=np.bool_),
                 "instructions": gaps.astype(np.int64) + 1,
                 "hashes": hashes,
                 "same_page": (pcs >> _PAGE_SHIFT) == (targets >> _PAGE_SHIFT),
-                "is_call": _IS_CALL_BY_KIND[kinds],
                 "is_indirect": _IS_INDIRECT_BY_KIND[kinds],
                 "is_return": kinds == np.uint8(_KIND_RETURN),
             }
             self._vector = cached
-        return cached
-
-    def btb_index_tag(self, sets: int, tag_bits: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-event BTB (set index, partial tag) columns for a geometry.
-
-        Exactly the scalar ``hash & mask`` / ``(hash >> 40) & tag_mask``
-        mapping of the flat-storage BTBs, vectorised over the cached
-        ``hash_pc`` column and memoised per ``(sets, tag_bits)`` so every
-        design sharing a geometry reuses the arrays.
-        """
-        key = (sets, tag_bits)
-        cached = self._index_tag.get(key)
-        if cached is None:
-            hashes = self.vector_columns()["hashes"]
-            if sets & (sets - 1) == 0:
-                index = (hashes & np.uint64(sets - 1)).astype(np.int64)
-            else:
-                index = (hashes % np.uint64(sets)).astype(np.int64)
-            tag = (
-                (hashes >> np.uint64(40)) & np.uint64((1 << tag_bits) - 1)
-            ).astype(np.int64)
-            cached = (index, tag)
-            self._index_tag[key] = cached
         return cached
 
     def supply_demand_arrays(

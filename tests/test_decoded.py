@@ -64,9 +64,6 @@ def test_same_page_matches_scalar_helper(trace, decoded):
 
 def test_kind_property_columns(trace, decoded):
     kinds = [BranchKind(value) for value in trace.kinds]
-    assert decoded.vector_columns()["is_call"].tolist() == [
-        kind.is_call for kind in kinds
-    ]
     assert decoded.vector_columns()["is_indirect"].tolist() == [
         kind.is_indirect for kind in kinds
     ]

@@ -157,3 +157,31 @@ def test_fresh_runs_never_import_the_chunked_kernels():
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=300)
+
+
+def test_benchmark_tracer_still_finds_its_wrap_targets():
+    # The per-layer benchmark tracer wraps names of this package by hand
+    # (the retired kernel stubs, the decoded-trace replays, the harness,
+    # the simulator's run); a renamed target would otherwise surface
+    # only in the perf-budget job.
+    perf_dir = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "perf")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {os.path.abspath(perf_dir)!r})
+        import tracing
+        from repro.experiments import harness
+        from repro.experiments.designs import design_registry
+
+        recorder = tracing.Recorder()
+        tracing.install(recorder)
+        harness.run_design(
+            "server_oltp_00", design_registry()["pdede-default"], scale="tiny"
+        )
+        rollup = recorder.rollup()
+        assert rollup.get("frontend.vector", [0])[0] == 1, sorted(rollup)
+        assert rollup.get("btb.boundary_replay", [0])[0] > 0, sorted(rollup)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "REPRO_DISK_CACHE": "0"}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=300)
