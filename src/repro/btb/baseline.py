@@ -116,44 +116,34 @@ class BaselineBTB(BranchTargetPredictor):
     # -- BranchTargetPredictor API ------------------------------------------
 
     def lookup(self, pc: int) -> BTBLookup:
-        index, tag = self._slot(pc)
-        way = self._find_way(index, tag)
-        if way is None:
-            return BTBLookup(hit=False, target=None, latency=self.latency)
-        self._policies[index].on_hit(way)
-        return BTBLookup(
-            hit=True,
-            target=self._targets[index * self.ways + way],
-            latency=self.latency,
-            provider="btb",
-        )
+        target, hit, latency, provider = self.lookup_fast(pc, hash_pc(pc))
+        return BTBLookup(hit=hit, target=target, latency=latency, provider=provider)
 
     def update(self, event: BranchEvent) -> None:
-        self.stats.updates += 1
         sanitizer_step(self)
         if not event.taken:
+            self.stats.updates += 1
             return
-        if event.kind.is_indirect and not self.allocate_indirect:
-            return
-        index, tag = self._slot(event.pc)
-        way = self._find_way(index, tag)
-        if way is not None:
-            self._train_existing(index, way, event.target)
-            return
-        self._allocate(index, tag, event.target)
+        pc = event.pc
+        # The page bit is PDede's; the baseline never reads it.
+        self.update_fast(pc, event.target, True, event.kind.is_indirect, hash_pc(pc), False)
 
-    # -- scalar hooks used by the fresh-run engine's BTB pass ----------------
+    # -- the algorithm, on a precomputed hash -------------------------------
 
-    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int]:
-        """`lookup` on a precomputed hash; ``(target, hit, latency)``."""
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
+        """The lookup on a precomputed hash: ``(target, hit, latency, provider)``.
+
+        The one copy :meth:`lookup` and ``TwoLevelBTB.observe_fast`` share;
+        the provider is ``"btb"``, hit or miss.
+        """
         index = hashed & self._index_mask if self._sets_pow2 else hashed % self.sets
         base = index * self.ways
         try:
             slot = self._tags.index((hashed >> 40) & self._tag_mask, base, base + self.ways)
         except ValueError:
-            return (None, False, self.latency)
+            return (None, False, self.latency, "btb")
         self._policies[index].on_hit(slot - base)
-        return (self._targets[slot], True, self.latency)
+        return (self._targets[slot], True, self.latency, "btb")
 
     def update_fast(
         self,
@@ -164,7 +154,11 @@ class BaselineBTB(BranchTargetPredictor):
         hashed: int,
         is_same_page: bool,
     ) -> None:
-        """`update` on a precomputed hash (no event object, no sanitizer)."""
+        """The update on a precomputed hash; :meth:`update` wraps it.
+
+        The sanitizer hook stays in :meth:`update`: the fresh-run engine
+        only runs with the sanitizer disarmed (the simulator gates on it).
+        """
         self.stats.updates += 1
         if not taken:
             return
@@ -177,6 +171,8 @@ class BaselineBTB(BranchTargetPredictor):
             self._train_existing(index, way, target)
             return
         self._allocate(index, tag, target)
+
+    # -- the fresh-run engine's inlined BTB pass -----------------------------
 
     def observe_fast(self, columns, start: int, stop: int, results) -> None:
         """The fresh-run engine's BTB pass over active events ``start:stop``.

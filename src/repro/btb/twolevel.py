@@ -96,11 +96,11 @@ class TwoLevelBTB(BranchTargetPredictor):
         for i in range(start, stop):
             pc = pcs[i]
             hashed = hashes[i]
-            ltarget, lhit, latency = lookup0(pc, hashed)
+            ltarget, lhit, latency, _ = lookup0(pc, hashed)
             if lhit:
                 l0_hits += 1
             else:
-                ltarget, lhit, latency = lookup1(pc, hashed)
+                ltarget, lhit, latency, _ = lookup1(pc, hashed)
                 latency += extra
                 if lhit or ltarget is not None:
                     l1_hits += 1

@@ -199,6 +199,7 @@ def check_dedup_table(table) -> None:
 
 
 def _slot_snapshot(btb, set_index: int, way: int) -> dict:
+    """A BTBM slot's fields, built only once a check on it has failed."""
     slot = set_index * btb._ways + way
     return {
         "valid": btb._valid[slot],
@@ -216,7 +217,6 @@ def _slot_snapshot(btb, set_index: int, way: int) -> dict:
 def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
     name = "btbm"
     slot = set_index * btb._ways + way
-    snapshot = _slot_snapshot(btb, set_index, way)
     tag = btb._tags[slot]
     if tag < 0 or tag >> cfg.tag_bits:
         # A negative tag on a *valid* slot means the _NO_TAG sentinel leaked.
@@ -226,7 +226,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
             f"tag {tag:#x} outside [0, 2**{cfg.tag_bits})",
             set_index=set_index,
             way=way,
-            **snapshot,
+            **_slot_snapshot(btb, set_index, way),
         )
     conf = btb._conf[slot]
     if not 0 <= conf < (1 << cfg.conf_bits):
@@ -236,7 +236,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
             f"confidence {conf} exceeds {cfg.conf_bits} bits",
             set_index=set_index,
             way=way,
-            **snapshot,
+            **_slot_snapshot(btb, set_index, way),
         )
     offset = btb._offsets[slot]
     if offset >> 12:
@@ -246,7 +246,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
             f"page offset {offset:#x} exceeds 12 bits",
             set_index=set_index,
             way=way,
-            **snapshot,
+            **_slot_snapshot(btb, set_index, way),
         )
     if btb._delta[slot]:
         if btb._page_ptr[slot] != _NO_PTR or btb._region_ptr[slot] != _NO_PTR:
@@ -256,7 +256,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
                 "delta (same-page) entry carries live region/page pointers",
                 set_index=set_index,
                 way=way,
-                **snapshot,
+                **_slot_snapshot(btb, set_index, way),
             )
         if btb._next_valid[slot] and btb._next_offset[slot] >> 12:
             _violate(
@@ -265,7 +265,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
                 "next-target offset exceeds 12 bits",
                 set_index=set_index,
                 way=way,
-                **snapshot,
+                **_slot_snapshot(btb, set_index, way),
             )
         return
     # Pointer-carrying entry.
@@ -276,7 +276,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
             "short (pointer-less) multi-entry way holds a different-page entry",
             set_index=set_index,
             way=way,
-            **snapshot,
+            **_slot_snapshot(btb, set_index, way),
         )
     for label, table, pointer, generation in (
         ("page", btb.page_btb, btb._page_ptr[slot], btb._page_gen[slot]),
@@ -289,7 +289,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
                 f"{label} pointer {pointer} outside [0, {table.entries})",
                 set_index=set_index,
                 way=way,
-                **snapshot,
+                **_slot_snapshot(btb, set_index, way),
             )
         t_set, t_way = divmod(pointer, table.ways)
         if not table._valid[t_set][t_way]:
@@ -299,7 +299,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
                 f"{label} pointer {pointer} names an invalid {table.name} slot",
                 set_index=set_index,
                 way=way,
-                **snapshot,
+                **_slot_snapshot(btb, set_index, way),
             )
         slot_generation = table._generations[t_set][t_way]
         if generation > slot_generation:
@@ -310,7 +310,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
                 f"{slot_generation} (generations only move forward)",
                 set_index=set_index,
                 way=way,
-                **snapshot,
+                **_slot_snapshot(btb, set_index, way),
             )
         if cfg.invalidate_stale_pointers and generation != slot_generation:
             _violate(
@@ -320,7 +320,7 @@ def _check_pdede_slot(btb, cfg, set_index: int, way: int) -> None:
                 f"(stored generation {generation} != slot {slot_generation})",
                 set_index=set_index,
                 way=way,
-                **snapshot,
+                **_slot_snapshot(btb, set_index, way),
             )
 
 

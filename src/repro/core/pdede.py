@@ -123,8 +123,6 @@ class PDedeBTB(BranchTargetPredictor):
         if cfg.mode is PDedeMode.MULTI_ENTRY:
             half = ways // 2
             self._short_base = half
-            self._long_ways = list(range(half))
-            self._short_ways = list(range(half, ways))
             self._long_policies = [
                 make_replacement_policy(cfg.replacement, half, **repl_kwargs)
                 for _ in range(sets)
@@ -136,8 +134,6 @@ class PDedeBTB(BranchTargetPredictor):
             self._policies = None
         else:
             self._short_base = ways
-            self._long_ways = list(range(ways))
-            self._short_ways = []
             self._long_policies = self._short_policies = None
             self._policies = [
                 make_replacement_policy(cfg.replacement, ways, **repl_kwargs)
@@ -167,12 +163,6 @@ class PDedeBTB(BranchTargetPredictor):
 
     def _tag(self, pc: int) -> int:
         return (hash_pc(pc) >> 40) & self._tag_mask
-
-    def _slot(self, pc: int) -> tuple[int, int]:
-        """(set index, tag) from a single hash (hot path)."""
-        hashed = hash_pc(pc)
-        index = hashed & self._index_mask if self._sets_pow2 else hashed % self._sets
-        return index, (hashed >> 40) & self._tag_mask
 
     def _find_way(self, set_index: int, tag: int) -> int | None:
         base = set_index * self._ways
@@ -292,74 +282,29 @@ class PDedeBTB(BranchTargetPredictor):
         target = join_target(region_value, page_value, self._offsets[slot])
         return target, 2
 
-    # -- lookup (Section 4.4.1) ------------------------------------------------------
+    # -- lookup (Section 4.4.1) and update / allocation (Section 4.4.2) -----------
 
     def lookup(self, pc: int) -> BTBLookup:
-        pending = self._pending_next_offset
-        pending_tag = self._pending_next_tag
-        self._pending_next_offset = None
-        set_index, tag = self._slot(pc)
-        way = self._find_way(set_index, tag)
-        if way is None:
-            if pending is not None and (
-                not self.config.next_target_tag_bits
-                or pending_tag == fold_bits(pc >> 1, self.config.next_target_tag_bits)
-            ):
-                # BTBM miss served by the Next Target Offset register: the
-                # missing PC is the next taken branch after the entry that
-                # staged the register, so its target shares the PC's page.
-                self.next_target_provisions += 1
-                return BTBLookup(
-                    hit=False,
-                    target=page_base(pc) | pending,
-                    latency=2 if self.config.always_two_cycle else 1,
-                    provider="next-target",
-                )
-            return BTBLookup(hit=False, target=None, latency=1, provider="miss")
-        target, latency = self._reconstruct(set_index, way, pc)
-        if self.config.always_two_cycle:
-            latency = 2
-        slot = set_index * self._ways + way
-        if (
-            self.config.mode is PDedeMode.MULTI_TARGET
-            and self._delta[slot]
-            and self._next_valid[slot]
-        ):
-            self._pending_next_offset = self._next_offset[slot]
-            self._pending_next_tag = self._next_tag[slot]
-        self._touch(set_index, way)
-        provider = "btbm-delta" if self._delta[slot] else "btbm-ptr"
-        return BTBLookup(hit=True, target=target, latency=latency, provider=provider)
-
-    # -- update / allocation (Section 4.4.2) ---------------------------------------
+        target, hit, latency, provider = self.lookup_fast(pc, hash_pc(pc))
+        return BTBLookup(hit=hit, target=target, latency=latency, provider=provider)
 
     def update(self, event: BranchEvent) -> None:
-        self.stats.updates += 1
         sanitizer_step(self)
         if not event.taken:
-            return
-        if event.kind.is_indirect and not self.config.allocate_indirect:
-            self._last_btbm_slot = None
+            self.stats.updates += 1
             return
         pc, target = event.pc, event.target
-        is_same_page = same_page(pc, target)
-        use_delta = is_same_page and self.config.delta_encoding
-        set_index, tag = self._slot(pc)
-        way = self._find_way(set_index, tag)
-        if way is not None:
-            self._train_existing(set_index, way, pc, target, use_delta)
-        else:
-            way = self._allocate(set_index, tag, target, use_delta)
-        if self.config.mode is PDedeMode.MULTI_TARGET:
-            self._chain_next_target(set_index, way, pc, target, use_delta)
+        self.update_fast(
+            pc, target, True, event.kind.is_indirect, hash_pc(pc), same_page(pc, target)
+        )
 
-    # -- scalar hooks used by the fresh-run engine's BTB pass ----------------------
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
+        """The lookup on a precomputed hash: ``(target, hit, latency, provider)``.
 
-    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int]:
-        """`lookup` on a precomputed hash; returns ``(target, hit, latency)``.
-
-        Exact state evolution of :meth:`lookup` minus the BTBLookup
-        allocation; ``TwoLevelBTB.observe_fast`` is the only caller.
+        The one copy :meth:`lookup` and ``TwoLevelBTB.observe_fast``
+        share.  The provider is ``"btbm-delta"`` or ``"btbm-ptr"`` on a
+        hit, ``"next-target"`` on a miss the Next Target Offset register
+        serves, and ``"miss"`` otherwise.
         """
         pending = self._pending_next_offset
         pending_tag = self._pending_next_tag
@@ -376,13 +321,17 @@ class PDedeBTB(BranchTargetPredictor):
                 not cfg.next_target_tag_bits
                 or pending_tag == fold_bits(pc >> 1, cfg.next_target_tag_bits)
             ):
+                # BTBM miss served by the Next Target Offset register: the
+                # missing PC is the next taken branch after the entry that
+                # staged the register, so its target shares the PC's page.
                 self.next_target_provisions += 1
                 return (
                     page_base(pc) | pending,
                     False,
                     2 if cfg.always_two_cycle else 1,
+                    "next-target",
                 )
-            return (None, False, 1)
+            return (None, False, 1, "miss")
         way = slot - base
         target, latency = self._reconstruct(set_index, way, pc)
         if cfg.always_two_cycle:
@@ -395,7 +344,7 @@ class PDedeBTB(BranchTargetPredictor):
             self._pending_next_offset = self._next_offset[slot]
             self._pending_next_tag = self._next_tag[slot]
         self._touch(set_index, way)
-        return (target, True, latency)
+        return (target, True, latency, "btbm-delta" if self._delta[slot] else "btbm-ptr")
 
     def update_fast(
         self,
@@ -406,10 +355,10 @@ class PDedeBTB(BranchTargetPredictor):
         hashed: int,
         is_same_page: bool,
     ) -> None:
-        """`update` on precomputed hash and page bits (no event object).
+        """The update on precomputed hash and page bits; :meth:`update` wraps it.
 
-        The sanitizer hook is omitted: the fresh-run engine only runs
-        with the sanitizer disarmed (the simulator gates on it).
+        The sanitizer hook stays in :meth:`update`: the fresh-run engine
+        only runs with the sanitizer disarmed (the simulator gates on it).
         """
         self.stats.updates += 1
         if not taken:
@@ -428,6 +377,8 @@ class PDedeBTB(BranchTargetPredictor):
             way = self._allocate(set_index, tag, target, use_delta)
         if cfg.mode is PDedeMode.MULTI_TARGET:
             self._chain_next_target(set_index, way, pc, target, use_delta)
+
+    # -- the fresh-run engine's inlined BTB pass ------------------------------------
 
     def observe_fast(self, columns, start: int, stop: int, results) -> None:
         """The fresh-run engine's BTB pass over active events ``start:stop``.
@@ -500,7 +451,7 @@ class PDedeBTB(BranchTargetPredictor):
                 slot = tags.index(tag, base, base + ways)
             except ValueError:
                 # -- lookup: tag miss, maybe served by the Next Target
-                # Offset register (see lookup) --
+                # Offset register (see lookup_fast) --
                 pc = pcs[i]
                 if staged is not None and (
                     not next_tag_bits

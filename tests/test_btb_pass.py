@@ -1,14 +1,19 @@
-"""The fresh-run engine's ``observe_fast`` BTB pass against the seed referee.
+"""The BTB's two per-event paths against the seed referee.
 
-The pass makes one ``observe_fast`` call on each side of the warm
-crossing, and a PDede hit reconstructs its target once where the seed's
-``lookup`` + ``update`` reconstruct it twice.  ``FrontendStats`` carries
-none of the structure-internal counters that shortcut could miscount, so
-these tests compare, event for event, the lookup columns, the
-``BTBStats`` and the whole ``btb.metrics()`` -- delta, pointer, stale
+The fresh-run engine's pass makes one ``observe_fast`` call on each side
+of the warm crossing, and a PDede hit reconstructs its target once where
+the seed's ``lookup`` + ``update`` reconstruct it twice.  ``FrontendStats``
+carries none of the structure-internal counters that shortcut could
+miscount, so these tests compare, event for event, the lookup columns,
+the ``BTBStats`` and the whole ``btb.metrics()`` -- delta, pointer, stale
 and next-target counters, Page-/Region-BTB allocations, dedup hits and
 evictions -- against the frozen seed BTBs driven by ``lookup`` then
 ``update``.
+
+Every case also drives a second live BTB the way wrapper designs do,
+``lookup(pc)`` then ``update(event)`` per event: those methods are
+adapters over ``lookup_fast`` / ``update_fast``, so this leg holds the
+adapters, the shared algorithm and its provider labels to the seed.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ def _pdede(**overrides) -> PDedeBTB:
 PDEDE_VARIANTS = {
     **{f"mode-{mode.value}": dict(mode=mode) for mode in PDedeMode},
     "always-two-cycle": dict(always_two_cycle=True),
+    "always-two-cycle-multi-target": dict(
+        mode=PDedeMode.MULTI_TARGET, always_two_cycle=True
+    ),
     "next-target-tag": dict(mode=PDedeMode.MULTI_TARGET, next_target_tag_bits=4),
     "no-indirect": dict(allocate_indirect=False),
     "invalidate-stale": dict(invalidate_stale_pointers=True),
@@ -69,11 +77,18 @@ def _columns(trace, decoded, returns_use_ras=True):
     return columns, events
 
 
-def _assert_pass_matches_seed(btb, warmup_fraction, returns_use_ras=True):
+def _assert_pass_matches_seed(build, warmup_fraction, returns_use_ras=True):
+    """Hold both paths of fresh ``build()`` BTBs to the seed.
+
+    Returns ``(pass_btb, live_btb, seed)``: the BTB driven by
+    ``observe_fast``, the one driven by ``lookup`` then ``update``, and
+    the seed referee.
+    """
     trace = get_trace("server_oltp_00", "tiny")
     decoded = trace.decoded()
     columns, events = _columns(trace, decoded, returns_use_ras)
     n_warm = int(len(events) * warmup_fraction)
+    btb, live = build(), build()
     seed = seed_counterpart(btb)
     assert type(seed) is not type(btb)
 
@@ -84,11 +99,16 @@ def _assert_pass_matches_seed(btb, warmup_fraction, returns_use_ras=True):
     btb.observe_fast(columns, n_warm, len(events), results)
 
     expected = ([], [], [])
+    live_lookups, seed_lookups = [], []
     for index, event in enumerate(events):
         if index == n_warm and n_warm:
             seed.reset_stats()
+            live.reset_stats()
         lookup = seed.lookup(event.pc)
         seed.update(event)
+        live_lookups.append(live.lookup(event.pc))
+        live.update(event)
+        seed_lookups.append(lookup)
         expected[0].append(NO_TARGET if lookup.target is None else lookup.target)
         expected[1].append(lookup.hit)
         expected[2].append(lookup.latency)
@@ -98,15 +118,20 @@ def _assert_pass_matches_seed(btb, warmup_fraction, returns_use_ras=True):
     assert results[2] == expected[2]
     assert btb.stats.to_dict() == seed.stats.to_dict()
     assert btb.metrics() == seed.metrics()
-    return seed
+    # The live leg: whole BTBLookup objects, provider labels included.
+    assert live_lookups == seed_lookups
+    assert live.stats.to_dict() == seed.stats.to_dict()
+    assert live.metrics() == seed.metrics()
+    return btb, live, seed
 
 
 @pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
 @pytest.mark.parametrize("variant", sorted(PDEDE_VARIANTS))
 def test_pdede_pass_matches_seed(variant, warmup_fraction):
-    metrics = _assert_pass_matches_seed(
-        _pdede(**PDEDE_VARIANTS[variant]), warmup_fraction
-    ).metrics()
+    _, _, seed = _assert_pass_matches_seed(
+        lambda: _pdede(**PDEDE_VARIANTS[variant]), warmup_fraction
+    )
+    metrics = seed.metrics()
     assert metrics["btb_allocations_total"] > 0
     if PDEDE_VARIANTS[variant].get("delta_encoding", True):
         assert metrics["pdede_delta_hits_total"] > 0
@@ -114,7 +139,8 @@ def test_pdede_pass_matches_seed(variant, warmup_fraction):
 
 def test_small_pdede_exercises_every_counter():
     # The geometry must actually reach the paths the fused hit touches.
-    metrics = _assert_pass_matches_seed(_pdede(), 0.3).metrics()
+    _, _, seed = _assert_pass_matches_seed(_pdede, 0.3)
+    metrics = seed.metrics()
     for key in (
         "pdede_pointer_hits_total",
         "pdede_stale_pointer_reads_total",
@@ -124,25 +150,28 @@ def test_small_pdede_exercises_every_counter():
         "btb_evictions_total",
     ):
         assert metrics[key] > 0, key
-    metrics = _assert_pass_matches_seed(
-        _pdede(mode=PDedeMode.MULTI_TARGET), 0.3
-    ).metrics()
+    _, _, seed = _assert_pass_matches_seed(
+        lambda: _pdede(mode=PDedeMode.MULTI_TARGET), 0.3
+    )
+    metrics = seed.metrics()
     assert metrics["pdede_next_target_provisions_total"] > 0
 
 
 def test_returns_reach_the_pass():
     # With returns in the BTB, every event is active.
-    _assert_pass_matches_seed(_pdede(), 0.3, returns_use_ras=False)
+    _assert_pass_matches_seed(_pdede, 0.3, returns_use_ras=False)
 
 
 @pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
 @pytest.mark.parametrize("replacement", POLICIES)
 @pytest.mark.parametrize("allocate_indirect", [True, False])
 def test_baseline_pass_matches_seed(replacement, allocate_indirect, warmup_fraction):
-    btb = BaselineBTB(
-        entries=256, replacement=replacement, allocate_indirect=allocate_indirect
+    _, _, seed = _assert_pass_matches_seed(
+        lambda: BaselineBTB(
+            entries=256, replacement=replacement, allocate_indirect=allocate_indirect
+        ),
+        warmup_fraction,
     )
-    seed = _assert_pass_matches_seed(btb, warmup_fraction)
     assert seed.metrics()["btb_evictions_total"] > 0
 
 
@@ -157,8 +186,10 @@ def test_baseline_pass_matches_seed(replacement, allocate_indirect, warmup_fract
 )
 def test_twolevel_pass_matches_seed(levels, warmup_fraction):
     build0, build1 = levels
-    btb = TwoLevelBTB(build0(), build1())
-    seed = _assert_pass_matches_seed(btb, warmup_fraction)
-    assert (btb.l0_hits, btb.l1_hits) == (seed.l0_hits, seed.l1_hits)
-    for level, seed_level in ((btb.level0, seed.level0), (btb.level1, seed.level1)):
-        assert level.metrics() == seed_level.metrics()
+    *btbs, seed = _assert_pass_matches_seed(
+        lambda: TwoLevelBTB(build0(), build1()), warmup_fraction
+    )
+    for btb in btbs:
+        assert (btb.l0_hits, btb.l1_hits) == (seed.l0_hits, seed.l1_hits)
+        for level, seed_level in ((btb.level0, seed.level0), (btb.level1, seed.level1)):
+            assert level.metrics() == seed_level.metrics()
