@@ -93,6 +93,7 @@ class ShadowBTB(BranchTargetPredictor):
         self.decode_lines = decode_lines
         self.line_map_entries = line_map_entries
         self.replacement_name = replacement
+        self.srrip_bits = srrip_bits
         self._line_shift = line_bytes.bit_length() - 1
         self._tag_mask = (1 << tag_bits) - 1
         self._sets_pow2 = self.shadow_sets & (self.shadow_sets - 1) == 0

@@ -10,7 +10,9 @@ a verbatim copy of the seed implementations:
   (``_EventView`` allocation per branch, live ICache / direction calls);
 * :class:`SeedPDedeBTB` / :class:`SeedBaselineBTB` /
   :class:`SeedTwoLevelBTB` -- the original list-of-lists storage with
-  O(ways) ``way in self._short_ways`` membership scans.
+  O(ways) ``way in self._short_ways`` membership scans;
+* :class:`SeedShadowBTB` -- the shadow-branch wrapper's per-event
+  ``lookup`` / ``update``, frozen before its fresh-run pass hook.
 
 Shared leaf modules (address hashing, replacement policies, dedup
 tables, ICache, RAS, direction predictors) are imported, not copied:
@@ -68,6 +70,7 @@ from repro.frontend.stats import FrontendStats
 from repro.workloads.trace import Trace
 
 _NO_PTR = -1
+_SHADOW_NO_TAG = -1
 _INSTR_BYTES = 4
 _REFILL_WINDOW = 4
 _OVERLAPPED_MISS_CYCLES = 1.5
@@ -592,18 +595,217 @@ class SeedTwoLevelBTB(BranchTargetPredictor):
         return f"TwoLevel({self.level0.name}+{self.level1.name})"
 
 
+class SeedShadowBTB(BranchTargetPredictor):
+    """Verbatim seed copy of :class:`repro.btb.shadow.ShadowBTB`.
+
+    Args:
+        inner: the main predictor (Baseline, PDede, ...).
+        shadow_entries / shadow_ways: geometry of the shadow table.
+        tag_bits: hashed partial-tag width of the shadow table.
+        line_bytes: fetch-line size the pre-decoder sees (power of two).
+        decode_lines: sequential lines exposed per resolved branch
+            (1 = only the branch's own line).
+        line_map_entries: bound on remembered (line, branch) pairs; the
+            oldest line is forgotten first (the line map stands in for
+            "instruction bytes still in the I-cache").
+    """
+
+    def __init__(
+        self,
+        inner: BranchTargetPredictor,
+        shadow_entries: int = 2048,
+        shadow_ways: int = 4,
+        tag_bits: int = 10,
+        line_bytes: int = 64,
+        decode_lines: int = 2,
+        line_map_entries: int = 4096,
+        replacement: str = "srrip",
+        srrip_bits: int = 3,
+    ) -> None:
+        super().__init__()
+        if shadow_entries <= 0:
+            raise ValueError("shadow_entries must be positive")
+        if shadow_entries % shadow_ways:
+            raise ValueError("shadow_entries must be divisible by shadow_ways")
+        if line_bytes & (line_bytes - 1) or line_bytes <= 0:
+            raise ValueError("line_bytes must be a power of two")
+        if decode_lines < 1:
+            raise ValueError("decode_lines must be at least 1")
+        if line_map_entries < 1:
+            raise ValueError("line_map_entries must be at least 1")
+        self.inner = inner
+        self.shadow_entries = shadow_entries
+        self.shadow_ways = shadow_ways
+        self.shadow_sets = shadow_entries // shadow_ways
+        self.tag_bits = tag_bits
+        self.line_bytes = line_bytes
+        self.decode_lines = decode_lines
+        self.line_map_entries = line_map_entries
+        self.replacement_name = replacement
+        self.srrip_bits = srrip_bits
+        self._line_shift = line_bytes.bit_length() - 1
+        self._tag_mask = (1 << tag_bits) - 1
+        self._sets_pow2 = self.shadow_sets & (self.shadow_sets - 1) == 0
+        repl_kwargs = {"m": srrip_bits} if replacement == "srrip" else {}
+        self._policies = [
+            make_replacement_policy(replacement, shadow_ways, **repl_kwargs)
+            for _ in range(self.shadow_sets)
+        ]
+        size = self.shadow_sets * shadow_ways
+        self._valid = [False] * size
+        self._tags = [_SHADOW_NO_TAG] * size
+        self._targets = [0] * size
+        #: line number -> {pc: target} for direct branches seen in that
+        #: line.  Insertion-ordered; the oldest line is evicted when the
+        #: total pair count exceeds ``line_map_entries``.
+        self._line_map: dict[int, dict[int, int]] = {}
+        self._line_map_size = 0
+        self.shadow_hits = 0
+        self.shadow_fills = 0
+        self.exposures = 0
+
+    # -- address mapping -----------------------------------------------------
+
+    def _slot(self, pc: int) -> tuple[int, int]:
+        hashed = hash_pc(pc)
+        index = hashed & (self.shadow_sets - 1) if self._sets_pow2 else hashed % self.shadow_sets
+        return index, (hashed >> 40) & self._tag_mask
+
+    def _find_way(self, index: int, tag: int) -> int | None:
+        base = index * self.shadow_ways
+        try:
+            return self._tags.index(tag, base, base + self.shadow_ways) - base
+        except ValueError:
+            return None
+
+    # -- BranchTargetPredictor API -------------------------------------------
+
+    def lookup(self, pc: int) -> BTBLookup:
+        result = self.inner.lookup(pc)
+        if result.hit:
+            return result
+        index, tag = self._slot(pc)
+        way = self._find_way(index, tag)
+        if way is None:
+            return result
+        self.shadow_hits += 1
+        self._policies[index].on_hit(way)
+        return BTBLookup(
+            hit=True,
+            target=self._targets[index * self.shadow_ways + way],
+            latency=result.latency,
+            provider="shadow",
+        )
+
+    def update(self, event: BranchEvent) -> None:
+        self.stats.updates += 1
+        self.inner.update(event)
+        if event.kind.is_direct and event.taken:
+            self._remember(event.pc, event.target)
+            # A branch the inner BTB now knows about needs no shadow
+            # entry; keep the shadow copy coherent if one exists.
+            self._shadow_refresh(event.pc, event.target)
+        self._expose(event.pc)
+
+    # -- shadow machinery ----------------------------------------------------
+
+    def _remember(self, pc: int, target: int) -> None:
+        line = pc >> self._line_shift
+        branches = self._line_map.get(line)
+        if branches is None:
+            branches = {}
+            self._line_map[line] = branches
+        if pc not in branches:
+            self._line_map_size += 1
+        branches[pc] = target
+        while self._line_map_size > self.line_map_entries:
+            oldest = next(iter(self._line_map))
+            self._line_map_size -= len(self._line_map.pop(oldest))
+
+    def _expose(self, pc: int) -> None:
+        """Pre-decode the fetched lines: install remembered shadow
+        branches (any line branch other than ``pc`` itself)."""
+        line = pc >> self._line_shift
+        for ahead in range(self.decode_lines):
+            branches = self._line_map.get(line + ahead)
+            if not branches:
+                continue
+            for shadow_pc in branches:
+                if shadow_pc == pc:
+                    continue
+                self.exposures += 1
+                self._shadow_install(shadow_pc, branches[shadow_pc])
+
+    def _shadow_install(self, pc: int, target: int) -> None:
+        index, tag = self._slot(pc)
+        way = self._find_way(index, tag)
+        if way is not None:
+            self._targets[index * self.shadow_ways + way] = target
+            return
+        policy = self._policies[index]
+        base = index * self.shadow_ways
+        way = policy.victim(self._valid[base:base + self.shadow_ways])
+        slot = base + way
+        if self._valid[slot]:
+            self.stats.evictions += 1
+        self._valid[slot] = True
+        self._tags[slot] = tag
+        self._targets[slot] = target
+        policy.on_insert(way)
+        self.shadow_fills += 1
+        self.stats.allocations += 1
+
+    def _shadow_refresh(self, pc: int, target: int) -> None:
+        index, tag = self._slot(pc)
+        way = self._find_way(index, tag)
+        if way is not None:
+            self._targets[index * self.shadow_ways + way] = target
+
+    # -- storage and introspection -------------------------------------------
+
+    def storage_bits(self) -> int:
+        # The line map models bytes already present in the I-cache (the
+        # paper's point: shadow decode reuses fetched lines), so only the
+        # shadow table itself is charged.
+        per_entry = (
+            self.tag_bits
+            + ADDRESS_BITS
+            + self._policies[0].metadata_bits_per_entry()
+        )
+        return self.inner.storage_bits() + self.shadow_entries * per_entry
+
+    def occupancy(self) -> int:
+        """Valid shadow-table entries (inner occupancy not included)."""
+        return sum(self._valid)
+
+    def metrics(self) -> dict:
+        data = super().metrics()
+        data["btb_shadow_hits_total"] = self.shadow_hits
+        data["btb_shadow_fills_total"] = self.shadow_fills
+        data["btb_shadow_exposures_total"] = self.exposures
+        data["btb_shadow_entries"] = self.shadow_entries
+        return data
+
+    @property
+    def name(self) -> str:
+        return f"Shadow({self.inner.name})"
+
+
 def seed_counterpart(btb: BranchTargetPredictor) -> BranchTargetPredictor:
     """Map a freshly-built live BTB onto its frozen seed equivalent.
 
-    The optimization pass rewrote PDede / baseline / two-level storage;
-    those map onto the ``Seed*`` copies above.  Every other design's
-    model code is untouched by the pass, so the instance itself (fresh
-    from ``Design.build()``) already *is* the seed behaviour and passes
-    through unchanged.  The match is on exact types: a subclass such as
-    ``GhrpBTB`` overrides the behaviour it inherits, so mapping it onto
-    a plain seed copy would drop exactly what it adds.
+    The optimization pass rewrote PDede / baseline / two-level storage
+    and gave the shadow wrapper a fresh-run pass; those map onto the
+    ``Seed*`` copies above, a wrapper over the counterpart of its inner
+    BTB.  Every other design's model code is untouched by the pass, so
+    the instance itself (fresh from ``Design.build()``) already *is* the
+    seed behaviour and passes through unchanged.  The match is on exact
+    types: a subclass such as ``GhrpBTB`` overrides the behaviour it
+    inherits, so mapping it onto a plain seed copy would drop exactly
+    what it adds.
     """
     from repro.btb.baseline import BaselineBTB
+    from repro.btb.shadow import ShadowBTB
     from repro.btb.twolevel import TwoLevelBTB
     from repro.core.pdede import PDedeBTB
 
@@ -627,6 +829,18 @@ def seed_counterpart(btb: BranchTargetPredictor) -> BranchTargetPredictor:
             seed_counterpart(btb.level0),
             seed_counterpart(btb.level1),
             l1_extra_latency=btb.l1_extra_latency,
+        )
+    if type(btb) is ShadowBTB:
+        return SeedShadowBTB(
+            seed_counterpart(btb.inner),
+            shadow_entries=btb.shadow_entries,
+            shadow_ways=btb.shadow_ways,
+            tag_bits=btb.tag_bits,
+            line_bytes=btb.line_bytes,
+            decode_lines=btb.decode_lines,
+            line_map_entries=btb.line_map_entries,
+            replacement=btb.replacement_name,
+            srrip_bits=btb.srrip_bits,
         )
     return btb
 

@@ -26,7 +26,12 @@ from repro.experiments.designs import (
     with_perfect_direction,
     with_returns_in_btb,
 )
-from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
+from repro.frontend.seedref import (
+    SeedFrontendSimulator,
+    SeedPDedeBTB,
+    SeedShadowBTB,
+    seed_counterpart,
+)
 from repro.frontend.simulator import FrontendSimulator
 from repro.serve.protocol import stats_payload
 from repro.workloads.suite import get_trace
@@ -359,6 +364,14 @@ def _literature_designs():
         "shadow-baseline": shadow_design("baseline"),
         "shadow-pdede": shadow_design("pdede"),
     }
+
+
+def test_shadow_referee_wraps_a_frozen_inner_btb():
+    # The shadow wrapper has a frozen copy of its own, over the frozen
+    # copy of its inner BTB, so its seed runs none of the code under test.
+    seed = seed_counterpart(shadow_design("pdede").build()[0])
+    assert type(seed) is SeedShadowBTB
+    assert type(seed.inner) is SeedPDedeBTB
 
 
 @pytest.mark.parametrize("key", sorted(_literature_designs()))

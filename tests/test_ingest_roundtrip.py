@@ -334,7 +334,8 @@ def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     assert simulator.last_engine == "vector"
 
     seed_btb, seed_kwargs = design.build()
-    seed = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs)
+    seed_btb = seed_counterpart(seed_btb)
+    seed = SeedFrontendSimulator(seed_btb, **seed_kwargs)
     reference = seed.run(trace, warmup_fraction=0.3)
 
     assert stats_payload(live) == stats_payload(reference)
