@@ -17,7 +17,6 @@ from repro.branch.address import (
     page_number,
     page_offset,
     region_id,
-    same_page,
 )
 from repro.branch.types import BranchKind
 from repro.workloads.trace import Trace

@@ -134,6 +134,18 @@ class BranchTargetPredictor(abc.ABC):
         """Total SRAM bits of the design (tags + data + metadata)."""
 
     @property
+    def has_pass_hook(self) -> bool:
+        """Whether ``observe_fast(columns, start, stop, results)`` is this
+        BTB's fresh-run pass: exactly :meth:`lookup` then :meth:`update`
+        per active event.
+
+        Each class declares its own; without one the fresh-run engine
+        calls ``lookup`` and ``update`` itself.  A class that inherits a
+        hook but overrides ``lookup`` or ``update`` must not declare it.
+        """
+        return False
+
+    @property
     def name(self) -> str:
         return type(self).__name__
 

@@ -174,13 +174,20 @@ class BaselineBTB(BranchTargetPredictor):
 
     # -- the fresh-run engine's inlined BTB pass -----------------------------
 
+    @property
+    def has_pass_hook(self) -> bool:
+        # A subclass that overrides lookup or update (GhrpBTB) changes
+        # what the pass must do, so it inherits no hook.
+        cls = type(self)
+        return cls.lookup is BaselineBTB.lookup and cls.update is BaselineBTB.update
+
     def observe_fast(self, columns, start: int, stop: int, results) -> None:
         """The fresh-run engine's BTB pass over active events ``start:stop``.
 
         ``columns`` are the active events' ``(pcs, targets, takens,
-        is_indirect, hashes, same_page)`` lists; each event's lookup
-        ``(target, hit, latency)`` is appended to the three ``results``
-        lists, with :data:`NO_TARGET` for no target.  Exactly
+        is_indirect, hashes, same_page, is_direct)`` lists; each event's
+        lookup ``(target, hit, latency)`` is appended to the three
+        ``results`` lists, with :data:`NO_TARGET` for no target.  Exactly
         :meth:`lookup` then :meth:`update` per event, in one frame: lookup
         mutates only replacement state, which cannot change the tag
         match, so one match serves both halves, and the update's
@@ -188,7 +195,7 @@ class BaselineBTB(BranchTargetPredictor):
         policy tells two back-to-back ``on_hit`` calls from one).  The
         sanitizer hook is omitted, as in :meth:`update_fast`.
         """
-        _, targets, takens, is_indirect, hashes, _ = columns
+        _, targets, takens, is_indirect, hashes, _, _ = columns
         lookup_targets, lookup_hits, latencies = results
         out_target, out_hit = lookup_targets.append, lookup_hits.append
         skip_indirect = not self.allocate_indirect

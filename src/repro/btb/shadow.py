@@ -27,15 +27,22 @@ The model layers over any inner predictor (Baseline or PDede here):
 Only direct branches participate: indirect targets and returns are not
 recoverable from instruction bytes.
 
-Engine support: both engines.  The class has no ``observe_fast`` pass
-hook -- the shortcuts that hook takes for Baseline and PDede (one tag
-match, one target reconstruction per hit) do not cover fetch-line
-adjacency, which is the whole mechanism -- so the fresh-run engine's BTB
-pass runs it through the shared module-level loop, which calls
-``lookup`` then ``update`` per event, exactly as the live loop does.
+Engine support: both engines.  The live structure pass calls
+``lookup`` then ``update`` per event.  The wrapper never writes its inner
+BTB, so the inner sees exactly the calls it would see alone, and the
+shadow table depends only on the events and the inner's hit bits.  The
+fresh-run engine's BTB pass therefore runs in two steps when the inner
+BTB declares a pass hook: the inner's own ``observe_fast`` over the
+active events, then one walk that probes the shadow table where the
+inner missed and remembers, refreshes and exposes as ``update`` does.
+Both paths share the probe and the line-map helpers.  Over an inner BTB
+without a hook (``GhrpBTB``, ``MicroBTB``) the wrapper declares none
+either, and the pass calls ``lookup`` then ``update``.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from repro.branch.address import ADDRESS_BITS, hash_pc
 from repro.branch.types import BranchEvent
@@ -106,10 +113,11 @@ class ShadowBTB(BranchTargetPredictor):
         self._valid = [False] * size
         self._tags = [_NO_TAG] * size
         self._targets = [0] * size
-        #: line number -> {pc: target} for direct branches seen in that
-        #: line.  Insertion-ordered; the oldest line is evicted when the
-        #: total pair count exceeds ``line_map_entries``.
-        self._line_map: dict[int, dict[int, int]] = {}
+        #: line number -> {pc: (target, hash_pc(pc))} for direct branches
+        #: seen in that line (the hash saves re-hashing on every exposure).
+        #: Insertion-ordered; the oldest line is evicted when the total
+        #: pair count exceeds ``line_map_entries``.
+        self._line_map: dict[int, dict[int, tuple[int, int]]] = {}
         self._line_map_size = 0
         self.shadow_hits = 0
         self.shadow_fills = 0
@@ -117,8 +125,8 @@ class ShadowBTB(BranchTargetPredictor):
 
     # -- address mapping -----------------------------------------------------
 
-    def _slot(self, pc: int) -> tuple[int, int]:
-        hashed = hash_pc(pc)
+    def _slot(self, hashed: int) -> tuple[int, int]:
+        """(set index, tag) of the branch whose ``hash_pc`` is ``hashed``."""
         index = hashed & (self.shadow_sets - 1) if self._sets_pow2 else hashed % self.shadow_sets
         return index, (hashed >> 40) & self._tag_mask
 
@@ -135,33 +143,78 @@ class ShadowBTB(BranchTargetPredictor):
         result = self.inner.lookup(pc)
         if result.hit:
             return result
-        index, tag = self._slot(pc)
-        way = self._find_way(index, tag)
-        if way is None:
+        target = self._probe(hash_pc(pc))
+        if target is None:
             return result
-        self.shadow_hits += 1
-        self._policies[index].on_hit(way)
-        return BTBLookup(
-            hit=True,
-            target=self._targets[index * self.shadow_ways + way],
-            latency=result.latency,
-            provider="shadow",
-        )
+        return BTBLookup(hit=True, target=target, latency=result.latency, provider="shadow")
 
     def update(self, event: BranchEvent) -> None:
         self.stats.updates += 1
         sanitizer_step(self)
         self.inner.update(event)
         if event.kind.is_direct and event.taken:
-            self._remember(event.pc, event.target)
+            hashed = hash_pc(event.pc)
+            self._remember(event.pc, event.target, hashed)
             # A branch the inner BTB now knows about needs no shadow
             # entry; keep the shadow copy coherent if one exists.
-            self._shadow_refresh(event.pc, event.target)
+            self._shadow_refresh(hashed, event.target)
         self._expose(event.pc)
+
+    # -- the fresh-run engine's BTB pass --------------------------------------
+
+    @property
+    def has_pass_hook(self) -> bool:
+        return self.inner.has_pass_hook
+
+    def observe_fast(self, columns, start: int, stop: int, results) -> None:
+        """The fresh-run engine's BTB pass over active events ``start:stop``.
+
+        Same contract as ``PDedeBTB.observe_fast``.  The wrapper never
+        writes its inner BTB, so the inner sees the calls it would see
+        alone and runs them as its own pass first; the shadow table
+        depends only on the events and the inner's hit bits, so one walk
+        then replays :meth:`lookup`'s fallback probe and :meth:`update`'s
+        shadow half per event, in trace order.  The sanitizer hook is
+        omitted, as in the inner's pass.
+        """
+        inner_targets, inner_hits, latencies = inner_results = ([], [], [])
+        # Reached only when the inner BTB declares a hook (has_pass_hook).
+        inner: Any = self.inner
+        inner.observe_fast(columns, start, stop, inner_results)
+        pcs, targets, takens, _, hashes, _, is_direct = columns
+        out_target, out_hit = results[0].append, results[1].append
+        probe, remember = self._probe, self._remember
+        refresh, expose = self._shadow_refresh, self._expose
+        for i, predicted, hit in zip(range(start, stop), inner_targets, inner_hits):
+            hashed = hashes[i]
+            if not hit:
+                shadow_target = probe(hashed)
+                if shadow_target is not None:
+                    predicted, hit = shadow_target, True
+            out_target(predicted)
+            out_hit(hit)
+            pc = pcs[i]
+            if takens[i] and is_direct[i]:
+                target = targets[i]
+                remember(pc, target, hashed)
+                refresh(hashed, target)
+            expose(pc)
+        results[2].extend(latencies)
+        self.stats.updates += stop - start
 
     # -- shadow machinery ----------------------------------------------------
 
-    def _remember(self, pc: int, target: int) -> None:
+    def _probe(self, hashed: int) -> int | None:
+        """The shadow table's target for a branch the inner BTB missed."""
+        index, tag = self._slot(hashed)
+        way = self._find_way(index, tag)
+        if way is None:
+            return None
+        self.shadow_hits += 1
+        self._policies[index].on_hit(way)
+        return self._targets[index * self.shadow_ways + way]
+
+    def _remember(self, pc: int, target: int, hashed: int) -> None:
         line = pc >> self._line_shift
         branches = self._line_map.get(line)
         if branches is None:
@@ -169,7 +222,7 @@ class ShadowBTB(BranchTargetPredictor):
             self._line_map[line] = branches
         if pc not in branches:
             self._line_map_size += 1
-        branches[pc] = target
+        branches[pc] = (target, hashed)
         while self._line_map_size > self.line_map_entries:
             oldest = next(iter(self._line_map))
             self._line_map_size -= len(self._line_map.pop(oldest))
@@ -182,14 +235,14 @@ class ShadowBTB(BranchTargetPredictor):
             branches = self._line_map.get(line + ahead)
             if not branches:
                 continue
-            for shadow_pc in branches:
+            for shadow_pc, (target, hashed) in branches.items():
                 if shadow_pc == pc:
                     continue
                 self.exposures += 1
-                self._shadow_install(shadow_pc, branches[shadow_pc])
+                self._shadow_install(hashed, target)
 
-    def _shadow_install(self, pc: int, target: int) -> None:
-        index, tag = self._slot(pc)
+    def _shadow_install(self, hashed: int, target: int) -> None:
+        index, tag = self._slot(hashed)
         way = self._find_way(index, tag)
         if way is not None:
             self._targets[index * self.shadow_ways + way] = target
@@ -207,8 +260,8 @@ class ShadowBTB(BranchTargetPredictor):
         self.shadow_fills += 1
         self.stats.allocations += 1
 
-    def _shadow_refresh(self, pc: int, target: int) -> None:
-        index, tag = self._slot(pc)
+    def _shadow_refresh(self, hashed: int, target: int) -> None:
+        index, tag = self._slot(hashed)
         way = self._find_way(index, tag)
         if way is not None:
             self._targets[index * self.shadow_ways + way] = target

@@ -23,7 +23,7 @@ Modelled properties (the ones the paper says cap Shotgun's gains):
 from __future__ import annotations
 
 from repro.branch.address import hash_pc, page_base, page_offset, same_page
-from repro.branch.types import BranchEvent, BranchKind
+from repro.branch.types import BranchEvent
 from repro.btb.base import BTBLookup, BranchTargetPredictor
 from repro.btb.baseline import BaselineBTB
 from repro.btb.replacement import make_replacement_policy

@@ -75,19 +75,28 @@ class TwoLevelBTB(BranchTargetPredictor):
 
     # -- scalar hooks used by the fresh-run engine's BTB pass ----------------
 
+    @property
+    def has_pass_hook(self) -> bool:
+        # The hook composes each level's lookup_fast / update_fast, which
+        # equal its lookup / update wherever the level declares a hook.
+        return all(
+            level.has_pass_hook and hasattr(level, "lookup_fast")
+            for level in (self.level0, self.level1)
+        )
+
     def observe_fast(self, columns, start: int, stop: int, results) -> None:
         """The fresh-run engine's BTB pass over active events ``start:stop``.
 
         Same contract as ``PDedeBTB.observe_fast``: ``columns`` are the
         active events' ``(pcs, targets, takens, is_indirect, hashes,
-        same_page)`` lists, and each lookup's ``(target, hit, latency)``
-        is appended to the three ``results`` lists.  The hierarchy cannot
+        same_page, is_direct)`` lists, and each lookup's ``(target, hit,
+        latency)`` is appended to the three ``results`` lists.  The hierarchy cannot
         share one tag match across lookup and update (the L1 is only
         *looked up* on an L0 miss but always *updated*), so each event
         composes the levels' ``lookup_fast`` / ``update_fast`` in the
         seed call order.
         """
-        pcs, targets, takens, is_indirect, hashes, same_page = columns
+        pcs, targets, takens, is_indirect, hashes, same_page, _ = columns
         out_target, out_hit, out_latency = (column.append for column in results)
         lookup0, update0 = self.level0.lookup_fast, self.level0.update_fast
         lookup1, update1 = self.level1.lookup_fast, self.level1.update_fast

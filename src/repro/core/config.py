@@ -9,7 +9,7 @@ with the 37.5 KiB baseline BTB.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.branch.address import OFFSET_BITS, PAGE_IN_REGION_BITS, REGION_BITS
 

@@ -380,13 +380,19 @@ class PDedeBTB(BranchTargetPredictor):
 
     # -- the fresh-run engine's inlined BTB pass ------------------------------------
 
+    @property
+    def has_pass_hook(self) -> bool:
+        # A subclass that overrides lookup or update inherits no hook.
+        cls = type(self)
+        return cls.lookup is PDedeBTB.lookup and cls.update is PDedeBTB.update
+
     def observe_fast(self, columns, start: int, stop: int, results) -> None:
         """The fresh-run engine's BTB pass over active events ``start:stop``.
 
         ``columns`` are the active events' ``(pcs, targets, takens,
-        is_indirect, hashes, same_page)`` lists; each event's lookup
-        ``(target, hit, latency)`` is appended to the three ``results``
-        lists, with :data:`NO_TARGET` for no target.  The state evolution
+        is_indirect, hashes, same_page, is_direct)`` lists; each event's
+        lookup ``(target, hit, latency)`` is appended to the three
+        ``results`` lists, with :data:`NO_TARGET` for no target.  The state evolution
         is exactly :meth:`lookup` then :meth:`update` per event, in one
         frame, with two shortcuts:
 
@@ -407,7 +413,7 @@ class PDedeBTB(BranchTargetPredictor):
         boundary.  The sanitizer hook is omitted, as in
         :meth:`update_fast`.
         """
-        pcs, targets, takens, is_indirect, hashes, same_page_col = columns
+        pcs, targets, takens, is_indirect, hashes, same_page_col, _ = columns
         out_target, out_hit, out_latency = (column.append for column in results)
         cfg = self.config
         multi_target = cfg.mode is PDedeMode.MULTI_TARGET

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import PDedeMode
-from repro.experiments.designs import baseline_design, pdede_design, standard_designs
+from repro.experiments.designs import baseline_design, standard_designs
 from repro.experiments.harness import SuiteResult, format_table, percent, run_suite
 from repro.frontend.params import CoreParams, ICELAKE
 

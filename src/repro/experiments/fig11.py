@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.core.config import PDedeMode, paper_config
 from repro.experiments.designs import (
-    Design,
     baseline_design,
     dedup_only_design,
     partition_only_design,

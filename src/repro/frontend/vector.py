@@ -19,15 +19,19 @@ run from the trace and the decoded numpy columns, and collects each
 lookup's ``(target, hit, latency)`` into three lists.  The loop is
 called twice, once on each side of the warm crossing, with the stats
 reset in between, so the reset lands between the last warm-up event and
-the first measured one.  The exact types with a pass hook
-(:class:`BaselineBTB`, :class:`PDedeBTB`, and a :class:`TwoLevelBTB` of
-those) run it as their own ``observe_fast(columns, start, stop,
-results)``: one Python frame with the structure's lists bound to
-locals, one tag match shared by lookup and update, and -- for PDede --
-one target reconstruction per hit, because the update retrains the very
-entry the lookup just read.  Every other BTB runs it through
-:func:`_lookup_update_pass`, which calls ``lookup`` then ``update`` per
-event, as the live pass does.
+the first measured one.  Each BTB class declares whether its own
+``observe_fast(columns, start, stop, results)`` is exactly ``lookup``
+then ``update`` (``has_pass_hook``), and a BTB that does runs the pass
+itself.  ``BaselineBTB`` and ``PDedeBTB`` declare one unless a subclass
+overrides ``lookup`` or ``update``: one Python frame with the
+structure's lists bound to locals, one tag match shared by lookup and
+update, and -- for PDede -- one target reconstruction per hit, because
+the update retrains the very entry the lookup just read.  The wrappers
+delegate: ``TwoLevelBTB`` composes its levels' per-event pair when both
+levels declare a hook, and ``ShadowBTB``, which never writes its inner
+BTB, runs the inner's hook and then one walk over its shadow table.
+Every other BTB runs the pass through :func:`_lookup_update_pass`,
+which calls ``lookup`` then ``update`` per event, as the live pass does.
 
 **Phase 2 -- timing.**  Branch-resolution outcomes (direction, RAS, BTB
 miss, penalty kind, lookup bubbles) are pure element-wise functions of
@@ -54,9 +58,6 @@ import numpy as np
 
 from repro.branch.types import BranchKind
 from repro.btb.base import NO_TARGET
-from repro.btb.baseline import BaselineBTB
-from repro.btb.twolevel import TwoLevelBTB
-from repro.core.pdede import PDedeBTB
 from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
 
@@ -71,9 +72,6 @@ _REFILL_WINDOW = 4
 
 #: Residual cost of an ICache miss that FDIP prefetching overlapped.
 _OVERLAPPED_MISS_CYCLES = 1.5
-
-#: BTB types whose own ``observe_fast`` is one exact lookup + update pass.
-_FAST_TYPES = (BaselineBTB, PDedeBTB)
 
 
 class _EventView:
@@ -93,20 +91,8 @@ class _EventView:
         return self.pc + 4
 
 
-def _has_fast_observe(btb) -> bool:
-    """Whether ``btb.observe_fast`` equals its ``lookup`` + ``update``.
-
-    Exact types only: a subclass may inherit ``observe_fast`` yet
-    override ``lookup`` or ``update`` (``GhrpBTB`` overrides both), so
-    it takes the two calls.
-    """
-    if type(btb) is TwoLevelBTB:
-        return type(btb.level0) in _FAST_TYPES and type(btb.level1) in _FAST_TYPES
-    return type(btb) in _FAST_TYPES
-
-
 def _lookup_update_pass(btb, columns, start, stop, results):
-    """The BTB pass of a BTB without an ``observe_fast`` hook.
+    """The BTB pass of a BTB that declares no pass hook.
 
     Same contract as the hook, over the active events' ``(pcs, kinds,
     takens, targets, gaps)`` lists: ``lookup`` then ``update`` per
@@ -130,7 +116,10 @@ def _btb_pass(btb, trace, decoded, act):
     ``act``): ``observe(columns, start, stop, results)`` makes the BTB
     calls of active events ``start:stop``.
 
-    The columns are built for this run from the trace's lists and the
+    A BTB that declares a pass hook runs it through the instance's
+    ``observe_fast`` attribute, over the active events' ``(pcs, targets,
+    takens, is_indirect, hashes, same_page, is_direct)`` lists.  The
+    columns are built for this run from the trace's lists and the
     decoded numpy columns, and dropped with it.
     """
     selectors = act.tolist()
@@ -138,13 +127,16 @@ def _btb_pass(btb, trace, decoded, act):
     def active(column):
         return list(compress(column, selectors))
 
-    if _has_fast_observe(btb):
+    if btb.has_pass_hook:
         vector = decoded.vector_columns()
         columns = (
             active(trace.pcs),
             active(trace.targets),
             active(trace.takens),
-            *(vector[name][act].tolist() for name in ("is_indirect", "hashes", "same_page")),
+            *(
+                vector[name][act].tolist()
+                for name in ("is_indirect", "hashes", "same_page", "is_direct")
+            ),
         )
         return btb.observe_fast, columns
     return partial(_lookup_update_pass, btb), [

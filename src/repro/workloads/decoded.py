@@ -63,6 +63,7 @@ _KIND_RETURN = int(BranchKind.RETURN)
 _ALL_KINDS = [BranchKind(value) for value in range(len(BranchKind))]
 _IS_CALL_BY_KIND = np.array([kind.is_call for kind in _ALL_KINDS], dtype=np.bool_)
 _IS_INDIRECT_BY_KIND = np.array([kind.is_indirect for kind in _ALL_KINDS], dtype=np.bool_)
+_IS_DIRECT_BY_KIND = np.array([kind.is_direct for kind in _ALL_KINDS], dtype=np.bool_)
 
 _PAGE_SHIFT = np.uint64(12)
 
@@ -118,8 +119,8 @@ class DecodedTrace:
         ``targets`` (signed ``int64``; addresses are 57-bit, so the
         conversion is lossless), ``kinds``, ``taken``, block
         ``instructions``, the ``hashes`` of every branch PC, the
-        ``same_page`` bit and the ``is_indirect`` / ``is_return`` kind
-        properties; every array is the full trace length.
+        ``same_page`` bit and the ``is_indirect`` / ``is_direct`` /
+        ``is_return`` kind properties; every array is the full trace length.
         """
         cached = self._vector
         if cached is None:
@@ -134,6 +135,7 @@ class DecodedTrace:
                 "hashes": hashes,
                 "same_page": (pcs >> _PAGE_SHIFT) == (targets >> _PAGE_SHIFT),
                 "is_indirect": _IS_INDIRECT_BY_KIND[kinds],
+                "is_direct": _IS_DIRECT_BY_KIND[kinds],
                 "is_return": kinds == np.uint8(_KIND_RETURN),
             }
             self._vector = cached

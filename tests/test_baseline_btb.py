@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.branch.types import BranchEvent, BranchKind
+from repro.branch.types import BranchKind
 from repro.btb.baseline import BaselineBTB
 
 from conftest import make_event, synthetic_branch_set

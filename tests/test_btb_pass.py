@@ -14,6 +14,10 @@ Every case also drives a second live BTB the way wrapper designs do,
 ``lookup(pc)`` then ``update(event)`` per event: those methods are
 adapters over ``lookup_fast`` / ``update_fast``, so this leg holds the
 adapters, the shared algorithm and its provider labels to the seed.
+
+The shadow-branch wrapper's pass runs its inner BTB's hook first and
+then walks its shadow table; its cases hold both the wrapper's and the
+inner's counters to the frozen ``SeedShadowBTB`` over a seed inner.
 """
 
 from __future__ import annotations
@@ -22,13 +26,17 @@ from itertools import compress
 
 import pytest
 
+from repro.branch.types import BranchKind
 from repro.btb.base import NO_TARGET
 from repro.btb.baseline import BaselineBTB
+from repro.btb.shadow import ShadowBTB
 from repro.btb.twolevel import TwoLevelBTB
 from repro.core.config import PDedeConfig, PDedeMode
 from repro.core.pdede import PDedeBTB
 from repro.frontend.seedref import seed_counterpart
 from repro.workloads.suite import get_trace
+
+from conftest import make_trace
 
 #: Small enough that the tiny trace evicts from the BTBM and both dedup
 #: tables (its different-page targets span three regions), so stale pointers,
@@ -68,6 +76,7 @@ def _columns(trace, decoded, returns_use_ras=True):
         vector["is_indirect"].tolist(),
         vector["hashes"].tolist(),
         vector["same_page"].tolist(),
+        vector["is_direct"].tolist(),
     ]
     events = list(trace.branch_events())
     if returns_use_ras:
@@ -77,14 +86,15 @@ def _columns(trace, decoded, returns_use_ras=True):
     return columns, events
 
 
-def _assert_pass_matches_seed(build, warmup_fraction, returns_use_ras=True):
-    """Hold both paths of fresh ``build()`` BTBs to the seed.
+def _assert_pass_matches_seed(build, warmup_fraction, returns_use_ras=True, trace=None):
+    """Hold both paths of fresh ``build()`` BTBs to the seed, over the
+    tiny ``server_oltp_00`` trace unless ``trace`` is given.
 
     Returns ``(pass_btb, live_btb, seed)``: the BTB driven by
     ``observe_fast``, the one driven by ``lookup`` then ``update``, and
     the seed referee.
     """
-    trace = get_trace("server_oltp_00", "tiny")
+    trace = trace or get_trace("server_oltp_00", "tiny")
     decoded = trace.decoded()
     columns, events = _columns(trace, decoded, returns_use_ras)
     n_warm = int(len(events) * warmup_fraction)
@@ -193,3 +203,96 @@ def test_twolevel_pass_matches_seed(levels, warmup_fraction):
         assert (btb.l0_hits, btb.l1_hits) == (seed.l0_hits, seed.l1_hits)
         for level, seed_level in ((btb.level0, seed.level0), (btb.level1, seed.level1)):
             assert level.metrics() == seed_level.metrics()
+
+
+# -- the shadow-branch wrapper over the inner BTB's own pass --------------------
+
+SHADOW_INNERS = {
+    "baseline": lambda: BaselineBTB(entries=256),
+    "pdede": _pdede,
+    "pdede-multi-target": lambda: _pdede(mode=PDedeMode.MULTI_TARGET),
+    "pdede-multi-entry": lambda: _pdede(mode=PDedeMode.MULTI_ENTRY),
+}
+
+#: Shadow geometries that force, in turn: shadow-table evictions, line-map
+#: forgetting, a decode window of only the branch's own line, and one
+#: of three lines.
+SHADOW_GEOMETRIES = {
+    "evicting": dict(shadow_entries=64, shadow_ways=4),
+    "forgetful": dict(line_map_entries=32),
+    "decode-1": dict(decode_lines=1),
+    "decode-3": dict(decode_lines=3, shadow_entries=256),
+}
+
+
+def _remembered(btb):
+    """The line map in its forgetting order, as the seed keeps it:
+    ``(line, [(pc, target), ...])`` pairs."""
+    return [
+        (line, [(pc, target) for pc, (target, _) in branches.items()])
+        for line, branches in btb._line_map.items()
+    ]
+
+
+def _assert_shadow_pass_matches_seed(inner, geometry, warmup_fraction, returns_use_ras=True):
+    *btbs, seed = _assert_pass_matches_seed(
+        lambda: ShadowBTB(SHADOW_INNERS[inner](), **SHADOW_GEOMETRIES[geometry]),
+        warmup_fraction,
+        returns_use_ras,
+    )
+    for btb in btbs:
+        assert btb.inner.stats.to_dict() == seed.inner.stats.to_dict()
+        assert btb.inner.metrics() == seed.inner.metrics()
+        assert _remembered(btb) == [
+            (line, list(branches.items())) for line, branches in seed._line_map.items()
+        ]
+    # The wrapper's own machinery did its work, not only the inner's.
+    assert seed.shadow_hits > 0
+    assert seed.exposures > 0
+    return seed
+
+
+@pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("geometry", sorted(SHADOW_GEOMETRIES))
+@pytest.mark.parametrize("inner", sorted(SHADOW_INNERS))
+def test_shadow_pass_matches_seed(inner, geometry, warmup_fraction):
+    seed = _assert_shadow_pass_matches_seed(inner, geometry, warmup_fraction)
+    if geometry == "evicting":
+        assert seed.stats.evictions > 0
+    if geometry == "forgetful":
+        # More distinct direct branches resolved taken than the map holds.
+        trace = get_trace("server_oltp_00", "tiny")
+        remembered = {
+            event.pc for event in trace.branch_events()
+            if event.taken and event.kind.is_direct
+        }
+        assert len(remembered) > seed.line_map_entries
+        assert seed._line_map_size <= seed.line_map_entries
+
+
+@pytest.mark.parametrize("inner", sorted(SHADOW_INNERS))
+def test_shadow_pass_with_returns_in_the_btb(inner):
+    # Returns are active but not direct: they expose their line and are
+    # never remembered.
+    _assert_shadow_pass_matches_seed(inner, "evicting", 0.3, returns_use_ras=False)
+
+
+def test_shadow_pass_refreshes_a_retargeted_branch():
+    # A suite trace never retargets a direct branch, so only a hand-made
+    # one shows whether the pass keeps a shadow copy coherent.
+    line = 0x7F00_0000_1000
+    first, neighbour, far = line, line + 0x20, line + 0x10_0000
+    jump = BranchKind.UNCOND_DIRECT
+    trace = make_trace([
+        (first, jump, True, first + 0x400, 4),
+        (neighbour, jump, True, neighbour + 0x400, 4),  # exposes ``first``
+        (first, jump, True, first + 0x800, 4),  # retargeted: refresh its copy
+        (far, jump, True, far + 0x400, 4),  # evicts it from the 1-entry inner
+        (first, jump, True, first + 0x800, 4),  # the shadow copy answers
+    ])
+    btb, *_ = _assert_pass_matches_seed(
+        lambda: ShadowBTB(BaselineBTB(entries=1, ways=1), shadow_entries=64),
+        0.0,
+        trace=trace,
+    )
+    assert btb.shadow_hits == 2

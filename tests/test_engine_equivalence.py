@@ -349,10 +349,11 @@ def test_fuzz_sweep_is_deterministic():
 
 # -- literature families on the fresh-run engine ------------------------------
 #
-# MicroBTB, ShadowBTB and GhrpBTB have no ``observe_fast`` pass hook of
-# their own (GhrpBTB inherits one but overrides ``update``), so the
-# fresh-run engine's BTB pass calls their ``lookup`` and ``update``, and
-# they must still match the frozen seed referee exactly.
+# MicroBTB and GhrpBTB declare no pass hook (GhrpBTB inherits
+# ``observe_fast`` but overrides ``lookup`` and ``update``), so the
+# fresh-run engine's BTB pass calls their ``lookup`` and ``update``;
+# ShadowBTB runs its inner BTB's hook and then walks its shadow table.
+# Each must still match the frozen seed referee exactly.
 
 from repro.experiments.designs import ghrp_design, micro_btb_design, shadow_design
 

@@ -24,7 +24,6 @@ from repro.experiments.harness import (
     run_design,
     run_suite,
 )
-from repro.frontend.params import ICELAKE
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 

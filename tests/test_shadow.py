@@ -4,7 +4,14 @@ import pytest
 
 from repro.branch.types import BranchKind
 from repro.btb.baseline import BaselineBTB
+from repro.btb.ghrp import GhrpBTB
+from repro.btb.microbtb import MicroBTB
+from repro.btb.prefetch import TemporalPrefetchBTB
 from repro.btb.shadow import ShadowBTB
+from repro.core.config import PDedeConfig, PDedeMode
+from repro.core.pdede import PDedeBTB
+from repro.frontend.vector import _btb_pass, _lookup_update_pass
+from repro.workloads.suite import get_trace
 
 from conftest import make_event
 
@@ -148,8 +155,29 @@ def test_bad_geometry_is_rejected(kwargs, match):
         ShadowBTB(BaselineBTB(entries=64, ways=4), **kwargs)
 
 
-def test_opts_out_of_fast_engines():
-    # No ``observe_fast`` pass hook of its own, so the fresh-run
-    # engine's BTB pass calls ``lookup`` then ``update``, like the live
-    # loop.
-    assert not hasattr(_shadow(), "observe_fast")
+def test_pass_hook_follows_the_inner_btb():
+    # The wrapper runs its inner BTB's pass hook where the inner declares
+    # one.  GhrpBTB inherits BaselineBTB.observe_fast but overrides lookup
+    # and update, MicroBTB has no hook, and the temporal-prefetch wrapper
+    # writes its inner BTB: each of those takes the lookup + update pass.
+    trace = get_trace("server_oltp_00", "tiny")
+    decoded = trace.decoded()
+    act = ~decoded.vector_columns()["is_return"]
+    with_hook = [
+        _shadow(),
+        ShadowBTB(PDedeBTB(PDedeConfig(mode=PDedeMode.MULTI_TARGET))),
+    ]
+    without_hook = [
+        GhrpBTB(entries=256),
+        ShadowBTB(GhrpBTB(entries=256)),
+        ShadowBTB(MicroBTB()),
+        TemporalPrefetchBTB(BaselineBTB(entries=256)),
+    ]
+    for btb in with_hook:
+        assert btb.has_pass_hook
+        observe, _ = _btb_pass(btb, trace, decoded, act)
+        assert observe == btb.observe_fast
+    for btb in without_hook:
+        assert not btb.has_pass_hook
+        observe, _ = _btb_pass(btb, trace, decoded, act)
+        assert observe.func is _lookup_update_pass

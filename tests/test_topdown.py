@@ -1,6 +1,6 @@
 """Unit tests for the Top-Down report module (Figure 1 machinery)."""
 
-from repro.analysis.topdown import TopDownReport, TopDownRow, topdown_report, topdown_row
+from repro.analysis.topdown import TopDownReport, topdown_report, topdown_row
 from repro.frontend.stats import FrontendStats
 from repro.workloads.suite import get_trace
 
