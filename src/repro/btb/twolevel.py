@@ -90,11 +90,11 @@ class TwoLevelBTB(BranchTargetPredictor):
         Same contract as ``PDedeBTB.observe_fast``: ``columns`` are the
         active events' ``(pcs, targets, takens, is_indirect, hashes,
         same_page, is_direct)`` lists, and each lookup's ``(target, hit,
-        latency)`` is appended to the three ``results`` lists.  The hierarchy cannot
-        share one tag match across lookup and update (the L1 is only
-        *looked up* on an L0 miss but always *updated*), so each event
-        composes the levels' ``lookup_fast`` / ``update_fast`` in the
-        seed call order.
+        latency)`` is appended to the three ``results`` lists.  The
+        hierarchy cannot share one tag match across lookup and update (the
+        L1 is only *looked up* on an L0 miss but always *updated*), so each
+        event composes the levels' ``lookup_fast`` / ``update_fast`` in
+        the seed call order.
         """
         pcs, targets, takens, is_indirect, hashes, same_page, _ = columns
         out_target, out_hit, out_latency = (column.append for column in results)

@@ -392,9 +392,9 @@ class PDedeBTB(BranchTargetPredictor):
         ``columns`` are the active events' ``(pcs, targets, takens,
         is_indirect, hashes, same_page, is_direct)`` lists; each event's
         lookup ``(target, hit, latency)`` is appended to the three
-        ``results`` lists, with :data:`NO_TARGET` for no target.  The state evolution
-        is exactly :meth:`lookup` then :meth:`update` per event, in one
-        frame, with two shortcuts:
+        ``results`` lists, with :data:`NO_TARGET` for no target.  The
+        state evolution is exactly :meth:`lookup` then :meth:`update` per
+        event, in one frame, with two shortcuts:
 
         * one tag match serves both halves: lookup writes only
           replacement, pending-register and counter state, none of which
