@@ -94,7 +94,8 @@ def _assert_pass_matches_seed(build, warmup_fraction, returns_use_ras=True, trac
     ``observe_fast``, the one driven by ``lookup`` then ``update``, and
     the seed referee.
     """
-    trace = trace or get_trace("server_oltp_00", "tiny")
+    if trace is None:
+        trace = get_trace("server_oltp_00", "tiny")
     decoded = trace.decoded()
     columns, events = _columns(trace, decoded, returns_use_ras)
     n_warm = int(len(events) * warmup_fraction)
