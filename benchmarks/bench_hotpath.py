@@ -83,8 +83,12 @@ MIN_SPEEDUP = 6.0
 
 #: Required vector-engine speedup across the *whole* standard sweep
 #: (all designs, prepare excluded).  Measured 3.7-4.5x with a per-event
-#: ``observe_fast`` call and 8.2-9.5x since the one-frame pass.
-SWEEP_MIN_SPEEDUP = 5.0
+#: ``observe_fast`` call and 8.2-9.5x since the one-frame pass.  Since
+#: the hooks' tag match and the allocation path raise nothing, 8.3-10.3x
+#: at smoke and 9.6x at default (the seed engine shares the faster
+#: allocation path, so the ratio shows only the hooks' part), so 6.0
+#: keeps a margin of over 20%.
+SWEEP_MIN_SPEEDUP = 6.0
 
 #: Required speed-up of the bulk TAGE direction replay over the
 #: per-event ``predict_and_update`` loop.  Measured 5-10x on the gate

@@ -26,6 +26,26 @@ from repro.branch.types import BranchEvent
 NO_TARGET = -1
 
 
+def tag_directory(tags: list[int], ways: int) -> list[dict[int, int]]:
+    """One ``{tag: way}`` dict per set, over the valid slots of a flat tag
+    list (slot ``set * ways + way``, a negative sentinel tag when invalid).
+
+    A pass hook builds this directory on entry and records each way it
+    fills, so its tag match is one dict probe that cannot raise.  Nothing
+    else keeps the directory current: a slot since evicted or invalidated
+    holds another tag, so every use checks ``tags[slot] == tag`` and a
+    stale entry reads as a miss.  A tag sits in at most one way of its set
+    (only a miss allocates), so the entry is the way ``list.index`` would
+    find.  Per-set dicts of the tags' own int objects and small way
+    numbers take about half the memory of one ``(set, tag)``-keyed dict
+    of slots.
+    """
+    return [
+        {tag: way for way, tag in enumerate(tags[base:base + ways]) if tag >= 0}
+        for base in range(0, len(tags), ways)
+    ]
+
+
 @dataclass(slots=True)
 class BTBLookup:
     """Result of one BTB lookup.

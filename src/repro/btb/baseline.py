@@ -10,16 +10,17 @@ indirect ones) whose target changes: a mispredicted target first drains
 confidence before the stored target is overwritten.
 
 Storage is flat (``set * ways + way`` indexing) with a ``-1`` tag
-sentinel in invalid slots so the tag match is one ``list.index`` call;
-see :mod:`repro.core.pdede` for the layout rationale.  The baseline
-never invalidates entries, so only allocation writes tags.
+sentinel in invalid slots, so the per-event tag match is one
+``list.index`` call and the pass hook's is one probe of a tag
+directory; see :mod:`repro.core.pdede` for the layout rationale.  The
+baseline never invalidates entries, so only allocation writes tags.
 """
 
 from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS, hash_pc
 from repro.branch.types import BranchEvent
-from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor
+from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor, tag_directory
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 
@@ -185,7 +186,7 @@ class BaselineBTB(BranchTargetPredictor):
         """The fresh-run engine's BTB pass over active events ``start:stop``.
 
         ``columns`` are the active events' ``(pcs, targets, takens,
-        is_indirect, hashes, same_page, is_direct)`` lists; each event's
+        is_indirect, hashes, same_page, is_direct)`` columns; each event's
         lookup ``(target, hit, latency)`` is appended to the three
         ``results`` lists, with :data:`NO_TARGET` for no target.  Exactly
         :meth:`lookup` then :meth:`update` per event, in one frame: lookup
@@ -193,7 +194,11 @@ class BaselineBTB(BranchTargetPredictor):
         match, so one match serves both halves, and the update's
         ``on_hit`` of the way the lookup just promoted is dropped (no
         policy tells two back-to-back ``on_hit`` calls from one).  The
-        sanitizer hook is omitted, as in :meth:`update_fast`.
+        match probes a :func:`~repro.btb.base.tag_directory` built on
+        entry and extended by each allocation, and checks the slot's
+        tag, so a miss raises nothing and an entry whose slot was since
+        refilled reads as a miss.  The sanitizer hook is omitted, as in
+        :meth:`update_fast`.
         """
         _, targets, takens, is_indirect, hashes, _, _ = columns
         lookup_targets, lookup_hits, latencies = results
@@ -204,23 +209,25 @@ class BaselineBTB(BranchTargetPredictor):
         tags, stored, conf, conf_max = self._tags, self._targets, self._conf, self._conf_max
         policies = self._policies
         allocate = self._allocate
+        directory = tag_directory(tags, ways)
         for i in range(start, stop):
             hashed = hashes[i]
             index = hashed & index_mask if sets_pow2 else hashed % sets
             tag = (hashed >> 40) & tag_mask
+            row = directory[index]
+            way = row.get(tag)
             base = index * ways
-            try:
-                slot = tags.index(tag, base, base + ways)
-            except ValueError:
+            if way is None or tags[base + way] != tag:
                 out_target(NO_TARGET)
                 out_hit(False)
                 if takens[i] and not (skip_indirect and is_indirect[i]):
-                    allocate(index, tag, targets[i])
+                    row[tag] = allocate(index, tag, targets[i])
                 continue
+            slot = base + way
             predicted = stored[slot]
             out_target(predicted)
             out_hit(True)
-            policies[index].on_hit(slot - base)
+            policies[index].on_hit(way)
             if not takens[i] or (skip_indirect and is_indirect[i]):
                 continue
             target = targets[i]
@@ -246,7 +253,8 @@ class BaselineBTB(BranchTargetPredictor):
             self._targets[slot] = target
         self._policies[index].on_hit(way)
 
-    def _allocate(self, index: int, tag: int, target: int) -> None:
+    def _allocate(self, index: int, tag: int, target: int) -> int:
+        """Fill ``tag`` into the set's victim way; returns the way."""
         policy = self._policies[index]
         base = index * self.ways
         way = policy.victim(self._valid[base:base + self.ways])
@@ -259,6 +267,7 @@ class BaselineBTB(BranchTargetPredictor):
         self._conf[slot] = 0
         policy.on_insert(way)
         self.stats.allocations += 1
+        return way
 
     def storage_bits(self) -> int:
         per_entry = (

@@ -36,10 +36,7 @@ class ReplacementPolicy(abc.ABC):
         """Pick the way to evict; invalid ways are always preferred."""
 
     def _first_invalid(self, valid: list[bool]) -> int | None:
-        try:
-            return valid.index(False)
-        except ValueError:
-            return None
+        return valid.index(False) if False in valid else None
 
     def metadata_bits_per_entry(self) -> int:
         """Replacement metadata cost, in bits per entry."""
@@ -139,20 +136,18 @@ class SrripPolicy(ReplacementPolicy):
         self.rrpv[way] = self._max - 1
 
     def victim(self, valid: list[bool]) -> int:
-        # list.index runs the scans at C speed; rrpv is aged in place
-        # because external mirrors may hold a reference to the list.
-        try:
+        # The scans run at C speed and nothing raises on a full set.
+        # Ageing every way one step until one reaches ``distant`` adds
+        # ``distant - max(rrpv)`` to each, so it is done in one step; in
+        # place, because external mirrors may hold a reference to the list.
+        if False in valid:
             return valid.index(False)
-        except ValueError:
-            pass
         rrpv = self.rrpv
         distant = self._max
-        while True:
-            try:
-                return rrpv.index(distant)
-            except ValueError:
-                for way in range(self.ways):
-                    rrpv[way] += 1
+        step = distant - max(rrpv)
+        if step:
+            rrpv[:] = [value + step for value in rrpv]
+        return rrpv.index(distant)
 
     def metadata_bits_per_entry(self) -> int:
         return self._m

@@ -174,7 +174,9 @@ class ShadowBTB(BranchTargetPredictor):
         alone and runs them as its own pass first; the shadow table
         depends only on the events and the inner's hit bits, so one walk
         then replays :meth:`lookup`'s fallback probe and :meth:`update`'s
-        shadow half per event, in trace order.  The sanitizer hook is
+        shadow half per event, in trace order.  It is the one hook that
+        reads the ``is_direct`` column, a numpy bool array, and takes a
+        list of only its ``start:stop`` slice.  The sanitizer hook is
         omitted, as in the inner's pass.
         """
         inner_targets, inner_hits, latencies = inner_results = ([], [], [])
@@ -185,7 +187,9 @@ class ShadowBTB(BranchTargetPredictor):
         out_target, out_hit = results[0].append, results[1].append
         probe, remember = self._probe, self._remember
         refresh, expose = self._shadow_refresh, self._expose
-        for i, predicted, hit in zip(range(start, stop), inner_targets, inner_hits):
+        for i, predicted, hit, direct in zip(
+            range(start, stop), inner_targets, inner_hits, is_direct[start:stop].tolist()
+        ):
             hashed = hashes[i]
             if not hit:
                 shadow_target = probe(hashed)
@@ -194,7 +198,7 @@ class ShadowBTB(BranchTargetPredictor):
             out_target(predicted)
             out_hit(hit)
             pc = pcs[i]
-            if takens[i] and is_direct[i]:
+            if takens[i] and direct:
                 target = targets[i]
                 remember(pc, target, hashed)
                 refresh(hashed, target)

@@ -89,7 +89,7 @@ class TwoLevelBTB(BranchTargetPredictor):
 
         Same contract as ``PDedeBTB.observe_fast``: ``columns`` are the
         active events' ``(pcs, targets, takens, is_indirect, hashes,
-        same_page, is_direct)`` lists, and each lookup's ``(target, hit,
+        same_page, is_direct)`` columns, and each lookup's ``(target, hit,
         latency)`` is appended to the three ``results`` lists.  The
         hierarchy cannot share one tag match across lookup and update (the
         L1 is only *looked up* on an L0 miss but always *updated*), so each

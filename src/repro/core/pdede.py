@@ -25,21 +25,24 @@ The two storage-recycling designs of Section 4.3.1 are selected by
   (pointer-less, same-page-only) entries and doubles the entry count.
 
 Storage layout: every per-entry field is one flat list indexed by
-``set_index * ways + way``.  Tag match is a single ``list.index`` over
-the set's slice -- invalid slots hold the ``_NO_TAG`` sentinel (-1),
-which no real tag (non-negative) can equal, so the first index hit is
-exactly the seed implementation's first valid-and-matching way.  The
-invariant that makes this sound: **every** path that clears ``_valid``
-must store ``_NO_TAG`` into ``_tags`` (the sanitizer's tag-sentinel
-invariant guards it).  Short ways sit above ``_short_base``
-(``ways // 2`` in multi-entry mode, else ``ways``), so way-class tests
-are an integer compare instead of a list membership scan.
+``set_index * ways + way``.  Invalid slots hold the ``_NO_TAG`` sentinel
+(-1), which no real tag (non-negative) can equal, so a slot whose tag
+matches is exactly the seed implementation's valid-and-matching way.
+The invariant that makes this sound: **every** path that clears
+``_valid`` must store ``_NO_TAG`` into ``_tags`` (the sanitizer's
+tag-sentinel invariant guards it).  The per-event methods match with
+one ``list.index`` over the set's slice; the pass hook probes a
+``{tag: way}`` directory per set and checks the slot's tag, so its
+misses raise nothing.  Short ways sit above ``_short_base`` (``ways //
+2`` in multi-entry mode, else ``ways``), so way-class tests are an
+integer compare instead of a list membership scan.
 """
 
 from __future__ import annotations
 
 from repro.branch.address import (
     ADDRESS_MASK,
+    OFFSET_BITS,
     REGION_BITS,
     PAGE_IN_REGION_BITS,
     fold_bits,
@@ -52,13 +55,14 @@ from repro.branch.address import (
     same_page,
 )
 from repro.branch.types import BranchEvent
-from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor
+from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor, tag_directory
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 from repro.core.config import PDedeConfig, PDedeMode
 from repro.core.tables import DedupValueTable
 
 _NO_PTR = -1
+_OFFSET_MASK = (1 << OFFSET_BITS) - 1
 #: Tag sentinel stored in invalid slots; real tags are non-negative.
 _NO_TAG = -1
 
@@ -142,7 +146,7 @@ class PDedeBTB(BranchTargetPredictor):
         # Multi-target global registers (Section 4.3.1 / 4.4.2).
         self._pending_next_offset: int | None = None
         self._pending_next_tag: int = 0
-        self._last_btbm_slot: tuple[int, int] | None = None
+        self._last_btbm_slot: int | None = None  # flat slot
         # Reverse pointer maps, maintained only in invalidating mode.
         self._page_ptr_users: dict[int, set[tuple[int, int]]] = {}
         self._region_ptr_users: dict[int, set[tuple[int, int]]] = {}
@@ -184,22 +188,20 @@ class PDedeBTB(BranchTargetPredictor):
     def _choose_victim(self, set_index: int, needs_pointers: bool) -> int:
         """Pick the way to (re)fill, honouring multi-entry way reservation."""
         base = set_index * self._ways
-        valid = self._valid[base:base + self._ways]
+        valid = self._valid
         if self._policies is not None:
-            return self._policies[set_index].victim(valid)
+            return self._policies[set_index].victim(valid[base:base + self._ways])
         half = self._short_base
-        long_valid = valid[:half]
-        short_valid = valid[half:]
+        long_valid = valid[base:base + half]
         if needs_pointers:
             # Different-page branches cannot use pointer-less short ways.
             return self._long_policies[set_index].victim(long_valid)
         # Same-page branches prefer the reserved short ways, then any
         # invalid long way, then evict from the short half.
-        if not all(short_valid):
+        short_valid = valid[base + half:base + self._ways]
+        if False in short_valid or False not in long_valid:
             return half + self._short_policies[set_index].victim(short_valid)
-        if not all(long_valid):
-            return self._long_policies[set_index].victim(long_valid)
-        return half + self._short_policies[set_index].victim(short_valid)
+        return self._long_policies[set_index].victim(long_valid)
 
     def _mark_inserted(self, set_index: int, way: int) -> None:
         if self._policies is not None:
@@ -232,8 +234,7 @@ class PDedeBTB(BranchTargetPredictor):
             self._tags[slot] = _NO_TAG
 
     def _unlink_pointers(self, set_index: int, way: int) -> None:
-        if not self.config.invalidate_stale_pointers:
-            return
+        # This and _link_pointers run in invalidating mode only; callers check.
         slot = (set_index, way)
         flat = set_index * self._ways + way
         page_ptr = self._page_ptr[flat]
@@ -244,8 +245,6 @@ class PDedeBTB(BranchTargetPredictor):
             self._region_ptr_users.get(region_ptr, set()).discard(slot)
 
     def _link_pointers(self, set_index: int, way: int) -> None:
-        if not self.config.invalidate_stale_pointers:
-            return
         slot = (set_index, way)
         flat = set_index * self._ways + way
         page_ptr = self._page_ptr[flat]
@@ -390,15 +389,21 @@ class PDedeBTB(BranchTargetPredictor):
         """The fresh-run engine's BTB pass over active events ``start:stop``.
 
         ``columns`` are the active events' ``(pcs, targets, takens,
-        is_indirect, hashes, same_page, is_direct)`` lists; each event's
-        lookup ``(target, hit, latency)`` is appended to the three
-        ``results`` lists, with :data:`NO_TARGET` for no target.  The
-        state evolution is exactly :meth:`lookup` then :meth:`update` per
-        event, in one frame, with two shortcuts:
+        is_indirect, hashes, same_page, is_direct)`` columns (this hook
+        reads all but ``is_direct``); each event's lookup ``(target, hit,
+        latency)`` is appended to the three ``results`` lists, with
+        :data:`NO_TARGET` for no target.  The state evolution is exactly
+        :meth:`lookup` then :meth:`update` per event, in one frame, with
+        two shortcuts:
 
         * one tag match serves both halves: lookup writes only
           replacement, pending-register and counter state, none of which
-          the match reads;
+          the match reads.  The match probes a
+          :func:`~repro.btb.base.tag_directory` built on entry and
+          extended by each allocation, so a miss raises nothing; an
+          entry whose slot was since evicted, abandoned as a short way or
+          invalidated fails its ``tags[slot] == tag`` check and reads as
+          a miss;
         * a hit reconstructs its target once.  The update (Section 4.4.2)
           retrains the entry the lookup (Section 4.4.1) just read, and
           nothing in between writes that entry or the dedup tables, so a
@@ -426,6 +431,7 @@ class PDedeBTB(BranchTargetPredictor):
         sets_pow2, index_mask, sets = self._sets_pow2, self._index_mask, self._sets
         tag_mask, ways = self._tag_mask, self._ways
         tags, delta, offsets = self._tags, self._delta, self._offsets
+        directory = tag_directory(tags, ways)
         page_ptr, region_ptr = self._page_ptr, self._region_ptr
         page_gen, region_gen = self._page_gen, self._region_gen
         conf, conf_max = self._conf, self._conf_max
@@ -450,12 +456,12 @@ class PDedeBTB(BranchTargetPredictor):
             hashed = hashes[i]
             set_index = hashed & index_mask if sets_pow2 else hashed % sets
             tag = (hashed >> 40) & tag_mask
-            base = set_index * ways
             staged = pending
             pending = None
-            try:
-                slot = tags.index(tag, base, base + ways)
-            except ValueError:
+            row = directory[set_index]
+            way = row.get(tag)
+            base = set_index * ways
+            if way is None or tags[base + way] != tag:
                 # -- lookup: tag miss, maybe served by the Next Target
                 # Offset register (see lookup_fast) --
                 pc = pcs[i]
@@ -478,11 +484,12 @@ class PDedeBTB(BranchTargetPredictor):
                     continue
                 target = targets[i]
                 use_delta = same_page_col[i] and delta_encoding
-                way = allocate(set_index, tag, target, use_delta)
+                row[tag] = way = allocate(set_index, tag, target, use_delta)
                 if multi_target:
                     chain_next_target(set_index, way, pc, target, use_delta)
                 continue
             # -- lookup: hit, reconstructed once --
+            slot = base + way
             taken = takens[i]
             trains = taken and not (skip_indirect and is_indirect[i])
             # The seed's update reconstructs again, counting every read twice.
@@ -513,7 +520,6 @@ class PDedeBTB(BranchTargetPredictor):
                 out_latency(2)
             out_target(predicted)
             out_hit(True)
-            way = slot - base
             if policies is not None:
                 policies[set_index].on_hit(way)
             elif way >= short_base:
@@ -561,18 +567,23 @@ class PDedeBTB(BranchTargetPredictor):
     def _write_target_fields(
         self, set_index: int, way: int, target: int, use_delta: bool
     ) -> None:
-        """(Re)encode an entry's target, allocating table entries if needed."""
+        """(Re)encode an entry's target, allocating table entries if needed.
+
+        In invalidating mode the entry's old pointers are unlinked first
+        and its new ones linked last; an invalid slot links none.
+        """
         slot = set_index * self._ways + way
+        invalidating = self.config.invalidate_stale_pointers
+        if invalidating:
+            self._unlink_pointers(set_index, way)
         if not use_delta and way >= self._short_base:
             # A short multi-entry way cannot hold pointers: the entry is
             # abandoned and the branch re-allocates into a long way on its
             # next update (hardware simply invalidates).
-            self._unlink_pointers(set_index, way)
             self._valid[slot] = False
             self._tags[slot] = _NO_TAG
             return
-        self._unlink_pointers(set_index, way)
-        self._offsets[slot] = page_offset(target)
+        self._offsets[slot] = target & _OFFSET_MASK
         self._delta[slot] = use_delta
         self._next_valid[slot] = False
         if use_delta:
@@ -585,23 +596,21 @@ class PDedeBTB(BranchTargetPredictor):
             self._region_gen[slot] = region_gen
             self._page_ptr[slot] = page_ptr
             self._page_gen[slot] = page_gen
-            self._link_pointers(set_index, way)
+            if invalidating:
+                self._link_pointers(set_index, way)
 
     def _allocate(self, set_index: int, tag: int, target: int, use_delta: bool) -> int:
         # Region/Page-BTB allocations come first: a BTBM entry is created
         # only after both succeed, so the BTBM never holds dangling-new
-        # pointers (Section 4.4.2).
+        # pointers (Section 4.4.2).  _write_target_fields also unlinks the
+        # victim's old pointers and rewrites every field the entry reads.
         way = self._choose_victim(set_index, needs_pointers=not use_delta)
         slot = set_index * self._ways + way
         if self._valid[slot]:
             self.stats.evictions += 1
-            self._unlink_pointers(set_index, way)
         self._valid[slot] = True
         self._tags[slot] = tag
         self._conf[slot] = 0
-        self._next_valid[slot] = False
-        self._page_ptr[slot] = _NO_PTR
-        self._region_ptr[slot] = _NO_PTR
         self._write_target_fields(set_index, way, target, use_delta)
         self._mark_inserted(set_index, way)
         self.stats.allocations += 1
@@ -611,21 +620,19 @@ class PDedeBTB(BranchTargetPredictor):
         self, set_index: int, way: int, pc: int, target: int, is_same_page: bool
     ) -> None:
         """Multi-target bookkeeping after an update (Section 4.4.2)."""
-        ways = self._ways
-        if self._last_btbm_slot is not None and is_same_page:
-            last_set, last_way = self._last_btbm_slot
-            last = last_set * ways + last_way
-            if self._valid[last] and self._delta[last]:
-                self._next_valid[last] = True
-                self._next_offset[last] = page_offset(target)
-                if self.config.next_target_tag_bits:
-                    self._next_tag[last] = fold_bits(
-                        pc >> 1, self.config.next_target_tag_bits
-                    )
-        if is_same_page and self._valid[set_index * ways + way]:
-            self._last_btbm_slot = (set_index, way)
-        else:
+        if not is_same_page:
             self._last_btbm_slot = None
+            return
+        valid = self._valid
+        last = self._last_btbm_slot
+        if last is not None and valid[last] and self._delta[last]:
+            self._next_valid[last] = True
+            self._next_offset[last] = target & _OFFSET_MASK
+            tag_bits = self.config.next_target_tag_bits
+            if tag_bits:
+                self._next_tag[last] = fold_bits(pc >> 1, tag_bits)
+        slot = set_index * self._ways + way
+        self._last_btbm_slot = slot if valid[slot] else None
 
     # -- accounting / introspection ---------------------------------------------------
 

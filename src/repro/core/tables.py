@@ -67,8 +67,6 @@ class DedupValueTable:
         self.on_evict = on_evict
 
     def _set_of(self, value: int) -> int:
-        if self.sets == 1:
-            return 0
         hashed = mix64(value)
         if self.sets & (self.sets - 1) == 0:
             return hashed & self._set_mask
@@ -88,12 +86,21 @@ class DedupValueTable:
                 f"value {value:#x} exceeds {self.value_bits} bits ({self.name})"
             )
         sanitizer_step(self)
-        set_index = self._set_of(value)
+        # A one-set (fully associative) table needs no hash.
+        set_index = self._set_of(value) if self.sets > 1 else 0
         valid = self._valid[set_index]
         values = self._values[set_index]
         policy = self._policies[set_index]
-        for way in range(self.ways):
-            if valid[way] and values[way] == value:
+        if value in values:
+            # The first way holding the value, unless that way is invalid
+            # (they hold 0 until first filled): then the first valid one.
+            way = values.index(value)
+            if not valid[way]:
+                way = next(
+                    (w for w in range(self.ways) if valid[w] and values[w] == value),
+                    None,
+                )
+            if way is not None:
                 policy.on_hit(way)
                 self.dedup_hits += 1
                 return set_index * self.ways + way, self._generations[set_index][way]

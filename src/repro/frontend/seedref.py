@@ -15,9 +15,13 @@ a verbatim copy of the seed implementations:
   ``lookup`` / ``update``, frozen before its fresh-run pass hook.
 
 Shared leaf modules (address hashing, replacement policies, dedup
-tables, ICache, RAS, direction predictors) are imported, not copied:
-they are unchanged by the optimization pass, so a behavioural change in
-one of them is *supposed* to move both engines together.
+tables, ICache, RAS, direction predictors) are imported, not copied,
+so a behavioural change in one of them is *supposed* to move both
+engines together, and the referee cannot catch a fault there.  Where
+one has been optimised -- the raise-free ``SrripPolicy.victim`` and
+``DedupValueTable.allocate`` -- tests hold it to the seed's loop,
+copied into ``tests/test_replacement.py`` and
+``tests/test_dedup_table.py``.
 
 Two consumers:
 

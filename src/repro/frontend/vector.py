@@ -118,9 +118,11 @@ def _btb_pass(btb, trace, decoded, act):
 
     A BTB that declares a pass hook runs it through the instance's
     ``observe_fast`` attribute, over the active events' ``(pcs, targets,
-    takens, is_indirect, hashes, same_page, is_direct)`` lists.  The
-    columns are built for this run from the trace's lists and the
-    decoded numpy columns, and dropped with it.
+    takens, is_indirect, hashes, same_page, is_direct)`` columns: lists,
+    except ``is_direct``, a numpy bool array that only the shadow-branch
+    wrapper reads, so only its hook pays for a list of it.  The columns
+    are built for this run from the trace's lists and the decoded numpy
+    columns, and dropped with it.
     """
     selectors = act.tolist()
 
@@ -135,8 +137,9 @@ def _btb_pass(btb, trace, decoded, act):
             active(trace.takens),
             *(
                 vector[name][act].tolist()
-                for name in ("is_indirect", "hashes", "same_page", "is_direct")
+                for name in ("is_indirect", "hashes", "same_page")
             ),
+            vector["is_direct"][act],
         )
         return btb.observe_fast, columns
     return partial(_lookup_update_pass, btb), [

@@ -18,12 +18,19 @@ adapters, the shared algorithm and its provider labels to the seed.
 The shadow-branch wrapper's pass runs its inner BTB's hook first and
 then walks its shadow table; its cases hold both the wrapper's and the
 inner's counters to the frozen ``SeedShadowBTB`` over a seed inner.
+
+Each hook gets its columns from ``vector._btb_pass``, as in a fresh run.
+The Baseline and PDede hooks match tags through a directory that goes
+stale within one call; a hand-made trace that cycles more branches than
+ways through one set holds that case to the seed.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import compress
 
+import numpy as np
 import pytest
 
 from repro.branch.types import BranchKind
@@ -34,6 +41,7 @@ from repro.btb.twolevel import TwoLevelBTB
 from repro.core.config import PDedeConfig, PDedeMode
 from repro.core.pdede import PDedeBTB
 from repro.frontend.seedref import seed_counterpart
+from repro.frontend.vector import _btb_pass
 from repro.workloads.suite import get_trace
 
 from conftest import make_trace
@@ -66,26 +74,6 @@ PDEDE_VARIANTS = {
 }
 
 
-def _columns(trace, decoded, returns_use_ras=True):
-    """The active events' hook columns and their ``BranchEvent`` objects."""
-    vector = decoded.vector_columns()
-    columns = [
-        trace.pcs,
-        trace.targets,
-        trace.takens,
-        vector["is_indirect"].tolist(),
-        vector["hashes"].tolist(),
-        vector["same_page"].tolist(),
-        vector["is_direct"].tolist(),
-    ]
-    events = list(trace.branch_events())
-    if returns_use_ras:
-        selectors = (~vector["is_return"]).tolist()
-        columns = [list(compress(column, selectors)) for column in columns]
-        events = list(compress(events, selectors))
-    return columns, events
-
-
 def _assert_pass_matches_seed(build, warmup_fraction, returns_use_ras=True, trace=None):
     """Hold both paths of fresh ``build()`` BTBs to the seed, over the
     tiny ``server_oltp_00`` trace unless ``trace`` is given.
@@ -97,17 +85,25 @@ def _assert_pass_matches_seed(build, warmup_fraction, returns_use_ras=True, trac
     if trace is None:
         trace = get_trace("server_oltp_00", "tiny")
     decoded = trace.decoded()
-    columns, events = _columns(trace, decoded, returns_use_ras)
+    vector = decoded.vector_columns()
+    if returns_use_ras:
+        act = ~vector["is_return"]
+    else:
+        act = np.ones(decoded.n_events, dtype=np.bool_)
+    events = list(compress(trace.branch_events(), act.tolist()))
     n_warm = int(len(events) * warmup_fraction)
     btb, live = build(), build()
     seed = seed_counterpart(btb)
     assert type(seed) is not type(btb)
 
+    # The hook and its columns, exactly as the fresh-run engine gets them.
+    observe, columns = _btb_pass(btb, trace, decoded, act)
+    assert observe == btb.observe_fast
     results = ([], [], [])
-    btb.observe_fast(columns, 0, n_warm, results)
+    observe(columns, 0, n_warm, results)
     if n_warm:
         btb.reset_stats()
-    btb.observe_fast(columns, n_warm, len(events), results)
+    observe(columns, n_warm, len(events), results)
 
     expected = ([], [], [])
     live_lookups, seed_lookups = [], []
@@ -297,3 +293,66 @@ def test_shadow_pass_refreshes_a_retargeted_branch():
         trace=trace,
     )
     assert btb.shadow_hits == 2
+
+
+# -- the pass hooks' tag directory goes stale within one call --------------------
+
+
+def _cycling_trace():
+    """Six taken branches cycling, in a seeded order, through one
+    four-way BTBM set.
+
+    Keys are evicted and come back in other ways within one call, so
+    their returns probe directory entries whose slots now hold other
+    tags.  A not-taken event on a random branch, often an evicted one,
+    follows each taken one and probes without allocating.  Odd branches
+    jump to two regions in turn (a one-entry Region-BTB evicts on every
+    switch), and branch 5 runs twice in a row, first to its own page
+    and then off it, which abandons a multi-entry short way.
+    """
+    rng = random.Random(5)
+    base = 0x7F00_0000_0000
+    pcs = [base + 0x40 * k for k in range(6)]
+    cond = BranchKind.COND_DIRECT
+    events = []
+    for step in range(120):
+        k = rng.randrange(6)
+        pc = pcs[k]
+        far = base + (1 + step % 2) * (1 << 30) + 0x1000 * k
+        if k % 2 == 0:
+            targets = [pc + 0x400]  # same page
+        elif k == 5:
+            targets = [pc + 0x400, far]
+        else:
+            targets = [far]
+        for target in targets:
+            events.append((pc, cond, True, target, 3))
+        other = rng.choice(pcs)
+        events.append((other, cond, False, other + 4, 2))
+    return make_trace(events, name="cycling")
+
+
+STALE_DIRECTORY_BTBS = {
+    "baseline": lambda: BaselineBTB(entries=4, ways=4),
+    "pdede": lambda: _pdede(btbm_entries=4, btbm_ways=4),
+    "pdede-multi-entry": lambda: _pdede(
+        btbm_entries=4, btbm_ways=4, mode=PDedeMode.MULTI_ENTRY
+    ),
+    "pdede-invalidate-stale": lambda: _pdede(
+        btbm_entries=4, btbm_ways=4, invalidate_stale_pointers=True
+    ),
+}
+
+
+@pytest.mark.parametrize("warmup_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("design", sorted(STALE_DIRECTORY_BTBS))
+def test_stale_directory_entry_reads_as_a_miss(design, warmup_fraction):
+    trace = _cycling_trace()
+    btb, _, seed = _assert_pass_matches_seed(
+        STALE_DIRECTORY_BTBS[design], warmup_fraction, trace=trace
+    )
+    # One set, six distinct tags: every branch aliases with every other.
+    probe = STALE_DIRECTORY_BTBS[design]()
+    assert len({probe._tag(pc) for pc in set(trace.pcs)}) == 6
+    assert {probe._index(pc) for pc in trace.pcs} == {0}
+    assert seed.stats.evictions > 0

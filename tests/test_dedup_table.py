@@ -1,7 +1,10 @@
 """Unit tests for the Region-/Page-BTB dedup value tables."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.branch.address import mix64
 from repro.core.tables import DedupValueTable
 
 
@@ -96,3 +99,83 @@ def test_rejects_bad_geometry():
         DedupValueTable(entries=0, ways=1, value_bits=8)
     with pytest.raises(ValueError):
         DedupValueTable(entries=10, ways=4, value_bits=8)
+
+
+# -- DedupValueTable.allocate against the per-way scan ---------------------------
+
+
+def _reference_allocate(table, value):
+    """The seed's allocate: hash to a set (none for one set), then scan
+    every way for the first valid one holding ``value``."""
+    if table.sets == 1:
+        set_index = 0
+    elif table.sets & (table.sets - 1) == 0:
+        set_index = mix64(value) & (table.sets - 1)
+    else:
+        set_index = mix64(value) % table.sets
+    valid = table._valid[set_index]
+    values = table._values[set_index]
+    policy = table._policies[set_index]
+    for way in range(table.ways):
+        if valid[way] and values[way] == value:
+            policy.on_hit(way)
+            table.dedup_hits += 1
+            return set_index * table.ways + way, table._generations[set_index][way]
+    way = policy.victim(valid)
+    if valid[way]:
+        table.evictions += 1
+        table._generations[set_index][way] += 1
+        if table.on_evict is not None:
+            table.on_evict(set_index * table.ways + way)
+    valid[way] = True
+    values[way] = value
+    policy.on_insert(way)
+    table.allocations += 1
+    return set_index * table.ways + way, table._generations[set_index][way]
+
+
+def _state(table):
+    policies = []
+    for policy in table._policies:
+        state = {key: value for key, value in vars(policy).items() if key != "_rng"}
+        if hasattr(policy, "_rng"):
+            state["_rng"] = policy._rng.getstate()
+        policies.append(state)
+    return (
+        table._valid, table._values, table._generations, policies,
+        table.allocations, table.dedup_hits, table.evictions,
+    )
+
+
+#: Small values, 0 above all: every way holds 0 until first filled.
+_values = st.sampled_from([0, 0, 1, 2, 3, 0xFFFF]) | st.integers(0, 0xFFFF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sets=st.sampled_from([1, 1, 2, 3, 4]),
+    ways=st.integers(min_value=1, max_value=8),
+    replacement=st.sampled_from(["srrip", "lru", "fifo", "random"]),
+    values=st.lists(_values, max_size=60),
+)
+def test_allocate_matches_per_way_scan(sets, ways, replacement, values):
+    evicted, reference_evicted = [], []
+    table, reference = (
+        DedupValueTable(
+            sets * ways, ways, 16, replacement=replacement, on_evict=sink.append
+        )
+        for sink in (evicted, reference_evicted)
+    )
+    for value in values:
+        assert table.allocate(value) == _reference_allocate(reference, value)
+        assert _state(table) == _state(reference)
+    assert evicted == reference_evicted
+
+
+def test_zero_is_found_past_invalid_ways_holding_zero():
+    # An invalid way holds 0 before the valid way that stores 0.
+    table = DedupValueTable(entries=4, ways=4, value_bits=16)
+    table._valid[0][2] = True
+    pointer, _ = table.allocate(0)
+    assert pointer == 2
+    assert (table.dedup_hits, table.allocations) == (1, 0)

@@ -1,6 +1,8 @@
 """Unit tests for per-set replacement policies."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.btb.replacement import (
     FifoPolicy,
@@ -102,3 +104,59 @@ def test_rejects_nonpositive_ways():
         LruPolicy(0)
     with pytest.raises(ValueError):
         SrripPolicy(4, m=0)
+
+
+# -- SrripPolicy.victim against the step-by-step ageing loop --------------------
+
+
+def _reference_srrip_victim(policy, valid):
+    """The seed's SRRIP victim: the first invalid way, else age every way
+    one step at a time until one reaches the distant value."""
+    for way, ok in enumerate(valid):
+        if not ok:
+            return way
+    rrpv = policy.rrpv
+    distant = (1 << policy._m) - 1
+    while True:
+        for way, value in enumerate(rrpv):
+            if value == distant:
+                return way
+        for way in range(len(rrpv)):
+            rrpv[way] += 1
+
+
+@st.composite
+def _srrip_histories(draw):
+    m = draw(st.sampled_from([1, 2, 3]))
+    ways = draw(st.integers(min_value=1, max_value=16))
+    rrpv = draw(st.lists(
+        st.integers(min_value=0, max_value=(1 << m) - 1), min_size=ways, max_size=ways
+    ))
+    way = st.integers(min_value=0, max_value=ways - 1)
+    mask = st.lists(st.booleans(), min_size=ways, max_size=ways)
+    actions = draw(st.lists(
+        st.tuples(st.just("hit"), way)
+        | st.tuples(st.just("insert"), way)
+        | st.tuples(st.just("victim"), mask | st.just([True] * ways)),
+        max_size=40,
+    ))
+    return m, ways, rrpv, actions
+
+
+@settings(max_examples=300, deadline=None)
+@given(_srrip_histories())
+def test_srrip_victim_matches_stepwise_ageing(history):
+    m, ways, rrpv, actions = history
+    policy, reference = SrripPolicy(ways, m=m), SrripPolicy(ways, m=m)
+    policy.rrpv[:] = rrpv
+    reference.rrpv[:] = rrpv
+    mirror = policy.rrpv
+    for action, argument in actions + [("victim", [True] * ways)]:
+        if action == "victim":
+            assert policy.victim(argument) == _reference_srrip_victim(reference, argument)
+        else:
+            getattr(policy, f"on_{action}")(argument)
+            getattr(reference, f"on_{action}")(argument)
+        assert policy.rrpv == reference.rrpv
+        # Aged in place: a mirror of the list sees every update.
+        assert policy.rrpv is mirror
