@@ -15,13 +15,22 @@ configurable:
 * **inline** -- unique-seed ad-hoc :class:`WorkloadSpec` requests that
   always simulate fresh.
 
-Client-side latency percentiles (exact, over true samples) and
-throughput land in ``BENCH_serve.json``; the server's own event log is
-folded through :mod:`repro.obs.aggregate` into a per-outcome telemetry
-report (``BENCH_serve_report.md``) with the batch-wait / queue /
-simulate decomposition.  ``--check`` gates the p99 latency and
-error-rate budget read from the committed ``BENCH_serve.json`` (the CI
-``serve-slo`` job runs this, like ``perf-budget`` runs bench_hotpath)::
+Once the open-loop load has drained, a **warm-only closed loop** sends
+``WARM_LEG_REQUESTS`` sequential memo hits to the idle service (the
+telemetry below covers the open-loop load alone).  A memo
+hit is answered at admission, outside every micro-batch, so its p50
+divided by the service's ``batch_window`` (``warm_p50_over_window``)
+is a machine-independent ratio: below 1.0 only while warm requests skip
+the window, which every batched request waits out in full.
+
+Client-side latency percentiles (exact, over true samples), per-kind
+p50s and throughput land in ``BENCH_serve.json``; the server's own event
+log is folded through :mod:`repro.obs.aggregate` into a per-outcome
+telemetry report (``BENCH_serve_report.md``) with the batch-wait / queue
+/ simulate decomposition.  ``--check`` gates the p99 latency and
+error-rate budget read from the committed ``BENCH_serve.json``, and
+``warm_p50_over_window < 1.0`` (the CI ``serve-slo`` job runs this, like
+``perf-budget`` runs bench_hotpath)::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --check
     PYTHONPATH=src python benchmarks/bench_serve.py --record --rate 40
@@ -54,6 +63,13 @@ DEFAULT_SLO = {"p99_s": 2.5, "error_rate": 0.01}
 
 #: Designs the generated load cycles through.
 DESIGNS = ("baseline", "pdede-default")
+
+#: Sequential memo hits in the warm-only closed loop.
+WARM_LEG_REQUESTS = 40
+
+#: Ceiling on warm p50 / batch_window: a warm request that waited out
+#: the batch window would read at least 1.0.
+MAX_WARM_P50_OVER_WINDOW = 1.0
 
 _RESULTS_FILE = Path(__file__).with_name("BENCH_serve.json")
 _REPORT_FILE = Path(__file__).with_name("BENCH_serve_report.md")
@@ -155,6 +171,21 @@ async def _drive(
     return results, time.monotonic() - epoch
 
 
+async def _warm_leg(host: str, port: int, pairs: list, count: int) -> list[float]:
+    """Closed loop: ``count`` sequential requests cycling the pre-warmed
+    pairs, each sent once the previous one is answered; returns the
+    client-observed seconds of each 200."""
+    seconds = []
+    for index in range(count):
+        app, design = pairs[index % len(pairs)]
+        body = canonical_json({"app": app, "design": design})
+        started = time.monotonic()
+        status, _payload = await _post(host, port, "/v1/simulate", body)
+        if status == 200:
+            seconds.append(time.monotonic() - started)
+    return seconds
+
+
 def _percentile(samples: list[float], q: float) -> float:
     if not samples:
         return 0.0
@@ -203,19 +234,31 @@ def run_load(
             results, wall = asyncio.run(
                 _drive("127.0.0.1", handle.port, jobs, rate)
             )
+            # The open-loop load's telemetry, before the warm leg adds to it.
+            records = handle.service.events.recent()
+            hist = registry.get("serve_request_seconds")
+            server_p99 = hist.percentile(99) if hist else 0.0
+            snapshot = {
+                name: registry.get(name).to_dict() if registry.get(name) else {}
+                for name in ("serve_request_seconds", "serve_batch_size")
+            }
+            warm_seconds = asyncio.run(
+                _warm_leg("127.0.0.1", handle.port, warm_pairs, WARM_LEG_REQUESTS)
+            )
         finally:
             handle.shutdown()
-        records = handle.service.events.recent()
 
     seconds = [r["seconds"] for r in results]
     ok = [r for r in results if 200 <= r["status"] < 300]
     errors = [r for r in results if r["status"] >= 500 or r["status"] == 0]
     shed = [r for r in results if r["status"] == 429]
     by_kind: dict[str, int] = {}
+    seconds_by_kind: dict[str, list[float]] = {}
     for r in results:
         by_kind[r["kind"]] = by_kind.get(r["kind"], 0) + 1
+        seconds_by_kind.setdefault(r["kind"], []).append(r["seconds"])
+    warm_p50 = _percentile(warm_seconds, 50)
 
-    hist = registry.get("serve_request_seconds")
     report = {
         "scale": scale,
         "rate_rps": rate,
@@ -232,15 +275,17 @@ def run_load(
         "p95_s": round(_percentile(seconds, 95), 6),
         "p99_s": round(_percentile(seconds, 99), 6),
         "mean_s": round(sum(seconds) / len(seconds), 6) if seconds else 0.0,
-        "server_p99_s": round(hist.percentile(99), 6) if hist else 0.0,
+        "server_p99_s": round(server_p99, 6),
+        "p50_by_kind_s": {
+            kind: round(_percentile(samples, 50), 6)
+            for kind, samples in sorted(seconds_by_kind.items())
+        },
+        "batch_window_s": config.batch_window,
+        "warm_requests": len(warm_seconds),
+        "warm_p50_s": round(warm_p50, 6),
+        "warm_p50_over_window": round(warm_p50 / config.batch_window, 3),
     }
-    summary = aggregate(records, metrics_snapshot={
-        "serve_request_seconds": hist.to_dict() if hist else {},
-        "serve_batch_size": (
-            registry.get("serve_batch_size").to_dict()
-            if registry.get("serve_batch_size") else {}
-        ),
-    })
+    summary = aggregate(records, metrics_snapshot=snapshot)
     return report, summary
 
 
@@ -276,6 +321,16 @@ def run_gate(
         f"{slo['p99_s']:.3f}s budget (p50 {report['p50_s']:.3f}s, "
         f"throughput {report['throughput_rps']} rps)"
     )
+    assert report["warm_requests"] == WARM_LEG_REQUESTS, (
+        f"{WARM_LEG_REQUESTS - report['warm_requests']} of {WARM_LEG_REQUESTS} "
+        "warm-leg requests failed"
+    )
+    assert report["warm_p50_over_window"] < MAX_WARM_P50_OVER_WINDOW, (
+        f"warm p50 {report['warm_p50_s'] * 1000:.2f}ms is "
+        f"{report['warm_p50_over_window']:.2f}x the "
+        f"{report['batch_window_s'] * 1000:.1f}ms batch window: memo hits "
+        "are waiting out the window instead of answering at admission"
+    )
 
     if record:
         history = []
@@ -293,7 +348,8 @@ def test_serve_slo_gate():
     print(
         f"\nserve gate: p99 {report['p99_s'] * 1000:.1f}ms, "
         f"{report['throughput_rps']} rps, "
-        f"error rate {report['error_rate']:.4f}"
+        f"error rate {report['error_rate']:.4f}, "
+        f"warm p50/window {report['warm_p50_over_window']:.2f}"
     )
 
 
@@ -319,7 +375,9 @@ def main(argv: list[str]) -> int:
     slo = _load_slo()
     print(
         f"serve gate PASSED: p99 {report['p99_s']:.3f}s <= {slo['p99_s']:.3f}s, "
-        f"error rate {report['error_rate']:.4f} <= {slo['error_rate']:.4f}"
+        f"error rate {report['error_rate']:.4f} <= {slo['error_rate']:.4f}, "
+        f"warm p50/window {report['warm_p50_over_window']:.2f} "
+        f"< {MAX_WARM_P50_OVER_WINDOW:.1f}"
     )
     return 0
 

@@ -30,20 +30,37 @@ def tag_directory(tags: list[int], ways: int) -> list[dict[int, int]]:
     """One ``{tag: way}`` dict per set, over the valid slots of a flat tag
     list (slot ``set * ways + way``, a negative sentinel tag when invalid).
 
-    A pass hook builds this directory on entry and records each way it
-    fills, so its tag match is one dict probe that cannot raise.  Nothing
-    else keeps the directory current: a slot since evicted or invalidated
-    holds another tag, so every use checks ``tags[slot] == tag`` and a
-    stale entry reads as a miss.  A tag sits in at most one way of its set
-    (only a miss allocates), so the entry is the way ``list.index`` would
-    find.  Per-set dicts of the tags' own int objects and small way
-    numbers take about half the memory of one ``(set, tag)``-keyed dict
-    of slots.
+    Each set-associative table builds its directory with its tag list
+    (every slot invalid, so every dict empty) and keeps it for its
+    lifetime: every write of a tag into a slot records the way, so the
+    tag match is one dict probe that cannot raise (:func:`find_way`).
+    Nothing else keeps the directory current: a slot since evicted,
+    abandoned or invalidated holds another tag, so every probe checks
+    ``tags[slot] == tag`` and a stale entry reads as a miss.  A tag sits
+    in at most one way of its set (only a miss allocates), so the entry
+    is the way ``list.index`` would find.  Per-set dicts of the tags' own
+    int objects and small way numbers take about half the memory of one
+    ``(set, tag)``-keyed dict of slots.
     """
     return [
         {tag: way for way, tag in enumerate(tags[base:base + ways]) if tag >= 0}
         for base in range(0, len(tags), ways)
     ]
+
+
+def find_way(row: dict[int, int], tags: list[int], base: int, tag: int) -> int | None:
+    """The way holding ``tag`` in the set whose slots start at ``base``.
+
+    ``row`` is the set's :func:`tag_directory` entry.  A miss costs a
+    dict probe where ``tags.index(tag, base, base + ways)`` raised a
+    ``ValueError`` (about 1.1 µs against 0.15 µs for a hit), and a hit
+    costs no more.  The per-event hot loops (the pass hooks and
+    ``lookup_fast``) inline the same two-line probe.
+    """
+    way = row.get(tag)
+    if way is None or tags[base + way] != tag:
+        return None
+    return way
 
 
 @dataclass(slots=True)

@@ -10,17 +10,19 @@ indirect ones) whose target changes: a mispredicted target first drains
 confidence before the stored target is overwritten.
 
 Storage is flat (``set * ways + way`` indexing) with a ``-1`` tag
-sentinel in invalid slots, so the per-event tag match is one
-``list.index`` call and the pass hook's is one probe of a tag
-directory; see :mod:`repro.core.pdede` for the layout rationale.  The
-baseline never invalidates entries, so only allocation writes tags.
+sentinel in invalid slots, and every tag match is one probe of the
+table's tag directory; see :mod:`repro.core.pdede` for the layout
+rationale.  The baseline never invalidates entries, so only allocation
+writes tags, and it records each in the directory.
 """
 
 from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS, hash_pc
 from repro.branch.types import BranchEvent
-from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor, tag_directory
+from repro.btb.base import (
+    NO_TARGET, BTBLookup, BranchTargetPredictor, find_way, tag_directory,
+)
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 
@@ -87,6 +89,7 @@ class BaselineBTB(BranchTargetPredictor):
         self._tags = [_NO_TAG] * size
         self._targets = [0] * size
         self._conf = [0] * size
+        self._directory = tag_directory(self._tags, ways)
 
     # -- address mapping ---------------------------------------------------
 
@@ -108,11 +111,7 @@ class BaselineBTB(BranchTargetPredictor):
         return index, (hashed >> 40) & self._tag_mask
 
     def _find_way(self, index: int, tag: int) -> int | None:
-        base = index * self.ways
-        try:
-            return self._tags.index(tag, base, base + self.ways) - base
-        except ValueError:
-            return None
+        return find_way(self._directory[index], self._tags, index * self.ways, tag)
 
     # -- BranchTargetPredictor API ------------------------------------------
 
@@ -138,13 +137,14 @@ class BaselineBTB(BranchTargetPredictor):
         the provider is ``"btb"``, hit or miss.
         """
         index = hashed & self._index_mask if self._sets_pow2 else hashed % self.sets
+        tag = (hashed >> 40) & self._tag_mask
         base = index * self.ways
-        try:
-            slot = self._tags.index((hashed >> 40) & self._tag_mask, base, base + self.ways)
-        except ValueError:
+        # find_way, inlined: the call would cost a hit about 10%.
+        way = self._directory[index].get(tag)
+        if way is None or self._tags[base + way] != tag:
             return (None, False, self.latency, "btb")
-        self._policies[index].on_hit(slot - base)
-        return (self._targets[slot], True, self.latency, "btb")
+        self._policies[index].on_hit(way)
+        return (self._targets[base + way], True, self.latency, "btb")
 
     def update_fast(
         self,
@@ -167,7 +167,7 @@ class BaselineBTB(BranchTargetPredictor):
             return
         index = hashed & self._index_mask if self._sets_pow2 else hashed % self.sets
         tag = (hashed >> 40) & self._tag_mask
-        way = self._find_way(index, tag)
+        way = find_way(self._directory[index], self._tags, index * self.ways, tag)
         if way is not None:
             self._train_existing(index, way, target)
             return
@@ -194,11 +194,9 @@ class BaselineBTB(BranchTargetPredictor):
         match, so one match serves both halves, and the update's
         ``on_hit`` of the way the lookup just promoted is dropped (no
         policy tells two back-to-back ``on_hit`` calls from one).  The
-        match probes a :func:`~repro.btb.base.tag_directory` built on
-        entry and extended by each allocation, and checks the slot's
-        tag, so a miss raises nothing and an entry whose slot was since
-        refilled reads as a miss.  The sanitizer hook is omitted, as in
-        :meth:`update_fast`.
+        match is :func:`~repro.btb.base.find_way`'s probe of the
+        table's tag directory, inlined.  The sanitizer hook is omitted,
+        as in :meth:`update_fast`.
         """
         _, targets, takens, is_indirect, hashes, _, _ = columns
         lookup_targets, lookup_hits, latencies = results
@@ -209,19 +207,18 @@ class BaselineBTB(BranchTargetPredictor):
         tags, stored, conf, conf_max = self._tags, self._targets, self._conf, self._conf_max
         policies = self._policies
         allocate = self._allocate
-        directory = tag_directory(tags, ways)
+        directory = self._directory
         for i in range(start, stop):
             hashed = hashes[i]
             index = hashed & index_mask if sets_pow2 else hashed % sets
             tag = (hashed >> 40) & tag_mask
-            row = directory[index]
-            way = row.get(tag)
+            way = directory[index].get(tag)
             base = index * ways
             if way is None or tags[base + way] != tag:
                 out_target(NO_TARGET)
                 out_hit(False)
                 if takens[i] and not (skip_indirect and is_indirect[i]):
-                    row[tag] = allocate(index, tag, targets[i])
+                    allocate(index, tag, targets[i])
                 continue
             slot = base + way
             predicted = stored[slot]
@@ -253,8 +250,9 @@ class BaselineBTB(BranchTargetPredictor):
             self._targets[slot] = target
         self._policies[index].on_hit(way)
 
-    def _allocate(self, index: int, tag: int, target: int) -> int:
-        """Fill ``tag`` into the set's victim way; returns the way."""
+    def _allocate(self, index: int, tag: int, target: int) -> None:
+        """Fill ``tag`` into the set's victim way and record it in the
+        tag directory."""
         policy = self._policies[index]
         base = index * self.ways
         way = policy.victim(self._valid[base:base + self.ways])
@@ -263,11 +261,11 @@ class BaselineBTB(BranchTargetPredictor):
             self.stats.evictions += 1
         self._valid[slot] = True
         self._tags[slot] = tag
+        self._directory[index][tag] = way
         self._targets[slot] = target
         self._conf[slot] = 0
         policy.on_insert(way)
         self.stats.allocations += 1
-        return way
 
     def storage_bits(self) -> int:
         per_entry = (

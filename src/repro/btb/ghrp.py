@@ -117,6 +117,7 @@ class GhrpBTB(BaselineBTB):
                     self._dead_counters[signature] += 1
         self._valid[slot] = True
         self._tags[slot] = tag
+        self._directory[index][tag] = way
         self._targets[slot] = target
         self._conf[slot] = 0
         self._signatures[index][way] = self._signature(

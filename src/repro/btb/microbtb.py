@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS, hash_pc
 from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.btb.base import BTBLookup, BranchTargetPredictor, find_way, tag_directory
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 
@@ -126,6 +126,7 @@ class MicroBTB(BranchTargetPredictor):
         l1_size = self.l1_sets * l1_ways
         self._l1_valid = [False] * l1_size
         self._l1_tags = [_NO_TAG] * l1_size
+        self._l1_directory = tag_directory(self._l1_tags, l1_ways)
         self._l1_targets = [0] * l1_size
         self._l1_conf = [0] * l1_size
         #: Model bookkeeping only (not charged in storage_bits): the PC
@@ -137,6 +138,7 @@ class MicroBTB(BranchTargetPredictor):
         ll_size = self.ll_sets * ll_ways
         self._ll_valid = [False] * ll_size
         self._ll_tags = [_NO_TAG] * ll_size
+        self._ll_directory = tag_directory(self._ll_tags, ll_ways)
         self._ll_deltas = [0] * ll_size
         self.l1_hits = 0
         self.ll_hits = 0
@@ -157,20 +159,12 @@ class MicroBTB(BranchTargetPredictor):
         index = shifted & (self.ll_sets - 1) if self._ll_sets_pow2 else shifted % self.ll_sets
         return index, (hashed >> 40) & self._tag_mask
 
-    @staticmethod
-    def _find_way(tags: list[int], index: int, ways: int, tag: int) -> int | None:
-        base = index * ways
-        try:
-            return tags.index(tag, base, base + ways) - base
-        except ValueError:
-            return None
-
     # -- BranchTargetPredictor API -------------------------------------------
 
     def lookup(self, pc: int) -> BTBLookup:
         hashed = hash_pc(pc)
         index, tag = self._l1_slot(hashed)
-        way = self._find_way(self._l1_tags, index, self.l1_ways, tag)
+        way = find_way(self._l1_directory[index], self._l1_tags, index * self.l1_ways, tag)
         if way is not None:
             self.l1_hits += 1
             self._l1_policies[index].on_hit(way)
@@ -181,7 +175,9 @@ class MicroBTB(BranchTargetPredictor):
                 provider="l1btb",
             )
         ll_index, ll_tag = self._ll_slot(hashed)
-        ll_way = self._find_way(self._ll_tags, ll_index, self.ll_ways, ll_tag)
+        ll_way = find_way(
+            self._ll_directory[ll_index], self._ll_tags, ll_index * self.ll_ways, ll_tag
+        )
         if ll_way is None:
             return BTBLookup(
                 hit=False, target=None, latency=self.latency, provider="miss"
@@ -208,7 +204,7 @@ class MicroBTB(BranchTargetPredictor):
             return
         hashed = hash_pc(event.pc)
         index, tag = self._l1_slot(hashed)
-        way = self._find_way(self._l1_tags, index, self.l1_ways, tag)
+        way = find_way(self._l1_directory[index], self._l1_tags, index * self.l1_ways, tag)
         if way is not None:
             self._l1_train(index, way, event.pc, event.target)
         else:
@@ -243,6 +239,7 @@ class MicroBTB(BranchTargetPredictor):
                 self._ll_fill(self._l1_pcs[slot], self._l1_targets[slot])
         self._l1_valid[slot] = True
         self._l1_tags[slot] = tag
+        self._l1_directory[index][tag] = way
         self._l1_targets[slot] = target
         self._l1_pcs[slot] = pc
         self._l1_conf[slot] = 0
@@ -256,13 +253,14 @@ class MicroBTB(BranchTargetPredictor):
             return
         hashed = hash_pc(pc)
         index, tag = self._ll_slot(hashed)
-        way = self._find_way(self._ll_tags, index, self.ll_ways, tag)
+        way = find_way(self._ll_directory[index], self._ll_tags, index * self.ll_ways, tag)
         policy = self._ll_policies[index]
         if way is None:
             base = index * self.ll_ways
             way = policy.victim(self._ll_valid[base:base + self.ll_ways])
             self._ll_valid[base + way] = True
             self._ll_tags[base + way] = tag
+            self._ll_directory[index][tag] = way
             policy.on_insert(way)
         else:
             policy.on_hit(way)

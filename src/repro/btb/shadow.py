@@ -46,7 +46,7 @@ from typing import Any
 
 from repro.branch.address import ADDRESS_BITS, hash_pc
 from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.btb.base import BTBLookup, BranchTargetPredictor, find_way, tag_directory
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 
@@ -112,6 +112,7 @@ class ShadowBTB(BranchTargetPredictor):
         size = self.shadow_sets * shadow_ways
         self._valid = [False] * size
         self._tags = [_NO_TAG] * size
+        self._directory = tag_directory(self._tags, shadow_ways)
         self._targets = [0] * size
         #: line number -> {pc: (target, hash_pc(pc))} for direct branches
         #: seen in that line (the hash saves re-hashing on every exposure).
@@ -129,13 +130,6 @@ class ShadowBTB(BranchTargetPredictor):
         """(set index, tag) of the branch whose ``hash_pc`` is ``hashed``."""
         index = hashed & (self.shadow_sets - 1) if self._sets_pow2 else hashed % self.shadow_sets
         return index, (hashed >> 40) & self._tag_mask
-
-    def _find_way(self, index: int, tag: int) -> int | None:
-        base = index * self.shadow_ways
-        try:
-            return self._tags.index(tag, base, base + self.shadow_ways) - base
-        except ValueError:
-            return None
 
     # -- BranchTargetPredictor API -------------------------------------------
 
@@ -211,7 +205,7 @@ class ShadowBTB(BranchTargetPredictor):
     def _probe(self, hashed: int) -> int | None:
         """The shadow table's target for a branch the inner BTB missed."""
         index, tag = self._slot(hashed)
-        way = self._find_way(index, tag)
+        way = find_way(self._directory[index], self._tags, index * self.shadow_ways, tag)
         if way is None:
             return None
         self.shadow_hits += 1
@@ -247,7 +241,7 @@ class ShadowBTB(BranchTargetPredictor):
 
     def _shadow_install(self, hashed: int, target: int) -> None:
         index, tag = self._slot(hashed)
-        way = self._find_way(index, tag)
+        way = find_way(self._directory[index], self._tags, index * self.shadow_ways, tag)
         if way is not None:
             self._targets[index * self.shadow_ways + way] = target
             return
@@ -259,6 +253,7 @@ class ShadowBTB(BranchTargetPredictor):
             self.stats.evictions += 1
         self._valid[slot] = True
         self._tags[slot] = tag
+        self._directory[index][tag] = way
         self._targets[slot] = target
         policy.on_insert(way)
         self.shadow_fills += 1
@@ -266,7 +261,7 @@ class ShadowBTB(BranchTargetPredictor):
 
     def _shadow_refresh(self, hashed: int, target: int) -> None:
         index, tag = self._slot(hashed)
-        way = self._find_way(index, tag)
+        way = find_way(self._directory[index], self._tags, index * self.shadow_ways, tag)
         if way is not None:
             self._targets[index * self.shadow_ways + way] = target
 

@@ -30,10 +30,11 @@ Storage layout: every per-entry field is one flat list indexed by
 matches is exactly the seed implementation's valid-and-matching way.
 The invariant that makes this sound: **every** path that clears
 ``_valid`` must store ``_NO_TAG`` into ``_tags`` (the sanitizer's
-tag-sentinel invariant guards it).  The per-event methods match with
-one ``list.index`` over the set's slice; the pass hook probes a
-``{tag: way}`` directory per set and checks the slot's tag, so its
-misses raise nothing.  Short ways sit above ``_short_base`` (``ways //
+tag-sentinel invariant guards it).  Every tag match probes the
+table's ``{tag: way}`` directory per set
+(:func:`~repro.btb.base.tag_directory`), which allocation extends, and
+checks the slot's tag, so a miss raises nothing and a slot since
+evicted, abandoned or invalidated reads as a miss.  Short ways sit above ``_short_base`` (``ways //
 2`` in multi-entry mode, else ``ways``), so way-class tests are an
 integer compare instead of a list membership scan.
 """
@@ -55,7 +56,9 @@ from repro.branch.address import (
     same_page,
 )
 from repro.branch.types import BranchEvent
-from repro.btb.base import NO_TARGET, BTBLookup, BranchTargetPredictor, tag_directory
+from repro.btb.base import (
+    NO_TARGET, BTBLookup, BranchTargetPredictor, find_way, tag_directory,
+)
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 from repro.core.config import PDedeConfig, PDedeMode
@@ -123,6 +126,7 @@ class PDedeBTB(BranchTargetPredictor):
         self._next_offset = [0] * size
         # Future-work extension: small tag of the next PC (Section 4.3.1).
         self._next_tag = [0] * size
+        self._directory = tag_directory(self._tags, ways)
         repl_kwargs = {"m": cfg.srrip_bits} if cfg.replacement == "srrip" else {}
         if cfg.mode is PDedeMode.MULTI_ENTRY:
             half = ways // 2
@@ -169,11 +173,7 @@ class PDedeBTB(BranchTargetPredictor):
         return (hash_pc(pc) >> 40) & self._tag_mask
 
     def _find_way(self, set_index: int, tag: int) -> int | None:
-        base = set_index * self._ways
-        try:
-            return self._tags.index(tag, base, base + self._ways) - base
-        except ValueError:
-            return None
+        return find_way(self._directory[set_index], self._tags, set_index * self._ways, tag)
 
     # -- replacement plumbing ---------------------------------------------------
 
@@ -311,11 +311,10 @@ class PDedeBTB(BranchTargetPredictor):
         cfg = self.config
         set_index = hashed & self._index_mask if self._sets_pow2 else hashed % self._sets
         tag = (hashed >> 40) & self._tag_mask
-        ways = self._ways
-        base = set_index * ways
-        try:
-            slot = self._tags.index(tag, base, base + ways)
-        except ValueError:
+        base = set_index * self._ways
+        # find_way, inlined: the call would cost a hit about 10%.
+        way = self._directory[set_index].get(tag)
+        if way is None or self._tags[base + way] != tag:
             if pending is not None and (
                 not cfg.next_target_tag_bits
                 or pending_tag == fold_bits(pc >> 1, cfg.next_target_tag_bits)
@@ -331,7 +330,7 @@ class PDedeBTB(BranchTargetPredictor):
                     "next-target",
                 )
             return (None, False, 1, "miss")
-        way = slot - base
+        slot = base + way
         target, latency = self._reconstruct(set_index, way, pc)
         if cfg.always_two_cycle:
             latency = 2
@@ -369,7 +368,7 @@ class PDedeBTB(BranchTargetPredictor):
         use_delta = is_same_page and cfg.delta_encoding
         set_index = hashed & self._index_mask if self._sets_pow2 else hashed % self._sets
         tag = (hashed >> 40) & self._tag_mask
-        way = self._find_way(set_index, tag)
+        way = find_way(self._directory[set_index], self._tags, set_index * self._ways, tag)
         if way is not None:
             self._train_existing(set_index, way, pc, target, use_delta)
         else:
@@ -398,12 +397,11 @@ class PDedeBTB(BranchTargetPredictor):
 
         * one tag match serves both halves: lookup writes only
           replacement, pending-register and counter state, none of which
-          the match reads.  The match probes a
-          :func:`~repro.btb.base.tag_directory` built on entry and
-          extended by each allocation, so a miss raises nothing; an
-          entry whose slot was since evicted, abandoned as a short way or
-          invalidated fails its ``tags[slot] == tag`` check and reads as
-          a miss;
+          the match reads.  The match probes the
+          table's tag directory (:func:`~repro.btb.base.find_way`'s
+          probe, inlined), so a miss raises nothing; an entry whose slot
+          was since evicted, abandoned as a short way or invalidated
+          fails its ``tags[slot] == tag`` check and reads as a miss;
         * a hit reconstructs its target once.  The update (Section 4.4.2)
           retrains the entry the lookup (Section 4.4.1) just read, and
           nothing in between writes that entry or the dedup tables, so a
@@ -431,7 +429,7 @@ class PDedeBTB(BranchTargetPredictor):
         sets_pow2, index_mask, sets = self._sets_pow2, self._index_mask, self._sets
         tag_mask, ways = self._tag_mask, self._ways
         tags, delta, offsets = self._tags, self._delta, self._offsets
-        directory = tag_directory(tags, ways)
+        directory = self._directory
         page_ptr, region_ptr = self._page_ptr, self._region_ptr
         page_gen, region_gen = self._page_gen, self._region_gen
         conf, conf_max = self._conf, self._conf_max
@@ -458,8 +456,7 @@ class PDedeBTB(BranchTargetPredictor):
             tag = (hashed >> 40) & tag_mask
             staged = pending
             pending = None
-            row = directory[set_index]
-            way = row.get(tag)
+            way = directory[set_index].get(tag)
             base = set_index * ways
             if way is None or tags[base + way] != tag:
                 # -- lookup: tag miss, maybe served by the Next Target
@@ -484,7 +481,7 @@ class PDedeBTB(BranchTargetPredictor):
                     continue
                 target = targets[i]
                 use_delta = same_page_col[i] and delta_encoding
-                row[tag] = way = allocate(set_index, tag, target, use_delta)
+                way = allocate(set_index, tag, target, use_delta)
                 if multi_target:
                     chain_next_target(set_index, way, pc, target, use_delta)
                 continue
@@ -610,6 +607,7 @@ class PDedeBTB(BranchTargetPredictor):
             self.stats.evictions += 1
         self._valid[slot] = True
         self._tags[slot] = tag
+        self._directory[set_index][tag] = way
         self._conf[slot] = 0
         self._write_target_fields(set_index, way, target, use_delta)
         self._mark_inserted(set_index, way)

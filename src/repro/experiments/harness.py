@@ -290,6 +290,27 @@ def run_design(
     return run_one(trace_name, design, params, warmup_fraction, scale, spec)[0]
 
 
+def memo_peek(
+    trace_name: str,
+    design: Design,
+    params: CoreParams = ICELAKE,
+    warmup_fraction: float = 0.3,
+    scale: str | None = None,
+    spec: WorkloadSpec | None = None,
+) -> FrontendStats | None:
+    """The memoised result of one pair, or ``None``.
+
+    The memo alone: no store or disk read, so the serving layer's event
+    loop may call it at admission.  ``None`` while the memo is disabled
+    (``REPRO_RESULT_CACHE=0``).  Like :func:`lookup_cached`, it does
+    not touch :func:`cache_info` telemetry.
+    """
+    scale = scale or current_scale()
+    return _memo_get(
+        result_store_key(trace_name, design.key, params, warmup_fraction, scale, spec)
+    )
+
+
 def lookup_cached(
     trace_name: str,
     design: Design,

@@ -55,13 +55,16 @@ class SimulateResponse:
             harness caller's serialisation (tests pin this).
         result: the parsed body.
         outcome: cache outcome (``memo`` / ``disk`` / ``fresh``).
-        batch_size: how many requests shared this request's micro-batch.
+        batch_size: how many requests shared this request's micro-batch
+            (1 for a memo hit answered at admission, outside every batch).
         request_id: the server-assigned correlation id
             (``X-Repro-Request-Id``) -- feed it to :meth:`ServeClient.
             debug_trace` to reconstruct the request's hop sequence.
         timing: server-reported per-hop latency decomposition in seconds
             (``batch_wait`` / ``queue`` / ``simulate``) from the
-            ``X-Repro-*-Seconds`` headers.
+            ``X-Repro-*-Seconds`` headers.  A memo hit answered at
+            admission reads 0 batch-wait and queue time, and its memo
+            peek as ``simulate``.
     """
 
     body: bytes

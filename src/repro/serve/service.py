@@ -8,13 +8,21 @@ Request lifecycle (``POST /v1/simulate``):
 2. **validation** -- the body parses into a
    :class:`~repro.serve.protocol.SimJob` against the design registry
    (structured 400 on any malformed field).
-3. **micro-batching** -- the job lands in the open batch for its
+3. **memo peek** -- the event loop peeks the harness memo
+   (:func:`repro.experiments.harness.memo_peek`: no store or disk
+   read).  A hit is answered at once, outside every batch: outcome
+   ``memo``, batch size 1, zero batch-wait and queue time, and the
+   peek as its simulate time; the batch counters and
+   ``serve_batch_size`` do not count it.  A hit decodes nothing, so
+   the batch window would only delay it.  With the memo off
+   (``REPRO_RESULT_CACHE=0``) every request batches.
+4. **micro-batching** -- every miss lands in the open batch for its
    ``(trace, scale)`` group, or opens one that stays open for
    ``batch_window`` seconds.  Requests that share a trace therefore
    execute together: the decoded columns
    (:meth:`~repro.workloads.trace.Trace.decoded`) are computed once per
    batch, and identical jobs collapse to one simulation (single-flight).
-4. **execution** -- the batch runs on a worker thread.  Every job,
+5. **execution** -- the batch runs on a worker thread.  Every job,
    suite member or inline spec alike, takes one path: it peeks the
    harness tiers (:func:`repro.experiments.harness.lookup_cached`:
    memo, then the result store -- the local disk cache, or the shared
@@ -31,7 +39,7 @@ Request lifecycle (``POST /v1/simulate``):
    ``serve_store_errors_total`` metric) -- never a wrong answer, never
    a lost request.  The sweep scheduler is for batch sweeps only;
    ``REPRO_SCHED_*`` does not change how serve executes.
-5. **response** -- the body is the canonical JSON of
+6. **response** -- the body is the canonical JSON of
    ``FrontendStats.to_dict()`` (byte-identical to a direct
    :func:`repro.experiments.harness.run_design` caller's serialisation);
    cache outcome and batch size ride in ``X-Repro-*`` headers.
@@ -50,14 +58,16 @@ same numbers are always available as plain counters on ``/v1/stats``
 
 Request tracing: every ``/v1/simulate`` request gets a correlation id
 (``X-Repro-Request-Id``) at admission and leaves a hop trail in the
-service's event log (:mod:`repro.obs.events`) -- ``admit`` →
-``batch-join`` → ``batch-execute`` → ``cache`` → ``respond`` -- with
-the batch runner's thread bound to the batch's ids so its
-``cache-lookup`` events, the harness's ``simulate`` span and the
-disk-cache / result-store events join each member request's trace.  The
-recent ring is served on ``GET /debug/trace``; per-hop timing
-(batch-wait / executor-queue / simulate) rides back in ``X-Repro-*``
-headers.  ``trace_buffer=0`` disables all of it (null event log).
+service's event log (:mod:`repro.obs.events`): ``admit`` →
+``batch-join`` → ``batch-execute`` → ``cache`` → ``respond`` for a
+request that batches, ``admit`` → ``cache`` → ``respond`` for a memo
+hit answered at admission.  The batch runner's thread is bound to the
+batch's ids, so its ``cache-lookup`` events, the harness's ``simulate``
+span and the disk-cache / result-store events join each member
+request's trace.  The recent ring is served on ``GET /debug/trace``;
+per-hop timing (batch-wait / executor-queue / simulate) rides back in
+``X-Repro-*`` headers.  ``trace_buffer=0`` disables all of it (null
+event log).
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ from http import HTTPStatus
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
-from repro.experiments import resultstore
+from repro.experiments import harness, resultstore
 from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.obs.events import EventLog, NullEventLog, bind_rids, new_request_id
@@ -135,7 +145,6 @@ def default_batch_runner(jobs: list[SimJob]) -> BatchOutcome:
     (``local``).  Responses therefore stay byte-identical to a direct
     caller's, and results land in the same memo and result store.
     """
-    from repro.experiments import harness
     from repro.experiments.designs import design_registry
 
     registry = design_registry()
@@ -263,7 +272,10 @@ class SimulationService:
         )
         from repro.experiments.designs import design_registry
 
-        self._design_keys = frozenset(design_registry())
+        #: Built once: request validation and the admission memo peek
+        #: both read it (building it costs about 60 µs).
+        self._designs = design_registry()
+        self._design_keys = frozenset(self._designs)
         #: Bound port once listening (== config.port unless that was 0).
         self.port: int | None = None
         #: Strong refs to in-flight batch-flush tasks: the event loop
@@ -504,6 +516,22 @@ class SimulationService:
             headers["Retry-After"] = str(retry_after)
             return status, body_bytes, headers
         started = time.monotonic()
+        stats = harness.memo_peek(
+            job.trace_name, self._designs[job.design_key],
+            params=job.params, warmup_fraction=job.warmup_fraction,
+            scale=job.scale, spec=job.spec,
+        )
+        if stats is not None:
+            # A memo hit decodes nothing, so the batch window would be
+            # pure delay: answer on the loop, outside every batch.
+            peeked = time.monotonic()
+            self.counters["outcomes"]["memo"] += 1
+            registry.counter(
+                "serve_cache_outcome_total", "simulate requests by cache outcome"
+            ).inc(outcome="memo")
+            self.events.emit("cache", rid=rid, outcome="memo")
+            self._observe_latency(job, started)
+            return self._respond(rid, job, stats, "memo", 1, started, (started, started, peeked))
         self._inflight += 1
         registry.gauge(
             "serve_queue_depth", "simulate requests queued or running"
@@ -522,18 +550,38 @@ class SimulationService:
             registry.gauge(
                 "serve_queue_depth", "simulate requests queued or running"
             ).set(self._inflight)
-            registry.histogram(
-                "serve_request_seconds", "simulate request latency",
-                buckets=SERVE_BUCKETS,
-            ).observe(time.monotonic() - started, design=job.design_key)
+            self._observe_latency(job, started)
+        return self._respond(rid, job, stats, kind, batch_size, started, timing)
+
+    def _observe_latency(self, job: SimJob, started: float) -> None:
+        get_registry().histogram(
+            "serve_request_seconds", "simulate request latency",
+            buckets=SERVE_BUCKETS,
+        ).observe(time.monotonic() - started, design=job.design_key)
+
+    def _respond(
+        self,
+        rid: str,
+        job: SimJob,
+        stats: FrontendStats,
+        kind: str,
+        batch_size: int,
+        started: float,
+        timing: tuple[float, float, float],
+    ) -> tuple[int, bytes, dict[str, str]]:
+        """The 200 for an answered job, with its per-hop timing headers.
+
+        ``timing`` is ``(flush, exec_start, exec_end)`` on the monotonic
+        clock: how long the request sat in its open micro-batch, how
+        long the closed batch waited for an executor thread, and how
+        long the runner took.  An admission memo hit passes ``(started,
+        started, peeked)``: no batch wait, no queue, and the peek as its
+        simulate time.
+        """
         self.counters["ok"] += 1
-        registry.counter(
+        get_registry().counter(
             "serve_requests_total", "simulate requests by outcome"
         ).inc(outcome="ok")
-        # Per-hop latency decomposition (all monotonic-clock deltas):
-        # how long the request sat in its open micro-batch, how long
-        # the closed batch waited for an executor thread, and how long
-        # the runner actually took.
         flush_ts, exec_start, exec_end = timing
         seconds = time.monotonic() - started
         batch_wait_s = max(0.0, flush_ts - started)

@@ -20,9 +20,10 @@ then walks its shadow table; its cases hold both the wrapper's and the
 inner's counters to the frozen ``SeedShadowBTB`` over a seed inner.
 
 Each hook gets its columns from ``vector._btb_pass``, as in a fresh run.
-The Baseline and PDede hooks match tags through a directory that goes
-stale within one call; a hand-made trace that cycles more branches than
-ways through one set holds that case to the seed.
+Every tag match probes the table's tag directory, whose entries go stale
+as slots are refilled; a hand-made trace that cycles more branches than
+ways through one set holds that case to the seed, and a property test
+holds the probe itself to ``list.index``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch.types import BranchKind
-from repro.btb.base import NO_TARGET
+from repro.btb.base import NO_TARGET, find_way, tag_directory
 from repro.btb.baseline import BaselineBTB
 from repro.btb.shadow import ShadowBTB
 from repro.btb.twolevel import TwoLevelBTB
@@ -295,7 +298,60 @@ def test_shadow_pass_refreshes_a_retargeted_branch():
     assert btb.shadow_hits == 2
 
 
-# -- the pass hooks' tag directory goes stale within one call --------------------
+# -- the tag directory against list.index ----------------------------------------
+
+
+def _index_way(tags: list[int], base: int, ways: int, tag: int) -> int | None:
+    """The tag match the directory replaced: ``list.index`` over the set's
+    slots, a ``ValueError`` on a miss."""
+    try:
+        return tags.index(tag, base, base + ways) - base
+    except ValueError:
+        return None
+
+
+@st.composite
+def _tag_tables(draw):
+    """A flat tag list and its directory after a random write history, as
+    the tables write them: an allocation fills a tag its set lacks and
+    records the way; an eviction, abandon or invalidation stores the -1
+    sentinel and records nothing.  Tags come from a small alphabet, so
+    directory entries go stale and tags recur across sets."""
+    ways = draw(st.integers(min_value=1, max_value=16))
+    sets = draw(st.integers(min_value=1, max_value=4))
+    tags = [-1] * (sets * ways)
+    directory = tag_directory(tags, ways)
+    writes = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=sets - 1),
+            st.integers(min_value=0, max_value=ways - 1),
+            st.integers(min_value=-1, max_value=11),
+        ),
+        max_size=80,
+    ))
+    for set_index, way, tag in writes:
+        base = set_index * ways
+        if tag < 0:
+            tags[base + way] = -1
+        elif tag not in tags[base:base + ways]:
+            tags[base + way] = tag
+            directory[set_index][tag] = way
+    return ways, tags, directory
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tag_tables())
+def test_find_way_matches_list_index(table):
+    ways, tags, directory = table
+    rebuilt = tag_directory(tags, ways)
+    for set_index, base in enumerate(range(0, len(tags), ways)):
+        for tag in range(12):
+            expected = _index_way(tags, base, ways, tag)
+            assert find_way(directory[set_index], tags, base, tag) == expected
+            assert find_way(rebuilt[set_index], tags, base, tag) == expected
+
+
+# -- tag directory entries go stale ---------------------------------------------
 
 
 def _cycling_trace():

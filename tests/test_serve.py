@@ -354,6 +354,93 @@ def test_graceful_shutdown_drains_inflight_requests():
         handle.shutdown()
 
 
+# -- memo hits answered at admission -----------------------------------------
+
+
+def _wait_inflight(client: ServeClient, count: int) -> None:
+    deadline = time.monotonic() + 5
+    while client.health()["inflight"] < count:
+        assert time.monotonic() < deadline, "requests never admitted"
+        time.sleep(0.01)
+
+
+def test_memo_hit_answers_while_every_worker_is_blocked():
+    """A memoised pair is answered on the event loop: no batch window,
+    no worker thread, so a pool stuck on a cold batch cannot delay it."""
+    expected = _expected_payloads([(APP, "pdede-default")])[(APP, "pdede-default")]
+    release = threading.Event()
+    handle = serve_in_thread(
+        _config(workers=1, batch_window=0.01), runner=_blocking_runner(release)
+    )
+    try:
+        client = ServeClient(port=handle.port)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            cold = pool.submit(client.simulate, design="baseline", app=APP)
+            _wait_inflight(client, 1)
+            warm = pool.submit(client.simulate, design="pdede-default", app=APP)
+            response = warm.result(timeout=10)
+            assert not cold.done(), "the cold batch was released early"
+            assert response.outcome == "memo"
+            assert response.body == expected
+            assert response.batch_size == 1
+            assert response.timing["batch_wait"] == 0.0
+            assert response.timing["queue"] == 0.0
+            release.set()
+            assert cold.result(timeout=10).outcome == "fresh"
+        counters = handle.service.counters
+        assert counters["outcomes"]["memo"] == 1
+        # Only the cold request formed a batch.
+        assert counters["batches"] == counters["batched_requests"] == 1
+    finally:
+        release.set()
+        handle.shutdown()
+
+
+def test_memo_hits_still_get_429_and_503():
+    harness.run_design(APP, design_registry()["pdede-default"], scale=SCALE)
+    release = threading.Event()
+    handle = serve_in_thread(
+        _config(queue_limit=1, workers=1, batch_window=0.01, retry_after=2.0),
+        runner=_blocking_runner(release),
+    )
+    try:
+        client = ServeClient(port=handle.port)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            cold = pool.submit(client.simulate, design="baseline", app=APP)
+            _wait_inflight(client, 1)
+            # Admission control runs before the memo peek.
+            with pytest.raises(ServiceError) as excinfo:
+                client.simulate(design="pdede-default", app=APP)
+            assert excinfo.value.status == 429
+            assert excinfo.value.code == "queue-full"
+
+            held = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+            held.request("GET", "/healthz")
+            held.getresponse().read()
+            handle.service.request_shutdown()
+            deadline = time.monotonic() + 5
+            while not handle.service.draining:
+                assert time.monotonic() < deadline, "drain never started"
+                time.sleep(0.01)
+            held.request("POST", "/v1/simulate",
+                         body=b'{"design": "pdede-default", "app": "server_oltp_00"}',
+                         headers={"Content-Type": "application/json"})
+            response = held.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 503
+            assert payload["error"]["code"] == "draining"
+            held.close()
+            release.set()
+            cold.result(timeout=10)
+        counters = handle.service.counters
+        assert counters["rejected"] == 1
+        assert counters["draining_rejected"] == 1
+        assert counters["outcomes"]["memo"] == 0
+    finally:
+        release.set()
+        handle.shutdown()
+
+
 # -- warm-cache storm (the issue's acceptance scenario) ----------------------
 
 

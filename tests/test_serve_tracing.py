@@ -29,8 +29,11 @@ APP = "server_oltp_00"
 DESIGN = "pdede-default"
 SCALE = "tiny"
 
-#: The hop trail every successful request must leave, in order.
+#: The hop trail every request that misses the memo leaves, in order.
 HOP_SEQUENCE = ("admit", "batch-join", "batch-execute", "cache", "respond")
+
+#: The trail of a memo hit, answered at admission outside every batch.
+WARM_HOP_SEQUENCE = ("admit", "cache", "respond")
 
 
 @pytest.fixture(autouse=True)
@@ -123,12 +126,23 @@ def test_warm_request_traces_memo_outcome():
         warm = client.simulate(design=DESIGN, app=APP)
         assert warm.outcome == "memo"
         assert warm.request_id != cold.request_id
-        records = client.debug_trace(rid=warm.request_id)["records"]
-        assert _hop_order(records) == list(HOP_SEQUENCE)
+        rid = warm.request_id
+        records = client.debug_trace(rid=rid)["records"]
+        assert _hop_order(records) == list(WARM_HOP_SEQUENCE)
         by_event = {r["event"]: r for r in records}
         assert by_event["cache"]["outcome"] == "memo"
-        # A memo hit barely simulates: the hop decomposition shows it.
-        assert by_event["respond"]["simulate_s"] < by_event["respond"]["seconds"]
+        # Answered at admission: no batch record carries the rid.
+        batch_records = [
+            r for r in client.debug_trace()["records"]
+            if r["event"] in ("batch-join", "batch-execute")
+        ]
+        assert batch_records, "the cold request must have batched"
+        for record in batch_records:
+            assert record.get("rid") != rid
+            assert rid not in record.get("rids", ())
+        respond = by_event["respond"]
+        assert respond["batch_wait_s"] == respond["queue_s"] == 0.0
+        assert respond["simulate_s"] <= respond["seconds"]
     finally:
         handle.shutdown()
 
