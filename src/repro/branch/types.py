@@ -57,6 +57,13 @@ class BranchKind(enum.IntEnum):
         return self is BranchKind.RETURN
 
 
+#: Per-kind flags indexed by ``int(kind)``, for the loops that carry a
+#: branch's kind as a plain int.
+IS_DIRECT = [kind.is_direct for kind in BranchKind]
+IS_INDIRECT = [kind.is_indirect for kind in BranchKind]
+IS_CALL = [kind.is_call for kind in BranchKind]
+
+
 @dataclass(slots=True)
 class BranchEvent:
     """One dynamic branch instance in a trace.

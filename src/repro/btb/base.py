@@ -7,6 +7,11 @@ A BTB model exposes two operations mirroring the hardware (Section 4.4):
 * ``update(event)`` -- performed when the branch resolves (decode for
   direct, execute for indirect), trains / allocates entries.
 
+Each class implements them once, on the branch pc's avalanche hash
+(:func:`~repro.branch.address.hash_pc`), which the decoded trace already
+holds for every event: ``lookup_fast`` and ``update_fast`` (see
+:class:`BranchTargetPredictor`).
+
 A *BTB miss* follows the paper's definition (Section 5.1): the branch PC
 has no valid entry, **or** it has one with the wrong target.  Misses are
 counted against taken branches only, because not-taken fall-through
@@ -18,6 +23,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
+from repro.branch.address import hash_pc, same_page
 from repro.branch.types import BranchEvent
 
 #: "No target" in the lookup-target list an ``observe_fast`` BTB pass
@@ -32,11 +38,13 @@ def tag_directory(tags: list[int], ways: int) -> list[dict[int, int]]:
 
     Each set-associative table builds its directory with its tag list
     (every slot invalid, so every dict empty) and keeps it for its
-    lifetime: every write of a tag into a slot records the way, so the
-    tag match is one dict probe that cannot raise (:func:`find_way`).
-    Nothing else keeps the directory current: a slot since evicted,
-    abandoned or invalidated holds another tag, so every probe checks
-    ``tags[slot] == tag`` and a stale entry reads as a miss.  A tag sits
+    lifetime: every write of a tag into a slot records the way, and an
+    allocation that overwrites a valid slot drops the victim's tag
+    (:func:`drop_tag`), so the tag match is one dict probe that cannot
+    raise (:func:`find_way`).  An invalidated or abandoned slot's entry
+    stays until its tag is written again, so every probe checks
+    ``tags[slot] == tag`` and a stale entry reads as a miss; a table
+    that never invalidates keeps at most one entry per way.  A tag sits
     in at most one way of its set (only a miss allocates), so the entry
     is the way ``list.index`` would find.  Per-set dicts of the tags' own
     int objects and small way numbers take about half the memory of one
@@ -46,6 +54,13 @@ def tag_directory(tags: list[int], ways: int) -> list[dict[int, int]]:
         {tag: way for way, tag in enumerate(tags[base:base + ways]) if tag >= 0}
         for base in range(0, len(tags), ways)
     ]
+
+
+def drop_tag(row: dict[int, int], tag: int, way: int) -> None:
+    """Forget ``tag``, the old tag of ``way``'s slot being overwritten, if
+    the set's directory ``row`` still maps it to that way."""
+    if row.get(tag) == way:
+        del row[tag]
 
 
 def find_way(row: dict[int, int], tags: list[int], base: int, tag: int) -> int | None:
@@ -153,34 +168,78 @@ class BTBStats:
 
 
 class BranchTargetPredictor(abc.ABC):
-    """Abstract base class for every BTB design in this library."""
+    """Abstract base class for every BTB design in this library.
+
+    The contract is one pair of methods on a precomputed ``hashed =
+    hash_pc(pc)``, from which a class derives every index and tag of the
+    branch (a class never hashes the pc it is given again):
+
+    * ``lookup_fast(pc, hashed)`` returns ``(target, hit, latency,
+      provider)``, with ``None`` for no target;
+    * ``update_fast(pc, target, taken, kind, hashed, is_same_page)``
+      trains with the resolved branch: ``kind`` is ``int(BranchKind)``
+      and ``is_same_page`` is ``same_page(pc, target)``.  A class that
+      steps the sanitizer steps here, once per update.
+
+    :meth:`lookup` and :meth:`update` are adapters that hash the pc, and
+    :meth:`observe_fast` is the fresh-run engine's BTB pass over the
+    decoded columns; all three run the pair, so every path runs one
+    algorithm.  A class may inline its own pass (Baseline, PDede, the
+    shadow wrapper); a subclass that overrides either half of the pair
+    then rebinds this loop (``GhrpBTB``).
+    """
 
     def __init__(self) -> None:
         self.stats = BTBStats()
 
     @abc.abstractmethod
-    def lookup(self, pc: int) -> BTBLookup:
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
         """Predict the target of the branch at ``pc`` (fetch time)."""
 
     @abc.abstractmethod
-    def update(self, event: BranchEvent) -> None:
-        """Train with the resolved branch ``event``."""
+    def update_fast(
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
+    ) -> None:
+        """Train with the resolved branch at ``pc``."""
 
     @abc.abstractmethod
     def storage_bits(self) -> int:
         """Total SRAM bits of the design (tags + data + metadata)."""
 
-    @property
-    def has_pass_hook(self) -> bool:
-        """Whether ``observe_fast(columns, start, stop, results)`` is this
-        BTB's fresh-run pass: exactly :meth:`lookup` then :meth:`update`
-        per active event.
+    def lookup(self, pc: int) -> BTBLookup:
+        """:meth:`lookup_fast` on ``hash_pc(pc)``, as a :class:`BTBLookup`."""
+        target, hit, latency, provider = self.lookup_fast(pc, hash_pc(pc))
+        return BTBLookup(hit=hit, target=target, latency=latency, provider=provider)
 
-        Each class declares its own; without one the fresh-run engine
-        calls ``lookup`` and ``update`` itself.  A class that inherits a
-        hook but overrides ``lookup`` or ``update`` must not declare it.
+    def update(self, event: BranchEvent) -> None:
+        """:meth:`update_fast` on the fields of the resolved ``event``."""
+        pc, target = event.pc, event.target
+        self.update_fast(
+            pc, target, event.taken, int(event.kind), hash_pc(pc), same_page(pc, target)
+        )
+
+    def observe_fast(self, columns, start: int, stop: int, results) -> None:
+        """The fresh-run engine's BTB pass over active events ``start:stop``.
+
+        ``columns`` are the active events' ``(pcs, targets, takens,
+        is_indirect, hashes, same_page, is_direct, kinds)`` columns:
+        lists, except ``is_direct`` and ``kinds``, numpy arrays of which
+        a pass that reads one takes a list of only its slice.  Each
+        event's lookup ``(target, hit, latency)`` is appended to the three
+        ``results`` lists, with :data:`NO_TARGET` for no target.  This
+        loop runs :meth:`lookup_fast` then :meth:`update_fast` per event,
+        as the live pass runs the adapters.
         """
-        return False
+        pcs, targets, takens, _, hashes, same_page_col, _, kinds = columns
+        lookup, update = self.lookup_fast, self.update_fast
+        out_target, out_hit, out_latency = (column.append for column in results)
+        for i, kind in zip(range(start, stop), kinds[start:stop].tolist()):
+            pc, hashed = pcs[i], hashes[i]
+            target, hit, latency, _ = lookup(pc, hashed)
+            update(pc, targets[i], takens[i], kind, hashed, same_page_col[i])
+            out_target(NO_TARGET if target is None else target)
+            out_hit(hit)
+            out_latency(latency)
 
     @property
     def name(self) -> str:

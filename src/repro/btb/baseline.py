@@ -13,15 +13,15 @@ Storage is flat (``set * ways + way`` indexing) with a ``-1`` tag
 sentinel in invalid slots, and every tag match is one probe of the
 table's tag directory; see :mod:`repro.core.pdede` for the layout
 rationale.  The baseline never invalidates entries, so only allocation
-writes tags, and it records each in the directory.
+writes tags: it records each in the directory and drops the victim's.
 """
 
 from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS, hash_pc
-from repro.branch.types import BranchEvent
+from repro.branch.types import IS_INDIRECT
 from repro.btb.base import (
-    NO_TARGET, BTBLookup, BranchTargetPredictor, find_way, tag_directory,
+    NO_TARGET, BranchTargetPredictor, drop_tag, find_way, tag_directory,
 )
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
@@ -104,38 +104,13 @@ class BaselineBTB(BranchTargetPredictor):
     def _tag(self, pc: int) -> int:
         return (hash_pc(pc) >> 40) & self._tag_mask
 
-    def _slot(self, pc: int) -> tuple[int, int]:
-        """(set index, tag) from a single hash (hot path)."""
-        hashed = hash_pc(pc)
-        index = hashed & self._index_mask if self._sets_pow2 else hashed % self.sets
-        return index, (hashed >> 40) & self._tag_mask
-
     def _find_way(self, index: int, tag: int) -> int | None:
         return find_way(self._directory[index], self._tags, index * self.ways, tag)
-
-    # -- BranchTargetPredictor API ------------------------------------------
-
-    def lookup(self, pc: int) -> BTBLookup:
-        target, hit, latency, provider = self.lookup_fast(pc, hash_pc(pc))
-        return BTBLookup(hit=hit, target=target, latency=latency, provider=provider)
-
-    def update(self, event: BranchEvent) -> None:
-        sanitizer_step(self)
-        if not event.taken:
-            self.stats.updates += 1
-            return
-        pc = event.pc
-        # The page bit is PDede's; the baseline never reads it.
-        self.update_fast(pc, event.target, True, event.kind.is_indirect, hash_pc(pc), False)
 
     # -- the algorithm, on a precomputed hash -------------------------------
 
     def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
-        """The lookup on a precomputed hash: ``(target, hit, latency, provider)``.
-
-        The one copy :meth:`lookup` and ``TwoLevelBTB.observe_fast`` share;
-        the provider is ``"btb"``, hit or miss.
-        """
+        """The lookup: ``(target, hit, latency, "btb")``."""
         index = hashed & self._index_mask if self._sets_pow2 else hashed % self.sets
         tag = (hashed >> 40) & self._tag_mask
         base = index * self.ways
@@ -147,23 +122,14 @@ class BaselineBTB(BranchTargetPredictor):
         return (self._targets[base + way], True, self.latency, "btb")
 
     def update_fast(
-        self,
-        pc: int,
-        target: int,
-        taken: bool,
-        is_indirect: bool,
-        hashed: int,
-        is_same_page: bool,
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
     ) -> None:
-        """The update on a precomputed hash; :meth:`update` wraps it.
-
-        The sanitizer hook stays in :meth:`update`: the fresh-run engine
-        only runs with the sanitizer disarmed (the simulator gates on it).
-        """
+        """The update; the page bit is PDede's, and the baseline never reads it."""
+        sanitizer_step(self)
         self.stats.updates += 1
         if not taken:
             return
-        if is_indirect and not self.allocate_indirect:
+        if IS_INDIRECT[kind] and not self.allocate_indirect:
             return
         index = hashed & self._index_mask if self._sets_pow2 else hashed % self.sets
         tag = (hashed >> 40) & self._tag_mask
@@ -175,30 +141,20 @@ class BaselineBTB(BranchTargetPredictor):
 
     # -- the fresh-run engine's inlined BTB pass -----------------------------
 
-    @property
-    def has_pass_hook(self) -> bool:
-        # A subclass that overrides lookup or update (GhrpBTB) changes
-        # what the pass must do, so it inherits no hook.
-        cls = type(self)
-        return cls.lookup is BaselineBTB.lookup and cls.update is BaselineBTB.update
-
     def observe_fast(self, columns, start: int, stop: int, results) -> None:
         """The fresh-run engine's BTB pass over active events ``start:stop``.
 
-        ``columns`` are the active events' ``(pcs, targets, takens,
-        is_indirect, hashes, same_page, is_direct)`` columns; each event's
-        lookup ``(target, hit, latency)`` is appended to the three
-        ``results`` lists, with :data:`NO_TARGET` for no target.  Exactly
-        :meth:`lookup` then :meth:`update` per event, in one frame: lookup
-        mutates only replacement state, which cannot change the tag
-        match, so one match serves both halves, and the update's
-        ``on_hit`` of the way the lookup just promoted is dropped (no
-        policy tells two back-to-back ``on_hit`` calls from one).  The
-        match is :func:`~repro.btb.base.find_way`'s probe of the
-        table's tag directory, inlined.  The sanitizer hook is omitted,
-        as in :meth:`update_fast`.
+        Same contract as the base loop, whose state evolution it keeps,
+        in one frame: lookup mutates only replacement state, which cannot
+        change the tag match, so one match serves both halves, and the
+        update's ``on_hit`` of the way the lookup just promoted is
+        dropped (no policy tells two back-to-back ``on_hit`` calls from
+        one).  The match is :func:`~repro.btb.base.find_way`'s probe of
+        the table's tag directory, inlined.  The sanitizer hook is
+        omitted: the fresh-run engine only runs with it disarmed (the
+        simulator gates on it).
         """
-        _, targets, takens, is_indirect, hashes, _, _ = columns
+        _, targets, takens, is_indirect, hashes, _, _, _ = columns
         lookup_targets, lookup_hits, latencies = results
         out_target, out_hit = lookup_targets.append, lookup_hits.append
         skip_indirect = not self.allocate_indirect
@@ -251,17 +207,19 @@ class BaselineBTB(BranchTargetPredictor):
         self._policies[index].on_hit(way)
 
     def _allocate(self, index: int, tag: int, target: int) -> None:
-        """Fill ``tag`` into the set's victim way and record it in the
-        tag directory."""
+        """Fill ``tag`` into the set's victim way, replacing the victim's
+        tag with it in the tag directory."""
         policy = self._policies[index]
         base = index * self.ways
         way = policy.victim(self._valid[base:base + self.ways])
         slot = base + way
+        row = self._directory[index]
         if self._valid[slot]:
             self.stats.evictions += 1
+            drop_tag(row, self._tags[slot], way)
         self._valid[slot] = True
         self._tags[slot] = tag
-        self._directory[index][tag] = way
+        row[tag] = way
         self._targets[slot] = target
         self._conf[slot] = 0
         policy.on_insert(way)

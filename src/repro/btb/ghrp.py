@@ -20,7 +20,7 @@ the replacement side instead of the encoding side.
 from __future__ import annotations
 
 from repro.branch.address import mix64
-from repro.branch.types import BranchEvent
+from repro.btb.base import BranchTargetPredictor, drop_tag
 from repro.btb.baseline import BaselineBTB
 
 
@@ -35,6 +35,9 @@ class GhrpBTB(BaselineBTB):
             predicted dead.
         history_bits: global branch-history bits mixed into signatures.
     """
+
+    # Baseline's inlined pass runs Baseline's pair, not the overrides below.
+    observe_fast = BranchTargetPredictor.observe_fast
 
     def __init__(
         self,
@@ -69,11 +72,11 @@ class GhrpBTB(BaselineBTB):
 
     # -- BaselineBTB overrides -------------------------------------------------
 
-    def lookup(self, pc: int):
-        result = super().lookup(pc)
-        if result.hit:
-            index, tag = self._slot(pc)
-            way = self._find_way(index, tag)
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
+        result = super().lookup_fast(pc, hashed)
+        if result[1]:
+            index = hashed & self._index_mask if self._sets_pow2 else hashed % self.sets
+            way = self._find_way(index, (hashed >> 40) & self._tag_mask)
             if way is not None and not self._referenced[index][way]:
                 self._referenced[index][way] = True
                 # The signature produced a live entry: train toward live.
@@ -82,9 +85,11 @@ class GhrpBTB(BaselineBTB):
                     self._dead_counters[signature] -= 1
         return result
 
-    def update(self, event: BranchEvent) -> None:
-        super().update(event)
-        self.record_history(event.pc, event.taken)
+    def update_fast(
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
+    ) -> None:
+        super().update_fast(pc, target, taken, kind, hashed, is_same_page)
+        self.record_history(pc, taken)
 
     def _allocate(self, index: int, tag: int, target: int) -> None:
         policy = self._policies[index]
@@ -108,8 +113,10 @@ class GhrpBTB(BaselineBTB):
         if way is None:
             way = policy.victim(self._valid[base:base + self.ways])
         slot = base + way
+        row = self._directory[index]
         if self._valid[slot]:
             self.stats.evictions += 1
+            drop_tag(row, self._tags[slot], way)
             # Train: entries evicted unreferenced were dead on arrival.
             signature = self._signatures[index][way]
             if not self._referenced[index][way]:
@@ -117,7 +124,7 @@ class GhrpBTB(BaselineBTB):
                     self._dead_counters[signature] += 1
         self._valid[slot] = True
         self._tags[slot] = tag
-        self._directory[index][tag] = way
+        row[tag] = way
         self._targets[slot] = target
         self._conf[slot] = 0
         self._signatures[index][way] = self._signature(

@@ -16,19 +16,17 @@ predictors) because victim filling needs eviction visibility: the L1
 must hand its evicted entry to the LLBTB, which a generic wrapper
 cannot see.
 
-Engine support: both engines.  The class has no ``observe_fast`` pass
-hook, so the fresh-run engine's BTB pass runs it through the shared
-module-level loop (``repro.frontend.vector``), which calls ``lookup``
-then ``update`` per event, exactly as the live loop does; the seed
-referee passes instances through unchanged, which is what the
-differential tests lean on.
+Engine support: both engines.  The class implements the hashed pair
+only, so the fresh-run engine runs the base class's ``observe_fast``
+loop over it and the live pass its adapters; the seed referee is the
+frozen ``SeedMicroBTB``.
 """
 
 from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS, hash_pc
-from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor, find_way, tag_directory
+from repro.branch.types import IS_INDIRECT
+from repro.btb.base import BranchTargetPredictor, drop_tag, find_way, tag_directory
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 
@@ -159,58 +157,46 @@ class MicroBTB(BranchTargetPredictor):
         index = shifted & (self.ll_sets - 1) if self._ll_sets_pow2 else shifted % self.ll_sets
         return index, (hashed >> 40) & self._tag_mask
 
-    # -- BranchTargetPredictor API -------------------------------------------
+    # -- the hashed pair -------------------------------------------------------
 
-    def lookup(self, pc: int) -> BTBLookup:
-        hashed = hash_pc(pc)
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
         index, tag = self._l1_slot(hashed)
         way = find_way(self._l1_directory[index], self._l1_tags, index * self.l1_ways, tag)
         if way is not None:
             self.l1_hits += 1
             self._l1_policies[index].on_hit(way)
-            return BTBLookup(
-                hit=True,
-                target=self._l1_targets[index * self.l1_ways + way],
-                latency=self.latency,
-                provider="l1btb",
-            )
+            return (self._l1_targets[index * self.l1_ways + way], True, self.latency, "l1btb")
         ll_index, ll_tag = self._ll_slot(hashed)
         ll_way = find_way(
             self._ll_directory[ll_index], self._ll_tags, ll_index * self.ll_ways, ll_tag
         )
         if ll_way is None:
-            return BTBLookup(
-                hit=False, target=None, latency=self.latency, provider="miss"
-            )
+            return (None, False, self.latency, "miss")
         self.ll_hits += 1
         self._ll_policies[ll_index].on_hit(ll_way)
         target = pc + self._ll_deltas[ll_index * self.ll_ways + ll_way]
         if self.promote_on_hit:
             self.promotions += 1
             self._l1_allocate(index, tag, pc, target)
-        return BTBLookup(
-            hit=True,
-            target=target,
-            latency=self.latency + self.ll_extra_latency,
-            provider="llbtb",
-        )
+        return (target, True, self.latency + self.ll_extra_latency, "llbtb")
 
-    def update(self, event: BranchEvent) -> None:
+    def update_fast(
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
+    ) -> None:
         self.stats.updates += 1
         sanitizer_step(self)
-        if not event.taken:
+        if not taken:
             return
-        if event.kind.is_indirect and not self.allocate_indirect:
+        if IS_INDIRECT[kind] and not self.allocate_indirect:
             return
-        hashed = hash_pc(event.pc)
         index, tag = self._l1_slot(hashed)
         way = find_way(self._l1_directory[index], self._l1_tags, index * self.l1_ways, tag)
         if way is not None:
-            self._l1_train(index, way, event.pc, event.target)
+            self._l1_train(index, way, pc, target)
         else:
-            self._l1_allocate(index, tag, event.pc, event.target)
+            self._l1_allocate(index, tag, pc, target)
         if self.fill_policy == "all":
-            self._ll_fill(event.pc, event.target)
+            self._ll_fill(pc, target, hashed)
 
     # -- level internals -----------------------------------------------------
 
@@ -232,35 +218,41 @@ class MicroBTB(BranchTargetPredictor):
         base = index * self.l1_ways
         way = policy.victim(self._l1_valid[base:base + self.l1_ways])
         slot = base + way
+        row = self._l1_directory[index]
         if self._l1_valid[slot]:
             self.stats.evictions += 1
+            drop_tag(row, self._l1_tags[slot], way)
             if self.fill_policy == "victim":
                 self.victim_fills += 1
-                self._ll_fill(self._l1_pcs[slot], self._l1_targets[slot])
+                victim_pc = self._l1_pcs[slot]
+                self._ll_fill(victim_pc, self._l1_targets[slot], hash_pc(victim_pc))
         self._l1_valid[slot] = True
         self._l1_tags[slot] = tag
-        self._l1_directory[index][tag] = way
+        row[tag] = way
         self._l1_targets[slot] = target
         self._l1_pcs[slot] = pc
         self._l1_conf[slot] = 0
         policy.on_insert(way)
         self.stats.allocations += 1
 
-    def _ll_fill(self, pc: int, target: int) -> None:
+    def _ll_fill(self, pc: int, target: int, hashed: int) -> None:
         delta = target - pc
         if not self._delta_min <= delta <= self._delta_max:
             self.uncompressible += 1
             return
-        hashed = hash_pc(pc)
         index, tag = self._ll_slot(hashed)
-        way = find_way(self._ll_directory[index], self._ll_tags, index * self.ll_ways, tag)
+        row = self._ll_directory[index]
+        way = find_way(row, self._ll_tags, index * self.ll_ways, tag)
         policy = self._ll_policies[index]
         if way is None:
             base = index * self.ll_ways
             way = policy.victim(self._ll_valid[base:base + self.ll_ways])
-            self._ll_valid[base + way] = True
-            self._ll_tags[base + way] = tag
-            self._ll_directory[index][tag] = way
+            slot = base + way
+            if self._ll_valid[slot]:
+                drop_tag(row, self._ll_tags[slot], way)
+            self._ll_valid[slot] = True
+            self._ll_tags[slot] = tag
+            row[tag] = way
             policy.on_insert(way)
         else:
             policy.on_hit(way)

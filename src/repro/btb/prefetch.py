@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.branch.types import BranchEvent, BranchKind
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.btb.base import BranchTargetPredictor
 
 
 class TemporalPrefetchBTB(BranchTargetPredictor):
@@ -56,16 +56,18 @@ class TemporalPrefetchBTB(BranchTargetPredictor):
         #: groups still being recorded: [(key pc, [entries])].
         self._recording: list[tuple[int, list[tuple[int, int, int]]]] = []
         self._previous_taken_pc: int | None = None
-        self._last_lookup: tuple[int, BTBLookup] | None = None
+        #: (pc, predicted target) of the last lookup.
+        self._last_lookup: tuple[int, int | None] | None = None
         self.prefetches_issued = 0
         self.groups_learned = 0
 
     # -- lookup ----------------------------------------------------------------
 
-    def lookup(self, pc: int) -> BTBLookup:
-        result = self.inner.lookup(pc)
-        self._last_lookup = (pc, result)
-        key_hit = result.hit if self.prefetch_on == "hit" else not result.hit
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
+        result = self.inner.lookup_fast(pc, hashed)
+        hit = result[1]
+        self._last_lookup = (pc, result[0])
+        key_hit = hit if self.prefetch_on == "hit" else not hit
         if key_hit and pc in self._groups:
             self._install_group(pc)
         return result
@@ -73,6 +75,7 @@ class TemporalPrefetchBTB(BranchTargetPredictor):
     def _install_group(self, key_pc: int) -> None:
         group = self._groups[key_pc]
         self._groups.move_to_end(key_pc)
+        # Each install is a whole inner update, sanitizer step included.
         for branch_pc, kind_value, target in group:
             event = BranchEvent(branch_pc, BranchKind(kind_value), True, target, 0)
             self.inner.update(event)
@@ -80,21 +83,23 @@ class TemporalPrefetchBTB(BranchTargetPredictor):
 
     # -- update / learning --------------------------------------------------------
 
-    def update(self, event: BranchEvent) -> None:
+    def update_fast(
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
+    ) -> None:
         self.stats.updates += 1
         # Detect whether the branch missed using the result of its own
         # fetch-time lookup (re-probing would perturb replacement state).
         missed = False
-        if event.taken:
-            if self._last_lookup is not None and self._last_lookup[0] == event.pc:
-                missed = self._last_lookup[1].target != event.target
+        if taken:
+            if self._last_lookup is not None and self._last_lookup[0] == pc:
+                missed = self._last_lookup[1] != target
             else:
                 missed = True  # never looked up -> unknown to the BTB
-        self.inner.update(event)
-        if not event.taken:
+        self.inner.update_fast(pc, target, taken, kind, hashed, is_same_page)
+        if not taken:
             return
         # Extend any open recordings with this taken branch.
-        record = (event.pc, int(event.kind), event.target)
+        record = (pc, kind, target)
         finished = []
         for slot, (key_pc, entries) in enumerate(self._recording):
             entries.append(record)
@@ -106,12 +111,10 @@ class TemporalPrefetchBTB(BranchTargetPredictor):
         # A miss opens a new recording keyed by the preceding taken
         # branch (the branch the frontend *did* know about).
         if missed and self._previous_taken_pc is not None:
-            key = (
-                self._previous_taken_pc if self.prefetch_on == "hit" else event.pc
-            )
+            key = self._previous_taken_pc if self.prefetch_on == "hit" else pc
             if len(self._recording) < 4:  # bounded in-flight recorders
                 self._recording.append((key, [record]))
-        self._previous_taken_pc = event.pc
+        self._previous_taken_pc = pc
 
     def _store_group(self, key_pc: int, entries: list[tuple[int, int, int]]) -> None:
         if key_pc in self._groups:

@@ -27,26 +27,22 @@ The model layers over any inner predictor (Baseline or PDede here):
 Only direct branches participate: indirect targets and returns are not
 recoverable from instruction bytes.
 
-Engine support: both engines.  The live structure pass calls
-``lookup`` then ``update`` per event.  The wrapper never writes its inner
-BTB, so the inner sees exactly the calls it would see alone, and the
-shadow table depends only on the events and the inner's hit bits.  The
-fresh-run engine's BTB pass therefore runs in two steps when the inner
-BTB declares a pass hook: the inner's own ``observe_fast`` over the
-active events, then one walk that probes the shadow table where the
-inner missed and remembers, refreshes and exposes as ``update`` does.
-Both paths share the probe and the line-map helpers.  Over an inner BTB
-without a hook (``GhrpBTB``, ``MicroBTB``) the wrapper declares none
-either, and the pass calls ``lookup`` then ``update``.
+Engine support: both engines.  The live structure pass calls the
+``lookup`` / ``update`` adapters over the hashed pair per event.  The
+wrapper never writes its inner BTB, so the inner sees exactly the calls
+it would see alone, and the shadow table depends only on the events and
+the inner's hit bits.  The fresh-run engine's BTB pass therefore runs in
+two steps: the inner's own ``observe_fast`` over the active events, then
+one walk that probes the shadow table where the inner missed and
+remembers, refreshes and exposes as ``update_fast`` does.  Both paths
+share the probe and the line-map helpers.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.branch.address import ADDRESS_BITS, hash_pc
-from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor, find_way, tag_directory
+from repro.branch.address import ADDRESS_BITS
+from repro.branch.types import IS_DIRECT
+from repro.btb.base import BranchTargetPredictor, drop_tag, find_way, tag_directory
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
 
@@ -131,53 +127,48 @@ class ShadowBTB(BranchTargetPredictor):
         index = hashed & (self.shadow_sets - 1) if self._sets_pow2 else hashed % self.shadow_sets
         return index, (hashed >> 40) & self._tag_mask
 
-    # -- BranchTargetPredictor API -------------------------------------------
+    # -- the hashed pair -------------------------------------------------------
 
-    def lookup(self, pc: int) -> BTBLookup:
-        result = self.inner.lookup(pc)
-        if result.hit:
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
+        result = self.inner.lookup_fast(pc, hashed)
+        if result[1]:
             return result
-        target = self._probe(hash_pc(pc))
+        target = self._probe(hashed)
         if target is None:
             return result
-        return BTBLookup(hit=True, target=target, latency=result.latency, provider="shadow")
+        return (target, True, result[2], "shadow")
 
-    def update(self, event: BranchEvent) -> None:
+    def update_fast(
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
+    ) -> None:
         self.stats.updates += 1
         sanitizer_step(self)
-        self.inner.update(event)
-        if event.kind.is_direct and event.taken:
-            hashed = hash_pc(event.pc)
-            self._remember(event.pc, event.target, hashed)
+        self.inner.update_fast(pc, target, taken, kind, hashed, is_same_page)
+        if taken and IS_DIRECT[kind]:
+            self._remember(pc, target, hashed)
             # A branch the inner BTB now knows about needs no shadow
             # entry; keep the shadow copy coherent if one exists.
-            self._shadow_refresh(hashed, event.target)
-        self._expose(event.pc)
+            self._shadow_refresh(hashed, target)
+        self._expose(pc)
 
     # -- the fresh-run engine's BTB pass --------------------------------------
-
-    @property
-    def has_pass_hook(self) -> bool:
-        return self.inner.has_pass_hook
 
     def observe_fast(self, columns, start: int, stop: int, results) -> None:
         """The fresh-run engine's BTB pass over active events ``start:stop``.
 
-        Same contract as ``PDedeBTB.observe_fast``.  The wrapper never
-        writes its inner BTB, so the inner sees the calls it would see
-        alone and runs them as its own pass first; the shadow table
-        depends only on the events and the inner's hit bits, so one walk
-        then replays :meth:`lookup`'s fallback probe and :meth:`update`'s
-        shadow half per event, in trace order.  It is the one hook that
-        reads the ``is_direct`` column, a numpy bool array, and takes a
-        list of only its ``start:stop`` slice.  The sanitizer hook is
-        omitted, as in the inner's pass.
+        Same contract as the base loop.  The wrapper never writes its
+        inner BTB, so the inner sees the calls it would see alone and
+        runs them as its own pass first; the shadow table depends only on
+        the events and the inner's hit bits, so one walk then replays
+        :meth:`lookup_fast`'s fallback probe and :meth:`update_fast`'s
+        shadow half per event, in trace order.  It reads the
+        ``is_direct`` column, a numpy bool array, and takes a list of only
+        its ``start:stop`` slice.  The sanitizer hook is omitted, as in
+        the inner's pass.
         """
         inner_targets, inner_hits, latencies = inner_results = ([], [], [])
-        # Reached only when the inner BTB declares a hook (has_pass_hook).
-        inner: Any = self.inner
-        inner.observe_fast(columns, start, stop, inner_results)
-        pcs, targets, takens, _, hashes, _, is_direct = columns
+        self.inner.observe_fast(columns, start, stop, inner_results)
+        pcs, targets, takens, _, hashes, _, is_direct, _ = columns
         out_target, out_hit = results[0].append, results[1].append
         probe, remember = self._probe, self._remember
         refresh, expose = self._shadow_refresh, self._expose
@@ -249,11 +240,13 @@ class ShadowBTB(BranchTargetPredictor):
         base = index * self.shadow_ways
         way = policy.victim(self._valid[base:base + self.shadow_ways])
         slot = base + way
+        row = self._directory[index]
         if self._valid[slot]:
             self.stats.evictions += 1
+            drop_tag(row, self._tags[slot], way)
         self._valid[slot] = True
         self._tags[slot] = tag
-        self._directory[index][tag] = way
+        row[tag] = way
         self._targets[slot] = target
         policy.on_insert(way)
         self.shadow_fills += 1

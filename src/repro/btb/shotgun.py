@@ -22,15 +22,19 @@ Modelled properties (the ones the paper says cap Shotgun's gains):
 
 from __future__ import annotations
 
-from repro.branch.address import hash_pc, page_base, page_offset, same_page
-from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.branch.address import hash_pc, page_base, page_offset
+from repro.branch.types import BranchKind
+from repro.btb.base import BranchTargetPredictor
 from repro.btb.baseline import BaselineBTB
 from repro.btb.replacement import make_replacement_policy
 
+_COND = int(BranchKind.COND_DIRECT)
+_RETURN = int(BranchKind.RETURN)
+
 
 class _CompactCBTB:
-    """Set-associative conditional BTB with 12-bit target offsets."""
+    """Set-associative conditional BTB with 12-bit target offsets, indexed
+    and tagged by the branch pc's ``hash_pc``."""
 
     def __init__(self, entries: int, ways: int, tag_bits: int, replacement: str) -> None:
         if entries <= 0 or entries % ways:
@@ -49,48 +53,44 @@ class _CompactCBTB:
             for _ in range(self.sets)
         ]
 
-    def _index(self, pc: int) -> int:
-        hashed = hash_pc(pc)
-        return hashed & (self.sets - 1) if self._pow2 else hashed % self.sets
+    def _slot(self, hashed: int) -> tuple[int, int]:
+        index = hashed & (self.sets - 1) if self._pow2 else hashed % self.sets
+        return index, (hashed >> 40) & ((1 << self.tag_bits) - 1)
 
-    def _tag(self, pc: int) -> int:
-        return (hash_pc(pc) >> 40) & ((1 << self.tag_bits) - 1)
-
-    def lookup(self, pc: int) -> int | None:
+    def lookup(self, pc: int, hashed: int) -> int | None:
         """Return the predicted same-page target, or None on miss."""
-        set_index = self._index(pc)
-        tag = self._tag(pc)
+        set_index, tag = self._slot(hashed)
         for way in range(self.ways):
             if self._valid[set_index][way] and self._tags[set_index][way] == tag:
                 self._policies[set_index].on_hit(way)
                 return page_base(pc) | self._offsets[set_index][way]
         return None
 
-    def insert(self, pc: int, target: int, overwrite: bool = True) -> None:
-        """Install/refresh ``pc``.
+    def insert(self, hashed: int, target: int, overwrite: bool = True) -> bool:
+        """Install/refresh the branch whose ``hash_pc`` is ``hashed``;
+        True when it was not present.
 
         With ``overwrite=False`` (a not-taken occurrence) an existing
         entry's stored *taken-target* offset is preserved -- presence is
         refreshed, the target is not clobbered by the fall-through.
         """
-        set_index = self._index(pc)
-        tag = self._tag(pc)
+        set_index, tag = self._slot(hashed)
         for way in range(self.ways):
             if self._valid[set_index][way] and self._tags[set_index][way] == tag:
                 if overwrite:
                     self._offsets[set_index][way] = page_offset(target)
                 self._policies[set_index].on_hit(way)
-                return
+                return False
         policy = self._policies[set_index]
         way = policy.victim(self._valid[set_index])
         self._valid[set_index][way] = True
         self._tags[set_index][way] = tag
         self._offsets[set_index][way] = page_offset(target)
         policy.on_insert(way)
+        return True
 
     def contains(self, pc: int) -> bool:
-        set_index = self._index(pc)
-        tag = self._tag(pc)
+        set_index, tag = self._slot(hash_pc(pc))
         return any(
             self._valid[set_index][way] and self._tags[set_index][way] == tag
             for way in range(self.ways)
@@ -143,65 +143,64 @@ class ShotgunBTB(BranchTargetPredictor):
         self._recording_base: int = 0
         self.prefetch_installs = 0
 
-    # -- lookup --------------------------------------------------------------
+    # -- the hashed pair -------------------------------------------------------
 
-    def lookup(self, pc: int) -> BTBLookup:
-        cond_target = self.c_btb.lookup(pc)
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
+        cond_target = self.c_btb.lookup(pc, hashed)
         if cond_target is not None:
-            return BTBLookup(True, cond_target, self.latency, "c-btb")
-        uncond = self.u_btb.lookup(pc)
-        if uncond.hit:
+            return (cond_target, True, self.latency, "c-btb")
+        target, hit, _, _ = self.u_btb.lookup_fast(pc, hashed)
+        if hit:
             # A U-BTB hit triggers the footprint prefetch into the C-BTB.
             self._prefetch_footprint(pc)
-            return BTBLookup(True, uncond.target, self.latency, "u-btb")
-        return BTBLookup(False, None, self.latency, "miss")
+            return (target, True, self.latency, "u-btb")
+        return (None, False, self.latency, "miss")
 
     def _prefetch_footprint(self, uncond_pc: int) -> None:
         footprint = self._footprints.get(uncond_pc)
         if not footprint:
             return
         for cond_pc, cond_target in footprint:
-            if not self.c_btb.contains(cond_pc):
+            if self.c_btb.insert(hash_pc(cond_pc), cond_target):
                 self.prefetch_installs += 1
-            self.c_btb.insert(cond_pc, cond_target)
 
-    # -- update ----------------------------------------------------------------
-
-    def update(self, event: BranchEvent) -> None:
+    def update_fast(
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
+    ) -> None:
         self.stats.updates += 1
-        if event.kind.is_conditional:
-            if event.taken:
-                if same_page(event.pc, event.target):
-                    self.c_btb.insert(event.pc, event.target)
+        if kind == _COND:
+            if taken:
+                if is_same_page:
+                    self.c_btb.insert(hashed, target)
                 else:
                     # Rare cross-page conditional: full-width entry.
-                    self.u_btb.update(event)
-                self._record_into_footprint(event, event.target)
+                    self.u_btb.update_fast(pc, target, True, kind, hashed, False)
+                self._record_into_footprint(pc, target, is_same_page)
             else:
                 # Not-taken conditionals still occupy C-BTB entries (the
                 # basic-block bookkeeping cost the paper highlights) but
                 # must not clobber a learned taken target.
-                self.c_btb.insert(event.pc, event.fall_through, overwrite=False)
+                self.c_btb.insert(hashed, pc + 4, overwrite=False)
             return
-        if event.kind.is_return:
+        if kind == _RETURN:
             return  # RAS territory; the RIB is not modelled (per §5.10).
-        self.u_btb.update(event)
+        self.u_btb.update_fast(pc, target, taken, kind, hashed, is_same_page)
         # Begin recording this unconditional's spatial footprint.
-        self._recording_pc = event.pc
-        self._recording_base = event.target
+        self._recording_pc = pc
+        self._recording_base = target
 
-    def _record_into_footprint(self, event: BranchEvent, resolved: int) -> None:
+    def _record_into_footprint(self, pc: int, resolved: int, is_same_page: bool) -> None:
         if self._recording_pc is None:
             return
-        if abs(event.pc - self._recording_base) > self.footprint_window:
+        if abs(pc - self._recording_base) > self.footprint_window:
             self._recording_pc = None
             return
-        if not same_page(event.pc, resolved):
+        if not is_same_page:
             return  # footprints hold compact (same-page) conds only
         footprint = self._footprints.setdefault(self._recording_pc, [])
-        record = (event.pc, resolved)
-        for slot, (pc, _) in enumerate(footprint):
-            if pc == event.pc:
+        record = (pc, resolved)
+        for slot, (recorded_pc, _) in enumerate(footprint):
+            if recorded_pc == pc:
                 footprint[slot] = record
                 return
         if len(footprint) >= self.footprint_slots:

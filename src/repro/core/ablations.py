@@ -17,9 +17,8 @@ dedicated models:
 
 from __future__ import annotations
 
-from repro.branch.address import ADDRESS_BITS, hash_pc
-from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.branch.address import ADDRESS_BITS
+from repro.btb.base import BranchTargetPredictor
 from repro.btb.replacement import make_replacement_policy
 from repro.core.config import PDedeConfig, PDedeMode, paper_config
 from repro.core.tables import DedupValueTable
@@ -73,6 +72,7 @@ class DedupOnlyBTB(BranchTargetPredictor):
         self.tag_bits = tag_bits
         self.conf_bits = conf_bits
         self.srrip_bits = srrip_bits
+        self.replacement_name = replacement
         self.pid_bits = pid_bits
         self._conf_max = (1 << conf_bits) - 1
         self._sets_pow2 = self.sets & (self.sets - 1) == 0
@@ -113,14 +113,10 @@ class DedupOnlyBTB(BranchTargetPredictor):
             if users is not None:
                 users.discard((set_index, way))
 
-    def _index(self, pc: int) -> int:
-        hashed = hash_pc(pc)
-        if self._sets_pow2:
-            return hashed & (self.sets - 1)
-        return hashed % self.sets
-
-    def _tag(self, pc: int) -> int:
-        return (hash_pc(pc) >> 40) & ((1 << self.tag_bits) - 1)
+    def _slot(self, hashed: int) -> tuple[int, int]:
+        """(set index, tag) of the branch whose ``hash_pc`` is ``hashed``."""
+        index = hashed & (self.sets - 1) if self._sets_pow2 else hashed % self.sets
+        return index, (hashed >> 40) & ((1 << self.tag_bits) - 1)
 
     def _find_way(self, set_index: int, tag: int) -> int | None:
         valid = self._valid[set_index]
@@ -130,11 +126,11 @@ class DedupOnlyBTB(BranchTargetPredictor):
                 return way
         return None
 
-    def lookup(self, pc: int) -> BTBLookup:
-        set_index = self._index(pc)
-        way = self._find_way(set_index, self._tag(pc))
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
+        set_index, tag = self._slot(hashed)
+        way = self._find_way(set_index, tag)
         if way is None:
-            return BTBLookup(hit=False, target=None, latency=1, provider="miss")
+            return (None, False, 1, "miss")
         pointer = self._ptr[set_index][way]
         if self.targets.is_stale(pointer, self._gen[set_index][way]):
             self.stale_pointer_reads += 1
@@ -142,19 +138,20 @@ class DedupOnlyBTB(BranchTargetPredictor):
         self.targets.touch(pointer)
         self._policies[set_index].on_hit(way)
         # The indirection always costs the extra pointer-chase cycle.
-        return BTBLookup(hit=True, target=target, latency=2, provider="dedup")
+        return (target, True, 2, "dedup")
 
-    def update(self, event: BranchEvent) -> None:
+    def update_fast(
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
+    ) -> None:
         self.stats.updates += 1
-        if not event.taken:
+        if not taken:
             return
-        set_index = self._index(event.pc)
-        tag = self._tag(event.pc)
+        set_index, tag = self._slot(hashed)
         way = self._find_way(set_index, tag)
         if way is not None:
-            self._train_existing(set_index, way, event.target)
+            self._train_existing(set_index, way, target)
             return
-        pointer, generation = self.targets.allocate(event.target)
+        pointer, generation = self.targets.allocate(target)
         policy = self._policies[set_index]
         way = policy.victim(self._valid[set_index])
         if self._valid[set_index][way]:

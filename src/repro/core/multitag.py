@@ -24,14 +24,12 @@ from dataclasses import dataclass
 from repro.branch.address import (
     PAGE_IN_REGION_BITS,
     REGION_BITS,
-    hash_pc,
     join_target,
     page_in_region,
     page_offset,
     region_id,
 )
-from repro.branch.types import BranchEvent
-from repro.btb.base import BTBLookup, BranchTargetPredictor
+from repro.btb.base import BranchTargetPredictor
 from repro.btb.replacement import make_replacement_policy
 
 
@@ -66,28 +64,25 @@ class _MultiTagTable:
         ]
         self.sharing_overflows = 0
 
-    def _set_of(self, pc: int) -> int:
-        hashed = hash_pc(pc)
-        return hashed & (self.sets - 1) if self._pow2 else hashed % self.sets
+    def _slot(self, hashed: int) -> tuple[int, int]:
+        """(set index, nonzero PC tag) of the branch whose ``hash_pc`` is
+        ``hashed``."""
+        index = hashed & (self.sets - 1) if self._pow2 else hashed % self.sets
+        return index, ((hashed >> 40) & ((1 << self.tag_bits) - 1)) or 1
 
-    def _tag_of(self, pc: int) -> int:
-        return ((hash_pc(pc) >> 40) & ((1 << self.tag_bits) - 1)) or 1
-
-    def lookup(self, pc: int) -> int | None:
+    def lookup(self, hashed: int) -> int | None:
         """Associative lookup by PC tag; returns the shared value."""
-        row = self._table[self._set_of(pc)]
-        tag = self._tag_of(pc)
-        for way, entry in enumerate(row):
+        set_index, tag = self._slot(hashed)
+        for way, entry in enumerate(self._table[set_index]):
             if entry.valid and tag in entry.tags:
-                self._policies[self._set_of(pc)].on_hit(way)
+                self._policies[set_index].on_hit(way)
                 return entry.value
         return None
 
-    def insert(self, pc: int, value: int) -> None:
-        """Attach ``pc`` to an entry holding ``value`` (sharing-limited)."""
-        set_index = self._set_of(pc)
+    def insert(self, hashed: int, value: int) -> None:
+        """Attach the branch to an entry holding ``value`` (sharing-limited)."""
+        set_index, tag = self._slot(hashed)
         row = self._table[set_index]
-        tag = self._tag_of(pc)
         policy = self._policies[set_index]
         # Already attached somewhere? Retarget if the value changed.
         for way, entry in enumerate(row):
@@ -151,6 +146,7 @@ class MultiTagPartitionedBTB(BranchTargetPredictor):
         self.offset_sets = offset_entries // offset_ways
         self.tag_bits = tag_bits
         self.delta_encoding = delta_encoding
+        self.replacement_name = replacement
         self._pow2 = self.offset_sets & (self.offset_sets - 1) == 0
         self._valid = [[False] * offset_ways for _ in range(self.offset_sets)]
         self._tags = [[0] * offset_ways for _ in range(self.offset_sets)]
@@ -172,12 +168,10 @@ class MultiTagPartitionedBTB(BranchTargetPredictor):
 
     # -- offset-table addressing -------------------------------------------
 
-    def _index(self, pc: int) -> int:
-        hashed = hash_pc(pc)
-        return hashed & (self.offset_sets - 1) if self._pow2 else hashed % self.offset_sets
-
-    def _tag(self, pc: int) -> int:
-        return (hash_pc(pc) >> 40) & ((1 << self.tag_bits) - 1)
+    def _slot(self, hashed: int) -> tuple[int, int]:
+        """(set index, tag) of the branch whose ``hash_pc`` is ``hashed``."""
+        index = hashed & (self.offset_sets - 1) if self._pow2 else hashed % self.offset_sets
+        return index, (hashed >> 40) & ((1 << self.tag_bits) - 1)
 
     def _find_way(self, set_index: int, tag: int) -> int | None:
         for way in range(self.offset_ways):
@@ -187,40 +181,30 @@ class MultiTagPartitionedBTB(BranchTargetPredictor):
 
     # -- BranchTargetPredictor ------------------------------------------------
 
-    def lookup(self, pc: int) -> BTBLookup:
-        set_index = self._index(pc)
-        way = self._find_way(set_index, self._tag(pc))
+    def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
+        set_index, tag = self._slot(hashed)
+        way = self._find_way(set_index, tag)
         if way is None:
-            return BTBLookup(hit=False, target=None, latency=1, provider="miss")
+            return (None, False, 1, "miss")
         self._policies[set_index].on_hit(way)
         offset = self._offsets[set_index][way]
         if self._delta[set_index][way]:
-            return BTBLookup(
-                hit=True,
-                target=(pc & ~0xFFF) | offset,
-                latency=1,
-                provider="multitag-delta",
-            )
-        page_value = self.pages.lookup(pc)
-        region_value = self.regions.lookup(pc)
+            return ((pc & ~0xFFF) | offset, True, 1, "multitag-delta")
+        page_value = self.pages.lookup(hashed)
+        region_value = self.regions.lookup(hashed)
         if page_value is None or region_value is None:
             # Component entry lost (evicted or sharing-limited): miss.
-            return BTBLookup(hit=False, target=None, latency=2, provider="component-miss")
-        return BTBLookup(
-            hit=True,
-            target=join_target(region_value, page_value, offset),
-            latency=2,
-            provider="multitag-ptr",
-        )
+            return (None, False, 2, "component-miss")
+        return (join_target(region_value, page_value, offset), True, 2, "multitag-ptr")
 
-    def update(self, event: BranchEvent) -> None:
+    def update_fast(
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
+    ) -> None:
         self.stats.updates += 1
-        if not event.taken:
+        if not taken:
             return
-        pc, target = event.pc, event.target
-        use_delta = self.delta_encoding and (pc >> 12) == (target >> 12)
-        set_index = self._index(pc)
-        tag = self._tag(pc)
+        use_delta = self.delta_encoding and is_same_page
+        set_index, tag = self._slot(hashed)
         way = self._find_way(set_index, tag)
         if way is None:
             policy = self._policies[set_index]
@@ -234,8 +218,8 @@ class MultiTagPartitionedBTB(BranchTargetPredictor):
         self._offsets[set_index][way] = page_offset(target)
         self._delta[set_index][way] = use_delta
         if not use_delta:
-            self.pages.insert(pc, page_in_region(target))
-            self.regions.insert(pc, region_id(target))
+            self.pages.insert(hashed, page_in_region(target))
+            self.regions.insert(hashed, region_id(target))
 
     def storage_bits(self) -> int:
         offset_entry = 1 + self.tag_bits + 1 + 12 + 2  # pid+tag+delta+offset+srrip

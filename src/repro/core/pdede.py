@@ -32,11 +32,12 @@ The invariant that makes this sound: **every** path that clears
 ``_valid`` must store ``_NO_TAG`` into ``_tags`` (the sanitizer's
 tag-sentinel invariant guards it).  Every tag match probes the
 table's ``{tag: way}`` directory per set
-(:func:`~repro.btb.base.tag_directory`), which allocation extends, and
+(:func:`~repro.btb.base.tag_directory`), which allocation keeps, and
 checks the slot's tag, so a miss raises nothing and a slot since
-evicted, abandoned or invalidated reads as a miss.  Short ways sit above ``_short_base`` (``ways //
-2`` in multi-entry mode, else ``ways``), so way-class tests are an
-integer compare instead of a list membership scan.
+abandoned or invalidated reads as a miss.  Short ways sit above
+``_short_base`` (``ways // 2`` in multi-entry mode, else ``ways``), so
+way-class tests are an integer compare instead of a list membership
+scan.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ from repro.branch.address import (
     region_id,
     same_page,
 )
-from repro.branch.types import BranchEvent
+from repro.branch.types import IS_INDIRECT, BranchEvent
 from repro.btb.base import (
-    NO_TARGET, BTBLookup, BranchTargetPredictor, find_way, tag_directory,
+    NO_TARGET, BranchTargetPredictor, drop_tag, find_way, tag_directory,
 )
 from repro.btb.replacement import make_replacement_policy
 from repro.checks.sanitizer import sanitizer_step
@@ -283,26 +284,21 @@ class PDedeBTB(BranchTargetPredictor):
 
     # -- lookup (Section 4.4.1) and update / allocation (Section 4.4.2) -----------
 
-    def lookup(self, pc: int) -> BTBLookup:
-        target, hit, latency, provider = self.lookup_fast(pc, hash_pc(pc))
-        return BTBLookup(hit=hit, target=target, latency=latency, provider=provider)
-
     def update(self, event: BranchEvent) -> None:
-        sanitizer_step(self)
+        # The base adapter, minus the hash of a not-taken branch, which
+        # an update only counts.
         if not event.taken:
+            sanitizer_step(self)
             self.stats.updates += 1
             return
         pc, target = event.pc, event.target
-        self.update_fast(
-            pc, target, True, event.kind.is_indirect, hash_pc(pc), same_page(pc, target)
-        )
+        self.update_fast(pc, target, True, int(event.kind), hash_pc(pc), same_page(pc, target))
 
     def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
-        """The lookup on a precomputed hash: ``(target, hit, latency, provider)``.
+        """The lookup: ``(target, hit, latency, provider)``.
 
-        The one copy :meth:`lookup` and ``TwoLevelBTB.observe_fast``
-        share.  The provider is ``"btbm-delta"`` or ``"btbm-ptr"`` on a
-        hit, ``"next-target"`` on a miss the Next Target Offset register
+        The provider is ``"btbm-delta"`` or ``"btbm-ptr"`` on a hit,
+        ``"next-target"`` on a miss the Next Target Offset register
         serves, and ``"miss"`` otherwise.
         """
         pending = self._pending_next_offset
@@ -345,24 +341,15 @@ class PDedeBTB(BranchTargetPredictor):
         return (target, True, latency, "btbm-delta" if self._delta[slot] else "btbm-ptr")
 
     def update_fast(
-        self,
-        pc: int,
-        target: int,
-        taken: bool,
-        is_indirect: bool,
-        hashed: int,
-        is_same_page: bool,
+        self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
     ) -> None:
-        """The update on precomputed hash and page bits; :meth:`update` wraps it.
-
-        The sanitizer hook stays in :meth:`update`: the fresh-run engine
-        only runs with the sanitizer disarmed (the simulator gates on it).
-        """
+        """The update (Section 4.4.2)."""
+        sanitizer_step(self)
         self.stats.updates += 1
         if not taken:
             return
         cfg = self.config
-        if is_indirect and not cfg.allocate_indirect:
+        if IS_INDIRECT[kind] and not cfg.allocate_indirect:
             self._last_btbm_slot = None
             return
         use_delta = is_same_page and cfg.delta_encoding
@@ -378,22 +365,13 @@ class PDedeBTB(BranchTargetPredictor):
 
     # -- the fresh-run engine's inlined BTB pass ------------------------------------
 
-    @property
-    def has_pass_hook(self) -> bool:
-        # A subclass that overrides lookup or update inherits no hook.
-        cls = type(self)
-        return cls.lookup is PDedeBTB.lookup and cls.update is PDedeBTB.update
-
     def observe_fast(self, columns, start: int, stop: int, results) -> None:
         """The fresh-run engine's BTB pass over active events ``start:stop``.
 
-        ``columns`` are the active events' ``(pcs, targets, takens,
-        is_indirect, hashes, same_page, is_direct)`` columns (this hook
-        reads all but ``is_direct``); each event's lookup ``(target, hit,
-        latency)`` is appended to the three ``results`` lists, with
-        :data:`NO_TARGET` for no target.  The state evolution is exactly
-        :meth:`lookup` then :meth:`update` per event, in one frame, with
-        two shortcuts:
+        Same contract as the base loop (this pass reads every column but
+        ``is_direct`` and ``kinds``).  The state evolution is exactly
+        :meth:`lookup_fast` then :meth:`update_fast` per event, in one
+        frame, with two shortcuts:
 
         * one tag match serves both halves: lookup writes only
           replacement, pending-register and counter state, none of which
@@ -413,10 +391,10 @@ class PDedeBTB(BranchTargetPredictor):
 
         Counters are accumulated in locals and flushed on return, so a
         ``reset_stats`` between two calls splits them at the call
-        boundary.  The sanitizer hook is omitted, as in
-        :meth:`update_fast`.
+        boundary.  The sanitizer hook is omitted: the fresh-run engine
+        only runs with it disarmed (the simulator gates on it).
         """
-        pcs, targets, takens, is_indirect, hashes, same_page_col, _ = columns
+        pcs, targets, takens, is_indirect, hashes, same_page_col, _, _ = columns
         out_target, out_hit, out_latency = (column.append for column in results)
         cfg = self.config
         multi_target = cfg.mode is PDedeMode.MULTI_TARGET
@@ -603,11 +581,13 @@ class PDedeBTB(BranchTargetPredictor):
         # victim's old pointers and rewrites every field the entry reads.
         way = self._choose_victim(set_index, needs_pointers=not use_delta)
         slot = set_index * self._ways + way
+        row = self._directory[set_index]
         if self._valid[slot]:
             self.stats.evictions += 1
+            drop_tag(row, self._tags[slot], way)
         self._valid[slot] = True
         self._tags[slot] = tag
-        self._directory[set_index][tag] = way
+        row[tag] = way
         self._conf[slot] = 0
         self._write_target_fields(set_index, way, target, use_delta)
         self._mark_inserted(set_index, way)

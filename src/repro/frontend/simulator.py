@@ -47,7 +47,7 @@ from repro.branch.direction import (
     TageLitePredictor,
 )
 from repro.obs.metrics import get_registry
-from repro.branch.types import BranchKind
+from repro.branch.types import IS_CALL, IS_INDIRECT, BranchKind
 from repro.btb.base import NO_TARGET, BranchTargetPredictor
 from repro.btb.ittage import ITTagePredictor
 from repro.btb.ras import ReturnAddressStack
@@ -55,18 +55,31 @@ from repro.checks.sanitizer import get_sanitizer
 from repro.frontend.icache import ICache
 from repro.frontend.params import CoreParams, ICELAKE
 from repro.frontend.stats import FrontendStats
-from repro.frontend.vector import _KINDS, _EventView, run_vector
+from repro.frontend.vector import run_vector
 from repro.workloads.trace import Trace
 
 _INSTR_BYTES = 4
 
 _KIND_RETURN = int(BranchKind.RETURN)
 _KIND_COND = int(BranchKind.COND_DIRECT)
+_KINDS = list(BranchKind)
 
-# Per-kind property tables indexed by int(kind) -- avoids enum-object
-# construction in the hot loop.
-_IS_CALL = [kind.is_call for kind in _KINDS]
-_IS_INDIRECT = [kind.is_indirect for kind in _KINDS]
+
+class _EventView:
+    """Minimal BranchEvent stand-in built without validation (hot path)."""
+
+    __slots__ = ("pc", "kind", "taken", "target", "instr_gap")
+
+    def __init__(self, pc: int, kind: BranchKind, taken: bool, target: int, gap: int) -> None:
+        self.pc = pc
+        self.kind = kind
+        self.taken = taken
+        self.target = target
+        self.instr_gap = gap
+
+    @property
+    def fall_through(self) -> int:
+        return self.pc + 4
 
 
 class FrontendSimulator:
@@ -281,7 +294,7 @@ class FrontendSimulator:
                 if ittage is not None:
                     ittage.record_history(pc, taken)
                 continue
-            if _IS_CALL[kind_value]:
+            if IS_CALL[kind_value]:
                 ras.push(pc + _INSTR_BYTES)
             direction_correct = True
             if kind_value == _KIND_COND:
@@ -293,7 +306,7 @@ class FrontendSimulator:
                     direction_correct = dir_ok[index] = False
             if ittage is not None:
                 ittage.record_history(pc, taken)
-                if _IS_INDIRECT[kind_value]:
+                if IS_INDIRECT[kind_value]:
                     # ITTAGE owns the indirect branches: no BTB call.
                     predicted_target = ittage.predict(pc)
                     ittage.update(pc, target)
@@ -315,7 +328,7 @@ class FrontendSimulator:
             if not direction_correct:
                 wrong_path = pc + _INSTR_BYTES if taken else predicted
             elif taken and predicted != target and (
-                _IS_INDIRECT[kind_value] or kind_value == _KIND_RETURN
+                IS_INDIRECT[kind_value] or kind_value == _KIND_RETURN
             ):
                 wrong_path = predicted
             else:

@@ -19,19 +19,20 @@ run from the trace and the decoded numpy columns, and collects each
 lookup's ``(target, hit, latency)`` into three lists.  The loop is
 called twice, once on each side of the warm crossing, with the stats
 reset in between, so the reset lands between the last warm-up event and
-the first measured one.  Each BTB class declares whether its own
-``observe_fast(columns, start, stop, results)`` is exactly ``lookup``
-then ``update`` (``has_pass_hook``), and a BTB that does runs the pass
-itself.  ``BaselineBTB`` and ``PDedeBTB`` declare one unless a subclass
-overrides ``lookup`` or ``update``: one Python frame with the
+the first measured one.  The loop is always the BTB's own
+``observe_fast(columns, start, stop, results)``: every class implements
+the hashed ``lookup_fast`` / ``update_fast`` pair on the decoded
+``hashes`` column (:class:`~repro.btb.base.BranchTargetPredictor`), and
+the base class's ``observe_fast`` runs the pair per event, so no
+per-event object is built and no event's pc is hashed again.  ``BaselineBTB``
+and ``PDedeBTB`` inline their own pass: one Python frame with the
 structure's lists bound to locals, one tag match shared by lookup and
 update, and -- for PDede -- one target reconstruction per hit, because
-the update retrains the very entry the lookup just read.  The wrappers
-delegate: ``TwoLevelBTB`` composes its levels' per-event pair when both
-levels declare a hook, and ``ShadowBTB``, which never writes its inner
-BTB, runs the inner's hook and then one walk over its shadow table.
-Every other BTB runs the pass through :func:`_lookup_update_pass`,
-which calls ``lookup`` then ``update`` per event, as the live pass does.
+the update retrains the very entry the lookup just read.  ``ShadowBTB``,
+which never writes its inner BTB, runs the inner's pass and then one
+walk over its shadow table.  The two-level hierarchy, the literature and
+ablation families and ``GhrpBTB`` (which rebinds the base loop over
+Baseline's) run the base class's loop.
 
 **Phase 2 -- timing.**  Branch-resolution outcomes (direction, RAS, BTB
 miss, penalty kind, lookup bubbles) are pure element-wise functions of
@@ -51,7 +52,6 @@ state.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -61,10 +61,7 @@ from repro.btb.base import NO_TARGET
 from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
 
-# Per-kind tables indexed by int(kind) -- avoids enum-object
-# construction in the hot loops.
-_KINDS = [BranchKind(value) for value in range(len(BranchKind))]
-_KIND_NAMES = [kind.name for kind in _KINDS]
+_KIND_NAMES = [kind.name for kind in BranchKind]
 
 #: Blocks after a resteer during which ICache misses are demand misses
 #: (the prefetcher has not caught up yet).
@@ -74,78 +71,26 @@ _REFILL_WINDOW = 4
 _OVERLAPPED_MISS_CYCLES = 1.5
 
 
-class _EventView:
-    """Minimal BranchEvent stand-in built without validation (hot path)."""
-
-    __slots__ = ("pc", "kind", "taken", "target", "instr_gap")
-
-    def __init__(self, pc: int, kind: BranchKind, taken: bool, target: int, gap: int) -> None:
-        self.pc = pc
-        self.kind = kind
-        self.taken = taken
-        self.target = target
-        self.instr_gap = gap
-
-    @property
-    def fall_through(self) -> int:
-        return self.pc + 4
-
-
-def _lookup_update_pass(btb, columns, start, stop, results):
-    """The BTB pass of a BTB that declares no pass hook.
-
-    Same contract as the hook, over the active events' ``(pcs, kinds,
-    takens, targets, gaps)`` lists: ``lookup`` then ``update`` per
-    event, as the live pass does, appending each lookup's ``(target, hit,
-    latency)`` to the three ``results`` lists.
-    """
-    pcs, kinds, takens, targets, gaps = columns
-    lookup, update = btb.lookup, btb.update
-    out_target, out_hit, out_latency = (column.append for column in results)
-    for i in range(start, stop):
-        pc = pcs[i]
-        result = lookup(pc)
-        update(_EventView(pc, _KINDS[kinds[i]], takens[i], targets[i], gaps[i]))
-        out_target(NO_TARGET if result.target is None else result.target)
-        out_hit(result.hit)
-        out_latency(result.latency)
-
-
 def _btb_pass(btb, trace, decoded, act):
-    """``(observe, columns)`` over the BTB-active events (the bool mask
-    ``act``): ``observe(columns, start, stop, results)`` makes the BTB
-    calls of active events ``start:stop``.
+    """``(btb.observe_fast, columns)`` over the BTB-active events (the
+    bool mask ``act``): ``observe_fast(columns, start, stop, results)``
+    makes the BTB calls of active events ``start:stop``.
 
-    A BTB that declares a pass hook runs it through the instance's
-    ``observe_fast`` attribute, over the active events' ``(pcs, targets,
-    takens, is_indirect, hashes, same_page, is_direct)`` columns: lists,
-    except ``is_direct``, a numpy bool array that only the shadow-branch
-    wrapper reads, so only its hook pays for a list of it.  The columns
-    are built for this run from the trace's lists and the decoded numpy
-    columns, and dropped with it.
+    The columns are the active events' ``(pcs, targets, takens,
+    is_indirect, hashes, same_page, is_direct, kinds)``: lists, except
+    ``is_direct`` and ``kinds``, numpy arrays that only some passes read
+    (the shadow-branch wrapper's and the base class's loop), so only those
+    pay for a list of one.  They are built for this run from the trace's
+    lists and the decoded numpy columns, and dropped with it.
     """
     selectors = act.tolist()
-
-    def active(column):
-        return list(compress(column, selectors))
-
-    if btb.has_pass_hook:
-        vector = decoded.vector_columns()
-        columns = (
-            active(trace.pcs),
-            active(trace.targets),
-            active(trace.takens),
-            *(
-                vector[name][act].tolist()
-                for name in ("is_indirect", "hashes", "same_page")
-            ),
-            vector["is_direct"][act],
-        )
-        return btb.observe_fast, columns
-    return partial(_lookup_update_pass, btb), [
-        active(column)
-        for column in (trace.pcs, trace.kinds, trace.takens, trace.targets, trace.gaps)
-    ]
+    vector = decoded.vector_columns()
+    columns = (
+        *(list(compress(column, selectors)) for column in (trace.pcs, trace.targets, trace.takens)),
+        *(vector[name][act].tolist() for name in ("is_indirect", "hashes", "same_page")),
+        *(vector[name][act] for name in ("is_direct", "kinds")),
+    )
+    return btb.observe_fast, columns
 
 
 def run_vector(sim, trace, warmup_fraction, live=None):

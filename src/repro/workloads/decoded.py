@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.branch.address import vmix64
 from repro.branch.direction import TageLitePredictor
-from repro.branch.types import BranchKind
+from repro.branch.types import IS_CALL, IS_DIRECT, IS_INDIRECT, BranchKind
 from repro.btb.ras import ReturnAddressStack
 from repro.frontend.icache import ICache
 
@@ -60,10 +60,9 @@ _INSTR_BYTES = 4
 _KIND_COND = int(BranchKind.COND_DIRECT)
 _KIND_RETURN = int(BranchKind.RETURN)
 
-_ALL_KINDS = [BranchKind(value) for value in range(len(BranchKind))]
-_IS_CALL_BY_KIND = np.array([kind.is_call for kind in _ALL_KINDS], dtype=np.bool_)
-_IS_INDIRECT_BY_KIND = np.array([kind.is_indirect for kind in _ALL_KINDS], dtype=np.bool_)
-_IS_DIRECT_BY_KIND = np.array([kind.is_direct for kind in _ALL_KINDS], dtype=np.bool_)
+_IS_CALL_BY_KIND = np.array(IS_CALL, dtype=np.bool_)
+_IS_INDIRECT_BY_KIND = np.array(IS_INDIRECT, dtype=np.bool_)
+_IS_DIRECT_BY_KIND = np.array(IS_DIRECT, dtype=np.bool_)
 
 _PAGE_SHIFT = np.uint64(12)
 

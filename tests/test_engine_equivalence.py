@@ -19,12 +19,17 @@ from repro.checks.sanitizer import Sanitizer, use_sanitizer
 from repro.core.pdede import PDedeBTB
 from repro.experiments.designs import (
     Design,
+    baseline_design,
+    ghrp_design,
+    micro_btb_design,
     pdede_design,
+    shotgun_design,
     standard_designs,
     two_level_design,
     with_ittage,
     with_perfect_direction,
     with_returns_in_btb,
+    with_temporal_prefetch,
 )
 from repro.frontend.seedref import (
     SeedFrontendSimulator,
@@ -166,6 +171,40 @@ def test_armed_sanitizer_forces_general_engine():
         "sanitizer_interval": 97,
         "sanitizer_structures": 3,
     }
+
+
+#: ``(steps, checks)`` of a sanitized tiny run (interval 97), as recorded
+#: when each of these classes hashed its own pc in ``update``.
+#: ``Sanitizer.step`` keeps one shared counter, so a step added, dropped
+#: or moved shifts which sweep runs where: Baseline, PDede, Micro BTB,
+#: the shadow and two-level wrappers step once per update; Shotgun,
+#: dedup-only, multi-tag and the prefetch wrapper never step themselves,
+#: only through the BTBs they hold (Shotgun's U-BTB, the prefetch
+#: wrapper's inner and its group installs).
+SANITIZER_COUNTS = {
+    "micro-btb": (9080, 26),
+    "shotgun": (3872, 39),
+    "ghrp-4096": (9080, 26),
+    "baseline-4096+prefetch": (23768, 245),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SANITIZER_COUNTS))
+def test_sanitizer_step_and_check_counts_are_pinned(key):
+    designs = {
+        "micro-btb": micro_btb_design(),
+        "shotgun": shotgun_design(),
+        "ghrp-4096": ghrp_design(),
+        "baseline-4096+prefetch": with_temporal_prefetch(baseline_design()),
+    }
+    btb, kwargs = designs[key].build()
+    simulator = FrontendSimulator(btb, **kwargs)
+    with use_sanitizer(Sanitizer(interval=97)) as sanitizer:
+        simulator.run(get_trace(TRACE_APP, TRACE_SCALE), warmup_fraction=0.3)
+    assert simulator.last_engine == "general"
+    snapshot = sanitizer.snapshot()
+    counts = (snapshot["sanitizer_steps_total"], snapshot["sanitizer_checks_total"])
+    assert counts == SANITIZER_COUNTS[key]
 
 
 def test_post_run_state_matches_live_objects():

@@ -27,6 +27,13 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import design_registry, diskcache, harness
+from repro.experiments.designs import (
+    baseline_design,
+    ghrp_design,
+    multitag_design,
+    with_ittage,
+    with_temporal_prefetch,
+)
 from repro.serve.protocol import stats_payload
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_digests.json"
@@ -45,20 +52,38 @@ FAMILIES = [
     "micro-btb",
     "shadow-baseline",
     "shadow-pdede",
+    "ghrp-4096",
+    "multitag",
+    "baseline-4096+prefetch",
+    "baseline-no-ind+ittage",
 ]
 
 
-def compute_digests() -> dict[str, str]:
+def family_designs() -> dict:
+    """Every family's design: the registry's, plus builders for the
+    report designs it has no key for (built as the experiments build
+    them, so each key is the design's own)."""
+    designs = {
+        "ghrp-4096": ghrp_design(),
+        "multitag": multitag_design(),
+        "baseline-4096+prefetch": with_temporal_prefetch(baseline_design()),
+        # Section 5.6's baseline, as ``sensitivity.run_ittage`` builds it.
+        "baseline-no-ind+ittage": with_ittage(
+            baseline_design(key="baseline-no-ind", allocate_indirect=False)
+        ),
+    }
     registry = design_registry()
+    return {family: designs.get(family) or registry[family] for family in FAMILIES}
+
+
+def compute_digests() -> dict[str, str]:
     return {
         family: hashlib.sha256(
             stats_payload(
-                harness.run_design(
-                    APP, registry[family], warmup_fraction=WARMUP, scale=SCALE
-                )
+                harness.run_design(APP, design, warmup_fraction=WARMUP, scale=SCALE)
             )
         ).hexdigest()
-        for family in FAMILIES
+        for family, design in family_designs().items()
     }
 
 

@@ -317,9 +317,10 @@ def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     """The acceptance criterion: the shipped capture simulates
     byte-identically between the auto-selected engine and the frozen
     seed referee for both new families.  Auto resolves to the fresh-run
-    vector engine, whose BTB pass calls Micro BTB's ``lookup`` and
-    ``update`` (it declares no pass hook) and runs the shadow wrapper's
-    hook over its inner BTB's."""
+    vector engine, whose BTB pass is the base class's loop over Micro
+    BTB's hashed pair and the shadow wrapper's own pass over its inner
+    BTB's."""
+    from repro.btb.base import BranchTargetPredictor
     from repro.experiments import design_registry
     from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
     from repro.frontend.simulator import FrontendSimulator
@@ -329,7 +330,8 @@ def test_new_families_match_seed_engine_on_the_sample_trace(design_key):
     design = design_registry()[design_key]
 
     btb, kwargs = design.build()
-    assert btb.has_pass_hook == design_key.startswith("shadow-")
+    own_pass = type(btb).observe_fast is not BranchTargetPredictor.observe_fast
+    assert own_pass == design_key.startswith("shadow-")
     simulator = FrontendSimulator(btb, **kwargs)
     live = simulator.run(trace, warmup_fraction=0.3)
     assert simulator.last_engine == "vector"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.btb.base import BranchTargetPredictor
 from repro.btb.microbtb import MicroBTB
 
 from conftest import make_event, synthetic_branch_set
@@ -185,7 +186,6 @@ def test_bad_geometry_is_rejected(kwargs, match):
 
 
 def test_opts_out_of_fast_engines():
-    # No ``observe_fast`` pass hook of its own, so the fresh-run
-    # engine's BTB pass calls ``lookup`` then ``update``, like the live
-    # loop.
-    assert not hasattr(MicroBTB(), "observe_fast")
+    # No inlined ``observe_fast`` pass of its own, so the fresh-run
+    # engine's BTB pass is the base class's loop over the hashed pair.
+    assert MicroBTB.observe_fast is BranchTargetPredictor.observe_fast

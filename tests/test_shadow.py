@@ -10,7 +10,8 @@ from repro.btb.prefetch import TemporalPrefetchBTB
 from repro.btb.shadow import ShadowBTB
 from repro.core.config import PDedeConfig, PDedeMode
 from repro.core.pdede import PDedeBTB
-from repro.frontend.vector import _btb_pass, _lookup_update_pass
+from repro.btb.base import BranchTargetPredictor
+from repro.frontend.vector import _btb_pass
 from repro.workloads.suite import get_trace
 
 from conftest import make_event
@@ -156,28 +157,28 @@ def test_bad_geometry_is_rejected(kwargs, match):
 
 
 def test_pass_hook_follows_the_inner_btb():
-    # The wrapper runs its inner BTB's pass hook where the inner declares
-    # one.  GhrpBTB inherits BaselineBTB.observe_fast but overrides lookup
-    # and update, MicroBTB has no hook, and the temporal-prefetch wrapper
-    # writes its inner BTB: each of those takes the lookup + update pass.
+    # Every BTB's fresh-run pass is its own ``observe_fast``, and the
+    # wrapper's runs its inner BTB's: Baseline's and PDede's inlined
+    # passes, or the base class's loop over GhrpBTB (which rebinds it
+    # over Baseline's), MicroBTB and the temporal-prefetch wrapper.
     trace = get_trace("server_oltp_00", "tiny")
     decoded = trace.decoded()
     act = ~decoded.vector_columns()["is_return"]
-    with_hook = [
-        _shadow(),
-        ShadowBTB(PDedeBTB(PDedeConfig(mode=PDedeMode.MULTI_TARGET))),
-    ]
-    without_hook = [
-        GhrpBTB(entries=256),
-        ShadowBTB(GhrpBTB(entries=256)),
-        ShadowBTB(MicroBTB()),
-        TemporalPrefetchBTB(BaselineBTB(entries=256)),
-    ]
-    for btb in with_hook:
-        assert btb.has_pass_hook
-        observe, _ = _btb_pass(btb, trace, decoded, act)
+    inners = {
+        BaselineBTB(entries=256, ways=4): BaselineBTB.observe_fast,
+        PDedeBTB(PDedeConfig(mode=PDedeMode.MULTI_TARGET)): PDedeBTB.observe_fast,
+        GhrpBTB(entries=256): BranchTargetPredictor.observe_fast,
+        MicroBTB(): BranchTargetPredictor.observe_fast,
+        TemporalPrefetchBTB(BaselineBTB(entries=256)): BranchTargetPredictor.observe_fast,
+    }
+    for inner, inner_pass in inners.items():
+        assert type(inner).observe_fast is inner_pass
+        btb = ShadowBTB(inner)
+        observe, columns = _btb_pass(btb, trace, decoded, act)
         assert observe == btb.observe_fast
-    for btb in without_hook:
-        assert not btb.has_pass_hook
-        observe, _ = _btb_pass(btb, trace, decoded, act)
-        assert observe.func is _lookup_update_pass
+        calls = []
+        inner.observe_fast = lambda *args, inner=inner: calls.append(
+            type(inner).observe_fast(inner, *args)
+        )
+        observe(columns, 0, 100, ([], [], []))
+        assert len(calls) == 1

@@ -128,10 +128,10 @@ def test_empty_and_one_event_traces(n_events):
     ids=lambda design: design.key,
 )
 def test_lookup_update_families_on_the_fresh_engine(design):
-    # GhrpBTB inherits BaselineBTB.observe_fast but overrides lookup and
-    # update, so the pass must run it through the shared lookup + update
-    # loop, not the inherited hook.  At 1024 entries the tiny trace evicts enough for the
-    # dead-entry predictor to steer replacement, so the hook would show.
+    # GhrpBTB overrides Baseline's hashed pair, so it must run the base
+    # class's loop over it, not Baseline's inlined pass.  At 1024 entries
+    # the tiny trace evicts enough for the dead-entry predictor to steer
+    # replacement, so Baseline's pass would show.
     _assert_matches_seed(design, get_trace("server_oltp_00", "tiny"))
 
 
