@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from repro.branch.address import (
-    page_distance,
+    OFFSET_BITS,
     page_number,
     page_offset,
     region_id,
@@ -22,6 +24,11 @@ from repro.branch.types import BranchKind
 from repro.workloads.trace import Trace
 
 _RETURN = int(BranchKind.RETURN)
+
+
+def _taken_non_returns(trace: Trace) -> np.ndarray:
+    """Mask of the taken, BTB-relevant (non-return) events."""
+    return trace.takens & (trace.kinds != _RETURN)
 
 
 @dataclass
@@ -56,17 +63,13 @@ def branch_type_mix(trace: Trace, include_returns: bool = False) -> BranchTypeMi
     Returns are excluded by default -- they are served by the RAS, and
     Figure 4 classifies the BTB-relevant branch types.
     """
-    counts: dict[int, int] = {}
-    total = 0
-    for pc, kind, taken, target, gap in trace.events():
-        if not taken:
-            continue
-        if kind == _RETURN and not include_returns:
-            continue
-        counts[kind] = counts.get(kind, 0) + 1
-        total += 1
+    mask = trace.takens if include_returns else _taken_non_returns(trace)
+    kinds = trace.kinds[mask]
+    total = len(kinds)
     fractions = {
-        BranchKind(kind).name: count / total for kind, count in sorted(counts.items())
+        BranchKind(kind).name: count / total
+        for kind, count in enumerate(np.bincount(kinds, minlength=len(BranchKind)).tolist())
+        if count
     }
     return BranchTypeMix(name=trace.name, fractions=fractions)
 
@@ -101,16 +104,11 @@ class UniquenessStats:
 
 def uniqueness_stats(trace: Trace) -> UniquenessStats:
     """Count unique branch PCs and unique target components (Figure 7)."""
-    pcs: set[int] = set()
-    targets: set[int] = set()
-    for pc, kind, taken, target, gap in trace.events():
-        if not taken or kind == _RETURN:
-            continue
-        pcs.add(pc)
-        targets.add(target)
+    mask = _taken_non_returns(trace)
+    targets = np.unique(trace.targets[mask]).tolist()
     return UniquenessStats(
         name=trace.name,
-        unique_pcs=len(pcs),
+        unique_pcs=len(np.unique(trace.pcs[mask])),
         unique_targets=len(targets),
         unique_regions=len({region_id(t) for t in targets}),
         unique_pages=len({page_number(t) for t in targets}),
@@ -163,31 +161,32 @@ _DISTANCE_BUCKETS = (
 
 def distance_stats(trace: Trace) -> DistanceStats:
     """Branch-PC-to-target page distance distribution (Figure 8)."""
-    counts = {label: 0 for label, _ in _DISTANCE_BUCKETS}
-    kind_total: dict[int, int] = {}
-    kind_same: dict[int, int] = {}
-    total = 0
-    for pc, kind, taken, target, gap in trace.events():
-        if not taken or kind == _RETURN:
-            continue
-        total += 1
-        distance = abs(page_distance(pc, target))
-        for label, bound in _DISTANCE_BUCKETS:
-            if bound is None or distance <= bound:
-                counts[label] += 1
-                break
-        kind_total[kind] = kind_total.get(kind, 0) + 1
-        if distance == 0:
-            kind_same[kind] = kind_same.get(kind, 0) + 1
+    mask = _taken_non_returns(trace)
+    kinds = trace.kinds[mask]
+    total = len(kinds)
     if total == 0:
         return DistanceStats(name=trace.name, same_page_fraction=0.0)
+    shift = np.uint64(OFFSET_BITS)
+    # Page numbers are at most 52 bits, so the signed difference is exact.
+    distance = np.abs(
+        (trace.targets[mask] >> shift).astype(np.int64)
+        - (trace.pcs[mask] >> shift).astype(np.int64)
+    )
+    # Each event lands in the first bucket whose bound covers it.
+    bounds = np.array([bound for _, bound in _DISTANCE_BUCKETS[:-1]], dtype=np.int64)
+    counts = np.bincount(
+        np.searchsorted(bounds, distance), minlength=len(_DISTANCE_BUCKETS)
+    ).tolist()
+    kind_total = np.bincount(kinds, minlength=len(BranchKind)).tolist()
+    kind_same = np.bincount(kinds[distance == 0], minlength=len(BranchKind)).tolist()
     return DistanceStats(
         name=trace.name,
-        same_page_fraction=counts["same page"] / total,
-        buckets={label: count / total for label, count in counts.items()},
+        same_page_fraction=counts[0] / total,
+        buckets={label: count / total for (label, _), count in zip(_DISTANCE_BUCKETS, counts)},
         by_kind={
-            BranchKind(kind).name: kind_same.get(kind, 0) / kind_total[kind]
-            for kind in sorted(kind_total)
+            BranchKind(kind).name: same / kinds_seen
+            for kind, (kinds_seen, same) in enumerate(zip(kind_total, kind_same))
+            if kinds_seen
         },
     )
 
@@ -211,22 +210,17 @@ class RuntimeSeries:
 
 def runtime_series(trace: Trace, max_samples: int = 4096) -> RuntimeSeries:
     """Sampled time series of target components (Figure 5's three plots)."""
-    taken_indices = [
-        index
-        for index, (pc, kind, taken, target, gap) in enumerate(trace.events())
-        if taken and kind != _RETURN
-    ]
+    taken_indices = np.flatnonzero(_taken_non_returns(trace))
     stride = max(1, len(taken_indices) // max_samples)
     sample_indices = taken_indices[::stride]
     regions, pages, offsets = [], [], []
-    for index in sample_indices:
-        target = trace.targets[index]
+    for target in trace.targets[sample_indices].tolist():
         regions.append(region_id(target))
         pages.append(page_number(target))
         offsets.append(page_offset(target))
     return RuntimeSeries(
         name=trace.name,
-        sample_indices=sample_indices,
+        sample_indices=sample_indices.tolist(),
         regions=regions,
         pages=pages,
         offsets=offsets,
@@ -319,7 +313,7 @@ def characterize(trace: Trace) -> CharacterizationProfile:
     density = density_stats(trace)
     distance = distance_stats(trace)
     n_events = len(trace)
-    mean_gap = (sum(trace.gaps) / n_events) if n_events else 0.0
+    mean_gap = (int(trace.gaps.sum(dtype=np.uint64)) / n_events) if n_events else 0.0
     return CharacterizationProfile(
         name=trace.name,
         category=trace.category,

@@ -60,7 +60,7 @@ from repro.frontend.params import CoreParams
 from repro.frontend.stats import FrontendStats
 from repro.obs import events as obs_events
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.trace import Trace
+from repro.workloads.trace import COLUMN_DTYPES, Trace
 
 __all__ = [
     "CACHE_VERSION",
@@ -234,8 +234,6 @@ def _quarantine(path: Path) -> None:
 
 # -- traces ------------------------------------------------------------------
 
-_TRACE_COLUMNS = ("pcs", "kinds", "takens", "targets", "gaps")
-
 
 def _trace_path(spec: WorkloadSpec) -> Path:
     return cache_root() / "traces" / f"{spec_digest(spec)}.npz"
@@ -253,7 +251,7 @@ def _mmap_npz_columns(path: Path) -> dict[str, np.ndarray]:
     with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
         for info in archive.infolist():
             name = info.filename.removesuffix(".npy")
-            if name not in _TRACE_COLUMNS:
+            if name not in COLUMN_DTYPES:
                 continue
             if info.compress_type != zipfile.ZIP_STORED:
                 raise ValueError(f"{info.filename} is compressed; cannot mmap")
@@ -275,7 +273,7 @@ def _mmap_npz_columns(path: Path) -> dict[str, np.ndarray]:
             arrays[name] = np.memmap(
                 path, dtype=dtype, mode="r", offset=raw.tell(), shape=shape
             )
-    missing = set(_TRACE_COLUMNS) - set(arrays)
+    missing = set(COLUMN_DTYPES) - set(arrays)
     if missing:
         raise ValueError(f"npz missing columns: {sorted(missing)}")
     return arrays
@@ -296,18 +294,8 @@ def load_trace(spec: WorkloadSpec) -> Trace | None:
             # Un-mappable but possibly still readable (e.g. a foreign
             # compressed npz): fall back to a plain load.
             with np.load(path, allow_pickle=False) as data:
-                columns = {name: data[name] for name in _TRACE_COLUMNS}
-        if len({len(columns[name]) for name in _TRACE_COLUMNS}) != 1:
-            raise ValueError("ragged trace columns")
-        trace = Trace.from_arrays(
-            name=spec.name,
-            category=spec.category,
-            pcs=columns["pcs"],
-            kinds=columns["kinds"],
-            takens=columns["takens"],
-            targets=columns["targets"],
-            gaps=columns["gaps"],
-        )
+                columns = {name: data[name] for name in COLUMN_DTYPES}
+        trace = Trace(spec.name, spec.category, **columns)
     except Exception:
         _quarantine(path)
         _count("trace_misses")
@@ -320,13 +308,11 @@ def store_trace(spec: WorkloadSpec, trace: Trace) -> None:
     """Persist a generated trace (uncompressed, for mmap loading)."""
     if not disk_cache_enabled():
         return
-    pcs, kinds, takens, targets, gaps = trace.columns()
+    columns = {name: getattr(trace, name) for name in COLUMN_DTYPES}
 
     def write(tmp: Path) -> None:
         with open(tmp, "wb") as handle:
-            np.savez(
-                handle, pcs=pcs, kinds=kinds, takens=takens, targets=targets, gaps=gaps
-            )
+            np.savez(handle, **columns)
 
     _atomic_write(_trace_path(spec), write)
     _count("stores")

@@ -14,8 +14,8 @@ skips phase 1.  Both are bit-identical to the seed referee.
 
 **Phase 1 -- BTB pass.**  One scalar loop over the *active* events (all
 of them, or every non-return when returns are served by the RAS) makes
-the BTB calls a live run makes, in trace order, over lists built for the
-run from the trace and the decoded numpy columns, and collects each
+the BTB calls a live run makes, in trace order, over lists masked for the
+run from the trace's and the decoded numpy columns, and collects each
 lookup's ``(target, hit, latency)`` into three lists.  The loop is
 called twice, once on each side of the warm crossing, with the stats
 reset in between, so the reset lands between the last warm-up event and
@@ -52,8 +52,6 @@ state.
 
 from __future__ import annotations
 
-from itertools import compress
-
 import numpy as np
 
 from repro.branch.types import BranchKind
@@ -80,13 +78,12 @@ def _btb_pass(btb, trace, decoded, act):
     is_indirect, hashes, same_page, is_direct, kinds)``: lists, except
     ``is_direct`` and ``kinds``, numpy arrays that only some passes read
     (the shadow-branch wrapper's and the base class's loop), so only those
-    pay for a list of one.  They are built for this run from the trace's
-    lists and the decoded numpy columns, and dropped with it.
+    pay for a list of one.  They are masked for this run from the trace's
+    and the decoded numpy columns, and dropped with it.
     """
-    selectors = act.tolist()
     vector = decoded.vector_columns()
     columns = (
-        *(list(compress(column, selectors)) for column in (trace.pcs, trace.targets, trace.takens)),
+        *(column[act].tolist() for column in (trace.pcs, trace.targets, trace.takens)),
         *(vector[name][act].tolist() for name in ("is_indirect", "hashes", "same_page")),
         *(vector[name][act] for name in ("is_direct", "kinds")),
     )

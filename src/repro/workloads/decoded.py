@@ -31,10 +31,12 @@ Two kinds of columns:
   touched (a sure hit that leaves the LRU order as it is), and walks the
   rest in one Python frame over the :class:`ICache`'s own set lists.
 
-Decoding itself builds nothing, and no per-event Python list is
-memoised here: the BTB pass builds the hash, page and indirect lists it
-indexes from the numpy columns for each run, over its active events only
-(:func:`repro.frontend.vector._btb_pass`), and drops them with the run.
+Decoding itself builds nothing: the raw columns are the trace's own
+read-only arrays, and no per-event Python list is memoised here.  The
+BTB pass masks the lists it indexes out of the numpy columns for each
+run, over its active events only (:func:`repro.frontend.vector._btb_pass`),
+and drops them with the run; the RAS replay converts only the calls and
+returns it walks.
 
 Everything here is derived, deterministic data; the equivalence suite
 (``tests/test_engine_equivalence.py``) checks the vector engine against
@@ -77,9 +79,6 @@ class DecodedTrace:
 
     __slots__ = (
         "n_events",
-        "_pcs",
-        "_kinds",
-        "_targets",
         "_icache",
         "_direction",
         "_raw",
@@ -90,9 +89,6 @@ class DecodedTrace:
 
     def __init__(self) -> None:
         self.n_events = 0
-        self._pcs: list[int] = []
-        self._kinds: list[int] = []
-        self._targets: list[int] = []
         self._icache: dict[tuple[int, int, int], tuple[np.ndarray, ICache]] = {}
         self._direction: dict[str, tuple[np.ndarray, object]] = {}
         self._raw: tuple[np.ndarray, ...] = ()
@@ -104,10 +100,7 @@ class DecodedTrace:
     def from_trace(cls, trace: "Trace") -> "DecodedTrace":
         decoded = cls()
         decoded.n_events = len(trace)
-        decoded._pcs = trace.pcs
-        decoded._kinds = trace.kinds
-        decoded._targets = trace.targets
-        decoded._raw = trace.columns()
+        decoded._raw = (trace.pcs, trace.kinds, trace.takens, trace.targets, trace.gaps)
         return decoded
 
     # -- vectorised-engine columns ------------------------------------------
@@ -129,7 +122,7 @@ class DecodedTrace:
             cached = {
                 "targets": targets.astype(np.int64),
                 "kinds": kinds,
-                "taken": np.ascontiguousarray(takens, dtype=np.bool_),
+                "taken": takens,
                 "instructions": gaps.astype(np.int64) + 1,
                 "hashes": hashes,
                 "same_page": (pcs >> _PAGE_SHIFT) == (targets >> _PAGE_SHIFT),
@@ -179,24 +172,26 @@ class DecodedTrace:
         key = (bool(use_ras), depth)
         cached = self._ras.get(key)
         if cached is None:
-            kinds = self._raw[1]
+            pcs, kinds, _, targets, _ = self._raw
             touched = _IS_CALL_BY_KIND[kinds]
             if use_ras:
                 touched |= kinds == np.uint8(_KIND_RETURN)
             touched = np.flatnonzero(touched)
             ok = [True] * self.n_events
             ras = ReturnAddressStack(depth)
-            pcs = self._pcs
-            targets = self._targets
-            kinds = self._kinds
             ras_pop = ras.pop
             ras_push = ras.push
             kind_return = _KIND_RETURN
-            for index in touched.tolist():
-                if use_ras and kinds[index] == kind_return:
-                    ok[index] = ras_pop() == targets[index]
+            for index, pc, kind, target in zip(
+                touched.tolist(),
+                pcs[touched].tolist(),
+                kinds[touched].tolist(),
+                targets[touched].tolist(),
+            ):
+                if use_ras and kind == kind_return:
+                    ok[index] = ras_pop() == target
                 else:
-                    ras_push(pcs[index] + _INSTR_BYTES)
+                    ras_push(pc + _INSTR_BYTES)
             cached = (np.array(ok, dtype=np.bool_), ras)
             self._ras[key] = cached
         return cached

@@ -61,7 +61,11 @@ def generate_trace(spec: WorkloadSpec, layout: CodeLayout | None = None) -> Trac
     """
     layout = layout or CodeLayout(spec)
     rng = random.Random(spec.seed ^ 0xD1E5E1)
-    trace = Trace(name=spec.name, category=spec.category)
+    pcs: list[int] = []
+    kinds: list[int] = []
+    takens: list[bool] = []
+    targets: list[int] = []
+    gaps: list[int] = []
 
     block_kind = layout.block_kind
     block_target = layout.block_target
@@ -76,7 +80,11 @@ def generate_trace(spec: WorkloadSpec, layout: CodeLayout | None = None) -> Trac
     phase_roots = layout.phase_roots
     if not phase_roots or not all(roots for roots, _ in phase_roots):
         raise ValueError(f"{spec.name}: layout has an empty phase root set")
-    append = trace.append
+    append_pc = pcs.append
+    append_kind = kinds.append
+    append_taken = takens.append
+    append_target = targets.append
+    append_gap = gaps.append
 
     n_events = spec.n_events
     max_depth = spec.max_call_depth
@@ -103,7 +111,11 @@ def generate_trace(spec: WorkloadSpec, layout: CodeLayout | None = None) -> Trac
 
     def emit(pc: int, kind: int, taken: bool, target: int, gap: int) -> None:
         nonlocal events, tree_events
-        append(pc, _KIND_MAP[kind], taken, target, gap)
+        append_pc(pc)
+        append_kind(_KIND_MAP[kind])
+        append_taken(taken)
+        append_target(target)
+        append_gap(gap)
         events += 1
         tree_events += 1
 
@@ -249,6 +261,7 @@ def generate_trace(spec: WorkloadSpec, layout: CodeLayout | None = None) -> Trac
 
     # The dispatcher emits two events per step, so the loop may overshoot
     # the requested length by one.
+    trace = Trace(spec.name, spec.category, pcs, kinds, takens, targets, gaps)
     trace.truncate(n_events)
     return trace
 

@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, TextIO
 
 from repro.branch.types import BranchKind
-from repro.workloads.textformat import _KIND_TO_TOKEN, _TOKEN_TO_KIND
+from repro.workloads.textformat import _KIND_TO_TOKEN, _TOKEN_TO_KIND, _parse_header
 from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:
@@ -93,6 +93,9 @@ BINARY_MAGIC = b"RBT" + bytes([FORMAT_VERSION])
 #: Addresses must fit the 64-bit model (the simulator masks to 57 bits
 #: internally, but the interchange format carries raw capture values).
 _MAX_ADDRESS = (1 << 64) - 1
+
+#: Gaps must fit the trace's ``uint32`` gap column.
+_MAX_GAP = (1 << 32) - 1
 
 #: Caps that turn corrupt varint streams into structured errors instead
 #: of gigabyte allocations.
@@ -163,7 +166,9 @@ def load_text(source: str | Path | TextIO | Iterable[str]) -> Trace:
 
 
 def _parse_text(lines: Iterable[str]) -> Trace:
-    trace = Trace()
+    header = {"name": "trace", "category": "uncategorised"}
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    appends = [column.append for column in columns]
     saw_magic = False
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -196,23 +201,16 @@ def _parse_text(lines: Iterable[str]) -> Trace:
         if not line:
             continue
         if line.startswith("#"):
-            _parse_header(trace, line)
+            _parse_header(header, line)
             continue
-        _parse_record(trace, line, line_number)
+        for append, value in zip(appends, _parse_record(line, line_number)):
+            append(value)
     if not saw_magic:
         raise IngestError("bad-magic", "empty input: no magic line", line=1)
-    return trace
+    return Trace(header["name"], header["category"], *columns)
 
 
-def _parse_header(trace: Trace, line: str) -> None:
-    body = line.lstrip("#").strip()
-    for field in ("name", "category"):
-        prefix = f"{field}:"
-        if body.startswith(prefix):
-            setattr(trace, field, body[len(prefix):].strip())
-
-
-def _parse_record(trace: Trace, line: str, line_number: int) -> None:
+def _parse_record(line: str, line_number: int) -> tuple[int, int, bool, int, int]:
     fields = line.split()
     if len(fields) != 5:
         raise IngestError(
@@ -250,7 +248,7 @@ def _parse_record(trace: Trace, line: str, line_number: int) -> None:
     except ValueError as error:
         raise IngestError("bad-record", str(error), line=line_number) from None
     _validate_values(pc, target, gap, line=line_number)
-    trace.append(pc, kind, taken, target, gap)
+    return pc, int(kind), taken, target, gap
 
 
 def _validate_values(
@@ -268,6 +266,11 @@ def _validate_values(
         )
     if gap < 0:
         raise IngestError("bad-gap", f"negative gap {gap}", line=line, offset=offset)
+    if gap > _MAX_GAP:
+        raise IngestError(
+            "bad-gap", f"gap {gap} exceeds the 32-bit gap column", line=line,
+            offset=offset,
+        )
 
 
 # -- binary framing ----------------------------------------------------------
@@ -427,9 +430,8 @@ def _parse_binary(reader: _ByteReader) -> Trace:
             f"(this reader understands version {FORMAT_VERSION})",
             offset=3,
         )
-    trace = Trace()
-    trace.name = _read_string(reader, "name")
-    trace.category = _read_string(reader, "category")
+    name = _read_string(reader, "name")
+    category = _read_string(reader, "category")
     n_events = reader.read_uvarint()
     if n_events > _MAX_EVENTS:
         raise IngestError(
@@ -437,6 +439,11 @@ def _parse_binary(reader: _ByteReader) -> Trace:
             f"event count {n_events} exceeds the {_MAX_EVENTS} cap",
             offset=reader.offset,
         )
+    pcs: list[int] = []
+    kinds: list[int] = []
+    takens: list[bool] = []
+    targets: list[int] = []
+    gaps: list[int] = []
     previous_pc = 0
     for index in range(n_events):
         record_offset = reader.offset
@@ -460,7 +467,11 @@ def _parse_binary(reader: _ByteReader) -> Trace:
         target = pc + _unzigzag(reader.read_uvarint())
         gap = reader.read_uvarint()
         _validate_values(pc, target, gap, offset=record_offset)
-        trace.append(pc, kind, taken, target, gap)
+        pcs.append(pc)
+        kinds.append(kind_value)
+        takens.append(taken)
+        targets.append(target)
+        gaps.append(gap)
         previous_pc = pc
     if not reader.at_eof():
         raise IngestError(
@@ -468,7 +479,7 @@ def _parse_binary(reader: _ByteReader) -> Trace:
             f"{n_events} event(s) decoded but input continues",
             offset=reader.offset,
         )
-    return trace
+    return Trace(name, category, pcs, kinds, takens, targets, gaps)
 
 
 # -- sniffing and the front door ---------------------------------------------

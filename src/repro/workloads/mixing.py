@@ -15,7 +15,9 @@ no remapping and the PID is implicit in the region bits.
 
 from __future__ import annotations
 
-from repro.workloads.trace import Trace
+import numpy as np
+
+from repro.workloads.trace import COLUMN_DTYPES, Trace
 
 
 def interleave_traces(
@@ -33,12 +35,9 @@ def interleave_traces(
         raise ValueError("need at least one trace")
     if quantum_events <= 0:
         raise ValueError("quantum_events must be positive")
-    merged = Trace(
-        name=name or ("mix(" + "+".join(trace.name for trace in traces) + ")"),
-        category="Mixed",
-    )
+    slices: list[tuple[Trace, int, int]] = []
     cursors = [0] * len(traces)
-    live = len(traces)
+    live = sum(1 for trace in traces if len(trace))
     current = 0
     while live:
         trace = traces[current]
@@ -47,16 +46,22 @@ def interleave_traces(
             current = (current + 1) % len(traces)
             continue
         end = min(cursor + quantum_events, len(trace))
-        merged.pcs.extend(trace.pcs[cursor:end])
-        merged.kinds.extend(trace.kinds[cursor:end])
-        merged.takens.extend(trace.takens[cursor:end])
-        merged.targets.extend(trace.targets[cursor:end])
-        merged.gaps.extend(trace.gaps[cursor:end])
+        slices.append((trace, cursor, end))
         cursors[current] = end
         if end >= len(trace):
             live -= 1
         current = (current + 1) % len(traces)
-    return merged
+    return Trace(
+        name or ("mix(" + "+".join(trace.name for trace in traces) + ")"),
+        "Mixed",
+        *(
+            np.concatenate(
+                [getattr(trace, column)[start:end] for trace, start, end in slices]
+                or [np.empty(0, dtype)]
+            )
+            for column, dtype in COLUMN_DTYPES.items()
+        ),
+    )
 
 
 def working_set_overlap(first: Trace, second: Trace) -> float:
@@ -65,9 +70,9 @@ def working_set_overlap(first: Trace, second: Trace) -> float:
     Suite traces should report ~0 (disjoint address spaces); use this to
     sanity-check externally imported traces before mixing.
     """
-    pcs_first = set(first.pcs)
-    pcs_second = set(second.pcs)
-    if not pcs_first or not pcs_second:
+    pcs_first = np.unique(first.pcs)
+    pcs_second = np.unique(second.pcs)
+    if not len(pcs_first) or not len(pcs_second):
         return 0.0
-    shared = len(pcs_first & pcs_second)
+    shared = len(np.intersect1d(pcs_first, pcs_second, assume_unique=True))
     return shared / min(len(pcs_first), len(pcs_second))

@@ -65,13 +65,18 @@ def load_trace(source: str | Path | TextIO | Iterable[str]) -> Trace:
 
 
 def _parse(lines: Iterable[str]) -> Trace:
-    trace = Trace()
+    header = {"name": "trace", "category": "uncategorised"}
+    pcs: list[int] = []
+    kinds: list[int] = []
+    takens: list[bool] = []
+    targets: list[int] = []
+    gaps: list[int] = []
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            _parse_header(trace, line)
+            _parse_header(header, line)
             continue
         fields = line.split()
         if len(fields) != 5:
@@ -100,15 +105,28 @@ def _parse(lines: Iterable[str]) -> Trace:
             gap = int(gap_text)
         except ValueError as error:
             raise TraceFormatError(f"line {line_number}: {error}") from None
+        if not (0 <= pc < 1 << 64 and 0 <= target < 1 << 64):
+            raise TraceFormatError(
+                f"line {line_number}: address outside the 64-bit model"
+            )
         if gap < 0:
             raise TraceFormatError(f"line {line_number}: negative gap")
-        trace.append(pc, kind, taken, target, gap)
-    return trace
+        if gap >= 1 << 32:
+            raise TraceFormatError(
+                f"line {line_number}: gap {gap} exceeds the 32-bit gap column"
+            )
+        pcs.append(pc)
+        kinds.append(int(kind))
+        takens.append(taken)
+        targets.append(target)
+        gaps.append(gap)
+    return Trace(header["name"], header["category"], pcs, kinds, takens, targets, gaps)
 
 
-def _parse_header(trace: Trace, line: str) -> None:
+def _parse_header(header: dict[str, str], line: str) -> None:
+    """Record a ``# name:`` / ``# category:`` header line in ``header``."""
     body = line.lstrip("#").strip()
-    for field in ("name", "category"):
+    for field in header:
         prefix = f"{field}:"
         if body.startswith(prefix):
-            setattr(trace, field, body[len(prefix):].strip())
+            header[field] = body[len(prefix):].strip()

@@ -1,10 +1,15 @@
 """Trace container: the dynamic branch stream a simulation consumes.
 
 A trace is a sequence of :class:`~repro.branch.types.BranchEvent` items
-plus the instruction counts between them.  For speed and compactness the
-events are stored as parallel arrays (column-major); ``events()`` yields
-light-weight tuples and ``branch_events()`` yields full ``BranchEvent``
-objects when the richer API is wanted.
+plus the instruction counts between them, held as five read-only numpy
+columns of fixed dtypes (:data:`COLUMN_DTYPES`: ``uint64`` pcs and
+targets, ``uint8`` kinds, ``bool`` takens, ``uint32`` gaps -- 22 bytes
+per event).  Producers collect their columns and construct the trace
+once; numpy consumers (:mod:`repro.workloads.decoded`, the BTB pass)
+read the arrays themselves.  ``events()`` yields ``(pc, kind, taken,
+target, gap)`` tuples of native Python ints and bools, converted a chunk
+at a time, and ``branch_events()`` yields full ``BranchEvent`` objects
+when the richer API is wanted.
 
 Traces can be persisted to ``.npz`` so characterisation and simulation
 runs share identical inputs.
@@ -12,9 +17,9 @@ runs share identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -23,101 +28,70 @@ from repro.branch.types import BranchEvent, BranchKind
 if TYPE_CHECKING:
     from repro.workloads.decoded import DecodedTrace
 
+#: The event columns in ``events()`` tuple order, with their dtypes.
+COLUMN_DTYPES = {
+    "pcs": np.uint64,
+    "kinds": np.uint8,
+    "takens": np.bool_,
+    "targets": np.uint64,
+    "gaps": np.uint32,
+}
 
-@dataclass
+#: Events per ``tolist()`` batch in :meth:`Trace.events`.
+_EVENT_CHUNK = 1 << 14
+
+
+def _column(values: np.ndarray | Sequence, dtype: type) -> np.ndarray:
+    """``values`` as a read-only contiguous ``dtype`` array.  A view, so
+    an array the caller passed keeps its own flags."""
+    column = np.ascontiguousarray(values, dtype=dtype).view()
+    column.flags.writeable = False
+    return column
+
+
 class Trace:
     """Column-major dynamic branch trace.
 
     Attributes:
         name: workload name the trace was generated from.
         category: workload category label (Server / Browser / BP / Personal).
-        pcs / kinds / takens / targets / gaps: parallel event columns.
+        pcs / kinds / takens / targets / gaps: parallel event columns,
+            read-only arrays of :data:`COLUMN_DTYPES`, built from arrays or
+            sequences of equal length.
     """
 
-    name: str = "trace"
-    category: str = "uncategorised"
-    pcs: list[int] = field(default_factory=list)
-    kinds: list[int] = field(default_factory=list)
-    takens: list[bool] = field(default_factory=list)
-    targets: list[int] = field(default_factory=list)
-    gaps: list[int] = field(default_factory=list)
+    def __init__(
+        self,
+        name: str = "trace",
+        category: str = "uncategorised",
+        pcs: np.ndarray | Sequence[int] = (),
+        kinds: np.ndarray | Sequence[int] = (),
+        takens: np.ndarray | Sequence[bool] = (),
+        targets: np.ndarray | Sequence[int] = (),
+        gaps: np.ndarray | Sequence[int] = (),
+    ) -> None:
+        self.name = name
+        self.category = category
+        self.pcs = _column(pcs, np.uint64)
+        self.kinds = _column(kinds, np.uint8)
+        self.takens = _column(takens, np.bool_)
+        self.targets = _column(targets, np.uint64)
+        self.gaps = _column(gaps, np.uint32)
+        if len({len(column) for column in self._columns()}) != 1:
+            raise ValueError("ragged trace columns")
+        self._decoded: DecodedTrace | None = None
 
-    # -- construction -------------------------------------------------------
-
-    def append(self, pc: int, kind: BranchKind, taken: bool, target: int, gap: int) -> None:
-        self.pcs.append(pc)
-        self.kinds.append(int(kind))
-        self.takens.append(taken)
-        self.targets.append(target)
-        self.gaps.append(gap)
-        self._columns = None
-        self._decoded = None
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.pcs, self.kinds, self.takens, self.targets, self.gaps
 
     def truncate(self, length: int) -> None:
         """Trim the trace to at most ``length`` events."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        del self.pcs[length:]
-        del self.kinds[length:]
-        del self.takens[length:]
-        del self.targets[length:]
-        del self.gaps[length:]
-        self._columns = None
+        self.pcs, self.kinds, self.takens, self.targets, self.gaps = (
+            column[:length] for column in self._columns()
+        )
         self._decoded = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        name: str,
-        category: str,
-        pcs: np.ndarray,
-        kinds: np.ndarray,
-        takens: np.ndarray,
-        targets: np.ndarray,
-        gaps: np.ndarray,
-    ) -> "Trace":
-        """Build a trace from numpy columns without per-element conversion.
-
-        The event lists come from bulk ``.tolist()`` (native ints/bools in
-        one C pass) and the arrays themselves are kept for vectorised
-        consumers (:meth:`columns` / :meth:`decoded`), so loading a trace
-        never round-trips through ``int(x)`` per event.
-        """
-        trace = cls(
-            name=name,
-            category=category,
-            pcs=pcs.tolist(),
-            kinds=kinds.tolist(),
-            takens=takens.tolist(),
-            targets=targets.tolist(),
-            gaps=gaps.tolist(),
-        )
-        trace._columns = (
-            np.ascontiguousarray(pcs, dtype=np.uint64),
-            np.ascontiguousarray(kinds, dtype=np.uint8),
-            np.ascontiguousarray(takens, dtype=np.bool_),
-            np.ascontiguousarray(targets, dtype=np.uint64),
-            np.ascontiguousarray(gaps, dtype=np.uint32),
-        )
-        return trace
-
-    # -- derived columns -----------------------------------------------------
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """Numpy views of the event columns ``(pcs, kinds, takens, targets,
-        gaps)``, built once and cached (invalidated by mutation)."""
-        cached = getattr(self, "_columns", None)
-        if cached is not None and len(cached[0]) == len(self.pcs):
-            return cached
-        columns = (
-            np.array(self.pcs, dtype=np.uint64),
-            np.array(self.kinds, dtype=np.uint8),
-            np.array(self.takens, dtype=np.bool_),
-            np.array(self.targets, dtype=np.uint64),
-            np.array(self.gaps, dtype=np.uint32),
-        )
-        self._columns = columns
-        return columns
 
     @property
     def is_decoded(self) -> bool:
@@ -126,8 +100,7 @@ class Trace:
         The serving layer's micro-batcher uses this to account decodes
         (one per batch of requests sharing a trace) without forcing one.
         """
-        cached = getattr(self, "_decoded", None)
-        return cached is not None and cached.n_events == len(self.pcs)
+        return self._decoded is not None
 
     def decoded(self) -> "DecodedTrace":
         """The one-time :class:`DecodedTrace` for this trace, cached.
@@ -138,12 +111,9 @@ class Trace:
         """
         from repro.workloads.decoded import DecodedTrace
 
-        cached = getattr(self, "_decoded", None)
-        if cached is not None and cached.n_events == len(self.pcs):
-            return cached
-        decoded = DecodedTrace.from_trace(self)
-        self._decoded = decoded
-        return decoded
+        if self._decoded is None:
+            self._decoded = DecodedTrace.from_trace(self)
+        return self._decoded
 
     # -- iteration ------------------------------------------------------------
 
@@ -151,8 +121,13 @@ class Trace:
         return len(self.pcs)
 
     def events(self) -> Iterator[tuple[int, int, bool, int, int]]:
-        """Yield raw ``(pc, kind, taken, target, gap)`` tuples (fast path)."""
-        return zip(self.pcs, self.kinds, self.takens, self.targets, self.gaps)
+        """Yield raw ``(pc, kind, taken, target, gap)`` tuples of native
+        Python ints and bools (fast path; ``pc - 4*gap`` cannot wrap)."""
+        columns = self._columns()
+        return chain.from_iterable(
+            zip(*(column[start:start + _EVENT_CHUNK].tolist() for column in columns))
+            for start in range(0, len(self), _EVENT_CHUNK)
+        )
 
     def branch_events(self) -> Iterator[BranchEvent]:
         """Yield full :class:`BranchEvent` objects (convenient path)."""
@@ -164,59 +139,45 @@ class Trace:
     @property
     def instruction_count(self) -> int:
         """Total retired instructions: branches plus the gaps between them."""
-        return len(self.pcs) + sum(self.gaps)
+        return len(self) + int(self.gaps.sum(dtype=np.uint64))
 
     @property
     def taken_count(self) -> int:
-        return sum(self.takens)
+        return int(np.count_nonzero(self.takens))
 
     def dynamic_taken_fraction(self) -> float:
         """Fraction of dynamic branch instances that are taken (Fig 3)."""
-        if not self.pcs:
+        if not len(self):
             return 0.0
-        return self.taken_count / len(self.pcs)
+        return self.taken_count / len(self)
 
     def static_taken_fraction(self) -> float:
         """Fraction of static branch PCs that are ever taken (Fig 3)."""
-        seen: set[int] = set()
-        taken: set[int] = set()
-        for pc, _, was_taken, _, _ in self.events():
-            seen.add(pc)
-            if was_taken:
-                taken.add(pc)
+        seen = self.static_branch_count()
         if not seen:
             return 0.0
-        return len(taken) / len(seen)
+        return len(np.unique(self.pcs[self.takens])) / seen
 
     def static_branch_count(self) -> int:
-        return len(set(self.pcs))
+        return len(np.unique(self.pcs))
 
     # -- persistence -----------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         """Serialise to a compressed ``.npz`` file."""
-        pcs, kinds, takens, targets, gaps = self.columns()
         np.savez_compressed(
             Path(path),
             name=np.array(self.name),
             category=np.array(self.category),
-            pcs=pcs,
-            kinds=kinds,
-            takens=takens,
-            targets=targets,
-            gaps=gaps,
+            **dict(zip(COLUMN_DTYPES, self._columns())),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
         """Load a trace previously written by :meth:`save`."""
         with np.load(Path(path)) as data:
-            return cls.from_arrays(
+            return cls(
                 name=str(data["name"]),
                 category=str(data["category"]),
-                pcs=data["pcs"],
-                kinds=data["kinds"],
-                takens=data["takens"],
-                targets=data["targets"],
-                gaps=data["gaps"],
+                **{column: data[column] for column in COLUMN_DTYPES},
             )

@@ -71,10 +71,7 @@ def make_event(
 
 def make_trace(events: list[tuple[int, BranchKind, bool, int, int]], name: str = "test") -> Trace:
     """Build a trace from raw tuples."""
-    trace = Trace(name=name)
-    for pc, kind, taken, target, gap in events:
-        trace.append(pc, kind, taken, target, gap)
-    return trace
+    return Trace(name, "uncategorised", *zip(*events))
 
 
 def synthetic_branch_set(

@@ -433,8 +433,9 @@ def test_stale_directory_entry_reads_as_a_miss(design, warmup_fraction):
     )
     # One set, six distinct tags: every branch aliases with every other.
     probe = STALE_DIRECTORY_BTBS[design]()
-    assert len({probe._tag(pc) for pc in set(trace.pcs)}) == 6
-    assert {probe._index(pc) for pc in trace.pcs} == {0}
+    pcs = set(trace.pcs.tolist())
+    assert len({probe._tag(pc) for pc in pcs}) == 6
+    assert {probe._index(pc) for pc in pcs} == {0}
     assert seed.stats.evictions > 0
 
 

@@ -32,7 +32,7 @@ def test_profile_condenses_the_paper_figures():
     assert profile.unique_pcs > 0
     assert profile.static_branches > 0
     assert profile.mean_gap == pytest.approx(
-        sum(trace.gaps) / len(trace)
+        sum(trace.gaps.tolist()) / len(trace)
     )
     data = profile.to_dict()
     assert data["name"] == trace.name

@@ -45,25 +45,27 @@ def test_decoded_is_cached_on_the_trace(trace):
 def test_block_instructions_is_gap_plus_one(trace, decoded):
     assert decoded.n_events == len(trace)
     instructions = decoded.vector_columns()["instructions"]
-    assert instructions.tolist() == [gap + 1 for gap in trace.gaps]
+    assert instructions.tolist() == [gap + 1 for gap in trace.gaps.tolist()]
 
 
 def test_hashes_match_scalar_hash_pc(trace, decoded):
     # Spot-check across the column; the vectorised mix64 must agree
     # with the scalar helper, including uint64 wrap-around.
     hashes = decoded.vector_columns()["hashes"].tolist()
+    pcs = trace.pcs.tolist()
     for index in range(0, len(trace), max(1, len(trace) // 257)):
-        assert hashes[index] == hash_pc(trace.pcs[index])
+        assert hashes[index] == hash_pc(pcs[index])
 
 
 def test_same_page_matches_scalar_helper(trace, decoded):
     assert decoded.vector_columns()["same_page"].tolist() == [
-        same_page(pc, target) for pc, target in zip(trace.pcs, trace.targets)
+        same_page(pc, target)
+        for pc, target in zip(trace.pcs.tolist(), trace.targets.tolist())
     ]
 
 
 def test_kind_property_columns(trace, decoded):
-    kinds = [BranchKind(value) for value in trace.kinds]
+    kinds = [BranchKind(value) for value in trace.kinds.tolist()]
     assert decoded.vector_columns()["is_indirect"].tolist() == [
         kind.is_indirect for kind in kinds
     ]
@@ -76,7 +78,7 @@ def test_lazy_boundary_lists_match_their_definitions(app):
     trace = get_trace(app, "tiny")
     decoded = DecodedTrace.from_trace(trace)
     columns = decoded.vector_columns()
-    pcs, kinds, _, targets, _ = trace.columns()
+    pcs, kinds, targets = trace.pcs, trace.kinds, trace.targets
     assert columns["hashes"].tolist() == vmix64(pcs >> np.uint64(1)).tolist()
     assert columns["same_page"].tolist() == (
         (pcs >> np.uint64(12)) == (targets >> np.uint64(12))
@@ -93,7 +95,6 @@ def test_decode_retains_no_per_event_lists():
     # per-event lists).
     trace = get_trace(TRACE_APP, "tiny")
     assert len(trace) == 8000
-    trace.columns()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -118,7 +119,10 @@ def test_supply_demand_arrays_are_exact_multiples(decoded):
 def _touch_range_loop(trace, size_kib, line_bytes, ways):
     """The per-event ``touch_range`` loop the replay stands in for."""
     live = ICache(size_kib, line_bytes, ways)
-    misses = [live.touch_range(pc - gap * 4, pc) for pc, gap in zip(trace.pcs, trace.gaps)]
+    misses = [
+        live.touch_range(pc - gap * 4, pc)
+        for pc, gap in zip(trace.pcs.tolist(), trace.gaps.tolist())
+    ]
     return misses, live
 
 
@@ -206,7 +210,7 @@ def _live_loop(pcs, takens, predictor=None):
 
 
 def _conditionals(trace):
-    pcs, kinds, takens = trace.columns()[:3]
+    pcs, kinds, takens = trace.pcs, trace.kinds, trace.takens
     conditional = kinds == int(BranchKind.COND_DIRECT)
     return pcs[conditional], takens[conditional]
 
@@ -227,14 +231,15 @@ def _assert_replay_matches_live(pcs, takens, start=None):
 def test_direction_outcomes_match_live_predictor(trace, decoded):
     outcomes, final = decoded.direction_outcomes("tage-default")
     cond = int(BranchKind.COND_DIRECT)
+    pcs, kinds, takens = trace.pcs.tolist(), trace.kinds.tolist(), trace.takens.tolist()
     predictions, live = _live_loop(
-        [pc for pc, kind in zip(trace.pcs, trace.kinds) if kind == cond],
-        [taken for taken, kind in zip(trace.takens, trace.kinds) if kind == cond],
+        [pc for pc, kind in zip(pcs, kinds) if kind == cond],
+        [taken for taken, kind in zip(takens, kinds) if kind == cond],
     )
     expected = [True] * len(trace)
-    conditionals = (i for i, kind in enumerate(trace.kinds) if kind == cond)
+    conditionals = (i for i, kind in enumerate(kinds) if kind == cond)
     for index, predicted in zip(conditionals, predictions):
-        expected[index] = predicted == trace.takens[index]
+        expected[index] = predicted == takens[index]
     assert outcomes.tolist() == expected
     assert outcomes.dtype == np.bool_
     assert decoded.direction_outcomes("tage-default")[0] is outcomes

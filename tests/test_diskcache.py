@@ -48,11 +48,11 @@ def test_trace_miss_then_hit_roundtrip(disk_cache):
     diskcache.store_trace(spec, trace)
     loaded = diskcache.load_trace(spec)
     assert loaded is not None
-    assert loaded.pcs == trace.pcs
-    assert loaded.kinds == trace.kinds
-    assert loaded.takens == trace.takens
-    assert loaded.targets == trace.targets
-    assert loaded.gaps == trace.gaps
+    assert loaded.pcs.tolist() == trace.pcs.tolist()
+    assert loaded.kinds.tolist() == trace.kinds.tolist()
+    assert loaded.takens.tolist() == trace.takens.tolist()
+    assert loaded.targets.tolist() == trace.targets.tolist()
+    assert loaded.gaps.tolist() == trace.gaps.tolist()
     info = diskcache.disk_cache_info()
     assert info["trace_misses"] == 1 and info["trace_hits"] == 1
 

@@ -231,7 +231,7 @@ def test_blocks_starting_below_address_zero_match_seed(seed):
     # the seed touches the lines from that start upward, and so must the
     # ICache replay (an unsigned start would wrap to one bogus line).
     trace = low_address_trace(seed)
-    assert any(pc < 4 * gap for pc, gap in zip(trace.pcs, trace.gaps))
+    assert any(pc < 4 * gap for pc, gap in zip(trace.pcs.tolist(), trace.gaps.tolist()))
     design = standard_designs()["baseline"]
     btb, kwargs = design.build()
     simulator = FrontendSimulator(btb, **kwargs)
@@ -381,8 +381,8 @@ def test_fuzz_sweep_is_deterministic():
     spec_a, spec_b = _fuzz_spec(3), _fuzz_spec(3)
     assert spec_a == spec_b
     trace_a, trace_b = generate_trace(spec_a), generate_trace(spec_b)
-    assert trace_a.pcs == trace_b.pcs
-    assert trace_a.targets == trace_b.targets
+    assert trace_a.pcs.tolist() == trace_b.pcs.tolist()
+    assert trace_a.targets.tolist() == trace_b.targets.tolist()
     assert _fuzz_design(5)[0] == _fuzz_design(5)[0]
 
 

@@ -44,15 +44,15 @@ SAMPLE_TRACE = FIXTURES / "sample_trace.rbt"
 def _random_trace(seed: int, n_events: int | None = None) -> Trace:
     """A seeded trace hitting the formats' full value space."""
     rng = random.Random(seed * 2654435761 % (1 << 31))
-    trace = Trace(name=f"fuzz-{seed}", category="Fuzz")
+    events = []
     for _ in range(n_events if n_events is not None else rng.randrange(1, 200)):
         kind = rng.choice(_KINDS)
         taken = True if kind.is_unconditional else rng.random() < 0.5
         pc = rng.choice((0, 1, rng.getrandbits(rng.choice((16, 32, 48, 63)))))
         target = rng.choice((0, pc, pc + 4, rng.getrandbits(48)))
         gap = rng.choice((0, 1, rng.randrange(0, 10_000)))
-        trace.append(pc, kind, taken, target, gap)
-    return trace
+        events.append((pc, kind, taken, target, gap))
+    return Trace(f"fuzz-{seed}", "Fuzz", *zip(*events))
 
 
 def _columns(trace: Trace) -> list[tuple[int, int, bool, int, int]]:
@@ -153,6 +153,7 @@ def test_empty_trace_roundtrips():
         (["%RBT 1", "0 JMP N 0 0"], "bad-taken"),              # impossible combo
         (["%RBT 1", "0 COND T 0 -1"], "bad-gap"),
         (["%RBT 1", "ffffffffffffffff1 COND T 0 0"], "bad-address"),
+        (["%RBT 1", "0 COND T 0 4294967296"], "bad-gap"),      # over uint32
     ],
 )
 def test_malformed_text_raises_coded_errors(lines, code):
@@ -193,9 +194,30 @@ def test_binary_bad_magic_and_version():
     assert excinfo.value.code == "unsupported-version"
 
 
+def test_binary_oversized_gap_is_a_structured_error():
+    # One record whose gap (2**33) does not fit the trace's uint32 column.
+    blob = bytearray(b"RBT\x01\x01t\x01c\x01")
+    blob += bytes([int(BranchKind.COND_DIRECT) | 0x8, 0x80, 0x40, 0x80, 0x40])
+    blob += bytes([0x80, 0x80, 0x80, 0x80, 0x20])
+    with pytest.raises(IngestError) as excinfo:
+        load_binary(bytes(blob))
+    assert excinfo.value.code == "bad-gap"
+    assert excinfo.value.offset == 9
+
+
+def test_convert_cli_names_an_oversized_gap(tmp_path, capsys):
+    from repro.cli import main
+
+    source = tmp_path / "huge-gap.rbt"
+    source.write_text(SAMPLE_TRACE.read_text() + "1000 COND T 2000 8589934592\n")
+    assert main(["convert", str(source), str(tmp_path / "out.rbtb"), "--no-gate"]) == 1
+    assert "bad-gap" in capsys.readouterr().err
+    assert main(["simulate", "--trace", str(source), "--no-gate", "baseline"]) == 1
+    assert "bad-gap" in capsys.readouterr().err
+
+
 def test_binary_bad_flags_byte():
-    trace = Trace(name="t", category="c")
-    trace.append(0x1000, BranchKind.COND_DIRECT, True, 0x2000, 1)
+    trace = Trace("t", "c", [0x1000], [BranchKind.COND_DIRECT], [True], [0x2000], [1])
     blob = _binary_bytes(trace)
     # The single record's flags byte follows magic + 3 header varints
     # (1-byte name, 1-byte category, count).
@@ -250,9 +272,8 @@ def test_import_trace_gates_out_of_envelope_captures(tmp_path):
     from repro.analysis.characterize import EnvelopeError
 
     # A degenerate capture: one branch in a tight never-taken loop.
-    bad = Trace(name="degenerate", category="Fuzz")
-    for _ in range(512):
-        bad.append(0x1000, BranchKind.COND_DIRECT, False, 0x1004, 1)
+    loop = [(0x1000, BranchKind.COND_DIRECT, False, 0x1004, 1)] * 512
+    bad = Trace("degenerate", "Fuzz", *zip(*loop))
     path = tmp_path / "bad.rbt"
     dump_text(bad, path)
     with pytest.raises(EnvelopeError) as excinfo:
@@ -299,9 +320,8 @@ def test_convert_cli_roundtrips_the_sample_trace(tmp_path, capsys):
 def test_convert_cli_rejects_out_of_envelope_input(tmp_path, capsys):
     from repro.cli import main
 
-    bad = Trace(name="degenerate", category="Fuzz")
-    for _ in range(512):
-        bad.append(0x1000, BranchKind.COND_DIRECT, False, 0x1004, 1)
+    loop = [(0x1000, BranchKind.COND_DIRECT, False, 0x1004, 1)] * 512
+    bad = Trace("degenerate", "Fuzz", *zip(*loop))
     source = tmp_path / "bad.rbt"
     dump_text(bad, source)
     assert main(["convert", str(source), str(tmp_path / "bad.rbtb")]) == 1

@@ -23,7 +23,7 @@ def test_every_event_appears_exactly_once():
     second = small_trace(0x900_0000, 130, "b")
     merged = interleave_traces([first, second], quantum_events=100)
     assert len(merged) == 380
-    assert sorted(merged.pcs) == sorted(first.pcs + second.pcs)
+    assert sorted(merged.pcs.tolist()) == sorted(first.pcs.tolist() + second.pcs.tolist())
 
 
 def test_round_robin_quantum_order():
@@ -31,9 +31,9 @@ def test_round_robin_quantum_order():
     second = small_trace(0x900_0000, 4, "b")
     merged = interleave_traces([first, second], quantum_events=2)
     # a0 a1 | b0 b1 | a2 a3 | b2 b3
-    assert merged.pcs[:2] == first.pcs[:2]
-    assert merged.pcs[2:4] == second.pcs[:2]
-    assert merged.pcs[4:6] == first.pcs[2:4]
+    assert merged.pcs[:2].tolist() == first.pcs[:2].tolist()
+    assert merged.pcs[2:4].tolist() == second.pcs[:2].tolist()
+    assert merged.pcs[4:6].tolist() == first.pcs[2:4].tolist()
 
 
 def test_uneven_lengths_drain_gracefully():
@@ -49,6 +49,14 @@ def test_merged_name_and_category():
     )
     assert merged.name == "mix(a+b)"
     assert merged.category == "Mixed"
+
+
+def test_empty_inputs_are_skipped():
+    first = small_trace(0x100_0000, 3, "a")
+    empty = make_trace([], name="empty")
+    merged = interleave_traces([empty, first, empty], quantum_events=2)
+    assert merged.pcs.tolist() == first.pcs.tolist()
+    assert len(interleave_traces([empty, empty])) == 0
 
 
 def test_validation():

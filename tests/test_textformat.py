@@ -32,11 +32,11 @@ def test_roundtrip_through_file(tmp_path):
     loaded = load_trace(path)
     assert loaded.name == "sample"
     assert loaded.category == "Browser"
-    assert loaded.pcs == trace.pcs
-    assert loaded.kinds == trace.kinds
-    assert loaded.takens == trace.takens
-    assert loaded.targets == trace.targets
-    assert loaded.gaps == trace.gaps
+    assert loaded.pcs.tolist() == trace.pcs.tolist()
+    assert loaded.kinds.tolist() == trace.kinds.tolist()
+    assert loaded.takens.tolist() == trace.takens.tolist()
+    assert loaded.targets.tolist() == trace.targets.tolist()
+    assert loaded.gaps.tolist() == trace.gaps.tolist()
 
 
 def test_roundtrip_through_stream():
@@ -44,7 +44,7 @@ def test_roundtrip_through_stream():
     buffer = io.StringIO()
     dump_trace(trace, buffer)
     loaded = load_trace(io.StringIO(buffer.getvalue()))
-    assert loaded.pcs == trace.pcs
+    assert loaded.pcs.tolist() == trace.pcs.tolist()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -60,7 +60,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_lowercase_taken_flag_accepted():
     loaded = load_trace(["7f00 COND t 7f80 1"])
-    assert loaded.takens == [True]
+    assert loaded.takens.tolist() == [True]
 
 
 def test_rejects_wrong_field_count():

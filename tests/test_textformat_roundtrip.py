@@ -26,7 +26,7 @@ _KINDS = list(BranchKind)
 def _random_trace(seed: int, n_events: int | None = None) -> Trace:
     """A seeded trace hitting the format's full value space."""
     rng = random.Random(seed * 2654435761 % (1 << 31))
-    trace = Trace(name=f"fuzz-{seed}", category="Fuzz")
+    events = []
     for _ in range(n_events if n_events is not None else rng.randrange(1, 200)):
         kind = rng.choice(_KINDS)
         # Unconditional kinds are always taken (the format rejects the
@@ -35,8 +35,8 @@ def _random_trace(seed: int, n_events: int | None = None) -> Trace:
         pc = rng.choice((0, 1, rng.getrandbits(rng.choice((16, 32, 48, 63)))))
         target = rng.choice((0, pc, pc + 4, rng.getrandbits(48)))
         gap = rng.choice((0, 1, rng.randrange(0, 10_000)))
-        trace.append(pc, kind, taken, target, gap)
-    return trace
+        events.append((pc, kind, taken, target, gap))
+    return Trace(f"fuzz-{seed}", "Fuzz", *zip(*events))
 
 
 def _columns(trace: Trace) -> list[tuple[int, int, bool, int, int]]:
@@ -119,6 +119,8 @@ def test_empty_trace_roundtrips():
         ("0 COND X 0 0", "taken flag"),
         ("0 JMP N 0 0", "always taken"),
         ("0 COND T 0 -1", "negative gap"),
+        ("0 COND T 0 4294967296", "32-bit gap column"),
+        ("10000000000000000 COND T 0 0", "outside the 64-bit model"),
     ],
 )
 def test_malformed_lines_are_structured_errors(line, message_part):

@@ -103,7 +103,7 @@ def test_warm_crossing_on_a_return(returns_use_ras):
     trace = _dense_miss_trace()
     warm_limit = next(
         index
-        for index, kind in enumerate(trace.kinds)
+        for index, kind in enumerate(trace.kinds.tolist())
         if index > len(trace) // 3 and kind == int(BranchKind.RETURN)
     )
     warmup = (warm_limit + 0.5) / len(trace)
