@@ -12,10 +12,16 @@ from repro.btb.base import BTBLookup, BranchTargetPredictor, BTBStats
 from repro.btb.replacement import (
     FifoPolicy,
     LruPolicy,
+    FifoTable,
+    LruTable,
     RandomPolicy,
+    RandomTable,
     ReplacementPolicy,
+    ReplacementTable,
     SrripPolicy,
+    SrripTable,
     make_replacement_policy,
+    make_replacement_table,
 )
 from repro.btb.baseline import BaselineBTB
 from repro.btb.ras import ReturnAddressStack
@@ -37,6 +43,12 @@ __all__ = [
     "ReplacementPolicy",
     "SrripPolicy",
     "make_replacement_policy",
+    "FifoTable",
+    "LruTable",
+    "RandomTable",
+    "ReplacementTable",
+    "SrripTable",
+    "make_replacement_table",
     "BaselineBTB",
     "ReturnAddressStack",
     "ITTagePredictor",

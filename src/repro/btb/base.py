@@ -50,6 +50,9 @@ def tag_directory(tags: list[int], ways: int) -> list[dict[int, int]]:
     int objects and small way numbers take about half the memory of one
     ``(set, tag)``-keyed dict of slots.
     """
+    if max(tags, default=-1) < 0:
+        # A new table: every slot invalid, every row empty.
+        return [{} for _ in range(len(tags) // ways)]
     return [
         {tag: way for way, tag in enumerate(tags[base:base + ways]) if tag >= 0}
         for base in range(0, len(tags), ways)

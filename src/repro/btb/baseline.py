@@ -23,7 +23,7 @@ from repro.branch.types import IS_INDIRECT
 from repro.btb.base import (
     NO_TARGET, BranchTargetPredictor, drop_tag, find_way, tag_directory,
 )
-from repro.btb.replacement import make_replacement_policy
+from repro.btb.replacement import make_replacement_table
 from repro.checks.sanitizer import sanitizer_step
 
 _NO_TAG = -1
@@ -79,11 +79,7 @@ class BaselineBTB(BranchTargetPredictor):
         self._index_mask = self.sets - 1
         self._tag_mask = (1 << tag_bits) - 1
         self.replacement_name = replacement
-        repl_kwargs = {"m": srrip_bits} if replacement == "srrip" else {}
-        self._policies = [
-            make_replacement_policy(replacement, ways, **repl_kwargs)
-            for _ in range(self.sets)
-        ]
+        self._replacement = make_replacement_table(replacement, self.sets, ways, srrip_bits)
         size = self.sets * ways
         self._valid = [False] * size
         self._tags = [_NO_TAG] * size
@@ -118,7 +114,7 @@ class BaselineBTB(BranchTargetPredictor):
         way = self._directory[index].get(tag)
         if way is None or self._tags[base + way] != tag:
             return (None, False, self.latency, "btb")
-        self._policies[index].on_hit(way)
+        self._replacement.on_hit(base + way)
         return (self._targets[base + way], True, self.latency, "btb")
 
     def update_fast(
@@ -161,7 +157,7 @@ class BaselineBTB(BranchTargetPredictor):
         sets_pow2, index_mask, sets = self._sets_pow2, self._index_mask, self.sets
         tag_mask, ways = self._tag_mask, self.ways
         tags, stored, conf, conf_max = self._tags, self._targets, self._conf, self._conf_max
-        policies = self._policies
+        touch = self._replacement.on_hit
         allocate = self._allocate
         directory = self._directory
         for i in range(start, stop):
@@ -180,7 +176,7 @@ class BaselineBTB(BranchTargetPredictor):
             predicted = stored[slot]
             out_target(predicted)
             out_hit(True)
-            policies[index].on_hit(way)
+            touch(slot)
             if not takens[i] or (skip_indirect and is_indirect[i]):
                 continue
             target = targets[i]
@@ -204,14 +200,14 @@ class BaselineBTB(BranchTargetPredictor):
             self._conf[slot] -= 1
         else:
             self._targets[slot] = target
-        self._policies[index].on_hit(way)
+        self._replacement.on_hit(slot)
 
     def _allocate(self, index: int, tag: int, target: int) -> None:
         """Fill ``tag`` into the set's victim way, replacing the victim's
         tag with it in the tag directory."""
-        policy = self._policies[index]
+        replacement = self._replacement
         base = index * self.ways
-        way = policy.victim(self._valid[base:base + self.ways])
+        way = replacement.victim(self._valid[base:base + self.ways], base)
         slot = base + way
         row = self._directory[index]
         if self._valid[slot]:
@@ -222,7 +218,7 @@ class BaselineBTB(BranchTargetPredictor):
         row[tag] = way
         self._targets[slot] = target
         self._conf[slot] = 0
-        policy.on_insert(way)
+        replacement.on_insert(slot)
         self.stats.allocations += 1
 
     def storage_bits(self) -> int:
@@ -231,7 +227,7 @@ class BaselineBTB(BranchTargetPredictor):
             + self.tag_bits
             + self.target_bits
             + self.conf_bits
-            + self._policies[0].metadata_bits_per_entry()
+            + self._replacement.metadata_bits_per_entry()
         )
         return self.entries * per_entry
 

@@ -92,7 +92,7 @@ class GhrpBTB(BaselineBTB):
         self.record_history(pc, taken)
 
     def _allocate(self, index: int, tag: int, target: int) -> None:
-        policy = self._policies[index]
+        replacement = self._replacement
         base = index * self.ways
         way = None
         # Prefer invalid ways, then a predicted-dead entry.
@@ -111,7 +111,7 @@ class GhrpBTB(BaselineBTB):
                     self.dead_predictions_used += 1
                     break
         if way is None:
-            way = policy.victim(self._valid[base:base + self.ways])
+            way = replacement.victim(self._valid[base:base + self.ways], base)
         slot = base + way
         row = self._directory[index]
         if self._valid[slot]:
@@ -131,7 +131,7 @@ class GhrpBTB(BaselineBTB):
             tag  # the folded-tag stands in for the PC inside the set
         )
         self._referenced[index][way] = False
-        policy.on_insert(way)
+        replacement.on_insert(slot)
         self.stats.allocations += 1
 
     def storage_bits(self) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.branch.address import ADDRESS_BITS, hash_pc
 from repro.branch.types import IS_INDIRECT
 from repro.btb.base import BranchTargetPredictor, drop_tag, find_way, tag_directory
-from repro.btb.replacement import make_replacement_policy
+from repro.btb.replacement import make_replacement_table
 from repro.checks.sanitizer import sanitizer_step
 
 _NO_TAG = -1
@@ -47,8 +47,7 @@ class MicroBTB(BranchTargetPredictor):
             never stored there (counted in :meth:`metrics`).
         conf_bits: L1 confidence-counter width (target replacement
             arbitration, as in :class:`~repro.btb.baseline.BaselineBTB`).
-        replacement / srrip_bits: per-set replacement policy of both
-            levels.
+        replacement / srrip_bits: replacement policy of both levels.
         fill_policy: ``"victim"`` fills the last level only from L1
             evictions; ``"all"`` writes it on every resolved taken
             branch.
@@ -112,15 +111,16 @@ class MicroBTB(BranchTargetPredictor):
         self._tag_mask = (1 << tag_bits) - 1
         self._l1_sets_pow2 = self.l1_sets & (self.l1_sets - 1) == 0
         self._ll_sets_pow2 = self.ll_sets & (self.ll_sets - 1) == 0
-        repl_kwargs = {"m": srrip_bits} if replacement == "srrip" else {}
-        self._l1_policies = [
-            make_replacement_policy(replacement, l1_ways, **repl_kwargs)
-            for _ in range(self.l1_sets)
-        ]
-        self._ll_policies = [
-            make_replacement_policy(replacement, ll_ways, **repl_kwargs)
-            for _ in range(self.ll_sets)
-        ]
+        self._l1_mask = self.l1_sets - 1
+        self._ll_mask = self.ll_sets - 1
+        self._l1_replacement = make_replacement_table(
+            replacement, self.l1_sets, l1_ways, srrip_bits
+        )
+        self._ll_replacement = make_replacement_table(
+            replacement, self.ll_sets, ll_ways, srrip_bits
+        )
+        self._l1_touch = self._l1_replacement.on_hit
+        self._ll_touch = self._ll_replacement.on_hit
         l1_size = self.l1_sets * l1_ways
         self._l1_valid = [False] * l1_size
         self._l1_tags = [_NO_TAG] * l1_size
@@ -145,36 +145,42 @@ class MicroBTB(BranchTargetPredictor):
         self.uncompressible = 0
 
     # -- address mapping -----------------------------------------------------
-
-    def _l1_slot(self, hashed: int) -> tuple[int, int]:
-        index = hashed & (self.l1_sets - 1) if self._l1_sets_pow2 else hashed % self.l1_sets
-        return index, (hashed >> 40) & self._tag_mask
+    #
+    # Both levels share the tag, ``(hashed >> 40) & _tag_mask``.  The L1
+    # index is the hash's low bits; the last level draws its index from
+    # ``hashed >> 17`` so the two levels do not mirror each other's
+    # conflict sets.  The hashed pair inlines both.
 
     def _ll_slot(self, hashed: int) -> tuple[int, int]:
-        # The last level draws its index from a different hash byte so the
-        # two levels do not mirror each other's conflict sets.
         shifted = hashed >> 17
-        index = shifted & (self.ll_sets - 1) if self._ll_sets_pow2 else shifted % self.ll_sets
+        index = shifted & self._ll_mask if self._ll_sets_pow2 else shifted % self.ll_sets
         return index, (hashed >> 40) & self._tag_mask
 
     # -- the hashed pair -------------------------------------------------------
+    #
+    # Each half runs in one frame: index, tag, the L1 directory probe
+    # (find_way's two lines) and, in the update, the L1 training are
+    # inlined; only allocation and the last-level fill are calls.
 
     def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
-        index, tag = self._l1_slot(hashed)
-        way = find_way(self._l1_directory[index], self._l1_tags, index * self.l1_ways, tag)
-        if way is not None:
+        index = hashed & self._l1_mask if self._l1_sets_pow2 else hashed % self.l1_sets
+        tag = (hashed >> 40) & self._tag_mask
+        base = index * self.l1_ways
+        way = self._l1_directory[index].get(tag)
+        if way is not None and self._l1_tags[base + way] == tag:
             self.l1_hits += 1
-            self._l1_policies[index].on_hit(way)
-            return (self._l1_targets[index * self.l1_ways + way], True, self.latency, "l1btb")
-        ll_index, ll_tag = self._ll_slot(hashed)
-        ll_way = find_way(
-            self._ll_directory[ll_index], self._ll_tags, ll_index * self.ll_ways, ll_tag
-        )
-        if ll_way is None:
+            self._l1_touch(base + way)
+            return (self._l1_targets[base + way], True, self.latency, "l1btb")
+        shifted = hashed >> 17
+        ll_index = shifted & self._ll_mask if self._ll_sets_pow2 else shifted % self.ll_sets
+        ll_slot = ll_index * self.ll_ways
+        ll_way = self._ll_directory[ll_index].get(tag)
+        if ll_way is None or self._ll_tags[ll_slot + ll_way] != tag:
             return (None, False, self.latency, "miss")
+        ll_slot += ll_way
         self.ll_hits += 1
-        self._ll_policies[ll_index].on_hit(ll_way)
-        target = pc + self._ll_deltas[ll_index * self.ll_ways + ll_way]
+        self._ll_touch(ll_slot)
+        target = pc + self._ll_deltas[ll_slot]
         if self.promote_on_hit:
             self.promotions += 1
             self._l1_allocate(index, tag, pc, target)
@@ -189,10 +195,23 @@ class MicroBTB(BranchTargetPredictor):
             return
         if IS_INDIRECT[kind] and not self.allocate_indirect:
             return
-        index, tag = self._l1_slot(hashed)
-        way = find_way(self._l1_directory[index], self._l1_tags, index * self.l1_ways, tag)
-        if way is not None:
-            self._l1_train(index, way, pc, target)
+        index = hashed & self._l1_mask if self._l1_sets_pow2 else hashed % self.l1_sets
+        tag = (hashed >> 40) & self._tag_mask
+        slot = index * self.l1_ways
+        way = self._l1_directory[index].get(tag)
+        if way is not None and self._l1_tags[slot + way] == tag:
+            slot += way
+            conf = self._l1_conf
+            if self._l1_targets[slot] == target:
+                if conf[slot] < self._conf_max:
+                    conf[slot] += 1
+            elif conf[slot] > 0:
+                # Keep the incumbent target until confidence drains.
+                conf[slot] -= 1
+            else:
+                self._l1_targets[slot] = target
+                self._l1_pcs[slot] = pc
+            self._l1_touch(slot)
         else:
             self._l1_allocate(index, tag, pc, target)
         if self.fill_policy == "all":
@@ -200,23 +219,10 @@ class MicroBTB(BranchTargetPredictor):
 
     # -- level internals -----------------------------------------------------
 
-    def _l1_train(self, index: int, way: int, pc: int, target: int) -> None:
-        slot = index * self.l1_ways + way
-        if self._l1_targets[slot] == target:
-            if self._l1_conf[slot] < self._conf_max:
-                self._l1_conf[slot] += 1
-        elif self._l1_conf[slot] > 0:
-            # Keep the incumbent target until confidence drains.
-            self._l1_conf[slot] -= 1
-        else:
-            self._l1_targets[slot] = target
-            self._l1_pcs[slot] = pc
-        self._l1_policies[index].on_hit(way)
-
     def _l1_allocate(self, index: int, tag: int, pc: int, target: int) -> None:
-        policy = self._l1_policies[index]
+        replacement = self._l1_replacement
         base = index * self.l1_ways
-        way = policy.victim(self._l1_valid[base:base + self.l1_ways])
+        way = replacement.victim(self._l1_valid[base:base + self.l1_ways], base)
         slot = base + way
         row = self._l1_directory[index]
         if self._l1_valid[slot]:
@@ -232,7 +238,7 @@ class MicroBTB(BranchTargetPredictor):
         self._l1_targets[slot] = target
         self._l1_pcs[slot] = pc
         self._l1_conf[slot] = 0
-        policy.on_insert(way)
+        replacement.on_insert(slot)
         self.stats.allocations += 1
 
     def _ll_fill(self, pc: int, target: int, hashed: int) -> None:
@@ -242,21 +248,21 @@ class MicroBTB(BranchTargetPredictor):
             return
         index, tag = self._ll_slot(hashed)
         row = self._ll_directory[index]
-        way = find_way(row, self._ll_tags, index * self.ll_ways, tag)
-        policy = self._ll_policies[index]
+        base = index * self.ll_ways
+        way = find_way(row, self._ll_tags, base, tag)
+        replacement = self._ll_replacement
         if way is None:
-            base = index * self.ll_ways
-            way = policy.victim(self._ll_valid[base:base + self.ll_ways])
+            way = replacement.victim(self._ll_valid[base:base + self.ll_ways], base)
             slot = base + way
             if self._ll_valid[slot]:
                 drop_tag(row, self._ll_tags[slot], way)
             self._ll_valid[slot] = True
             self._ll_tags[slot] = tag
             row[tag] = way
-            policy.on_insert(way)
+            replacement.on_insert(slot)
         else:
-            policy.on_hit(way)
-        self._ll_deltas[index * self.ll_ways + way] = delta
+            replacement.on_hit(base + way)
+        self._ll_deltas[base + way] = delta
 
     # -- storage and introspection -------------------------------------------
 
@@ -265,12 +271,12 @@ class MicroBTB(BranchTargetPredictor):
             self.tag_bits
             + ADDRESS_BITS
             + self.conf_bits
-            + self._l1_policies[0].metadata_bits_per_entry()
+            + self._l1_replacement.metadata_bits_per_entry()
         )
         ll_per_entry = (
             self.tag_bits
             + self.delta_bits
-            + self._ll_policies[0].metadata_bits_per_entry()
+            + self._ll_replacement.metadata_bits_per_entry()
         )
         return self.l1_entries * l1_per_entry + self.ll_entries * ll_per_entry
 

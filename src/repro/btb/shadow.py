@@ -35,15 +35,15 @@ the inner's hit bits.  The fresh-run engine's BTB pass therefore runs in
 two steps: the inner's own ``observe_fast`` over the active events, then
 one walk that probes the shadow table where the inner missed and
 remembers, refreshes and exposes as ``update_fast`` does.  Both paths
-share the probe and the line-map helpers.
+call the same probe, line-map and exposure helpers, each one frame.
 """
 
 from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS
 from repro.branch.types import IS_DIRECT
-from repro.btb.base import BranchTargetPredictor, drop_tag, find_way, tag_directory
-from repro.btb.replacement import make_replacement_policy
+from repro.btb.base import BranchTargetPredictor, drop_tag, tag_directory
+from repro.btb.replacement import make_replacement_table
 from repro.checks.sanitizer import sanitizer_step
 
 _NO_TAG = -1
@@ -100,11 +100,11 @@ class ShadowBTB(BranchTargetPredictor):
         self._line_shift = line_bytes.bit_length() - 1
         self._tag_mask = (1 << tag_bits) - 1
         self._sets_pow2 = self.shadow_sets & (self.shadow_sets - 1) == 0
-        repl_kwargs = {"m": srrip_bits} if replacement == "srrip" else {}
-        self._policies = [
-            make_replacement_policy(replacement, shadow_ways, **repl_kwargs)
-            for _ in range(self.shadow_sets)
-        ]
+        self._index_mask = self.shadow_sets - 1
+        self._replacement = make_replacement_table(
+            replacement, self.shadow_sets, shadow_ways, srrip_bits
+        )
+        self._touch = self._replacement.on_hit
         size = self.shadow_sets * shadow_ways
         self._valid = [False] * size
         self._tags = [_NO_TAG] * size
@@ -120,23 +120,18 @@ class ShadowBTB(BranchTargetPredictor):
         self.shadow_fills = 0
         self.exposures = 0
 
-    # -- address mapping -----------------------------------------------------
-
-    def _slot(self, hashed: int) -> tuple[int, int]:
-        """(set index, tag) of the branch whose ``hash_pc`` is ``hashed``."""
-        index = hashed & (self.shadow_sets - 1) if self._sets_pow2 else hashed % self.shadow_sets
-        return index, (hashed >> 40) & self._tag_mask
-
     # -- the hashed pair -------------------------------------------------------
 
     def lookup_fast(self, pc: int, hashed: int) -> tuple[int | None, bool, int, str]:
         result = self.inner.lookup_fast(pc, hashed)
         if result[1]:
             return result
-        target = self._probe(hashed)
-        if target is None:
+        slot = self._probe(hashed)
+        if slot < 0:
             return result
-        return (target, True, result[2], "shadow")
+        self.shadow_hits += 1
+        self._touch(slot)
+        return (self._targets[slot], True, result[2], "shadow")
 
     def update_fast(
         self, pc: int, target: int, taken: bool, kind: int, hashed: int, is_same_page: bool
@@ -148,7 +143,9 @@ class ShadowBTB(BranchTargetPredictor):
             self._remember(pc, target, hashed)
             # A branch the inner BTB now knows about needs no shadow
             # entry; keep the shadow copy coherent if one exists.
-            self._shadow_refresh(hashed, target)
+            slot = self._probe(hashed)
+            if slot >= 0:
+                self._targets[slot] = target
         self._expose(pc)
 
     # -- the fresh-run engine's BTB pass --------------------------------------
@@ -160,48 +157,59 @@ class ShadowBTB(BranchTargetPredictor):
         inner BTB, so the inner sees the calls it would see alone and
         runs them as its own pass first; the shadow table depends only on
         the events and the inner's hit bits, so one walk then replays
-        :meth:`lookup_fast`'s fallback probe and :meth:`update_fast`'s
-        shadow half per event, in trace order.  It reads the
-        ``is_direct`` column, a numpy bool array, and takes a list of only
-        its ``start:stop`` slice.  The sanitizer hook is omitted, as in
-        the inner's pass.
+        :meth:`lookup_fast`'s fallback and :meth:`update_fast`'s shadow
+        half per event, in trace order.  One probe serves both halves:
+        nothing between the fallback and the refresh writes a shadow tag.
+        It reads the ``is_direct`` column, a numpy bool array, and takes
+        a list of only its ``start:stop`` slice.  The sanitizer hook is
+        omitted, as in the inner's pass.
         """
         inner_targets, inner_hits, latencies = inner_results = ([], [], [])
         self.inner.observe_fast(columns, start, stop, inner_results)
         pcs, targets, takens, _, hashes, _, is_direct, _ = columns
         out_target, out_hit = results[0].append, results[1].append
-        probe, remember = self._probe, self._remember
-        refresh, expose = self._shadow_refresh, self._expose
+        probe, touch, remember, expose = self._probe, self._touch, self._remember, self._expose
+        shadow_targets = self._targets
+        shadow_hits = 0
         for i, predicted, hit, direct in zip(
             range(start, stop), inner_targets, inner_hits, is_direct[start:stop].tolist()
         ):
-            hashed = hashes[i]
-            if not hit:
-                shadow_target = probe(hashed)
-                if shadow_target is not None:
-                    predicted, hit = shadow_target, True
+            refresh = direct and takens[i]
+            if not hit or refresh:
+                slot = probe(hashes[i])
+                if not hit and slot >= 0:
+                    shadow_hits += 1
+                    touch(slot)
+                    predicted, hit = shadow_targets[slot], True
             out_target(predicted)
             out_hit(hit)
             pc = pcs[i]
-            if takens[i] and direct:
+            if refresh:
                 target = targets[i]
-                remember(pc, target, hashed)
-                refresh(hashed, target)
+                remember(pc, target, hashes[i])
+                if slot >= 0:
+                    shadow_targets[slot] = target
             expose(pc)
         results[2].extend(latencies)
+        self.shadow_hits += shadow_hits
         self.stats.updates += stop - start
 
     # -- shadow machinery ----------------------------------------------------
+    #
+    # A branch's set index is the low bits of its ``hash_pc`` and its tag
+    # ``(hashed >> 40) & _tag_mask``; the probe inlines both and the
+    # directory probe (find_way's two lines).
 
-    def _probe(self, hashed: int) -> int | None:
-        """The shadow table's target for a branch the inner BTB missed."""
-        index, tag = self._slot(hashed)
-        way = find_way(self._directory[index], self._tags, index * self.shadow_ways, tag)
+    def _probe(self, hashed: int) -> int:
+        """The shadow slot holding the branch whose ``hash_pc`` is
+        ``hashed``, or -1."""
+        index = hashed & self._index_mask if self._sets_pow2 else hashed % self.shadow_sets
+        tag = (hashed >> 40) & self._tag_mask
+        way = self._directory[index].get(tag)
         if way is None:
-            return None
-        self.shadow_hits += 1
-        self._policies[index].on_hit(way)
-        return self._targets[index * self.shadow_ways + way]
+            return -1
+        slot = index * self.shadow_ways + way
+        return slot if self._tags[slot] == tag else -1
 
     def _remember(self, pc: int, target: int, hashed: int) -> None:
         line = pc >> self._line_shift
@@ -218,27 +226,33 @@ class ShadowBTB(BranchTargetPredictor):
 
     def _expose(self, pc: int) -> None:
         """Pre-decode the fetched lines: install remembered shadow
-        branches (any line branch other than ``pc`` itself)."""
+        branches (any line branch other than ``pc`` itself).  A branch
+        already in the shadow table has its target written in place."""
         line = pc >> self._line_shift
+        line_map = self._line_map
+        exposures = 0
         for ahead in range(self.decode_lines):
-            branches = self._line_map.get(line + ahead)
+            branches = line_map.get(line + ahead)
             if not branches:
                 continue
             for shadow_pc, (target, hashed) in branches.items():
                 if shadow_pc == pc:
                     continue
-                self.exposures += 1
-                self._shadow_install(hashed, target)
+                exposures += 1
+                slot = self._probe(hashed)
+                if slot >= 0:
+                    self._targets[slot] = target
+                else:
+                    self._shadow_allocate(hashed, target)
+        if exposures:
+            self.exposures += exposures
 
-    def _shadow_install(self, hashed: int, target: int) -> None:
-        index, tag = self._slot(hashed)
-        way = find_way(self._directory[index], self._tags, index * self.shadow_ways, tag)
-        if way is not None:
-            self._targets[index * self.shadow_ways + way] = target
-            return
-        policy = self._policies[index]
+    def _shadow_allocate(self, hashed: int, target: int) -> None:
+        index = hashed & self._index_mask if self._sets_pow2 else hashed % self.shadow_sets
+        tag = (hashed >> 40) & self._tag_mask
+        replacement = self._replacement
         base = index * self.shadow_ways
-        way = policy.victim(self._valid[base:base + self.shadow_ways])
+        way = replacement.victim(self._valid[base:base + self.shadow_ways], base)
         slot = base + way
         row = self._directory[index]
         if self._valid[slot]:
@@ -248,15 +262,9 @@ class ShadowBTB(BranchTargetPredictor):
         self._tags[slot] = tag
         row[tag] = way
         self._targets[slot] = target
-        policy.on_insert(way)
+        replacement.on_insert(slot)
         self.shadow_fills += 1
         self.stats.allocations += 1
-
-    def _shadow_refresh(self, hashed: int, target: int) -> None:
-        index, tag = self._slot(hashed)
-        way = find_way(self._directory[index], self._tags, index * self.shadow_ways, tag)
-        if way is not None:
-            self._targets[index * self.shadow_ways + way] = target
 
     # -- storage and introspection -------------------------------------------
 
@@ -267,7 +275,7 @@ class ShadowBTB(BranchTargetPredictor):
         per_entry = (
             self.tag_bits
             + ADDRESS_BITS
-            + self._policies[0].metadata_bits_per_entry()
+            + self._replacement.metadata_bits_per_entry()
         )
         return self.inner.storage_bits() + self.shadow_entries * per_entry
 

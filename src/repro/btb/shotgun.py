@@ -26,7 +26,7 @@ from repro.branch.address import hash_pc, page_base, page_offset
 from repro.branch.types import BranchKind
 from repro.btb.base import BranchTargetPredictor
 from repro.btb.baseline import BaselineBTB
-from repro.btb.replacement import make_replacement_policy
+from repro.btb.replacement import make_replacement_table
 
 _COND = int(BranchKind.COND_DIRECT)
 _RETURN = int(BranchKind.RETURN)
@@ -47,11 +47,7 @@ class _CompactCBTB:
         self._valid = [[False] * ways for _ in range(self.sets)]
         self._tags = [[0] * ways for _ in range(self.sets)]
         self._offsets = [[0] * ways for _ in range(self.sets)]
-        repl_kwargs = {"m": 2} if replacement == "srrip" else {}
-        self._policies = [
-            make_replacement_policy(replacement, ways, **repl_kwargs)
-            for _ in range(self.sets)
-        ]
+        self._replacement = make_replacement_table(replacement, self.sets, ways, 2)
 
     def _slot(self, hashed: int) -> tuple[int, int]:
         index = hashed & (self.sets - 1) if self._pow2 else hashed % self.sets
@@ -62,7 +58,7 @@ class _CompactCBTB:
         set_index, tag = self._slot(hashed)
         for way in range(self.ways):
             if self._valid[set_index][way] and self._tags[set_index][way] == tag:
-                self._policies[set_index].on_hit(way)
+                self._replacement.on_hit(set_index * self.ways + way)
                 return page_base(pc) | self._offsets[set_index][way]
         return None
 
@@ -75,18 +71,18 @@ class _CompactCBTB:
         refreshed, the target is not clobbered by the fall-through.
         """
         set_index, tag = self._slot(hashed)
+        base = set_index * self.ways
         for way in range(self.ways):
             if self._valid[set_index][way] and self._tags[set_index][way] == tag:
                 if overwrite:
                     self._offsets[set_index][way] = page_offset(target)
-                self._policies[set_index].on_hit(way)
+                self._replacement.on_hit(base + way)
                 return False
-        policy = self._policies[set_index]
-        way = policy.victim(self._valid[set_index])
+        way = self._replacement.victim(self._valid[set_index], base)
         self._valid[set_index][way] = True
         self._tags[set_index][way] = tag
         self._offsets[set_index][way] = page_offset(target)
-        policy.on_insert(way)
+        self._replacement.on_insert(base + way)
         return True
 
     def contains(self, pc: int) -> bool:

@@ -109,40 +109,49 @@ def _violate(
 # -- per-structure checkers (duck-typed; no imports from core/btb) ----------
 
 
-def _check_policy(policy, structure: str, set_index: int) -> None:
-    """Replacement-policy state sanity for one set."""
-    kind = type(policy).__name__
-    if kind == "LruPolicy":
-        if sorted(policy._order) != list(range(policy.ways)):
+def _check_replacement(table, structure: str, slot_ways: int) -> None:
+    """Replacement-state sanity for one table (a
+    :class:`~repro.btb.replacement.ReplacementTable`), whose slots are
+    the structure's, ``slot_ways`` to a set (a multi-entry BTBM's table
+    has two replacement sets per BTBM set)."""
+    kind = type(table).__name__
+    ways = table.ways
+    if kind == "SrripTable":
+        rrpv = table.rrpv
+        limit = (1 << table._m) - 1
+        if min(rrpv) < 0 or max(rrpv) > limit:
+            slot = next(slot for slot, value in enumerate(rrpv) if not 0 <= value <= limit)
+            set_index, way = divmod(slot, slot_ways)
             _violate(
                 "replacement-state",
                 structure,
-                f"LRU order {policy._order} is not a permutation of "
-                f"0..{policy.ways - 1}",
+                f"RRPV {rrpv[slot]} outside [0, {limit}]",
                 set_index=set_index,
-                order=list(policy._order),
+                way=way,
+                rrpv=rrpv[slot],
             )
-    elif kind == "SrripPolicy":
-        limit = (1 << policy._m) - 1
-        for way, rrpv in enumerate(policy.rrpv):
-            if not 0 <= rrpv <= limit:
+    elif kind == "LruTable":
+        order, expected = table._order, list(range(ways))
+        for base in range(0, len(order), ways):
+            window = order[base:base + ways]
+            if sorted(window) != expected:
                 _violate(
                     "replacement-state",
                     structure,
-                    f"RRPV {rrpv} outside [0, {limit}]",
-                    set_index=set_index,
-                    way=way,
-                    rrpv=rrpv,
+                    f"LRU order {window} is not a permutation of 0..{ways - 1}",
+                    set_index=base // slot_ways,
+                    order=window,
                 )
-    elif kind == "FifoPolicy":
-        if not 0 <= policy._next < policy.ways:
-            _violate(
-                "replacement-state",
-                structure,
-                f"FIFO cursor {policy._next} outside [0, {policy.ways})",
-                set_index=set_index,
-                cursor=policy._next,
-            )
+    elif kind == "FifoTable":
+        for set_index, cursor in enumerate(table._next):
+            if not 0 <= cursor < ways:
+                _violate(
+                    "replacement-state",
+                    structure,
+                    f"FIFO cursor {cursor} outside [0, {ways})",
+                    set_index=set_index * ways // slot_ways,
+                    cursor=cursor,
+                )
 
 
 def check_dedup_table(table) -> None:
@@ -150,8 +159,8 @@ def check_dedup_table(table) -> None:
     name = table.name
     value_limit = 1 << table.value_bits
     seen: dict[int, tuple[int, int]] = {}
+    _check_replacement(table._replacement, name, table.ways)
     for set_index in range(table.sets):
-        _check_policy(table._policies[set_index], name, set_index)
         for way in range(table.ways):
             if not table._valid[set_index][way]:
                 continue
@@ -368,12 +377,8 @@ def _check_pdede_links(btb) -> None:
 def check_pdede(btb) -> None:
     """Full invariant sweep of a :class:`~repro.core.pdede.PDedeBTB`."""
     cfg = btb.config
+    _check_replacement(btb._replacement, "btbm", btb._ways)
     for set_index in range(btb._sets):
-        if btb._policies is not None:
-            _check_policy(btb._policies[set_index], "btbm", set_index)
-        else:
-            _check_policy(btb._long_policies[set_index], "btbm(long)", set_index)
-            _check_policy(btb._short_policies[set_index], "btbm(short)", set_index)
         base = set_index * btb._ways
         for way in range(btb._ways):
             if btb._valid[base + way]:
@@ -429,8 +434,8 @@ def check_baseline(btb) -> None:
     target_limit = 1 << btb.target_bits
     conf_limit = 1 << btb.conf_bits
     tag_limit = 1 << btb.tag_bits
+    _check_replacement(btb._replacement, name, btb.ways)
     for set_index in range(btb.sets):
-        _check_policy(btb._policies[set_index], name, set_index)
         base = set_index * btb.ways
         for way in range(btb.ways):
             slot = base + way
@@ -483,7 +488,7 @@ def check_baseline(btb) -> None:
         ways=btb.ways,
         tag_bits=btb.tag_bits,
         target_bits=btb.target_bits,
-        srrip_bits=btb._policies[0].metadata_bits_per_entry(),
+        srrip_bits=btb._replacement.metadata_bits_per_entry(),
         conf_bits=btb.conf_bits,
         pid_bits=btb.pid_bits,
     ).total_bits

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS
 from repro.btb.base import BranchTargetPredictor
-from repro.btb.replacement import make_replacement_policy
+from repro.btb.replacement import make_replacement_table
 from repro.core.config import PDedeConfig, PDedeMode, paper_config
 from repro.core.tables import DedupValueTable
 
@@ -86,11 +86,7 @@ class DedupOnlyBTB(BranchTargetPredictor):
             name="target-table",
             on_evict=self._invalidate_pointer,
         )
-        repl_kwargs = {"m": srrip_bits} if replacement == "srrip" else {}
-        self._policies = [
-            make_replacement_policy(replacement, ways, **repl_kwargs)
-            for _ in range(self.sets)
-        ]
+        self._replacement = make_replacement_table(replacement, self.sets, ways, srrip_bits)
         self._valid = [[False] * ways for _ in range(self.sets)]
         self._tags = [[0] * ways for _ in range(self.sets)]
         self._ptr = [[0] * ways for _ in range(self.sets)]
@@ -136,7 +132,7 @@ class DedupOnlyBTB(BranchTargetPredictor):
             self.stale_pointer_reads += 1
         target = self.targets.read(pointer)
         self.targets.touch(pointer)
-        self._policies[set_index].on_hit(way)
+        self._replacement.on_hit(set_index * self.ways + way)
         # The indirection always costs the extra pointer-chase cycle.
         return (target, True, 2, "dedup")
 
@@ -152,8 +148,8 @@ class DedupOnlyBTB(BranchTargetPredictor):
             self._train_existing(set_index, way, target)
             return
         pointer, generation = self.targets.allocate(target)
-        policy = self._policies[set_index]
-        way = policy.victim(self._valid[set_index])
+        base = set_index * self.ways
+        way = self._replacement.victim(self._valid[set_index], base)
         if self._valid[set_index][way]:
             self.stats.evictions += 1
             self._unlink(set_index, way)
@@ -163,7 +159,7 @@ class DedupOnlyBTB(BranchTargetPredictor):
         self._gen[set_index][way] = generation
         self._conf[set_index][way] = 0
         self._link(set_index, way, pointer)
-        policy.on_insert(way)
+        self._replacement.on_insert(base + way)
         self.stats.allocations += 1
 
     def _train_existing(self, set_index: int, way: int, target: int) -> None:
@@ -183,7 +179,7 @@ class DedupOnlyBTB(BranchTargetPredictor):
             self._ptr[set_index][way] = new_pointer
             self._gen[set_index][way] = generation
             self._link(set_index, way, new_pointer)
-        self._policies[set_index].on_hit(way)
+        self._replacement.on_hit(set_index * self.ways + way)
 
     def storage_bits(self) -> int:
         pointer_bits = (self.targets.entries - 1).bit_length()

@@ -30,7 +30,7 @@ from repro.branch.address import (
     region_id,
 )
 from repro.btb.base import BranchTargetPredictor
-from repro.btb.replacement import make_replacement_policy
+from repro.btb.replacement import make_replacement_table
 
 
 @dataclass
@@ -57,11 +57,7 @@ class _MultiTagTable:
         self.tag_bits = tag_bits
         self._pow2 = self.sets & (self.sets - 1) == 0
         self._table = [[_SharedEntry() for _ in range(ways)] for _ in range(self.sets)]
-        repl_kwargs = {"m": 2} if replacement == "srrip" else {}
-        self._policies = [
-            make_replacement_policy(replacement, ways, **repl_kwargs)
-            for _ in range(self.sets)
-        ]
+        self._replacement = make_replacement_table(replacement, self.sets, ways, 2)
         self.sharing_overflows = 0
 
     def _slot(self, hashed: int) -> tuple[int, int]:
@@ -75,7 +71,7 @@ class _MultiTagTable:
         set_index, tag = self._slot(hashed)
         for way, entry in enumerate(self._table[set_index]):
             if entry.valid and tag in entry.tags:
-                self._policies[set_index].on_hit(way)
+                self._replacement.on_hit(set_index * self.ways + way)
                 return entry.value
         return None
 
@@ -83,12 +79,13 @@ class _MultiTagTable:
         """Attach the branch to an entry holding ``value`` (sharing-limited)."""
         set_index, tag = self._slot(hashed)
         row = self._table[set_index]
-        policy = self._policies[set_index]
+        replacement = self._replacement
+        base = set_index * self.ways
         # Already attached somewhere? Retarget if the value changed.
         for way, entry in enumerate(row):
             if entry.valid and tag in entry.tags:
                 if entry.value == value:
-                    policy.on_hit(way)
+                    replacement.on_hit(base + way)
                     return
                 entry.tags = tuple(t for t in entry.tags if t != tag)
         # Attach to an existing entry with the same value and a free slot.
@@ -96,15 +93,15 @@ class _MultiTagTable:
             if entry.valid and entry.value == value:
                 if len(entry.tags) < self.slots:
                     entry.tags = entry.tags + (tag,)
-                    policy.on_hit(way)
+                    replacement.on_hit(base + way)
                     return
                 # The static sharing limit bites: a would-be sharer is
                 # turned away and must burn a whole new entry.
                 self.sharing_overflows += 1
                 break
-        victim = policy.victim([entry.valid for entry in row])
+        victim = replacement.victim([entry.valid for entry in row], base)
         row[victim] = _SharedEntry(valid=True, value=value, tags=(tag,))
-        policy.on_insert(victim)
+        replacement.on_insert(base + victim)
 
     def storage_bits(self) -> int:
         per_entry = self.value_bits + self.slots * self.tag_bits + 2  # + SRRIP
@@ -152,11 +149,9 @@ class MultiTagPartitionedBTB(BranchTargetPredictor):
         self._tags = [[0] * offset_ways for _ in range(self.offset_sets)]
         self._offsets = [[0] * offset_ways for _ in range(self.offset_sets)]
         self._delta = [[False] * offset_ways for _ in range(self.offset_sets)]
-        repl_kwargs = {"m": 2} if replacement == "srrip" else {}
-        self._policies = [
-            make_replacement_policy(replacement, offset_ways, **repl_kwargs)
-            for _ in range(self.offset_sets)
-        ]
+        self._replacement = make_replacement_table(
+            replacement, self.offset_sets, offset_ways, 2
+        )
         self.pages = _MultiTagTable(
             page_entries, page_ways, PAGE_IN_REGION_BITS, page_slots, tag_bits,
             replacement,
@@ -186,7 +181,7 @@ class MultiTagPartitionedBTB(BranchTargetPredictor):
         way = self._find_way(set_index, tag)
         if way is None:
             return (None, False, 1, "miss")
-        self._policies[set_index].on_hit(way)
+        self._replacement.on_hit(set_index * self.offset_ways + way)
         offset = self._offsets[set_index][way]
         if self._delta[set_index][way]:
             return ((pc & ~0xFFF) | offset, True, 1, "multitag-delta")
@@ -207,13 +202,13 @@ class MultiTagPartitionedBTB(BranchTargetPredictor):
         set_index, tag = self._slot(hashed)
         way = self._find_way(set_index, tag)
         if way is None:
-            policy = self._policies[set_index]
-            way = policy.victim(self._valid[set_index])
+            base = set_index * self.offset_ways
+            way = self._replacement.victim(self._valid[set_index], base)
             if self._valid[set_index][way]:
                 self.stats.evictions += 1
             self._valid[set_index][way] = True
             self._tags[set_index][way] = tag
-            policy.on_insert(way)
+            self._replacement.on_insert(base + way)
             self.stats.allocations += 1
         self._offsets[set_index][way] = page_offset(target)
         self._delta[set_index][way] = use_delta

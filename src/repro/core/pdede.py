@@ -37,7 +37,10 @@ checks the slot's tag, so a miss raises nothing and a slot since
 abandoned or invalidated reads as a miss.  Short ways sit above
 ``_short_base`` (``ways // 2`` in multi-entry mode, else ``ways``), so
 way-class tests are an integer compare instead of a list membership
-scan.
+scan.  One replacement-state object covers the whole BTBM and its
+slots are the flat slots: in multi-entry mode it has ``2 * sets`` sets
+of ``ways // 2`` ways, a BTBM set's long half then its short half, so
+each half keeps its own replacement order as in the seed.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from repro.branch.address import (
     join_target,
     page_base,
     page_in_region,
-    page_offset,
     region_id,
     same_page,
 )
@@ -60,7 +62,7 @@ from repro.branch.types import IS_INDIRECT, BranchEvent
 from repro.btb.base import (
     NO_TARGET, BranchTargetPredictor, drop_tag, find_way, tag_directory,
 )
-from repro.btb.replacement import make_replacement_policy
+from repro.btb.replacement import make_replacement_table
 from repro.checks.sanitizer import sanitizer_step
 from repro.core.config import PDedeConfig, PDedeMode
 from repro.core.tables import DedupValueTable
@@ -128,26 +130,16 @@ class PDedeBTB(BranchTargetPredictor):
         # Future-work extension: small tag of the next PC (Section 4.3.1).
         self._next_tag = [0] * size
         self._directory = tag_directory(self._tags, ways)
-        repl_kwargs = {"m": cfg.srrip_bits} if cfg.replacement == "srrip" else {}
         if cfg.mode is PDedeMode.MULTI_ENTRY:
-            half = ways // 2
-            self._short_base = half
-            self._long_policies = [
-                make_replacement_policy(cfg.replacement, half, **repl_kwargs)
-                for _ in range(sets)
-            ]
-            self._short_policies = [
-                make_replacement_policy(cfg.replacement, half, **repl_kwargs)
-                for _ in range(sets)
-            ]
-            self._policies = None
+            self._short_base = ways // 2
+            self._replacement = make_replacement_table(
+                cfg.replacement, 2 * sets, ways // 2, cfg.srrip_bits
+            )
         else:
             self._short_base = ways
-            self._long_policies = self._short_policies = None
-            self._policies = [
-                make_replacement_policy(cfg.replacement, ways, **repl_kwargs)
-                for _ in range(sets)
-            ]
+            self._replacement = make_replacement_table(
+                cfg.replacement, sets, ways, cfg.srrip_bits
+            )
         # Multi-target global registers (Section 4.3.1 / 4.4.2).
         self._pending_next_offset: int | None = None
         self._pending_next_tag: int = 0
@@ -178,39 +170,23 @@ class PDedeBTB(BranchTargetPredictor):
 
     # -- replacement plumbing ---------------------------------------------------
 
-    def _touch(self, set_index: int, way: int) -> None:
-        if self._policies is not None:
-            self._policies[set_index].on_hit(way)
-        elif way >= self._short_base:
-            self._short_policies[set_index].on_hit(way - self._short_base)
-        else:
-            self._long_policies[set_index].on_hit(way)
-
     def _choose_victim(self, set_index: int, needs_pointers: bool) -> int:
         """Pick the way to (re)fill, honouring multi-entry way reservation."""
         base = set_index * self._ways
         valid = self._valid
-        if self._policies is not None:
-            return self._policies[set_index].victim(valid[base:base + self._ways])
+        victim = self._replacement.victim
         half = self._short_base
         long_valid = valid[base:base + half]
-        if needs_pointers:
-            # Different-page branches cannot use pointer-less short ways.
-            return self._long_policies[set_index].victim(long_valid)
+        if half == self._ways or needs_pointers:
+            # One replacement set, or a different-page branch, which
+            # cannot use the pointer-less short ways.
+            return victim(long_valid, base)
         # Same-page branches prefer the reserved short ways, then any
         # invalid long way, then evict from the short half.
         short_valid = valid[base + half:base + self._ways]
         if False in short_valid or False not in long_valid:
-            return half + self._short_policies[set_index].victim(short_valid)
-        return self._long_policies[set_index].victim(long_valid)
-
-    def _mark_inserted(self, set_index: int, way: int) -> None:
-        if self._policies is not None:
-            self._policies[set_index].on_insert(way)
-        elif way >= self._short_base:
-            self._short_policies[set_index].on_insert(way - self._short_base)
-        else:
-            self._long_policies[set_index].on_insert(way)
+            return half + victim(short_valid, base + half)
+        return victim(long_valid, base)
 
     # -- stale-pointer invalidation (optional mode) --------------------------------
 
@@ -337,7 +313,7 @@ class PDedeBTB(BranchTargetPredictor):
         ):
             self._pending_next_offset = self._next_offset[slot]
             self._pending_next_tag = self._next_tag[slot]
-        self._touch(set_index, way)
+        self._replacement.on_hit(slot)
         return (target, True, latency, "btbm-delta" if self._delta[slot] else "btbm-ptr")
 
     def update_fast(
@@ -414,13 +390,12 @@ class PDedeBTB(BranchTargetPredictor):
         next_valid, next_offset, next_tag = (
             self._next_valid, self._next_offset, self._next_tag
         )
-        policies, short_base = self._policies, self._short_base
-        long_policies, short_policies = self._long_policies, self._short_policies
+        touch = self._replacement.on_hit
         page, region = self.page_btb, self.region_btb
         page_ways, page_values = page.ways, page._values
-        page_gens, page_policies = page._generations, page._policies
+        page_gens, page_touch = page._generations, page.touch
         region_ways, region_values = region.ways, region._values
-        region_gens, region_policies = region._generations, region._policies
+        region_gens, region_touch = region._generations, region.touch
         page_mask = page_base(ADDRESS_MASK)
         allocate = self._allocate
         write_target_fields = self._write_target_fields
@@ -478,8 +453,9 @@ class PDedeBTB(BranchTargetPredictor):
                     pending_tag = next_tag[slot]
             else:
                 pointer_reads += reads
-                page_set, page_way = divmod(page_ptr[slot], page_ways)
-                region_set, region_way = divmod(region_ptr[slot], region_ways)
+                page_pointer, region_pointer = page_ptr[slot], region_ptr[slot]
+                page_set, page_way = divmod(page_pointer, page_ways)
+                region_set, region_way = divmod(region_pointer, region_ways)
                 if (
                     page_gens[page_set][page_way] != page_gen[slot]
                     or region_gens[region_set][region_way] != region_gen[slot]
@@ -490,17 +466,12 @@ class PDedeBTB(BranchTargetPredictor):
                     page_values[page_set][page_way],
                     offsets[slot],
                 )
-                page_policies[page_set].on_hit(page_way)
-                region_policies[region_set].on_hit(region_way)
+                page_touch(page_pointer)
+                region_touch(region_pointer)
                 out_latency(2)
             out_target(predicted)
             out_hit(True)
-            if policies is not None:
-                policies[set_index].on_hit(way)
-            elif way >= short_base:
-                short_policies[set_index].on_hit(way - short_base)
-            else:
-                long_policies[set_index].on_hit(way)
+            touch(slot)
             # -- update: retrain the entry just read --
             if not trains:
                 if taken:
@@ -537,7 +508,7 @@ class PDedeBTB(BranchTargetPredictor):
             self._conf[slot] -= 1
         else:
             self._write_target_fields(set_index, way, target, use_delta)
-        self._touch(set_index, way)
+        self._replacement.on_hit(slot)
 
     def _write_target_fields(
         self, set_index: int, way: int, target: int, use_delta: bool
@@ -590,7 +561,7 @@ class PDedeBTB(BranchTargetPredictor):
         row[tag] = way
         self._conf[slot] = 0
         self._write_target_fields(set_index, way, target, use_delta)
-        self._mark_inserted(set_index, way)
+        self._replacement.on_insert(slot)
         self.stats.allocations += 1
         return way
 

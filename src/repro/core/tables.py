@@ -17,7 +17,7 @@ via per-slot generation numbers so the experiment can report the rate.
 from __future__ import annotations
 
 from repro.branch.address import mix64
-from repro.btb.replacement import make_replacement_policy
+from repro.btb.replacement import make_replacement_table
 from repro.checks.sanitizer import sanitizer_step
 
 
@@ -26,8 +26,11 @@ class DedupValueTable:
 
     Pointers are ``set * ways + way`` and remain meaningful for the
     lifetime of the slot's current value; generations disambiguate reuse.
-    ``PDedeBTB.observe_fast`` inlines :meth:`read`, :meth:`is_stale` and
-    :meth:`touch` over ``_values``, ``_generations`` and ``_policies``.
+    A pointer is also the slot of the table's one replacement-state
+    object (``_replacement``, see :mod:`repro.btb.replacement`), so
+    ``touch`` is its ``on_hit``.  ``PDedeBTB.observe_fast`` inlines
+    :meth:`read` and :meth:`is_stale` over ``_values`` and
+    ``_generations`` and binds ``touch``.
     """
 
     def __init__(
@@ -51,11 +54,13 @@ class DedupValueTable:
         self.srrip_bits = srrip_bits
         self.name = name
         self._set_mask = self.sets - 1
-        repl_kwargs = {"m": srrip_bits} if replacement == "srrip" else {}
-        self._policies = [
-            make_replacement_policy(replacement, ways, **repl_kwargs)
-            for _ in range(self.sets)
-        ]
+        self._replacement = make_replacement_table(replacement, self.sets, ways, srrip_bits)
+        #: ``touch(pointer)`` promotes the slot in its set's replacement
+        #: order.  Called on every pointer-chasing lookup: a popular
+        #: shared entry is continuously referenced and therefore never
+        #: chosen as a victim (the paper's argument for leaving pointers
+        #: dangling).
+        self.touch = self._replacement.on_hit
         self._valid = [[False] * ways for _ in range(self.sets)]
         self._values = [[0] * ways for _ in range(self.sets)]
         self._generations = [[0] * ways for _ in range(self.sets)]
@@ -90,7 +95,8 @@ class DedupValueTable:
         set_index = self._set_of(value) if self.sets > 1 else 0
         valid = self._valid[set_index]
         values = self._values[set_index]
-        policy = self._policies[set_index]
+        replacement = self._replacement
+        base = set_index * self.ways
         if value in values:
             # The first way holding the value, unless that way is invalid
             # (they hold 0 until first filled): then the first valid one.
@@ -101,20 +107,20 @@ class DedupValueTable:
                     None,
                 )
             if way is not None:
-                policy.on_hit(way)
+                replacement.on_hit(base + way)
                 self.dedup_hits += 1
-                return set_index * self.ways + way, self._generations[set_index][way]
-        way = policy.victim(valid)
+                return base + way, self._generations[set_index][way]
+        way = replacement.victim(valid, base)
         if valid[way]:
             self.evictions += 1
             self._generations[set_index][way] += 1
             if self.on_evict is not None:
-                self.on_evict(set_index * self.ways + way)
+                self.on_evict(base + way)
         valid[way] = True
         values[way] = value
-        policy.on_insert(way)
+        replacement.on_insert(base + way)
         self.allocations += 1
-        return set_index * self.ways + way, self._generations[set_index][way]
+        return base + way, self._generations[set_index][way]
 
     # -- reads (pointer-addressed) ----------------------------------------------
 
@@ -130,16 +136,6 @@ class DedupValueTable:
     def is_stale(self, pointer: int, generation: int) -> bool:
         """True when the slot was re-allocated since ``generation``."""
         return self.generation(pointer) != generation
-
-    def touch(self, pointer: int) -> None:
-        """Promote the slot in its set's replacement order.
-
-        Called on every pointer-chasing lookup: a popular shared entry is
-        continuously referenced and therefore never chosen as a victim
-        (the paper's argument for leaving pointers dangling).
-        """
-        set_index, way = divmod(pointer, self.ways)
-        self._policies[set_index].on_hit(way)
 
     def occupancy(self) -> int:
         return sum(sum(valid) for valid in self._valid)

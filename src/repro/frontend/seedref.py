@@ -24,14 +24,20 @@ a verbatim copy of the seed implementations:
 Every frozen BTB derives from ``_SeedPredictor``: its ``lookup`` and
 ``update`` are the algorithm, and it implements no hashed pair.
 
-Shared leaf modules (address hashing, replacement policies, the tag
-directory helpers, dedup tables, ICache, RAS, direction predictors) are
-imported, not copied, so a behavioural change in one of them is
-*supposed* to move both engines together, and the referee cannot catch a fault there.  Where
-one has been optimised -- the raise-free ``SrripPolicy.victim`` and
+Shared leaf modules (address hashing, the tag directory helpers, dedup
+tables, ICache, RAS, direction predictors) are imported, not copied, so
+a behavioural change in one of them is *supposed* to move both engines
+together, and the referee cannot catch a fault there.  Where one has
+been optimised -- the raise-free ``SrripPolicy.victim`` and
 ``DedupValueTable.allocate`` -- tests hold it to the seed's loop,
 copied into ``tests/test_replacement.py`` and
-``tests/test_dedup_table.py``.
+``tests/test_dedup_table.py``.  Replacement is no longer shared: the
+frozen classes here build the per-set policies (``make_replacement_policy``)
+and every live class one replacement table per structure
+(``make_replacement_table``), so the referee checks the tables
+independently.  ``DedupValueTable`` is still shared, and its
+replacement is a table, so for the PDede and dedup-only Page/Region/
+target tables the referee still runs the code under test.
 
 Two consumers:
 

@@ -58,9 +58,11 @@ import io
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, TextIO
 
+import numpy as np
+
 from repro.branch.types import BranchKind
 from repro.workloads.textformat import _KIND_TO_TOKEN, _TOKEN_TO_KIND, _parse_header
-from repro.workloads.trace import Trace
+from repro.workloads.trace import COLUMN_DTYPES, Trace
 
 if TYPE_CHECKING:
     from repro.analysis.characterize import (
@@ -71,6 +73,7 @@ if TYPE_CHECKING:
 __all__ = [
     "FORMAT_VERSION",
     "IngestError",
+    "check_columns",
     "detect_format",
     "dump_any",
     "dump_binary",
@@ -270,6 +273,42 @@ def _validate_values(
         raise IngestError(
             "bad-gap", f"gap {gap} exceeds the 32-bit gap column", line=line,
             offset=offset,
+        )
+
+
+def check_columns(columns: dict) -> None:
+    """Range-check the raw event columns of a ``.npz`` trace, by name as
+    in :data:`~repro.workloads.trace.COLUMN_DTYPES`, before they are cast
+    to the trace dtypes; the same bounds as :func:`_validate_values`,
+    plus kinds and takens.  A violation raises a coded
+    :class:`IngestError` naming the first offending event."""
+    missing = [name for name in COLUMN_DTYPES if name not in columns]
+    if missing:
+        raise IngestError("bad-record", f"missing column(s) {', '.join(missing)}")
+    lengths = set()
+    for name in COLUMN_DTYPES:
+        column = columns[name]
+        if column.ndim != 1 or column.dtype.kind not in "biu":
+            raise IngestError(
+                "bad-record",
+                f"column {name} is {column.ndim}-D {column.dtype}, not a 1-D integer column",
+            )
+        lengths.add(len(column))
+    if len(lengths) > 1:
+        raise IngestError("bad-record", f"columns of unequal lengths {sorted(lengths)}")
+    for name, code, limit in (
+        ("pcs", "bad-address", _MAX_ADDRESS),
+        ("targets", "bad-address", _MAX_ADDRESS),
+        ("gaps", "bad-gap", _MAX_GAP),
+        ("kinds", "bad-kind", _KIND_COUNT - 1),
+        ("takens", "bad-taken", 1),
+    ):
+        column = columns[name]
+        if not len(column) or (int(column.min()) >= 0 and int(column.max()) <= limit):
+            continue
+        event = int(np.flatnonzero((column < 0) | (column > limit))[0])
+        raise IngestError(
+            code, f"event {event}: {name[:-1]} {int(column[event])} outside [0, {limit}]"
         )
 
 

@@ -174,10 +174,16 @@ class Trace:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
-        """Load a trace previously written by :meth:`save`."""
+        """Load a trace written by :meth:`save`.
+
+        The file may be foreign, so its columns are range-checked before
+        the cast to :data:`COLUMN_DTYPES` (which would wrap a negative
+        gap or target silently); a bad one raises a coded
+        :class:`~repro.workloads.ingest.IngestError`.
+        """
+        from repro.workloads.ingest import check_columns  # late: ingest imports trace
+
         with np.load(Path(path)) as data:
-            return cls(
-                name=str(data["name"]),
-                category=str(data["category"]),
-                **{column: data[column] for column in COLUMN_DTYPES},
-            )
+            columns = {column: data[column] for column in COLUMN_DTYPES if column in data}
+            check_columns(columns)
+            return cls(name=str(data["name"]), category=str(data["category"]), **columns)

@@ -152,17 +152,19 @@ def test_field_width_stale_tag_in_invalid_slot():
 
 def test_replacement_state_corrupt_rrpv():
     btb, (s, w) = populated_pdede()
-    policies = btb._policies if btb._policies is not None else btb._long_policies
-    policy = policies[s]
-    policy.rrpv[w] = (1 << policy._m) + 5
-    expect_violation("replacement-state", btb)
+    replacement = btb._replacement  # one table, slots numbered as the BTBM's
+    replacement.rrpv[flat(btb, s, w)] = (1 << replacement._m) + 5
+    violation = expect_violation("replacement-state", btb)
+    assert (violation.set_index, violation.way) == (s, w)
 
 
 def test_replacement_state_corrupt_lru_order():
     table = DedupValueTable(entries=8, ways=4, value_bits=16, replacement="lru")
     table.allocate(0x12)
-    table._policies[0]._order[0] = table._policies[0]._order[1]  # not a permutation
-    expect_violation("replacement-state", table)
+    order = table._replacement._order  # set 1's recency list is order[4:8]
+    order[4] = order[5]  # not a permutation
+    violation = expect_violation("replacement-state", table)
+    assert violation.set_index == 1
 
 
 def test_dedup_uniqueness_duplicated_value():

@@ -115,13 +115,13 @@ def _reference_allocate(table, value):
         set_index = mix64(value) % table.sets
     valid = table._valid[set_index]
     values = table._values[set_index]
-    policy = table._policies[set_index]
+    replacement, base = table._replacement, set_index * table.ways
     for way in range(table.ways):
         if valid[way] and values[way] == value:
-            policy.on_hit(way)
+            replacement.on_hit(base + way)
             table.dedup_hits += 1
             return set_index * table.ways + way, table._generations[set_index][way]
-    way = policy.victim(valid)
+    way = replacement.victim(valid, base)
     if valid[way]:
         table.evictions += 1
         table._generations[set_index][way] += 1
@@ -129,20 +129,20 @@ def _reference_allocate(table, value):
             table.on_evict(set_index * table.ways + way)
     valid[way] = True
     values[way] = value
-    policy.on_insert(way)
+    replacement.on_insert(base + way)
     table.allocations += 1
     return set_index * table.ways + way, table._generations[set_index][way]
 
 
 def _state(table):
-    policies = []
-    for policy in table._policies:
-        state = {key: value for key, value in vars(policy).items() if key != "_rng"}
-        if hasattr(policy, "_rng"):
-            state["_rng"] = policy._rng.getstate()
-        policies.append(state)
+    replacement = table._replacement
+    state = {key: value for key, value in vars(replacement).items() if key != "_rngs"}
+    if hasattr(replacement, "_rngs"):
+        state["_rngs"] = {
+            set_index: rng.getstate() for set_index, rng in replacement._rngs.items()
+        }
     return (
-        table._valid, table._values, table._generations, policies,
+        table._valid, table._values, table._generations, state,
         table.allocations, table.dedup_hits, table.evictions,
     )
 

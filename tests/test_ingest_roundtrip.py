@@ -255,6 +255,64 @@ def test_detect_format_and_load_any(tmp_path):
         assert _columns(loaded) == _columns(trace), fmt
 
 
+#: A hand-made foreign ``.npz``: int64 columns, as numpy writes Python ints.
+_NPZ_COLUMNS = dict(
+    pcs=[0x1000, 0x2000], kinds=[0, 1], takens=[1, 0], targets=[0x1040, 0x2040], gaps=[3, 4]
+)
+
+
+def _write_npz(path, **overrides):
+    import numpy as np
+
+    columns = {**_NPZ_COLUMNS, **overrides}
+    np.savez(
+        path, name=np.array("foreign"), category=np.array("Server"),
+        **{name: np.array(values, dtype=np.int64) for name, values in columns.items()},
+    )
+    return path
+
+
+def test_foreign_npz_with_in_range_columns_loads(tmp_path):
+    trace = load_any(_write_npz(tmp_path / "ok.npz"))
+    assert trace.gaps.tolist() == [3, 4]
+    assert trace.targets.tolist() == [0x1040, 0x2040]
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        (dict(gaps=[3, -1]), "bad-gap"),
+        (dict(gaps=[3, 1 << 32]), "bad-gap"),
+        (dict(targets=[0x1040, -8]), "bad-address"),
+        (dict(pcs=[-4, 0x2000]), "bad-address"),
+        (dict(kinds=[0, len(BranchKind)]), "bad-kind"),
+        (dict(takens=[1, 2]), "bad-taken"),
+        (dict(gaps=[3]), "bad-record"),
+    ],
+)
+def test_foreign_npz_out_of_range_is_a_coded_error(tmp_path, overrides, code):
+    """A foreign ``.npz`` is range-checked before its columns are cast to
+    the trace dtypes, where a gap of -1 would load as 4294967295."""
+    path = _write_npz(tmp_path / "bad.npz", **overrides)
+    for load in (load_any, Trace.load):
+        with pytest.raises(IngestError) as excinfo:
+            load(path)
+        assert excinfo.value.code == code
+
+
+def test_foreign_npz_float_column_is_a_coded_error(tmp_path):
+    import numpy as np
+
+    path = _write_npz(tmp_path / "float.npz")
+    with np.load(path) as data:
+        columns = {name: data[name] for name in data.files}
+    columns["pcs"] = columns["pcs"].astype(np.float64) + 0.5
+    np.savez(path, **columns)
+    with pytest.raises(IngestError) as excinfo:
+        load_any(path)
+    assert excinfo.value.code == "bad-record"
+
+
 def test_dump_any_infers_framing_from_suffix(tmp_path):
     trace = _random_trace(12)
     assert dump_any(trace, tmp_path / "x.rbtb") == "rbt-binary"

@@ -1,4 +1,7 @@
-"""Unit tests for per-set replacement policies."""
+"""Unit tests for the replacement policies: the per-set classes and the
+one-object-per-table classes the live structures use."""
+
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -6,10 +9,15 @@ from hypothesis import given, settings
 
 from repro.btb.replacement import (
     FifoPolicy,
+    FifoTable,
     LruPolicy,
+    LruTable,
     RandomPolicy,
+    RandomTable,
     SrripPolicy,
+    SrripTable,
     make_replacement_policy,
+    make_replacement_table,
 )
 
 
@@ -160,3 +168,89 @@ def test_srrip_victim_matches_stepwise_ageing(history):
         assert policy.rrpv == reference.rrpv
         # Aged in place: a mirror of the list sees every update.
         assert policy.rrpv is mirror
+
+
+# -- one table against ``sets`` per-set policies --------------------------------
+
+
+def test_table_factory_and_unknown():
+    assert isinstance(make_replacement_table("lru", 2, 4), LruTable)
+    assert isinstance(make_replacement_table("fifo", 2, 4), FifoTable)
+    assert isinstance(make_replacement_table("random", 2, 4), RandomTable)
+    srrip = make_replacement_table("srrip", 2, 4, srrip_bits=3)
+    assert isinstance(srrip, SrripTable)
+    assert srrip.metadata_bits_per_entry() == 3
+    assert len(srrip.rrpv) == 8
+    with pytest.raises(ValueError):
+        make_replacement_table("plru", 2, 4)
+    with pytest.raises(ValueError):
+        LruTable(0, 4)
+    with pytest.raises(ValueError):
+        FifoTable(2, 0)
+    with pytest.raises(ValueError):
+        SrripTable(2, 4, m=0)
+
+
+def test_table_metadata_bits_match_the_per_set_policies():
+    for name in ("lru", "fifo", "random", "srrip"):
+        for ways in (1, 2, 4, 8, 16):
+            assert (
+                make_replacement_table(name, 3, ways).metadata_bits_per_entry()
+                == make_replacement_policy(name, ways).metadata_bits_per_entry()
+            )
+
+
+def _assert_same_state(table, policies):
+    """Each set of ``table`` holds the state of its per-set policy."""
+    ways = table.ways
+    for set_index, policy in enumerate(policies):
+        base = set_index * ways
+        if isinstance(policy, SrripPolicy):
+            assert table.rrpv[base:base + ways] == policy.rrpv
+        elif isinstance(policy, LruPolicy):
+            assert table._order[base:base + ways] == policy._order
+        elif isinstance(policy, FifoPolicy):
+            assert table._next[set_index] == policy._next
+        else:
+            # A set's stream exists once it has drawn; until then the
+            # per-set policy's stream is still at its seed.
+            rng = table._rngs.get(set_index, random.Random(table.seed))
+            assert rng.getstate() == policy._rng.getstate()
+
+
+@st.composite
+def _table_histories(draw):
+    name = draw(st.sampled_from(["lru", "fifo", "random", "srrip"]))
+    sets = draw(st.integers(min_value=1, max_value=4))
+    ways = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.sampled_from([1, 2, 3]))
+    set_index = st.integers(min_value=0, max_value=sets - 1)
+    way = st.integers(min_value=0, max_value=ways - 1)
+    # Full sets half the time, so ageing, cursors and draws run.
+    window = st.lists(st.booleans(), min_size=ways, max_size=ways) | st.just([True] * ways)
+    actions = draw(st.lists(
+        st.tuples(st.sampled_from(["hit", "insert"]), set_index, way)
+        | st.tuples(st.just("victim"), set_index, window),
+        max_size=60,
+    ))
+    return name, sets, ways, m, actions
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_histories())
+def test_table_matches_one_policy_per_set(history):
+    """Any sequence of on_hit / on_insert / victim calls gives a table the
+    victims and per-set state of ``sets`` per-set policies."""
+    name, sets, ways, m, actions = history
+    table = make_replacement_table(name, sets, ways, srrip_bits=m)
+    kwargs = {"m": m} if name == "srrip" else {}
+    policies = [make_replacement_policy(name, ways, **kwargs) for _ in range(sets)]
+    for action, set_index, argument in actions:
+        base = set_index * ways
+        policy = policies[set_index]
+        if action == "victim":
+            assert table.victim(list(argument), base) == policy.victim(list(argument))
+        else:
+            getattr(table, f"on_{action}")(base + argument)
+            getattr(policy, f"on_{action}")(argument)
+        _assert_same_state(table, policies)
