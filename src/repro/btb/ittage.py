@@ -7,13 +7,23 @@ compact-in-size implementation: a PC-indexed base table plus several
 tagged tables indexed by PC folded with geometrically longer slices of a
 global path/direction history; the longest-history hit provides the
 prediction, with useful-bit guarded allocation on mispredicts.
+
+ITTAGE depends only on the trace: every event's ``(pc, taken)`` feeds
+the history and every indirect branch's resolved target trains it, and
+it reads neither the BTB nor any other structure.  So the simulator
+runs it in one :meth:`ITTagePredictor.replay` over the trace's columns,
+on either engine, rather than per event inside the structure pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.branch.address import ADDRESS_BITS, fold_bits
+
+_HISTORY_MASK = (1 << 256) - 1
 
 
 @dataclass(slots=True)
@@ -144,6 +154,32 @@ class ITTagePredictor:
                 return
             if self._next_random() & 1:
                 entry.useful -= 1
+
+    def replay(self, pcs, takens, indirect, targets) -> np.ndarray:
+        """Run a trace's events through this predictor, in trace order;
+        returns the per-event mispredict column.
+
+        The calls a per-event loop makes: every event's ``(pc, taken)``
+        goes into the history (:meth:`record_history`), and each event
+        flagged ``indirect`` is predicted, then trained with its resolved
+        target.  An event mispredicts when it is taken and the
+        prediction is not its target.  The arguments are equal-length
+        numpy columns.
+        """
+        bits = ((takens.astype(pcs.dtype) ^ (pcs >> 2) ^ (pcs >> 7)) & 1).tolist()
+        is_indirect = indirect.tolist()
+        mispredicts = np.zeros(len(bits), dtype=np.bool_)
+        history = self._history
+        for index, bit in enumerate(bits):
+            history = ((history << 1) | bit) & _HISTORY_MASK
+            if is_indirect[index]:
+                self._history = history
+                pc, target = int(pcs[index]), int(targets[index])
+                predicted = self.predict(pc)
+                self.update(pc, target)
+                mispredicts[index] = bool(takens[index]) and predicted != target
+        self._history = history
+        return mispredicts
 
     # -- accounting ----------------------------------------------------------
 

@@ -51,6 +51,15 @@ def run_perfect_direction(scale: str | None = None, params: CoreParams = ICELAKE
     return result
 
 
+def ittage_designs() -> dict:
+    """Section 5.6's designs by key: multi-entry PDede and the baseline,
+    neither allocating indirect branches, each with ITTAGE attached."""
+    baseline = baseline_design(key="baseline-no-ind", allocate_indirect=False)
+    config = paper_config(PDedeMode.MULTI_ENTRY).replace(allocate_indirect=False)
+    me = pdede_design(PDedeMode.MULTI_ENTRY, config=config, key="pdede-me-no-ind")
+    return {design.key: design for design in (with_ittage(me), with_ittage(baseline))}
+
+
 def run_ittage(scale: str | None = None, params: CoreParams = ICELAKE) -> SensitivityResult:
     """Section 5.6: +64KB ITTAGE; indirects bypass the BTB entirely."""
     result = SensitivityResult(title="Section 5.6: impact of an ITTAGE indirect predictor")
@@ -59,20 +68,9 @@ def run_ittage(scale: str | None = None, params: CoreParams = ICELAKE) -> Sensit
     result.gains["no ITTAGE"] = (
         run_suite(me, baseline, params=params, scale=scale).mean_speedup() - 1.0
     )
-    baseline_no_indirect = baseline_design(key="baseline-no-ind", allocate_indirect=False)
-    me_no_indirect_config = paper_config(PDedeMode.MULTI_ENTRY).replace(
-        allocate_indirect=False
-    )
-    me_no_indirect = pdede_design(
-        PDedeMode.MULTI_ENTRY, config=me_no_indirect_config, key="pdede-me-no-ind"
-    )
+    me_ittage, baseline_ittage = ittage_designs().values()
     result.gains["with ITTAGE"] = (
-        run_suite(
-            with_ittage(me_no_indirect),
-            with_ittage(baseline_no_indirect),
-            params=params,
-            scale=scale,
-        ).mean_speedup()
+        run_suite(me_ittage, baseline_ittage, params=params, scale=scale).mean_speedup()
         - 1.0
     )
     return result

@@ -25,7 +25,7 @@ Every frozen BTB derives from ``_SeedPredictor``: its ``lookup`` and
 ``update`` are the algorithm, and it implements no hashed pair.
 
 Shared leaf modules (address hashing, the tag directory helpers, dedup
-tables, ICache, RAS, direction predictors) are imported, not copied, so
+tables, ICache, RAS, direction predictors, ITTAGE) are imported, not copied, so
 a behavioural change in one of them is *supposed* to move both engines
 together, and the referee cannot catch a fault there.  Where one has
 been optimised -- the raise-free ``SrripPolicy.victim`` and
@@ -37,7 +37,11 @@ and every live class one replacement table per structure
 (``make_replacement_table``), so the referee checks the tables
 independently.  ``DedupValueTable`` is still shared, and its
 replacement is a table, so for the PDede and dedup-only Page/Region/
-target tables the referee still runs the code under test.
+target tables the referee still runs the code under test.  ITTAGE's
+per-event methods are shared too: the referee steps ``record_history``,
+``predict`` and ``update`` per event, where the live engines run
+``ITTagePredictor.replay``, so it checks the replay's loop but not
+those methods.
 
 Two consumers:
 
@@ -59,6 +63,10 @@ buckets shift by ulps; every microarchitectural event outcome is
 untouched -- and it is what makes per-shard stats mergeable bit for bit
 (``FrontendStats.merge``), with this referee still pinning both live
 engines exactly.
+
+Deliberate update (one ITTAGE path): the optional wrong-path ICache
+pollution was removed from the live simulator and from
+:class:`SeedFrontendSimulator` together; no experiment turned it on.
 """
 
 from __future__ import annotations
@@ -2049,8 +2057,6 @@ class SeedFrontendSimulator:
         ittage: ITTagePredictor | None = None,
         returns_use_ras: bool = True,
         ras_depth: int = 32,
-        model_wrong_path: bool = False,
-        wrong_path_bytes: int = 256,
     ) -> None:
         self.btb = btb
         self.params = params
@@ -2059,9 +2065,6 @@ class SeedFrontendSimulator:
         self.returns_use_ras = returns_use_ras
         self.ras = ReturnAddressStack(ras_depth)
         self.icache = ICache(params.icache_kib, params.icache_line_bytes, params.icache_ways)
-        self.model_wrong_path = model_wrong_path
-        self.wrong_path_bytes = wrong_path_bytes
-        self.wrong_path_fetches = 0
 
     def run(self, trace: Trace, warmup_fraction: float = 0.25) -> FrontendStats:
         if not 0.0 <= warmup_fraction < 1.0:
@@ -2121,7 +2124,6 @@ class SeedFrontendSimulator:
             direction_mispredict = False
             indirect_mispredict = False
             ras_mispredict = False
-            wrong_path_addr = -1
 
             if kind_value == _KIND_RETURN and returns_use_ras:
                 if ras.pop() != target:
@@ -2156,18 +2158,12 @@ class SeedFrontendSimulator:
                         direction_mispredict = True
                         penalty = execute_penalty
                         resteer_kind = 2
-                        if taken:
-                            wrong_path_addr = pc + _INSTR_BYTES
-                        elif lookup.target is not None:
-                            wrong_path_addr = lookup.target
                     elif taken and btb_miss:
                         if kind_is_indirect or kind_value == _KIND_RETURN:
                             if kind_is_indirect:
                                 indirect_mispredict = True
                             penalty = execute_penalty
                             resteer_kind = 2
-                            if lookup.target is not None:
-                                wrong_path_addr = lookup.target
                         else:
                             penalty = decode_penalty
                             resteer_kind = 1
@@ -2188,9 +2184,6 @@ class SeedFrontendSimulator:
             if penalty:
                 slack = 0
                 blocks_since_resteer = 0
-                if self.model_wrong_path and wrong_path_addr >= 0:
-                    icache_touch(wrong_path_addr, wrong_path_addr + self.wrong_path_bytes)
-                    self.wrong_path_fetches += 1
             else:
                 blocks_since_resteer += 1
 

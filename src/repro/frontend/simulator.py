@@ -23,16 +23,14 @@ This model charges exactly those effects:
 
 Absolute IPC is not that of the authors' silicon-correlated simulator;
 relative IPC between two BTB designs -- the quantity every figure of the
-paper reports -- tracks the same events.  Wrong-path ICache pollution
-(a second-order effect the paper notes qualitatively) is modelled on
-request (``model_wrong_path``, off by default): each execute-stage
-flush also fetches a stretch of code down the mispredicted path into
-the ICache.
+paper reports -- tracks the same events.
 
 The model is implemented once, as the timing phase of
 :func:`repro.frontend.vector.run_vector`, and fed by one of two column
 sources: the fresh-run engine's trace replays and BTB pass, or this
 module's live structure pass (:meth:`FrontendSimulator._run_general`).
+An attached ITTAGE runs as its own replay on either
+(:meth:`repro.btb.ittage.ITTagePredictor.replay`).
 """
 
 from __future__ import annotations
@@ -96,10 +94,6 @@ class FrontendSimulator:
         returns_use_ras: serve returns from the RAS (default, Section 2)
             or push them through the BTB (Section 5.7).
         ras_depth: return-address-stack depth.
-        model_wrong_path: also fetch ``wrong_path_bytes`` of code down
-            the mispredicted path on execute-stage flushes, polluting the
-            ICache (the paper notes this effect of BTB misses
-            qualitatively; off by default).
     """
 
     def __init__(
@@ -110,8 +104,6 @@ class FrontendSimulator:
         ittage: ITTagePredictor | None = None,
         returns_use_ras: bool = True,
         ras_depth: int = 32,
-        model_wrong_path: bool = False,
-        wrong_path_bytes: int = 256,
     ) -> None:
         self.btb = btb
         self.params = params
@@ -121,9 +113,6 @@ class FrontendSimulator:
         self.returns_use_ras = returns_use_ras
         self.ras = ReturnAddressStack(ras_depth)
         self.icache = ICache(params.icache_kib, params.icache_line_bytes, params.icache_ways)
-        self.model_wrong_path = model_wrong_path
-        self.wrong_path_bytes = wrong_path_bytes
-        self.wrong_path_fetches = 0
         self._has_run = False
         #: Which engine the most recent :meth:`run` used ("vector" for
         #: the columnar engine, "general" otherwise).
@@ -147,9 +136,10 @@ class FrontendSimulator:
         active events, on the decoded trace's replayed direction, ICache
         and RAS columns.  Otherwise the ``"general"`` engine's live
         structure pass (:meth:`_run_general`) asks every structure
-        itself and records the same columns (ITTAGE, wrong-path
-        modelling, a caller-supplied predictor, an armed sanitizer, a
-        reused simulator).  Both are bit-identical to the seed referee.
+        itself and records the same columns (a caller-supplied
+        predictor, an armed sanitizer, a reused simulator).  Either way
+        an attached ITTAGE runs its own replay.  Both are bit-identical
+        to the seed referee.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -191,16 +181,13 @@ class FrontendSimulator:
 
         Those replays start from cold structures and see only the
         trace, so they apply to a simulator's first run with a pristine
-        ICache and RAS, the default TAGE or the perfect oracle, and
-        nothing that feeds other events into those structures (ITTAGE
-        history, wrong-path pollution) or inspects every step (an armed
-        sanitizer).  This is the one gate of the fresh-run vector
-        engine, which runs any BTB on the columns.
+        ICache and RAS, the default TAGE or the perfect oracle, and no
+        armed sanitizer (it inspects every step).  This is the one gate
+        of the fresh-run vector engine, which runs any BTB on the
+        columns.
         """
         return (
             not self._has_run
-            and self.ittage is None
-            and not self.model_wrong_path
             and self.icache.accesses == 0
             and not get_sanitizer().enabled
             and self._direction_signature() is not None
@@ -247,20 +234,16 @@ class FrontendSimulator:
         """Live structure pass: the ``general`` engine's column source.
 
         Each event asks the simulator's own ICache, direction predictor,
-        RAS, ITTAGE and BTB in trace order, so it handles what the
-        decoded trace's cold-state replays cannot: a reused simulator, a
-        caller-supplied predictor, ITTAGE, wrong-path pollution and an
-        armed sanitizer.  It records only per-event outcomes -- ICache
-        misses, direction and RAS correctness, ITTAGE target
-        mispredicts and each BTB lookup's ``(target, hit, latency)`` --
+        RAS and BTB in trace order, so it handles what the decoded
+        trace's cold-state replays cannot: a reused simulator, a
+        caller-supplied predictor and an armed sanitizer.  It records
+        only per-event outcomes -- ICache misses, direction and RAS
+        correctness and each BTB lookup's ``(target, hit, latency)`` --
         and hands them to the timing model of
         :func:`repro.frontend.vector.run_vector`, the one the fresh-run
-        engine feeds from the replayed columns.
-
-        A wrong-path fetch follows an execute-stage flush and its address
-        comes from the event and the BTB's prediction, never from
-        timing, so it stays in this pass and pollutes the ICache before
-        the next event's touch, exactly as the seed engine does.
+        engine feeds from the replayed columns.  With ITTAGE attached,
+        indirect branches skip the BTB here and ``run_vector`` replays
+        ITTAGE over the trace.
         """
         n_events = len(trace)
         warm_limit = int(n_events * warmup_fraction)
@@ -268,19 +251,16 @@ class FrontendSimulator:
         record_misses = icache_col.append
         dir_ok = [True] * n_events
         ras_ok = [True] * n_events
-        ittage_mis = [False] * n_events
         results: tuple[list, list, list] = ([], [], [])
         out_target, out_hit, out_latency = (column.append for column in results)
 
         btb = self.btb
         direction = self.direction
         direction_is_perfect = direction.is_perfect
-        ittage = self.ittage
+        ittage_owns_indirect = self.ittage is not None
         ras = self.ras
         icache_touch = self.icache.touch_range
         returns_use_ras = self.returns_use_ras
-        model_wrong_path = self.model_wrong_path
-        wrong_path_bytes = self.wrong_path_bytes
 
         for index, (pc, kind_value, taken, target, gap) in enumerate(
             trace.events()
@@ -291,58 +271,30 @@ class FrontendSimulator:
             if kind_value == _KIND_RETURN and returns_use_ras:
                 if ras.pop() != target:
                     ras_ok[index] = False
-                if ittage is not None:
-                    ittage.record_history(pc, taken)
                 continue
             if IS_CALL[kind_value]:
                 ras.push(pc + _INSTR_BYTES)
-            direction_correct = True
             if kind_value == _KIND_COND:
                 predicted_taken = (
                     taken if direction_is_perfect else direction.predict(pc)
                 )
                 direction.update(pc, taken)
                 if predicted_taken != taken:
-                    direction_correct = dir_ok[index] = False
-            if ittage is not None:
-                ittage.record_history(pc, taken)
-                if IS_INDIRECT[kind_value]:
-                    # ITTAGE owns the indirect branches: no BTB call.
-                    predicted_target = ittage.predict(pc)
-                    ittage.update(pc, target)
-                    if taken and predicted_target != target:
-                        ittage_mis[index] = True
-                    continue
+                    dir_ok[index] = False
+            if ittage_owns_indirect and IS_INDIRECT[kind_value]:
+                continue  # ITTAGE owns the indirect branches: no BTB call.
             lookup = btb.lookup(pc)
             btb.update(_EventView(pc, _KINDS[kind_value], taken, target, gap))
             predicted = lookup.target
             out_target(NO_TARGET if predicted is None else predicted)
             out_hit(lookup.hit)
             out_latency(lookup.latency)
-            if not model_wrong_path:
-                continue
-            # Execute-stage flushes fetch down the mispredicted path:
-            # the fall-through or the predicted taken path after a
-            # direction mispredict, the predicted target after an
-            # indirect or return target miss.
-            if not direction_correct:
-                wrong_path = pc + _INSTR_BYTES if taken else predicted
-            elif taken and predicted != target and (
-                IS_INDIRECT[kind_value] or kind_value == _KIND_RETURN
-            ):
-                wrong_path = predicted
-            else:
-                wrong_path = None
-            if wrong_path is not None:
-                icache_touch(wrong_path, wrong_path + wrong_path_bytes)
-                self.wrong_path_fetches += 1
 
         live = (
             np.array(icache_col, dtype=np.int64),
             np.array(dir_ok, dtype=np.bool_),
             np.array(ras_ok, dtype=np.bool_),
             results,
-            None if ittage is None else np.array(ittage_mis, dtype=np.bool_),
         )
         return run_vector(self, trace, warmup_fraction, live=live)
 
@@ -366,7 +318,6 @@ class FrontendSimulator:
             "frontend_btb_misses_total": stats.btb_misses,
             "frontend_icache_misses_total": stats.icache_misses,
             "frontend_extra_latency_lookups_total": stats.extra_latency_lookups,
-            "frontend_wrong_path_fetches_total": self.wrong_path_fetches,
             "frontend_ipc": stats.ipc,
             "frontend_btb_mpki": stats.btb_mpki,
             "frontend_bound_fraction": stats.frontend_bound_fraction,

@@ -2,7 +2,7 @@
 
 There is one timing model and two sources of the per-event outcome
 columns it reads (ICache misses, direction and RAS correctness, each BTB
-lookup's ``(target, hit, latency)``, ITTAGE target mispredicts).
+lookup's ``(target, hit, latency)``).
 :class:`repro.frontend.simulator.FrontendSimulator` picks the fresh-run
 ``vector`` engine for every BTB design whenever the decoded trace's
 cold-state replays stand in for the simulator's direction predictor,
@@ -10,7 +10,11 @@ ICache and RAS (``_columns_applicable``): those replays plus the phase-1
 BTB pass below.  Otherwise its ``general`` engine runs a live structure
 pass (``FrontendSimulator._run_general``) that asks every structure
 itself and hands the same columns to :func:`run_vector`, which then
-skips phase 1.  Both are bit-identical to the seed referee.
+skips phase 1.  Both are bit-identical to the seed referee.  An attached
+ITTAGE, which depends on the trace alone, adds one column on either
+engine: its replay's target mispredicts
+(:meth:`repro.btb.ittage.ITTagePredictor.replay`, on the simulator's own
+predictor, unmemoised).
 
 **Phase 1 -- BTB pass.**  One scalar loop over the *active* events (all
 of them, or every non-return when returns are served by the RAS) makes
@@ -99,8 +103,9 @@ def run_vector(sim, trace, warmup_fraction, live=None):
     with its warm-crossing stats reset, and adoption of the replayed
     end-of-trace structure state.  ``live`` is the live structure pass's
     ``(icache misses, direction ok, ras ok, (lookup targets, hits,
-    latencies), ITTAGE mispredicts or None)``; it replaces both the
-    replays and phase 1, and the simulator keeps its own structures.
+    latencies))``; it replaces both the replays and phase 1, and the
+    simulator keeps its own structures.  Either way an attached ITTAGE
+    replays the trace here.
     """
     params = sim.params
     btb = sim.btb
@@ -131,7 +136,6 @@ def run_vector(sim, trace, warmup_fraction, live=None):
 
     if live is None:
         (icache_col, dir_ok, ras_ok), finals = sim._replayed_columns(trace)
-        ittage_mis = None
         # ---- phase 1: BTB pass ----------------------------------------
         observe, columns = _btb_pass(btb, trace, decoded, act)
         results = ([], [], [])
@@ -144,7 +148,7 @@ def run_vector(sim, trace, warmup_fraction, live=None):
             btb.reset_stats()
         observe(columns, n_warm, len(columns[0]), results)
     else:
-        icache_col, dir_ok, ras_ok, results, ittage_mis = live
+        icache_col, dir_ok, ras_ok, results = live
 
     lt = np.full(n_events, NO_TARGET, dtype=np.int64)
     lh = np.zeros(n_events, dtype=np.bool_)
@@ -163,7 +167,8 @@ def run_vector(sim, trace, warmup_fraction, live=None):
     ind_mis = dir_ok_act & btb_missed & is_indirect_col
     bubble_mask = dir_ok_act & ~btb_missed & taken & (lat > 1)
     bubble_ticks = np.where(bubble_mask, (lat - 1) * tick, 0)
-    if ittage_mis is not None:
+    if sim.ittage is not None:
+        ittage_mis = sim.ittage.replay(trace.pcs, taken, is_indirect_col, target)
         exec_pen |= ittage_mis
         ind_mis |= ittage_mis
     has_pen = exec_pen | dec_pen

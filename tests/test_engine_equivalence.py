@@ -88,11 +88,13 @@ def test_auto_prefers_vector_engine(key):
     assert stats.to_dict() == seed_stats.to_dict()
 
 
-def test_ittage_falls_back_to_general_engine_and_still_matches():
+def test_ittage_runs_the_fresh_engine_and_still_matches():
+    # ITTAGE replays the trace on its own, so it leaves the columns
+    # standing in and the run on the fresh-run engine.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = with_ittage(standard_designs()["pdede-default"])
     simulator, stats, seed_stats = _run_both(design, trace)
-    assert simulator.last_engine == "general"
+    assert simulator.last_engine == "vector"
     assert stats.to_dict() == seed_stats.to_dict()
 
 
@@ -109,16 +111,16 @@ def test_twolevel_with_pdede_l0_runs_the_fresh_engine_and_matches():
     assert stats.to_dict() == seed_stats.to_dict()
 
 
-def test_twolevel_with_pdede_l0_falls_back_to_general_and_matches():
-    # With ITTAGE attached the columns no longer stand in, so the same
-    # hierarchy runs on the live general engine and must still match.
+def test_twolevel_pdede_l0_with_ittage_runs_the_fresh_engine_and_matches():
+    # With ITTAGE attached the same hierarchy still runs on the fresh-run
+    # engine, its BTB pass skipping the indirect branches ITTAGE owns.
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = with_ittage(Design(
         key="twolevel-pdede-l0",
         build_btb=lambda: TwoLevelBTB(PDedeBTB(), BaselineBTB(entries=8192)),
     ))
     simulator, stats, seed_stats = _run_both(design, trace)
-    assert simulator.last_engine == "general"
+    assert simulator.last_engine == "vector"
     assert stats.to_dict() == seed_stats.to_dict()
 
 
@@ -311,8 +313,7 @@ def _fuzz_design(seed: int):
     designs["pdede+perfect-direction"] = with_perfect_direction(
         designs["pdede-multi-entry"]
     )
-    # with_ittage forces the live general engine, so the sweep exercises
-    # the fresh-run vector *and* the general path against the seed referee.
+    # with_ittage adds ITTAGE's own replay to the fresh-run engine.
     designs["pdede+ittage"] = with_ittage(designs["pdede-default"])
     key = rng.choice(sorted(designs))
     return key, designs[key]
@@ -357,8 +358,8 @@ def _shrink_prefix(design, spec, failing_length: int) -> int:
 
 @pytest.mark.parametrize("fuzz_seed", range(N_FUZZ_SWEEPS))
 def test_differential_fuzz_engines_agree(fuzz_seed):
-    # "auto" resolves to vector for most designs and to general for
-    # ittage, so the sweep keeps both engines under differential pressure.
+    # "auto" resolves to the fresh-run engine for every design here; the
+    # live structure pass is pinned by the forced-general tests.
     spec = _fuzz_spec(fuzz_seed)
     design_key, design = _fuzz_design(fuzz_seed)
     trace = generate_trace(spec)
@@ -439,16 +440,17 @@ def test_literature_families_run_forced_vector_and_match_seed(key, engine):
     assert stats.to_dict() == seed_stats.to_dict()
 
 
-# Where the columns cannot stand in (here: ITTAGE owns the indirect
-# branches), the run takes the live structure pass, for the literature
-# families as for PDede.
+# Where the columns cannot stand in (here: an armed sanitizer), the run
+# takes the live structure pass; with ITTAGE attached it skips the BTB
+# for the indirect branches ITTAGE owns, for the literature families as
+# for PDede.
 
 
 @pytest.mark.parametrize("key", sorted(_literature_designs()))
 def test_literature_families_fall_back_to_general_and_match_seed(key):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = with_ittage(_literature_designs()[key])
-    simulator, stats, seed_stats = _run_both(design, trace)
+    simulator, stats, seed_stats = _run_both(design, trace, live=True)
     assert simulator.last_engine == "general"
     assert stats.to_dict() == seed_stats.to_dict()
 
@@ -478,9 +480,9 @@ def test_differential_fuzz_literature_families(fuzz_seed):
 #
 # A fresh run reads the ICache, direction and RAS outcomes from the
 # trace's replays and adopts the replays' end states (so its ``icache``
-# is a new object afterwards); a reused simulator, a caller-supplied
-# predictor, ITTAGE and wrong-path modelling take the live structure
-# pass (so the ``icache`` stays the same object).  All must match the
+# is a new object afterwards); a reused simulator and a caller-supplied
+# predictor take the live structure pass (so the ``icache`` stays the
+# same object).  All must match the
 # seed referee byte for byte.
 
 
@@ -509,36 +511,23 @@ def _live_designs():
     return designs
 
 
-# Wrong-path modelling only runs on the live path; each key runs with it
-# off (the plain key) and on ("-wrong-path").
-_LIVE_CASES = [
-    pytest.param(key, wrong_path, id=key + ("-wrong-path" if wrong_path else ""))
-    for key in ("micro-btb", "shadow-pdede", "baseline", "pdede-default+ittage")
-    for wrong_path in (False, True)
-]
+_LIVE_CASES = ("micro-btb", "shadow-pdede", "baseline", "pdede-default+ittage")
 
 
-@pytest.mark.parametrize("key, model_wrong_path", _LIVE_CASES)
-def test_forced_general_takes_the_live_path_and_matches_seed(key, model_wrong_path):
+@pytest.mark.parametrize("key", _LIVE_CASES)
+def test_forced_general_takes_the_live_path_and_matches_seed(key):
     trace = get_trace(TRACE_APP, TRACE_SCALE)
     design = _live_designs()[key]
     btb, kwargs = design.build()
     # A caller-supplied predictor (the default TAGE-lite) forces the
     # live path for every key, whatever else the design configures.
-    simulator = FrontendSimulator(
-        btb, direction=TageLitePredictor(), model_wrong_path=model_wrong_path,
-        **kwargs,
-    )
+    simulator = FrontendSimulator(btb, direction=TageLitePredictor(), **kwargs)
     icache_before = simulator.icache
     stats = simulator.run(trace, warmup_fraction=0.3)
     assert simulator.last_engine == "general"
     assert simulator.icache is icache_before  # asked the live ICache
-    reference, seed_stats = _seed_run(
-        design, trace, model_wrong_path=model_wrong_path
-    )
+    reference, seed_stats = _seed_run(design, trace)
     assert stats_payload(stats) == stats_payload(seed_stats)
-    assert simulator.wrong_path_fetches == reference.wrong_path_fetches
-    assert (simulator.wrong_path_fetches > 0) == model_wrong_path
     assert simulator.icache._lines == reference.icache._lines
 
 

@@ -3,13 +3,10 @@
 import pytest
 
 from repro.branch.address import fold_bits
-from repro.branch.types import BranchKind
-from repro.btb.baseline import BaselineBTB
 from repro.core.config import PDedeConfig, PDedeMode
 from repro.core.pdede import PDedeBTB
-from repro.frontend.simulator import FrontendSimulator
 
-from conftest import make_event, make_trace
+from conftest import make_event
 
 SAME_PAGE_PC = 0x7F00_0040_1000
 SAME_PAGE_TARGET = 0x7F00_0040_1F00
@@ -68,29 +65,3 @@ def test_next_target_tag_costs_storage():
     plain = mt_config()
     tagged = mt_config(next_target_tag_bits=4)
     assert tagged.btbm_long_entry_bits() == plain.btbm_long_entry_bits() + 4
-
-
-def test_wrong_path_pollution_degrades_icache():
-    """With wrong-path modelling on, flushes drag junk into the ICache."""
-    pc = 0x1000
-    events = []
-    for index in range(400):
-        taken = index % 2 == 0  # alternation stresses the predictor early
-        target = 0x80_0000 if taken else pc + 4
-        events.append((pc, BranchKind.COND_DIRECT, taken, target, 6))
-    trace = make_trace(events)
-    clean = FrontendSimulator(BaselineBTB(entries=64, ways=4))
-    clean_stats = clean.run(trace, warmup_fraction=0.0)
-    polluted = FrontendSimulator(
-        BaselineBTB(entries=64, ways=4), model_wrong_path=True
-    )
-    polluted_stats = polluted.run(trace, warmup_fraction=0.0)
-    assert polluted.wrong_path_fetches > 0
-    # Pollution can only add ICache pressure, never remove it.
-    assert polluted.icache.accesses > clean.icache.accesses
-    assert polluted_stats.instructions == clean_stats.instructions
-
-
-def test_wrong_path_off_by_default():
-    simulator = FrontendSimulator(BaselineBTB(entries=64, ways=4))
-    assert not simulator.model_wrong_path

@@ -31,9 +31,9 @@ from repro.experiments.designs import (
     baseline_design,
     ghrp_design,
     multitag_design,
-    with_ittage,
     with_temporal_prefetch,
 )
+from repro.experiments.sensitivity import ittage_designs
 from repro.serve.protocol import stats_payload
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_digests.json"
@@ -56,6 +56,7 @@ FAMILIES = [
     "multitag",
     "baseline-4096+prefetch",
     "baseline-no-ind+ittage",
+    "pdede-me-no-ind+ittage",
 ]
 
 
@@ -67,10 +68,8 @@ def family_designs() -> dict:
         "ghrp-4096": ghrp_design(),
         "multitag": multitag_design(),
         "baseline-4096+prefetch": with_temporal_prefetch(baseline_design()),
-        # Section 5.6's baseline, as ``sensitivity.run_ittage`` builds it.
-        "baseline-no-ind+ittage": with_ittage(
-            baseline_design(key="baseline-no-ind", allocate_indirect=False)
-        ),
+        # Section 5.6's designs, as ``sensitivity.run_ittage`` builds them.
+        **ittage_designs(),
     }
     registry = design_registry()
     return {family: designs.get(family) or registry[family] for family in FAMILIES}
