@@ -36,6 +36,11 @@ in the same process:
   own replay (``ITTagePredictor.replay``) -- must match the seed engine,
   which steps ITTAGE per event, byte for byte and beat it by
   ``ITTAGE_MIN_SPEEDUP`` (``ittage_sweep_speedup``);
+* the timing model's scanned fetch-queue slack walk
+  (``repro.frontend.vector._slack_walk``) must give the same totals as
+  the frozen scalar walk it replaced (``seedref.seed_slack_walk``) on
+  the gate app's real columns and beat it by ``TIMING_MIN_SPEEDUP``
+  (``timing_scan_speedup``);
 * building every raced design's BTB (``design.build()``) must beat
   building its seed counterpart by ``CONSTRUCTION_MIN_SPEEDUP`` in sum
   (``construction_speedup``): the races above time ``run()`` only, and
@@ -88,9 +93,14 @@ from repro.experiments.designs import (
     standard_designs,
 )
 from repro.experiments.sensitivity import ittage_designs
+from repro.frontend import vector
 from repro.frontend.icache import ICache
 from repro.frontend.params import ICELAKE
-from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
+from repro.frontend.seedref import (
+    SeedFrontendSimulator,
+    seed_counterpart,
+    seed_slack_walk,
+)
 from repro.frontend.simulator import FrontendSimulator
 from repro.obs.metrics import get_registry
 from repro.workloads.decoded import DecodedTrace
@@ -173,7 +183,10 @@ LITERATURE_DESIGNS = ("shotgun-45k", "dedup-only", "multitag", "ghrp-4096")
 #: 1.17x at smoke and 1.19x at default scale while these designs took
 #: the live structure pass, and 7.50-8.72x at smoke and 7.49x at default
 #: once ITTAGE runs its own replay on the fresh-run engine, so 6.0 keeps
-#: a margin of 20% below the lowest reading.
+#: a margin of 20% below the lowest reading.  One provider scan per
+#: indirect branch (the replay trains from the scan its prediction
+#: made) took the race from 7.25-8.20x to 9.11-9.96x at smoke, three
+#: gate runs each; the referee's ``update`` shares its scan too.
 ITTAGE_MIN_SPEEDUP = 6.0
 
 #: Required speed-up of building the live BTBs of every raced design
@@ -189,6 +202,24 @@ CONSTRUCTION_MIN_SPEEDUP = 4.0
 
 #: Alternating live/seed builds per design in the construction race.
 CONSTRUCTION_REPEATS = 15
+
+#: Required speed-up of the scanned fetch-queue slack walk over the
+#: frozen scalar walk, on the timing columns of one ``TIMING_DESIGN`` run
+#: of the gate app.  Measured 4.01-4.73x at smoke (27,674 interesting
+#: events; nine races, three of them in gate runs) and 3.97-4.65x at
+#: default scale (36,507; four races, one in a recorded gate run), so
+#: 3.0 keeps a margin of about a quarter below the lowest reading.  (A scan that ran all ``log2(n)``
+#: rounds, not stopping at the longest penalty-free run, read
+#: 3.07-3.70x.)
+TIMING_MIN_SPEEDUP = 3.0
+
+#: The design whose run supplies the slack walk's columns: PDede's
+#: two-cycle pointer hits give it lookup bubbles as well as ICache costs.
+TIMING_DESIGN = "pdede-default"
+
+#: Alternating scalar/scanned walks in the timing race; each side keeps
+#: its fastest, as the walks take milliseconds.
+TIMING_REPEATS = 15
 
 #: Alternating engine/seed runs per design in every design race (the
 #: standard, general and literature ones); each side keeps its fastest,
@@ -294,6 +325,46 @@ def race_icache(trace) -> dict:
         "icache_replay_seconds": round(replay_seconds, 4),
         "icache_replay_speedup": round(loop_seconds / replay_seconds, 2),
         "icache_replay_identical": identical,
+    }
+
+
+def race_timing(trace) -> dict:
+    """Race the scanned slack walk against the frozen scalar walk on the
+    columns one ``TIMING_DESIGN`` run of ``trace`` hands the walk.
+
+    The columns are caught by wrapping ``vector._slack_walk`` for that
+    one run; both walks then see the same arrays.
+    """
+    scanned = vector._slack_walk
+    captured = []
+
+    def catch(*columns):
+        captured.append(columns)
+        return scanned(*columns)
+
+    btb, kwargs = standard_designs()[TIMING_DESIGN].build()
+    vector._slack_walk = catch
+    try:
+        FrontendSimulator(btb, **kwargs).run(trace, warmup_fraction=0.3)
+    finally:
+        vector._slack_walk = scanned
+    (columns,) = captured
+    d, has_pen = columns[:2]
+    loop_seconds = scan_seconds = float("inf")
+    for _ in range(TIMING_REPEATS):
+        gc.collect()
+        seconds, expected = _measure(lambda: seed_slack_walk(*columns))
+        loop_seconds = min(loop_seconds, seconds)
+        gc.collect()
+        seconds, totals = _measure(lambda: scanned(*columns))
+        scan_seconds = min(scan_seconds, seconds)
+    return {
+        "timing_design": TIMING_DESIGN,
+        "timing_interesting_events": int((has_pen | (d < 0)).sum()),
+        "timing_loop_seconds": round(loop_seconds, 5),
+        "timing_scan_seconds": round(scan_seconds, 5),
+        "timing_scan_speedup": round(loop_seconds / scan_seconds, 2),
+        "timing_scan_identical": totals == expected,
     }
 
 
@@ -482,6 +553,7 @@ def race(trace) -> dict:
         "prepare_seconds": round(prepare_seconds, 4),
         **race_direction(trace),
         **race_icache(trace),
+        **race_timing(trace),
         "seed_events_per_sec": round(events * len(designs) / seed_seconds)
         if seed_seconds
         else 0,
@@ -546,6 +618,13 @@ def run_gate(record: bool = False) -> dict:
         f"ICache replay speedup {report['icache_replay_speedup']:.2f}x is below "
         f"the {ICACHE_MIN_SPEEDUP:.1f}x budget"
     )
+    assert report["timing_scan_identical"], (
+        "the scanned slack walk's totals diverged from the scalar walk's"
+    )
+    assert report["timing_scan_speedup"] >= TIMING_MIN_SPEEDUP, (
+        f"slack-walk scan speedup {report['timing_scan_speedup']:.2f}x is below "
+        f"the {TIMING_MIN_SPEEDUP:.1f}x budget"
+    )
     assert report["general_sweep_speedup"] >= GENERAL_MIN_SPEEDUP, (
         f"general sweep speedup {report['general_sweep_speedup']:.2f}x over "
         f"{', '.join(GENERAL_DESIGNS)} is below the {GENERAL_MIN_SPEEDUP:.1f}x budget "
@@ -582,6 +661,7 @@ def run_gate(record: bool = False) -> dict:
                     "sweep_min_speedup": SWEEP_MIN_SPEEDUP,
                     "direction_min_speedup": DIRECTION_MIN_SPEEDUP,
                     "icache_min_speedup": ICACHE_MIN_SPEEDUP,
+                    "timing_min_speedup": TIMING_MIN_SPEEDUP,
                     "general_min_speedup": GENERAL_MIN_SPEEDUP,
                     "literature_min_speedup": LITERATURE_MIN_SPEEDUP,
                     "ittage_min_speedup": ITTAGE_MIN_SPEEDUP,
@@ -607,7 +687,9 @@ def test_hotpath_speedup_and_equivalence(benchmark):
         f"TAGE replay {report['direction_replay_speedup']:.2f}x "
         f"(budget {DIRECTION_MIN_SPEEDUP:.1f}x), ICache replay "
         f"{report['icache_replay_speedup']:.2f}x "
-        f"(budget {ICACHE_MIN_SPEEDUP:.1f}x), general "
+        f"(budget {ICACHE_MIN_SPEEDUP:.1f}x), slack-walk scan "
+        f"{report['timing_scan_speedup']:.2f}x "
+        f"(budget {TIMING_MIN_SPEEDUP:.1f}x), general "
         f"{report['general_sweep_speedup']:.2f}x "
         f"(budget {GENERAL_MIN_SPEEDUP:.1f}x), literature "
         f"{report['literature_sweep_speedup']:.2f}x "
@@ -639,6 +721,8 @@ def main(argv: list[str]) -> int:
         f"{DIRECTION_MIN_SPEEDUP:.1f}x, "
         f"ICache replay {report['icache_replay_speedup']:.2f}x >= "
         f"{ICACHE_MIN_SPEEDUP:.1f}x, "
+        f"slack-walk scan {report['timing_scan_speedup']:.2f}x >= "
+        f"{TIMING_MIN_SPEEDUP:.1f}x, "
         f"general {report['general_sweep_speedup']:.2f}x >= "
         f"{GENERAL_MIN_SPEEDUP:.1f}x, "
         f"literature {report['literature_sweep_speedup']:.2f}x >= "
@@ -647,7 +731,8 @@ def main(argv: list[str]) -> int:
         f"{ITTAGE_MIN_SPEEDUP:.1f}x, "
         f"construction {report['construction_speedup']:.2f}x >= "
         f"{CONSTRUCTION_MIN_SPEEDUP:.1f}x, "
-        "stats bit-identical across engines, replays identical to their loops"
+        "stats bit-identical across engines, replays and the slack walk "
+        "identical to their loops"
     )
     return 0
 

@@ -21,15 +21,28 @@ addresses are computed trivially.
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass, field
 
 from repro.branch.address import hash_pc, same_page
 from repro.branch.types import BranchEvent
 
-#: "No target" in the lookup-target list an ``observe_fast`` BTB pass
+#: "No target" in the lookup-target buffer an ``observe_fast`` BTB pass
 #: fills (targets are 57-bit non-negative addresses, so -1 never
 #: collides with a real one).
 NO_TARGET = -1
+
+
+def lookup_buffers() -> tuple[array, array, array]:
+    """Empty ``(targets, hits, latencies)`` buffers for a BTB pass:
+    ``array('q')``, ``array('b')`` and ``array('q')``.
+
+    Both column sources (``observe_fast`` and the live structure pass)
+    append each lookup's fields to these, and the timing model reads
+    them with ``np.frombuffer``, so no Python list is built and no
+    list-to-array copy is made.  Targets fit in a signed 64-bit slot.
+    """
+    return array("q"), array("b"), array("q")
 
 
 def tag_directory(tags: list[int], ways: int) -> list[dict[int, int]]:
@@ -229,9 +242,10 @@ class BranchTargetPredictor(abc.ABC):
         lists, except ``is_direct`` and ``kinds``, numpy arrays of which
         a pass that reads one takes a list of only its slice.  Each
         event's lookup ``(target, hit, latency)`` is appended to the three
-        ``results`` lists, with :data:`NO_TARGET` for no target.  This
-        loop runs :meth:`lookup_fast` then :meth:`update_fast` per event,
-        as the live pass runs the adapters.
+        ``results`` buffers (:func:`lookup_buffers`), with
+        :data:`NO_TARGET` for no target.  This loop runs
+        :meth:`lookup_fast` then :meth:`update_fast` per event, as the
+        live pass runs the adapters.
         """
         pcs, targets, takens, _, hashes, same_page_col, _, kinds = columns
         lookup, update = self.lookup_fast, self.update_fast

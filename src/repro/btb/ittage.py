@@ -100,7 +100,10 @@ class ITTagePredictor:
 
     def predict(self, pc: int) -> int | None:
         """Predicted indirect target for ``pc``; None when untrained."""
-        provider = self._provider(pc)
+        return self._predicted(pc, self._provider(pc))
+
+    def _predicted(self, pc: int, provider: tuple[int, _TaggedEntry] | None) -> int | None:
+        """The prediction for ``pc`` given its ``provider`` (:meth:`_provider`)."""
         if provider is not None:
             return provider[1].target
         base_index = (pc >> 1) & self._base_mask
@@ -110,12 +113,19 @@ class ITTagePredictor:
 
     def update(self, pc: int, target: int) -> None:
         """Train with the resolved target of the indirect branch at ``pc``."""
+        self._train(pc, target, self._provider(pc))
+
+    def _train(
+        self, pc: int, target: int, provider: tuple[int, _TaggedEntry] | None
+    ) -> int | None:
+        """:meth:`update` from the ``provider`` :meth:`_provider` found for
+        ``pc``, so one table scan serves the prediction and the training;
+        returns the prediction :meth:`predict` would have made."""
         self.predictions += 1
-        predicted = self.predict(pc)
+        predicted = self._predicted(pc, provider)
         correct = predicted == target
         if not correct:
             self.mispredictions += 1
-        provider = self._provider(pc)
         if provider is not None:
             level, entry = provider
             if entry.target == target:
@@ -141,6 +151,7 @@ class ITTagePredictor:
                 self._base_targets[base_index] = target
         if not correct:
             self._allocate(pc, target, provider[0] if provider else -1)
+        return predicted
 
     def _allocate(self, pc: int, target: int, provider_level: int) -> None:
         for level in range(provider_level + 1, len(self._tables)):
@@ -162,9 +173,9 @@ class ITTagePredictor:
         The calls a per-event loop makes: every event's ``(pc, taken)``
         goes into the history (:meth:`record_history`), and each event
         flagged ``indirect`` is predicted, then trained with its resolved
-        target.  An event mispredicts when it is taken and the
-        prediction is not its target.  The arguments are equal-length
-        numpy columns.
+        target, one provider scan serving both.  An event mispredicts
+        when it is taken and the prediction is not its target.  The
+        arguments are equal-length numpy columns.
         """
         bits = ((takens.astype(pcs.dtype) ^ (pcs >> 2) ^ (pcs >> 7)) & 1).tolist()
         is_indirect = indirect.tolist()
@@ -175,8 +186,7 @@ class ITTagePredictor:
             if is_indirect[index]:
                 self._history = history
                 pc, target = int(pcs[index]), int(targets[index])
-                predicted = self.predict(pc)
-                self.update(pc, target)
+                predicted = self._train(pc, target, self._provider(pc))
                 mispredicts[index] = bool(takens[index]) and predicted != target
         self._history = history
         return mispredicts

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from repro.branch.address import ADDRESS_BITS
 from repro.branch.types import IS_DIRECT
-from repro.btb.base import BranchTargetPredictor, drop_tag, tag_directory
+from repro.btb.base import BranchTargetPredictor, drop_tag, lookup_buffers, tag_directory
 from repro.btb.replacement import make_replacement_table
 from repro.checks.sanitizer import sanitizer_step
 
@@ -164,7 +164,7 @@ class ShadowBTB(BranchTargetPredictor):
         a list of only its ``start:stop`` slice.  The sanitizer hook is
         omitted, as in the inner's pass.
         """
-        inner_targets, inner_hits, latencies = inner_results = ([], [], [])
+        inner_targets, inner_hits, latencies = inner_results = lookup_buffers()
         self.inner.observe_fast(columns, start, stop, inner_results)
         pcs, targets, takens, _, hashes, _, is_direct, _ = columns
         out_target, out_hit = results[0].append, results[1].append

@@ -67,12 +67,20 @@ engines exactly.
 Deliberate update (one ITTAGE path): the optional wrong-path ICache
 pollution was removed from the live simulator and from
 :class:`SeedFrontendSimulator` together; no experiment turned it on.
+
+:func:`seed_slack_walk` freezes the timing model's fetch-queue slack
+walk as it stood before the scanned walk
+(``repro.frontend.vector._slack_walk``) replaced it: the prefix-summed
+scalar loop over interesting events.  ``tests/test_vector_engine.py``
+holds the scan to it, and ``benchmarks/bench_hotpath.py`` races the two.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.branch.address import (
     ADDRESS_BITS,
@@ -2246,3 +2254,53 @@ class _SeedEventView:
     @property
     def fall_through(self) -> int:
         return self.pc + 4
+
+
+def seed_slack_walk(d, has_pen, icache_cost, bubble_ticks, slack_max, warm_limit):
+    """Verbatim copy of the timing model's scalar fetch-queue slack walk.
+
+    Same arguments and result as ``repro.frontend.vector._slack_walk``:
+    int64 per-event columns (demand minus supply, penalty flag, ICache
+    cost, lookup bubble), the slack cap and the first measured event;
+    returns ``(overrun, icache stall, BTB bubble)`` ticks summed over
+    events ``warm_limit:``.
+    """
+    d_arr = d
+    interesting = np.flatnonzero(has_pen | (d_arr < 0))
+    prefix = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(d_arr)))
+    slack = 0
+    overrun_total = 0
+    icache_stall_ticks = 0
+    btb_bubble_ticks = 0
+    event_at = interesting.tolist()
+    d_at = d_arr[interesting].tolist()
+    pen_at = has_pen[interesting].tolist()
+    icache_at = icache_cost[interesting].tolist()
+    bubble_at = bubble_ticks[interesting].tolist()
+    prefix_at = prefix[interesting].tolist()
+    gap_base = 0
+    for k in range(len(event_at)):
+        slack += prefix_at[k] - gap_base
+        if slack > slack_max:
+            slack = slack_max
+        d_k = d_at[k]
+        x = slack + d_k
+        if x < 0:
+            slack = 0
+            if event_at[k] >= warm_limit:
+                overrun = -x
+                overrun_total += overrun
+                ic = icache_at[k]
+                icache_part = ic if ic < overrun else overrun
+                icache_stall_ticks += icache_part
+                rest = overrun - icache_part
+                bubble = bubble_at[k]
+                btb_bubble_ticks += bubble if bubble < rest else rest
+        elif x < slack_max:
+            slack = x
+        else:
+            slack = slack_max
+        if pen_at[k]:
+            slack = 0
+        gap_base = prefix_at[k] + d_k
+    return overrun_total, icache_stall_ticks, btb_bubble_ticks

@@ -46,7 +46,7 @@ from repro.branch.direction import (
 )
 from repro.obs.metrics import get_registry
 from repro.branch.types import IS_CALL, IS_INDIRECT, BranchKind
-from repro.btb.base import NO_TARGET, BranchTargetPredictor
+from repro.btb.base import NO_TARGET, BranchTargetPredictor, lookup_buffers
 from repro.btb.ittage import ITTagePredictor
 from repro.btb.ras import ReturnAddressStack
 from repro.checks.sanitizer import get_sanitizer
@@ -238,12 +238,13 @@ class FrontendSimulator:
         trace's cold-state replays cannot: a reused simulator, a
         caller-supplied predictor and an armed sanitizer.  It records
         only per-event outcomes -- ICache misses, direction and RAS
-        correctness and each BTB lookup's ``(target, hit, latency)`` --
-        and hands them to the timing model of
-        :func:`repro.frontend.vector.run_vector`, the one the fresh-run
-        engine feeds from the replayed columns.  With ITTAGE attached,
-        indirect branches skip the BTB here and ``run_vector`` replays
-        ITTAGE over the trace.
+        correctness and each BTB lookup's ``(target, hit, latency)``, in
+        the buffers the fresh-run BTB pass fills
+        (:func:`~repro.btb.base.lookup_buffers`) -- and hands them to the
+        timing model of :func:`repro.frontend.vector.run_vector`, the one
+        the fresh-run engine feeds from the replayed columns.  With
+        ITTAGE attached, indirect branches skip the BTB here and
+        ``run_vector`` replays ITTAGE over the trace.
         """
         n_events = len(trace)
         warm_limit = int(n_events * warmup_fraction)
@@ -251,7 +252,7 @@ class FrontendSimulator:
         record_misses = icache_col.append
         dir_ok = [True] * n_events
         ras_ok = [True] * n_events
-        results: tuple[list, list, list] = ([], [], [])
+        results = lookup_buffers()
         out_target, out_hit, out_latency = (column.append for column in results)
 
         btb = self.btb

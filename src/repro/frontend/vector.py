@@ -19,8 +19,10 @@ predictor, unmemoised).
 **Phase 1 -- BTB pass.**  One scalar loop over the *active* events (all
 of them, or every non-return when returns are served by the RAS) makes
 the BTB calls a live run makes, in trace order, over lists masked for the
-run from the trace's and the decoded numpy columns, and collects each
-lookup's ``(target, hit, latency)`` into three lists.  The loop is
+run from the trace's and the decoded numpy columns, and appends each
+lookup's ``(target, hit, latency)`` to three typed ``array`` buffers
+(:func:`~repro.btb.base.lookup_buffers`, which the live structure pass
+fills too); phase 2 reads them with ``np.frombuffer``.  The loop is
 called twice, once on each side of the warm crossing, with the stats
 reset in between, so the reset lands between the last warm-up event and
 the first measured one.  The loop is always the BTB's own
@@ -42,11 +44,14 @@ Baseline's) run the base class's loop.
 miss, penalty kind, lookup bubbles) are pure element-wise functions of
 the outcome columns, so the whole timing model vectorises: the ICache
 refill window is a shifted running maximum over penalty positions, and
-the fetch-queue slack walk -- the only sequential recurrence --
-collapses to a scalar loop over *interesting* events (penalties and
-supply-over-demand blocks) with prefix-summed slack gains in between,
-because slack clipping commutes with non-negative accumulation.  All
-accounting is integer ticks, summed over the measured range.
+the fetch-queue slack walk -- the only sequential recurrence -- only
+visits *interesting* events (penalties and supply-over-demand blocks),
+with prefix-summed slack gains in between, because slack clipping
+commutes with non-negative accumulation.  Each interesting event's
+slack update is a clamp ``s -> min(max(s + a, lo), hi)``, and clamps
+compose into clamps, so one associative scan in numpy
+(:func:`_slack_walk`) gives the slack before every event, with no Python
+loop.  All accounting is integer ticks, summed over the measured range.
 
 The RAS is replayed once per ``(returns_use_ras, depth)`` by the decoded
 trace (like ICache and direction), which is why the fresh-run engine
@@ -59,7 +64,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.branch.types import BranchKind
-from repro.btb.base import NO_TARGET
+from repro.btb.base import NO_TARGET, lookup_buffers
 from repro.frontend.params import exact_ticks
 from repro.frontend.stats import FrontendStats
 
@@ -94,6 +99,84 @@ def _btb_pass(btb, trace, decoded, act):
     return btb.observe_fast, columns
 
 
+def _slack_walk(d, has_pen, icache_cost, bubble_ticks, slack_max, warm_limit):
+    """The fetch-queue slack walk; returns ``(overrun, icache stall,
+    BTB bubble)`` ticks summed over events ``warm_limit:``.
+
+    ``d`` is each event's demand minus supply (ICache cost and lookup
+    bubble included), ``has_pen`` its resteer flag, and ``icache_cost``
+    and ``bubble_ticks`` the parts of its supply an overrun is charged to
+    first and second; all int64 ticks.  Slack starts at 0.  An event
+    adds ``d`` to the slack, clamped to ``[0, slack_max]``; when the sum
+    falls below 0 the shortfall is an overrun, and a penalty drains the
+    slack to 0.
+
+    Only *interesting* events -- penalties and ``d < 0`` -- can lose
+    slack; between two of them every ``d`` is a non-negative gain, and
+    clipped accumulation of non-negative gains equals clipping their sum
+    once.  So interesting event *k* maps the slack ``s`` left by event
+    *k-1* to ``P_k(clamp(min(s + g_k, M) + d_k, 0, M))``, where ``g_k``
+    is the gain since event *k-1*, ``M`` is ``slack_max`` and ``P_k``
+    drains after a penalty.  That equals ``clamp(s + g_k + d_k, 0,
+    clamp(M + d_k, 0, M))``, or the constant 0 for a penalty, and
+    functions ``s -> min(max(s + a, lo), hi)`` compose into the same
+    form: ``f2(f1(s))`` has ``a = a1 + a2``, ``lo = clamp(lo1 + a2, lo2,
+    hi2)`` and ``hi = clamp(hi1 + a2, lo2, hi2)``.  An inclusive
+    Hillis-Steele scan of that composition gives the slack after every
+    interesting event in numpy rounds, ``log2`` of the longest run of
+    events without a penalty (at most ``log2(n)``); the overruns and
+    their split are then element-wise.  Exact integer arithmetic
+    throughout, equal to the per-event walk
+    (:func:`repro.frontend.seedref.seed_slack_walk`).
+    """
+    interesting = np.flatnonzero(has_pen | (d < 0))
+    n = len(interesting)
+    if not n:
+        return 0, 0, 0
+    d_at = d[interesting]
+    pen_at = has_pen[interesting]
+    # a_k = g_k + d_k: the prefix sum through event k minus the one
+    # through event k-1.
+    a = np.diff(np.cumsum(d)[interesting], prepend=0)
+    gain = a - d_at
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.clip(d_at + slack_max, 0, slack_max)
+    a[pen_at] = 0
+    hi[pen_at] = 0
+    # A penalty's function is the constant 0, and so is every composition
+    # that ends in one, whatever came before it: the scan is done once
+    # each prefix reaches back to a penalty or to the first event.
+    penalties = np.flatnonzero(pen_at)
+    span = int(np.diff(penalties, prepend=-1, append=n).max())
+    # Round r composes each function with the one 2**r places earlier,
+    # in place; both new bounds read the old ``lo`` and ``hi``, so they
+    # go to scratch first.
+    lo_new, hi_new = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    shift = 1
+    while shift < span:
+        a_next, lo_next, hi_next = a[shift:], lo[shift:], hi[shift:]
+        for bound, out in ((lo, lo_new[shift:]), (hi, hi_new[shift:])):
+            np.add(bound[:-shift], a_next, out=out)
+            np.maximum(out, lo_next, out=out)
+            np.minimum(out, hi_next, out=out)
+        a_next += a[:-shift]
+        lo_next[...] = lo_new[shift:]
+        hi_next[...] = hi_new[shift:]
+        shift *= 2
+    # The slack each event starts from: the scan's value after event k-1.
+    before = np.empty(n, dtype=np.int64)
+    before[0] = 0
+    np.minimum(np.maximum(a[:-1], lo[:-1]), hi[:-1], out=before[1:])
+    measured = slice(int(np.searchsorted(interesting, warm_limit)), n)
+    x = np.minimum(before[measured] + gain[measured], slack_max) + d_at[measured]
+    short = x < 0
+    overrun = -x[short]
+    overrun_at = interesting[measured][short]
+    icache_part = np.minimum(icache_cost[overrun_at], overrun)
+    bubble_part = np.minimum(bubble_ticks[overrun_at], overrun - icache_part)
+    return int(overrun.sum()), int(icache_part.sum()), int(bubble_part.sum())
+
+
 def run_vector(sim, trace, warmup_fraction, live=None):
     """Run one simulation through the timing model; returns FrontendStats.
 
@@ -103,8 +186,9 @@ def run_vector(sim, trace, warmup_fraction, live=None):
     with its warm-crossing stats reset, and adoption of the replayed
     end-of-trace structure state.  ``live`` is the live structure pass's
     ``(icache misses, direction ok, ras ok, (lookup targets, hits,
-    latencies))``; it replaces both the replays and phase 1, and the
-    simulator keeps its own structures.  Either way an attached ITTAGE
+    latencies))``, the last three in :func:`~repro.btb.base.lookup_buffers`;
+    it replaces both the replays and phase 1, and the simulator keeps
+    its own structures.  Either way an attached ITTAGE
     replays the trace here.
     """
     params = sim.params
@@ -138,7 +222,7 @@ def run_vector(sim, trace, warmup_fraction, live=None):
         (icache_col, dir_ok, ras_ok), finals = sim._replayed_columns(trace)
         # ---- phase 1: BTB pass ----------------------------------------
         observe, columns = _btb_pass(btb, trace, decoded, act)
-        results = ([], [], [])
+        results = lookup_buffers()
         # One call on each side of the warm crossing: its stats reset
         # lands between the last warm-up BTB call and the first measured
         # one, wherever the crossing event is.
@@ -153,7 +237,10 @@ def run_vector(sim, trace, warmup_fraction, live=None):
     lt = np.full(n_events, NO_TARGET, dtype=np.int64)
     lh = np.zeros(n_events, dtype=np.bool_)
     lat = np.ones(n_events, dtype=np.int64)
-    lt[act], lh[act], lat[act] = results
+    targets_buf, hits_buf, latencies_buf = results
+    lt[act] = np.frombuffer(targets_buf, dtype=np.int64)
+    lh[act] = np.frombuffer(hits_buf, dtype=np.bool_)
+    lat[act] = np.frombuffer(latencies_buf, dtype=np.int64)
 
     # ---- phase 2: outcomes, penalties, timing -------------------------
     taken_active = act & taken
@@ -193,49 +280,10 @@ def run_vector(sim, trace, warmup_fraction, live=None):
     execute_penalty = params.execute_resteer_cycles * tick + refill_shadow
     slack_max = exact_ticks(params.max_slack_cycles, tick)
 
-    # Fetch-queue slack walk.  d = demand - supply per event; between
-    # interesting events every d is non-negative (fetch outpaces commit
-    # unless an ICache charge or lookup bubble intervenes), and clipped
-    # accumulation of non-negative gains equals clipping the prefix sum
-    # once, so the walk only visits penalties and d < 0 events.
     d_arr = demand_col - supply_col - icache_cost - bubble_ticks
-    interesting = np.flatnonzero(has_pen | (d_arr < 0))
-    prefix = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(d_arr)))
-    slack = 0
-    overrun_total = 0
-    icache_stall_ticks = 0
-    btb_bubble_ticks = 0
-    event_at = interesting.tolist()
-    d_at = d_arr[interesting].tolist()
-    pen_at = has_pen[interesting].tolist()
-    icache_at = icache_cost[interesting].tolist()
-    bubble_at = bubble_ticks[interesting].tolist()
-    prefix_at = prefix[interesting].tolist()
-    gap_base = 0
-    for k in range(len(event_at)):
-        slack += prefix_at[k] - gap_base
-        if slack > slack_max:
-            slack = slack_max
-        d_k = d_at[k]
-        x = slack + d_k
-        if x < 0:
-            slack = 0
-            if event_at[k] >= warm_limit:
-                overrun = -x
-                overrun_total += overrun
-                ic = icache_at[k]
-                icache_part = ic if ic < overrun else overrun
-                icache_stall_ticks += icache_part
-                rest = overrun - icache_part
-                bubble = bubble_at[k]
-                btb_bubble_ticks += bubble if bubble < rest else rest
-        elif x < slack_max:
-            slack = x
-        else:
-            slack = slack_max
-        if pen_at[k]:
-            slack = 0
-        gap_base = prefix_at[k] + d_k
+    overrun_total, icache_stall_ticks, btb_bubble_ticks = _slack_walk(
+        d_arr, has_pen, icache_cost, bubble_ticks, slack_max, warm_limit
+    )
 
     # ---- measured-range accounting ------------------------------------
     m = slice(warm_limit, n_events)

@@ -44,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.branch.types import BranchKind
-from repro.btb.base import NO_TARGET, drop_tag, find_way, tag_directory
+from repro.btb.base import NO_TARGET, drop_tag, find_way, lookup_buffers, tag_directory
 from repro.btb.baseline import BaselineBTB
 from repro.btb.ghrp import GhrpBTB
 from repro.btb.microbtb import MicroBTB
@@ -124,7 +124,7 @@ def _assert_pass_matches_seed(build, warmup_fraction, returns_use_ras=True, trac
     # The hook and its columns, exactly as the fresh-run engine gets them.
     observe, columns = _btb_pass(btb, trace, decoded, act)
     assert observe == btb.observe_fast
-    results = ([], [], [])
+    results = lookup_buffers()
     observe(columns, 0, n_warm, results)
     if n_warm:
         btb.reset_stats()
@@ -145,9 +145,9 @@ def _assert_pass_matches_seed(build, warmup_fraction, returns_use_ras=True, trac
         expected[1].append(lookup.hit)
         expected[2].append(lookup.latency)
 
-    assert results[0] == expected[0]
-    assert results[1] == expected[1]
-    assert results[2] == expected[2]
+    assert results[0].tolist() == expected[0]
+    assert results[1].tolist() == expected[1]
+    assert results[2].tolist() == expected[2]
     assert btb.stats.to_dict() == seed.stats.to_dict()
     assert btb.metrics() == seed.metrics()
     # The live leg: whole BTBLookup objects, provider labels included.

@@ -319,25 +319,28 @@ def _fuzz_design(seed: int):
     return key, designs[key]
 
 
-def _diff_fields(design, trace) -> dict:
-    """Field-by-field diff of the auto engine vs seed stats ({} if equal)."""
+def _diff_fields(design, trace, live=False) -> dict:
+    """Field-by-field diff of the auto engine vs seed stats ({} if equal);
+    ``live`` arms a sanitizer, which sends the run through the live
+    structure pass."""
     btb, kwargs = design.build()
-    live = FrontendSimulator(btb, **kwargs).run(
-        trace, warmup_fraction=_FUZZ_WARMUP
-    )
+    simulator = FrontendSimulator(btb, **kwargs)
+    with use_sanitizer(Sanitizer(interval=1 << 20)) if live else nullcontext():
+        stats = simulator.run(trace, warmup_fraction=_FUZZ_WARMUP)
+    assert simulator.last_engine == ("general" if live else "vector")
     seed_btb, seed_kwargs = design.build()
     ref = SeedFrontendSimulator(seed_counterpart(seed_btb), **seed_kwargs).run(
         trace, warmup_fraction=_FUZZ_WARMUP
     )
-    live_dict, ref_dict = live.to_dict(), ref.to_dict()
+    stats_dict, ref_dict = stats.to_dict(), ref.to_dict()
     return {
-        field: (live_dict[field], ref_dict[field])
-        for field in sorted(live_dict.keys() | ref_dict.keys())
-        if live_dict.get(field) != ref_dict.get(field)
+        field: (stats_dict[field], ref_dict[field])
+        for field in sorted(stats_dict.keys() | ref_dict.keys())
+        if stats_dict.get(field) != ref_dict.get(field)
     }
 
 
-def _shrink_prefix(design, spec, failing_length: int) -> int:
+def _shrink_prefix(design, spec, failing_length: int, live=False) -> int:
     """Binary-search a short failing prefix of the workload.
 
     Divergence is not guaranteed monotone in the prefix length, so this
@@ -349,31 +352,48 @@ def _shrink_prefix(design, spec, failing_length: int) -> int:
         mid = (low + high) // 2
         prefix = generate_trace(spec)
         prefix.truncate(mid)
-        if _diff_fields(design, prefix):
+        if _diff_fields(design, prefix, live):
             high = mid
         else:
             low = mid + 1
     return low
 
 
-@pytest.mark.parametrize("fuzz_seed", range(N_FUZZ_SWEEPS))
-def test_differential_fuzz_engines_agree(fuzz_seed):
-    # "auto" resolves to the fresh-run engine for every design here; the
-    # live structure pass is pinned by the forced-general tests.
+def _assert_fuzz_agrees(fuzz_seed: int, live: bool = False) -> None:
     spec = _fuzz_spec(fuzz_seed)
     design_key, design = _fuzz_design(fuzz_seed)
     trace = generate_trace(spec)
-    diff = _diff_fields(design, trace)
+    diff = _diff_fields(design, trace, live)
     if diff:
-        shrunk = _shrink_prefix(design, spec, len(trace))
+        shrunk = _shrink_prefix(design, spec, len(trace), live)
         raise AssertionError(
-            f"engines diverge on fuzz seed {fuzz_seed} "
+            f"{'live pass' if live else 'engines'} diverge on fuzz seed {fuzz_seed} "
             f"(design {design_key!r}, {len(trace)} "
             f"events; shrunk to first {shrunk} events).\n"
             f"Reproduce with: generate_trace({spec!r}).truncate({shrunk})\n"
-            "Differing fields (live vs seed): "
+            "Differing fields (engine vs seed): "
             + ", ".join(f"{k}: {a!r} != {b!r}" for k, (a, b) in diff.items())
         )
+
+
+@pytest.mark.parametrize("fuzz_seed", range(N_FUZZ_SWEEPS))
+def test_differential_fuzz_engines_agree(fuzz_seed):
+    # "auto" resolves to the fresh-run engine for every design here; the
+    # live structure pass is pinned by the forced-general tests and by
+    # the live-pass sweep below.
+    _assert_fuzz_agrees(fuzz_seed)
+
+
+#: Sweeps that force the live structure pass (``FrontendSimulator._run_general``)
+#: on random designs and workloads; their seeds do not overlap the ones above.
+N_LIVE_FUZZ_SWEEPS = 7
+
+
+@pytest.mark.parametrize("fuzz_seed", range(2000, 2000 + N_LIVE_FUZZ_SWEEPS))
+def test_differential_fuzz_live_pass_agrees(fuzz_seed):
+    # An armed sanitizer sends every drawn design through the live pass,
+    # whose lookup buffers feed the same timing model.
+    _assert_fuzz_agrees(fuzz_seed, live=True)
 
 
 def test_fuzz_sweep_is_deterministic():

@@ -10,7 +10,7 @@ from repro.btb.prefetch import TemporalPrefetchBTB
 from repro.btb.shadow import ShadowBTB
 from repro.core.config import PDedeConfig, PDedeMode
 from repro.core.pdede import PDedeBTB
-from repro.btb.base import BranchTargetPredictor
+from repro.btb.base import BranchTargetPredictor, lookup_buffers
 from repro.frontend.vector import _btb_pass
 from repro.workloads.suite import get_trace
 
@@ -180,5 +180,5 @@ def test_pass_hook_follows_the_inner_btb():
         inner.observe_fast = lambda *args, inner=inner: calls.append(
             type(inner).observe_fast(inner, *args)
         )
-        observe(columns, 0, 100, ([], [], []))
+        observe(columns, 0, 100, lookup_buffers())
         assert len(calls) == 1

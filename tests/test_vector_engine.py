@@ -5,7 +5,8 @@ on a cold BTB, the warm crossing's stats reset (inside an allocation
 cluster, on a return the BTB never sees, or never at all), degenerate
 traces, and the choice between a BTB's ``observe_fast`` pass hook and
 the engine's shared ``lookup`` + ``update`` loop.  These tests pin each against the
-frozen seed referee.
+frozen seed referee.  The timing model's scanned fetch-queue slack walk
+is held to the frozen scalar walk on random columns and on its edges.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch.types import BranchKind
 from repro.experiments.designs import (
@@ -25,8 +29,9 @@ from repro.experiments.designs import (
     with_returns_in_btb,
     with_temporal_prefetch,
 )
-from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart
+from repro.frontend.seedref import SeedFrontendSimulator, seed_counterpart, seed_slack_walk
 from repro.frontend.simulator import FrontendSimulator
+from repro.frontend.vector import _slack_walk
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import get_trace
@@ -185,3 +190,71 @@ def test_benchmark_tracer_still_finds_its_wrap_targets():
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "REPRO_DISK_CACHE": "0"}
     subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=300)
+
+
+# -- the scanned fetch-queue slack walk against the frozen scalar walk ----------
+
+
+@st.composite
+def _walk_columns(draw):
+    """``(d, has_pen, icache_cost, bubble_ticks, slack_max, warm_limit)``
+    over a short trace; ``d`` mixes gains and losses around the slack cap
+    so clamping at both ends happens, penalties range from none to every
+    event, and ``warm_limit`` runs from 0 to past the end."""
+    n = draw(st.integers(min_value=0, max_value=80))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    d = column(st.integers(min_value=-60, max_value=60))
+    pen_rate = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    pen = [u < pen_rate for u in column(st.floats(min_value=0.0, max_value=0.999))]
+    icache = column(st.integers(min_value=0, max_value=50))
+    bubble = column(st.integers(min_value=0, max_value=50))
+    return (
+        np.array(d, dtype=np.int64),
+        np.array(pen, dtype=np.bool_),
+        np.array(icache, dtype=np.int64),
+        np.array(bubble, dtype=np.int64),
+        draw(st.sampled_from([0, 1, 7, 40, 1000])),
+        draw(st.integers(min_value=0, max_value=n + 3)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_walk_columns())
+def test_slack_walk_matches_the_scalar_walk(columns):
+    assert _slack_walk(*columns) == seed_slack_walk(*columns)
+
+
+_EDGE_D = [7, -3, 12, -20, -1, 5]
+
+
+@pytest.mark.parametrize(
+    "d, pen, slack_max, warm_limit, totals",
+    [
+        pytest.param([], [], 40, 0, (0, 0, 0), id="empty"),
+        pytest.param([5, 9, 0, 30], [False] * 4, 40, 0, (0, 0, 0), id="no-interesting-events"),
+        # Every event drains the slack, so each loss is a whole overrun.
+        pytest.param(
+            [-4, 6, -9, -1, 2], [True] * 5, 40, 0, (14, 7, 3), id="every-event-a-penalty"
+        ),
+        pytest.param(_EDGE_D, [False] * 6, 0, 0, (24, 7, 2), id="slack-max-zero"),
+        # The 12-tick gain fills the 10-tick queue; -20 then overruns by 10.
+        pytest.param(_EDGE_D, [False, True] * 3, 10, 0, (11, 4, 2), id="warm-limit-zero"),
+        pytest.param(_EDGE_D, [False, True] * 3, 10, 4, (1, 1, 0), id="warm-limit-mid"),
+        pytest.param(_EDGE_D, [False, True] * 3, 10, 9, (0, 0, 0), id="warm-limit-past-end"),
+    ],
+)
+def test_slack_walk_edge_cases(d, pen, slack_max, warm_limit, totals):
+    # Every event's ICache cost is 3 ticks and its lookup bubble 2.
+    columns = (
+        np.array(d, dtype=np.int64),
+        np.array(pen, dtype=np.bool_),
+        np.full(len(d), 3, dtype=np.int64),
+        np.full(len(d), 2, dtype=np.int64),
+        slack_max,
+        warm_limit,
+    )
+    assert seed_slack_walk(*columns) == totals
+    assert _slack_walk(*columns) == totals
